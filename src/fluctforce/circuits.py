@@ -25,7 +25,7 @@ from .constants import C_LIGHT, EPSILON_0, HBAR, K_B, ZETA_3
 from .errors import PreconditionError
 from .forces import (ForceResult, force_ohmic_exact, force_ohmic_high_t,
                      force_ohmic_low_t, force_ohmic_weak_dissipation)
-from .oscillator import ParametricModel
+from .oscillator import ParametricModel, power_law
 
 WARN_EDGE_EFFECTS = "edge-effects"
 WARN_SPHERE_INTERP = "sphere-interpolation-accuracy"
@@ -52,13 +52,7 @@ def constant_element(x: float) -> ElementLaw:
 
 
 def power_element(coeff: float, exponent: float) -> ElementLaw:
-    def value(lam: float) -> float:
-        return coeff * lam ** exponent
-
-    def derivative(lam: float) -> float:
-        return coeff * exponent * lam ** (exponent - 1.0) if exponent else 0.0
-
-    return ElementLaw(value, derivative)
+    return ElementLaw(*power_law(coeff, exponent))
 
 
 def _as_law(x) -> ElementLaw:
@@ -130,10 +124,8 @@ def _check_positive(name: str, x: float) -> float:
     return x
 
 
-def map_series(c: SeriesRLC) -> ParametricModel:
-    """Oscillator model of a series loop: Omega = 1/sqrt(LC), gamma = R/L."""
-    r_of, l_of, c_of = c.resistance, c.inductance, c.capacitance
-
+def _lc_frequency(l_of: ElementLaw, c_of: ElementLaw):
+    """Omega = 1/sqrt(LC) and its derivative, shared by both loops."""
     def omega(lam: float) -> float:
         cl = _check_positive("inductance", l_of.value(lam))
         cc = _check_positive("capacitance", c_of.value(lam))
@@ -143,6 +135,13 @@ def map_series(c: SeriesRLC) -> ParametricModel:
         cl, cc = l_of.value(lam), c_of.value(lam)
         return -0.5 * omega(lam) * (l_of.derivative(lam) / cl
                                     + c_of.derivative(lam) / cc)
+
+    return omega, d_omega
+
+
+def map_series(c: SeriesRLC) -> ParametricModel:
+    """Oscillator model of a series loop: Omega = 1/sqrt(LC), gamma = R/L."""
+    r_of, l_of = c.resistance, c.inductance
 
     def gamma0(lam: float) -> float:
         return r_of.value(lam) / l_of.value(lam)
@@ -152,22 +151,13 @@ def map_series(c: SeriesRLC) -> ParametricModel:
         return (r_of.derivative(lam) / cl
                 - r_of.value(lam) * l_of.derivative(lam) / (cl * cl))
 
-    return ParametricModel(omega, d_omega, gamma0, d_gamma0)
+    return ParametricModel(*_lc_frequency(l_of, c.capacitance), gamma0,
+                           d_gamma0)
 
 
 def map_parallel(c: ParallelRLC) -> ParametricModel:
     """Oscillator model of a parallel loop: Omega = 1/sqrt(LC), gamma = 1/RC."""
-    r_of, l_of, c_of = c.resistance, c.inductance, c.capacitance
-
-    def omega(lam: float) -> float:
-        cl = _check_positive("inductance", l_of.value(lam))
-        cc = _check_positive("capacitance", c_of.value(lam))
-        return 1.0 / math.sqrt(cl * cc)
-
-    def d_omega(lam: float) -> float:
-        cl, cc = l_of.value(lam), c_of.value(lam)
-        return -0.5 * omega(lam) * (l_of.derivative(lam) / cl
-                                    + c_of.derivative(lam) / cc)
+    r_of, c_of = c.resistance, c.capacitance
 
     def gamma0(lam: float) -> float:
         return 1.0 / (_check_positive("resistance", r_of.value(lam))
@@ -178,7 +168,8 @@ def map_parallel(c: ParallelRLC) -> ParametricModel:
         return -gamma0(lam) * (r_of.derivative(lam) / rr
                                + c_of.derivative(lam) / cc)
 
-    return ParametricModel(omega, d_omega, gamma0, d_gamma0)
+    return ParametricModel(*_lc_frequency(c.inductance, c_of), gamma0,
+                           d_gamma0)
 
 
 def capacitance_planar(g: PlanarCapacitor) -> tuple[float, float]:
@@ -258,31 +249,23 @@ def scale_result(res: ForceResult, hbar_out: float,
                        hbar_out * res.im_residual)
 
 
-def force_series_rlc(c: SeriesRLC, temperature: float, lam: float,
-                     regime: str = "exact", units: str = "si") -> ForceResult:
-    """Fluctuation force of a series RLC loop whose capacitance sweeps.
+def series_model(c: SeriesRLC, regime: str = "exact") -> ParametricModel:
+    """Checked oscillator model of a series loop whose capacitance sweeps.
 
-    Composition of the series mapping with the Ohmic force at the chosen
-    regime; R and L must be lambda-independent so that gamma stays
-    fixed (otherwise the force is not finite and the difference-force
-    route applies).
+    R and L must be lambda-independent so that gamma stays fixed
+    (otherwise the force is not finite and the difference-force route
+    applies).  Build it once; rlc_force_at evaluates it at each point.
     """
     if regime not in _REGIMES:
         raise ValueError(f"regime must be one of {_REGIMES}")
     if not (c.resistance.constant and c.inductance.constant):
         raise PreconditionError(
             "series RLC force requires lambda-independent R and L")
-    hbar_out, t_freq = units_factors(temperature, units)
-    model = map_series(c)
-    p = model.params_at(lam, t_freq)
-    res = _OHMIC_DISPATCH[regime](p, model.d_omega(lam))
-    return scale_result(res, hbar_out,
-                        _element_size_warnings(c, p.damping.gamma0, units))
+    return map_series(c)
 
 
-def force_parallel_rlc(c: ParallelRLC, temperature: float, lam: float,
-                       regime: str = "exact", units: str = "si") -> ForceResult:
-    """Fluctuation force of a parallel RLC loop whose inductance sweeps.
+def parallel_model(c: ParallelRLC, regime: str = "exact") -> ParametricModel:
+    """Checked oscillator model of a parallel loop whose inductance sweeps.
 
     gamma = 1/(RC) does not involve L, so a swept inductance leaves the
     damping fixed; R and C must be lambda-independent.
@@ -292,12 +275,33 @@ def force_parallel_rlc(c: ParallelRLC, temperature: float, lam: float,
     if not (c.resistance.constant and c.capacitance.constant):
         raise PreconditionError(
             "parallel RLC force requires lambda-independent R and C")
+    return map_parallel(c)
+
+
+def rlc_force_at(c: SeriesRLC | ParallelRLC, model: ParametricModel,
+                 temperature: float, lam: float, regime: str = "exact",
+                 units: str = "si") -> ForceResult:
+    """Ohmic force at the chosen regime of loop c at one point, given the
+    model that series_model or parallel_model built from c and regime."""
     hbar_out, t_freq = units_factors(temperature, units)
-    model = map_parallel(c)
     p = model.params_at(lam, t_freq)
     res = _OHMIC_DISPATCH[regime](p, model.d_omega(lam))
     return scale_result(res, hbar_out,
                         _element_size_warnings(c, p.damping.gamma0, units))
+
+
+def force_series_rlc(c: SeriesRLC, temperature: float, lam: float,
+                     regime: str = "exact", units: str = "si") -> ForceResult:
+    """Fluctuation force of a series RLC loop whose capacitance sweeps."""
+    return rlc_force_at(c, series_model(c, regime), temperature, lam, regime,
+                        units)
+
+
+def force_parallel_rlc(c: ParallelRLC, temperature: float, lam: float,
+                       regime: str = "exact", units: str = "si") -> ForceResult:
+    """Fluctuation force of a parallel RLC loop whose inductance sweeps."""
+    return rlc_force_at(c, parallel_model(c, regime), temperature, lam,
+                        regime, units)
 
 
 def planar_rlc_low_t_weak(g: PlanarCapacitor, inductance: float,

@@ -11,6 +11,8 @@ fixed column set
 (geometry modes append f_casimir and r_weight).  Floats are written with
 Python's shortest round-trip repr, rows in sweep order, so identical
 configs produce byte-identical files regardless of worker count.
+--workers parallelises oracle rows only; closed-form rows run in one
+serial pass, where threads would only add overhead.
 
 Exit codes: 0 success, 2 config error, 3 domain/precondition violation,
 4 validation failure.
@@ -20,8 +22,10 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import io
 import json
+import math
 import sys
 from typing import Any
 
@@ -38,7 +42,8 @@ BASE_COLUMNS = ("lambda", "force", "f_omega", "f_gamma0", "f_omegaD",
                 "regime", "oracle", "discrepancy", "warnings")
 GEOMETRY_COLUMNS = BASE_COLUMNS + ("f_casimir", "r_weight")
 
-_MODES = ("oscillator", "series-rlc", "parallel-rlc", "planar", "sphere-plate")
+_GEOMETRY_MODES = ("planar", "sphere-plate")
+_MODES = ("oscillator", "series-rlc", "parallel-rlc") + _GEOMETRY_MODES
 
 
 class ConfigError(ValueError):
@@ -53,10 +58,14 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _reject_constant(name: str):
+    raise ConfigError(f"config holds the non-finite number {name}")
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -71,19 +80,31 @@ def _load_config(path: str) -> dict:
     units = cfg.get("units", "reduced")
     if units not in ("reduced", "si"):
         raise ConfigError("units must be 'reduced' or 'si'")
-    if mode in ("planar", "sphere-plate") and units != "si":
+    if mode in _GEOMETRY_MODES and units != "si":
         raise ConfigError(f"mode {mode!r} is SI only")
     if "parameters" not in cfg or not isinstance(cfg["parameters"], dict):
         raise ConfigError("config needs a 'parameters' object")
     return cfg
 
 
+def _number(value: Any, name: str, kind=float):
+    """A finite number from a config value; anything else is a ConfigError."""
+    try:
+        x = kind(value)
+        if math.isfinite(x):
+            return x
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{name!r} must be a finite number")
+
+
 def _law(spec: Any, name: str):
     """A scalar is a constant; {'coeff': c, 'power': p} is c * lam**p."""
     if isinstance(spec, (int, float)):
-        return power_law(float(spec), 0.0)
+        return power_law(_number(spec, name), 0.0)
     if isinstance(spec, dict) and set(spec) <= {"coeff", "power"}:
-        return power_law(float(spec["coeff"]), float(spec.get("power", 0.0)))
+        return power_law(_number(spec.get("coeff"), name),
+                         _number(spec.get("power", 0.0), name))
     raise ConfigError(f"parameter {name!r} must be a number or "
                       "{'coeff': c, 'power': p}")
 
@@ -94,16 +115,25 @@ def _require_key(params: dict, key: str):
     return params[key]
 
 
+def _param(params: dict, key: str, default: float | None = None) -> float:
+    """A numeric parameter; without a default it is required."""
+    value = _require_key(params, key) if default is None \
+        else params.get(key, default)
+    return _number(value, key)
+
+
 def _sweep_values(cfg: dict) -> tuple[str, list[float]]:
     sweep = cfg.get("sweep")
     if not isinstance(sweep, dict):
         raise ConfigError("sweep mode needs a 'sweep' object")
     name = sweep.get("parameter", "lambda")
+    if name not in ("lambda", "temperature"):
+        raise ConfigError("sweep parameter must be 'lambda' or 'temperature'")
     try:
-        start = float(sweep["start"])
-        stop = float(sweep["stop"])
-        points = int(sweep["points"])
-    except (KeyError, TypeError, ValueError) as exc:
+        start = _number(sweep["start"], "start")
+        stop = _number(sweep["stop"], "stop")
+        points = _number(sweep["points"], "points", int)
+    except KeyError as exc:
         raise ConfigError("sweep needs numeric start/stop/points") from exc
     if points < 1:
         raise ConfigError("sweep points must be >= 1")
@@ -125,109 +155,17 @@ def _oracle_spec(cfg: dict) -> SumSpec | None:
         raise ConfigError("'oracle' must be an object")
     if not oracle.get("enabled", False):
         return None
-    return SumSpec(n_max=int(oracle.get("n_max", 100_000)))
-
-
-def _component(res: forces.ForceResult, key: str) -> float | None:
-    if res.components is None:
-        return None
-    return res.components.get(key)
-
-
-def _oscillator_model(params: dict) -> tuple[ParametricModel, str]:
-    damping = _require_key(params, "damping")
-    if damping not in ("ohmic", "drude"):
-        raise ConfigError("damping must be 'ohmic' or 'drude'")
-    om, dom = _law(_require_key(params, "omega0"), "omega0")
-    g0, dg0 = _law(params.get("gamma0", 0.0), "gamma0")
-    if damping == "drude":
-        wd, dwd = _law(_require_key(params, "omega_d"), "omega_d")
-        return ParametricModel(om, dom, g0, dg0, wd, dwd), damping
-    return ParametricModel(om, dom, g0, dg0), damping
-
-
-def _row_oscillator(cfg: dict, lam: float, temperature: float) -> dict:
-    params = cfg["parameters"]
-    model, damping = _oscillator_model(params)
-    units = cfg.get("units", "reduced")
-    hbar_out, t_freq = circuits.units_factors(temperature, units)
-    p = model.params_at(lam, t_freq)
-    if damping == "ohmic":
-        res = forces.force_ohmic_exact(p, model.d_omega(lam))
-    else:
-        res = forces.force_drude_full(p, model, lam)
-    res = circuits.scale_result(res, hbar_out)
-    row = _force_row(lam, res)
-    spec = _oracle_spec(cfg)
-    if spec is not None:
-        oracle = matsubara.force_sum_exact(p, model, lam, spec)
-        row["oracle"] = hbar_out * oracle.value
-        row["discrepancy"] = abs(res.value - hbar_out * oracle.value)
-    return row
-
-
-def _element(params: dict, key: str) -> circuits.ElementLaw:
-    spec = _require_key(params, key)
-    if isinstance(spec, dict) and "planar" in spec:
-        geom = spec["planar"]
-        return circuits.planar_capacitance_law(
-            float(_require_key(geom, "area")), float(geom.get("epsilon", 1.0)))
-    value, derivative = _law(spec, key)
-    return circuits.ElementLaw(value, derivative,
-                               constant=isinstance(spec, (int, float)))
-
-
-def _series_loop(params: dict) -> circuits.SeriesRLC:
-    return circuits.SeriesRLC.of(
-        _element(params, "resistance"), _element(params, "inductance"),
-        _element(params, "capacitance"), params.get("element_size"))
-
-
-def _row_series(cfg: dict, lam: float, temperature: float) -> dict:
-    params = cfg["parameters"]
-    loop = _series_loop(params)
-    units = cfg.get("units", "reduced")
-    regime = params.get("regime", "exact")
-    res = circuits.force_series_rlc(loop, temperature, lam, regime, units)
-    row = _force_row(lam, res)
-    spec = _oracle_spec(cfg)
-    if spec is not None:
-        model = circuits.map_series(loop)
-        hbar_out, t_freq = circuits.units_factors(temperature, units)
-        oracle = matsubara.force_sum_exact(model.params_at(lam, t_freq),
-                                           model, lam, spec)
-        row["oracle"] = hbar_out * oracle.value
-        row["discrepancy"] = abs(res.value - hbar_out * oracle.value)
-    return row
-
-
-def _row_parallel(cfg: dict, lam: float, temperature: float) -> dict:
-    params = cfg["parameters"]
-    loop = circuits.ParallelRLC.of(
-        _element(params, "resistance"), _element(params, "inductance"),
-        _element(params, "capacitance"), params.get("element_size"))
-    units = cfg.get("units", "reduced")
-    regime = params.get("regime", "exact")
-    res = circuits.force_parallel_rlc(loop, temperature, lam, regime, units)
-    row = _force_row(lam, res)
-    spec = _oracle_spec(cfg)
-    if spec is not None:
-        model = circuits.map_parallel(loop)
-        hbar_out, t_freq = circuits.units_factors(temperature, units)
-        oracle = matsubara.force_sum_exact(model.params_at(lam, t_freq),
-                                           model, lam, spec)
-        row["oracle"] = hbar_out * oracle.value
-        row["discrepancy"] = abs(res.value - hbar_out * oracle.value)
-    return row
+    return SumSpec(n_max=_number(oracle.get("n_max", 100_000), "n_max", int))
 
 
 def _force_row(lam: float, res: forces.ForceResult) -> dict:
+    parts = res.components or {}
     return {
         "lambda": lam,
         "force": res.value,
-        "f_omega": _component(res, "f_omega"),
-        "f_gamma0": _component(res, "f_gamma0"),
-        "f_omegaD": _component(res, "f_omegaD"),
+        "f_omega": parts.get("f_omega"),
+        "f_gamma0": parts.get("f_gamma0"),
+        "f_omegaD": parts.get("f_omegaD"),
         "regime": res.regime,
         "oracle": None,
         "discrepancy": None,
@@ -235,82 +173,147 @@ def _force_row(lam: float, res: forces.ForceResult) -> dict:
     }
 
 
-def _row_planar(cfg: dict, lam: float, temperature: float) -> dict:
-    params = cfg["parameters"]
-    area = float(_require_key(params, "area"))
-    epsilon = float(params.get("epsilon", 1.0))
-    inductance = float(_require_key(params, "inductance"))
-    resistance = float(params.get("resistance", 0.0))
+# Per-sweep builders: each reads and checks its parameters once, so that
+# a row evaluates only what depends on its own lambda and temperature.
+
+def _oscillator(params: dict, units: str):
+    damping = _require_key(params, "damping")
+    if damping not in ("ohmic", "drude"):
+        raise ConfigError("damping must be 'ohmic' or 'drude'")
+    laws = _law(_require_key(params, "omega0"), "omega0") \
+        + _law(params.get("gamma0", 0.0), "gamma0")
+    if damping == "drude":
+        laws += _law(_require_key(params, "omega_d"), "omega_d")
+    model = ParametricModel(*laws)
+
+    def force_at(lam: float, temperature: float) -> forces.ForceResult:
+        hbar_out, t_freq = circuits.units_factors(temperature, units)
+        p = model.params_at(lam, t_freq)
+        if damping == "ohmic":
+            res = forces.force_ohmic_exact(p, model.d_omega(lam))
+        else:
+            res = forces.force_drude_full(p, model, lam)
+        return circuits.scale_result(res, hbar_out)
+
+    return model, force_at
+
+
+def _element(params: dict, key: str) -> circuits.ElementLaw:
+    spec = _require_key(params, key)
+    if isinstance(spec, dict) and "planar" in spec:
+        geom = spec["planar"]
+        return circuits.planar_capacitance_law(_param(geom, "area"),
+                                               _param(geom, "epsilon", 1.0))
+    value, derivative = _law(spec, key)
+    return circuits.ElementLaw(value, derivative,
+                               constant=isinstance(spec, (int, float)))
+
+
+def _loop(params: dict, units: str, series: bool):
+    size = params.get("element_size")
+    loop = (circuits.SeriesRLC if series else circuits.ParallelRLC).of(
+        _element(params, "resistance"), _element(params, "inductance"),
+        _element(params, "capacitance"),
+        None if size is None else _number(size, "element_size"))
+    regime = params.get("regime", "exact")
+    model = (circuits.series_model if series
+             else circuits.parallel_model)(loop, regime)
+
+    def force_at(lam: float, temperature: float) -> forces.ForceResult:
+        return circuits.rlc_force_at(loop, model, temperature, lam, regime,
+                                     units)
+
+    return model, force_at
+
+
+def _geometry(params: dict, planar: bool):
+    """Rows of a capacitor geometry: the circuit force, the Casimir
+    reference for the same bodies and their relative weight."""
+    inductance = _param(params, "inductance")
     regime = _require_key(params, "regime")
-    geom = circuits.PlanarCapacitor(area, lam, epsilon)
-    loop = circuits.SeriesRLC.of(resistance, inductance,
-                                 circuits.planar_capacitance_law(area, epsilon))
-    res = circuits.force_series_rlc(loop, temperature, lam, regime, "si")
-    cas = circuits.casimir_reference(geom, temperature, regime)
-    row = _force_row(lam, res)
-    row["warnings"] = ";".join(res.warnings + cas.warnings)
-    row["f_casimir"] = cas.value
-    row["r_weight"] = circuits.relative_weight(geom, loop, temperature, regime)
-    return row
-
-
-def _row_sphere_plate(cfg: dict, lam: float, temperature: float) -> dict:
-    params = cfg["parameters"]
-    radius = float(_require_key(params, "radius"))
-    inductance = float(_require_key(params, "inductance"))
-    regime = _require_key(params, "regime")
-    geom = circuits.SpherePlate(radius, lam)
-    res = circuits.sphere_plate_circuit_force(geom, inductance, temperature,
-                                              regime)
-    cas = circuits.casimir_reference(geom, temperature, regime)
-    loop = circuits.SeriesRLC.of(0.0, inductance,
-                                 circuits.sphere_plate_capacitance_law(radius))
-    row = _force_row(lam, res)
-    row["warnings"] = ";".join(res.warnings + cas.warnings)
-    row["f_casimir"] = cas.value
-    row["r_weight"] = circuits.relative_weight(geom, loop, temperature, regime)
-    return row
-
-
-_ROW_BUILDERS = {
-    "oscillator": _row_oscillator,
-    "series-rlc": _row_series,
-    "parallel-rlc": _row_parallel,
-    "planar": _row_planar,
-    "sphere-plate": _row_sphere_plate,
-}
-
-
-def _compute_rows(cfg: dict, sweep_name: str, values: list[float],
-                  workers: int) -> list[dict]:
-    params = cfg["parameters"]
-    if cfg["mode"] in ("planar", "sphere-plate"):
-        base_t = float(_require_key(params, "temperature"))
+    if planar:
+        area, epsilon = _param(params, "area"), _param(params, "epsilon", 1.0)
+        loop = circuits.SeriesRLC.of(
+            _param(params, "resistance", 0.0), inductance,
+            circuits.planar_capacitance_law(area, epsilon))
+        model = circuits.series_model(loop, regime)
     else:
-        base_t = float(params.get("temperature", 0.0))
-    base_lam = float(params.get("lambda", 1.0))
-    builder = _ROW_BUILDERS[cfg["mode"]]
+        radius = _param(params, "radius")
+        loop = circuits.SeriesRLC.of(
+            0.0, inductance, circuits.sphere_plate_capacitance_law(radius))
+
+    def row(gap: float, temperature: float) -> dict:
+        if planar:
+            geom = circuits.PlanarCapacitor(area, gap, epsilon)
+            res = circuits.rlc_force_at(loop, model, temperature, gap,
+                                        regime, "si")
+        else:
+            geom = circuits.SpherePlate(radius, gap)
+            res = circuits.sphere_plate_circuit_force(geom, inductance,
+                                                      temperature, regime)
+        cas = circuits.casimir_reference(geom, temperature, regime)
+        out = _force_row(gap, res)
+        out["warnings"] = ";".join(res.warnings + cas.warnings)
+        out["f_casimir"] = cas.value
+        out["r_weight"] = circuits.relative_weight(geom, loop, temperature,
+                                                   regime)
+        return out
+
+    return row
+
+
+def _row_function(cfg: dict):
+    """(row(lam, temperature) -> dict, whether rows run the oracle)."""
+    params, mode = cfg["parameters"], cfg["mode"]
+    units = cfg.get("units", "reduced")
+    if mode in _GEOMETRY_MODES:
+        return _geometry(params, mode == "planar"), False
+    if mode == "oscillator":
+        model, force_at = _oscillator(params, units)
+    else:
+        model, force_at = _loop(params, units, mode == "series-rlc")
+    spec = _oracle_spec(cfg)
+
+    def row(lam: float, temperature: float) -> dict:
+        res = force_at(lam, temperature)
+        out = _force_row(lam, res)
+        if spec is not None:
+            hbar_out, t_freq = circuits.units_factors(temperature, units)
+            oracle = hbar_out * matsubara.force_sum_exact(
+                model.params_at(lam, t_freq), model, lam, spec).value
+            out["oracle"] = oracle
+            out["discrepancy"] = abs(res.value - oracle)
+        return out
+
+    return row, spec is not None
+
+
+def _compute_rows(cfg: dict, sweep: tuple[str, list[float]] | None,
+                  workers: int = 1) -> list[dict]:
+    """Rows of a sweep, or the single row at the configured lambda when
+    sweep is None.  Closed-form rows run in one serial pass; only oracle
+    rows, which spend their time in numpy, go to a thread pool."""
+    params = cfg["parameters"]
+    base_t = _param(params, "temperature",
+                    None if cfg["mode"] in _GEOMETRY_MODES else 0.0)
+    base_lam = _param(params, "lambda", 1.0)
+    row, oracle = _row_function(cfg)
+    name, values = sweep or ("lambda", [base_lam])
 
     def one(value: float) -> dict:
-        if sweep_name == "temperature":
-            row = builder(cfg, base_lam, value)
-        elif sweep_name == "lambda":
-            row = builder(cfg, value, base_t)
-        else:
-            raise ConfigError("sweep parameter must be 'lambda' or "
-                              "'temperature'")
-        row["lambda"] = value
-        return row
+        out = row(base_lam, value) if name == "temperature" \
+            else row(value, base_t)
+        out["lambda"] = value
+        return out
 
-    if workers <= 1 or len(values) == 1:
+    if not oracle or workers <= 1 or len(values) == 1:
         return [one(v) for v in values]
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(one, values))
 
 
 def _columns(mode: str) -> tuple[str, ...]:
-    return GEOMETRY_COLUMNS if mode in ("planar", "sphere-plate") \
-        else BASE_COLUMNS
+    return GEOMETRY_COLUMNS if mode in _GEOMETRY_MODES else BASE_COLUMNS
 
 
 def _render_csv(columns, rows) -> str:
@@ -330,11 +333,25 @@ def _render_json(columns, rows) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _emit(cfg: dict, rows: list[dict], args) -> None:
+def _cmd_rows(args) -> int:
+    """force (one row) and sweep: the config is read and checked once,
+    before any row runs."""
+    cfg = _load_config(args.config)
+    if args.units:
+        cfg["units"] = args.units
     out_cfg = cfg.get("output", {})
+    if not isinstance(out_cfg, dict):
+        raise ConfigError("'output' must be an object")
     fmt = args.format or out_cfg.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError("format must be 'csv' or 'json'")
+    if args.command == "sweep":
+        sweep = _sweep_values(cfg)
+        workers = args.workers or _number(cfg.get("workers", 1), "workers",
+                                          int)
+        rows = _compute_rows(cfg, sweep, workers)
+    else:
+        rows = _compute_rows(cfg, None)
     columns = _columns(cfg["mode"])
     text = _render_csv(columns, rows) if fmt == "csv" \
         else _render_json(columns, rows)
@@ -344,31 +361,6 @@ def _emit(cfg: dict, rows: list[dict], args) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _cmd_force(args) -> int:
-    cfg = _load_config(args.config)
-    if args.units:
-        cfg["units"] = args.units
-    params = cfg["parameters"]
-    lam = float(params.get("lambda", 1.0))
-    if cfg["mode"] in ("planar", "sphere-plate"):
-        t = float(_require_key(params, "temperature"))
-    else:
-        t = float(params.get("temperature", 0.0))
-    rows = [_ROW_BUILDERS[cfg["mode"]](cfg, lam, t)]
-    _emit(cfg, rows, args)
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    if args.units:
-        cfg["units"] = args.units
-    sweep_name, values = _sweep_values(cfg)
-    workers = args.workers if args.workers else int(cfg.get("workers", 1))
-    rows = _compute_rows(cfg, sweep_name, values, workers)
-    _emit(cfg, rows, args)
     return 0
 
 
@@ -385,14 +377,16 @@ def _cmd_validate(args) -> int:
     return 0 if ok else 4
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused by every call."""
     parser = argparse.ArgumentParser(
         prog="fluctforce",
         description="Fluctuation-induced forces of damped oscillators and "
                     "RLC circuits")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn in (("force", _cmd_force), ("sweep", _cmd_sweep)):
+    for name in ("force", "sweep"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
@@ -400,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--units", choices=("reduced", "si"), default=None)
         if name == "sweep":
             p.add_argument("--workers", type=int, default=0)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=_cmd_rows)
 
     v = sub.add_parser("validate")
     v.add_argument("--suite", required=True)
@@ -410,9 +404,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

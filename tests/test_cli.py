@@ -1,5 +1,7 @@
 """CLI behaviour: config validation, outputs, determinism, exit codes."""
 
+import concurrent.futures
+import hashlib
 import json
 
 import pytest
@@ -267,3 +269,154 @@ def test_divergent_sum_exit_code(tmp_path):
     cfg["parameters"]["lambda"] = 1.0
     assert main(["force", "--config",
                  write_config(tmp_path, "c.json", cfg)]) == 3
+
+
+# One config per kind of row, plus one with the oracle.  Each is
+# written to disk as JSON, so its floats are exactly the ones below.
+GOLDEN_CONFIGS = {
+    "ohmic": oscillator_cfg(),
+    "drude": oscillator_cfg(
+        parameters={"damping": "drude", "lambda": 1.2,
+                    "omega0": {"coeff": 1.5, "power": -0.5},
+                    "gamma0": {"coeff": 0.4, "power": 1.0},
+                    "omega_d": {"coeff": 60.0, "power": 0.5}},
+        sweep={"parameter": "temperature", "start": 0.05, "stop": 5.0,
+               "points": 7, "spacing": "log"}),
+    "series": {
+        "schema": "fluctforce/1", "mode": "series-rlc", "units": "si",
+        "parameters": {"resistance": 4000.0, "inductance": 1e-6,
+                       "capacitance": {"planar": {"area": 1e-4,
+                                                  "epsilon": 2.0}},
+                       "temperature": 4.0, "element_size": 1e-2},
+        "sweep": {"parameter": "lambda", "start": 1e-6, "stop": 1e-5,
+                  "points": 6, "spacing": "log"}},
+    "parallel": {
+        "schema": "fluctforce/1", "mode": "parallel-rlc",
+        "units": "reduced",
+        "parameters": {"resistance": 2.0, "capacitance": 0.7,
+                       "inductance": {"coeff": 1.3, "power": -1.0},
+                       "regime": "high-T", "lambda": 0.8},
+        "sweep": {"parameter": "temperature", "start": 1.0, "stop": 20.0,
+                  "points": 5, "spacing": "linear"}},
+    "planar": {
+        "schema": "fluctforce/1", "mode": "planar", "units": "si",
+        "parameters": {"area": 2.5e-5, "epsilon": 1.5, "inductance": 1e-6,
+                       "resistance": 1e-3, "temperature": 0.01,
+                       "regime": "low-T"},
+        "sweep": {"parameter": "lambda", "start": 2e-6, "stop": 2e-5,
+                  "points": 6, "spacing": "log"}},
+    "sphere-plate": {
+        "schema": "fluctforce/1", "mode": "sphere-plate", "units": "si",
+        "parameters": {"radius": 1e-4, "inductance": 1e-6,
+                       "temperature": 300.0, "regime": "high-T",
+                       "lambda": 2e-5},
+        "sweep": {"parameter": "temperature", "start": 10.0, "stop": 400.0,
+                  "points": 6, "spacing": "linear"}},
+    "oracle": {
+        "schema": "fluctforce/1", "mode": "series-rlc", "units": "reduced",
+        "parameters": {"resistance": 0.8, "inductance": 1.1,
+                       "capacitance": {"coeff": 0.9, "power": 1.0},
+                       "temperature": 0.6},
+        "sweep": {"parameter": "lambda", "start": 0.5, "stop": 1.5,
+                  "points": 4, "spacing": "linear"},
+        "oracle": {"enabled": True, "n_max": 20_000}},
+}
+
+# sha256 of the CSV and JSON output of each config above.  The digests
+# pin every output byte on x86-64 Linux with CPython 3.11 and numpy 2.4;
+# a libm or numpy that rounds differently changes them too.
+GOLDEN_DIGESTS = {
+    "drude": (
+        "f5c66c04e7fe72faffcab60d9a27685fac565f89da0d44b9bc7e95c227b7326c",
+        "785f475136b67dffe641c923bfbebe500afa28907a143e5282471583c8b47e13"),
+    "ohmic": (
+        "8ee77dd11be0ad503e540ffd89a88c027463b376411f5f40fadfee7ec29db4f5",
+        "d976cc5dd6718160239893bb283c8f015be89a41f9f25e4f423cdc8fd86b4da4"),
+    "oracle": (
+        "20622a31c8a86cf31fa34f25cdaa1d043ed4fe6b79dc861637038d83f7e71db6",
+        "9eddef9fac7891fd6e71cd2611c3f9bb295f052c4b9383f2bf150a1dc7184d12"),
+    "parallel": (
+        "e1cce402403c0f867b570bcb1c26b4be95a4ed2c6af1c16ce399037606fe9e96",
+        "aa1ddffc1b13b088aebc8a0713f40d96ce01bb5a91ce103d019bacdfed9d131e"),
+    "planar": (
+        "8e79137d79730fb71779ff1e4f606d006693fdedfe43574d36e3c846499343a3",
+        "2d7bccfaaaa70ddec5114dea20610c3052717ea70e42ce3e34e09c1ee9802dfb"),
+    "series": (
+        "703c514d1d100bdad0b4313c8bde5dac8a6ab55c2ffbf794ae788a76df7463ab",
+        "e1f70227d516707529167eb20df49a235abf6b76e2237e7f0fec238a44335656"),
+    "sphere-plate": (
+        "06b2fead189b5f7a05a69697ef01894d09b94ede88a0cd8addbbee688e4b7026",
+        "f41572c7764e3d38190bff8d9230b71cc9d15e42145c12ee967b3129174ea5e5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_golden_output_bytes(tmp_path, name):
+    path = write_config(tmp_path, "c.json", GOLDEN_CONFIGS[name])
+    for fmt, digest in zip(("csv", "json"), GOLDEN_DIGESTS[name]):
+        for workers in ("1", "4"):
+            out = tmp_path / f"{name}-{workers}.{fmt}"
+            assert main(["sweep", "--config", path, "--out", str(out),
+                         "--format", fmt, "--workers", workers]) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, \
+                (fmt, workers)
+
+
+def _set(path, value):
+    """Config transform that sets the key at a dotted path."""
+    def apply(cfg):
+        *outer, last = path.split(".")
+        node = cfg
+        for key in outer:
+            node = node.setdefault(key, {})
+        node[last] = value
+        return cfg
+    return apply
+
+
+@pytest.mark.parametrize("edit", [
+    _set("workers", "two"),
+    _set("oracle", {"enabled": True, "n_max": "x"}),
+    _set("parameters.omega0", {"coeff": "x", "power": 0.5}),
+    _set("parameters.temperature", float("nan")),   # written as NaN
+    _set("sweep.stop", float("inf")),               # written as Infinity
+    _set("parameters.temperature", "inf"),
+    _set("parameters.omega0", {"coeff": "1e999"}),
+], ids=["workers-text", "n_max-text", "coeff-text", "temperature-NaN",
+        "stop-Infinity", "temperature-inf-text", "coeff-overflow"])
+def test_malformed_numbers_are_config_errors(tmp_path, edit):
+    path = write_config(tmp_path, "c.json", edit(oscillator_cfg()))
+    out = tmp_path / "never.csv"
+    assert main(["sweep", "--config", path, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_parser_reuse_keeps_calls_apart(tmp_path, monkeypatch, capsys):
+    pools = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        RecordingPool)
+    cfg = oscillator_cfg(oracle={"enabled": True, "n_max": 2_000},
+                         workers=2, output={"format": "csv"})
+    cfg["sweep"]["points"] = 3
+    cfg["parameters"]["lambda"] = 1.0
+    path = write_config(tmp_path, "c.json", cfg)
+    for k in range(2):
+        flagged, plain, single = (tmp_path / f"{name}{k}" for name in
+                                  ("flagged", "plain", "single"))
+        assert main(["sweep", "--config", path, "--out", str(flagged),
+                     "--format", "json", "--workers", "4"]) == 0
+        assert main(["sweep", "--config", path, "--out", str(plain)]) == 0
+        assert main(["validate", "--suite", "paper-numbers"]) == 0
+        assert main(["force", "--config", path, "--out", str(single)]) == 0
+        assert json.loads(flagged.read_text())["columns"][0] == "lambda"
+        assert plain.read_text().startswith("lambda,force,")
+        assert len(single.read_text().strip().split("\n")) == 2
+    # the flagged sweep uses four workers, the plain one the config's two
+    assert pools == [4, 2, 4, 2]
+    assert "PASS planar-relative-weights" in capsys.readouterr().out
