@@ -73,6 +73,10 @@ class SeriesRLC:
     capacitance: ElementLaw
     element_size: float | None = None
 
+    def __post_init__(self):
+        if self.element_size is not None:
+            _check_positive("element_size", self.element_size)
+
     @classmethod
     def of(cls, resistance, inductance, capacitance, element_size=None):
         """Accepts numbers, (coeff, exponent) power laws, or ElementLaw."""
@@ -86,6 +90,10 @@ class ParallelRLC:
     inductance: ElementLaw
     capacitance: ElementLaw
     element_size: float | None = None
+
+    def __post_init__(self):
+        if self.element_size is not None:
+            _check_positive("element_size", self.element_size)
 
     @classmethod
     def of(cls, resistance, inductance, capacitance, element_size=None):

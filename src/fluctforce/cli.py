@@ -10,9 +10,10 @@ fixed column set
 
 (geometry modes append f_casimir and r_weight).  Floats are written with
 Python's shortest round-trip repr, rows in sweep order, so identical
-configs produce byte-identical files regardless of worker count.
---workers parallelises oracle rows only; closed-form rows run in one
-serial pass, where threads would only add overhead.
+configs produce byte-identical files.  Every row runs in one serial
+pass; --workers and the config key "workers" are still accepted and
+checked, for existing configs, but change neither how rows run nor a
+byte of the output.
 
 Exit codes: 0 success, 2 config error, 3 domain/precondition violation,
 4 validation failure.
@@ -21,7 +22,6 @@ Exit codes: 0 success, 2 config error, 3 domain/precondition violation,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import functools
 import io
 import json
@@ -202,6 +202,8 @@ def _element(params: dict, key: str) -> circuits.ElementLaw:
     spec = _require_key(params, key)
     if isinstance(spec, dict) and "planar" in spec:
         geom = spec["planar"]
+        if not isinstance(geom, dict):
+            raise ConfigError(f"{key!r} planar geometry must be an object")
         return circuits.planar_capacitance_law(_param(geom, "area"),
                                                _param(geom, "epsilon", 1.0))
     value, derivative = _law(spec, key)
@@ -211,10 +213,13 @@ def _element(params: dict, key: str) -> circuits.ElementLaw:
 
 def _loop(params: dict, units: str, series: bool):
     size = params.get("element_size")
+    if size is not None:
+        size = _number(size, "element_size")
+        if size <= 0.0:
+            raise ConfigError("'element_size' must be positive")
     loop = (circuits.SeriesRLC if series else circuits.ParallelRLC).of(
         _element(params, "resistance"), _element(params, "inductance"),
-        _element(params, "capacitance"),
-        None if size is None else _number(size, "element_size"))
+        _element(params, "capacitance"), size)
     regime = params.get("regime", "exact")
     model = (circuits.series_model if series
              else circuits.parallel_model)(loop, regime)
@@ -263,11 +268,11 @@ def _geometry(params: dict, planar: bool):
 
 
 def _row_function(cfg: dict):
-    """(row(lam, temperature) -> dict, whether rows run the oracle)."""
+    """row(lam, temperature) -> dict for the configured mode."""
     params, mode = cfg["parameters"], cfg["mode"]
     units = cfg.get("units", "reduced")
     if mode in _GEOMETRY_MODES:
-        return _geometry(params, mode == "planar"), False
+        return _geometry(params, mode == "planar")
     if mode == "oscillator":
         model, force_at = _oscillator(params, units)
     else:
@@ -285,19 +290,18 @@ def _row_function(cfg: dict):
             out["discrepancy"] = abs(res.value - oracle)
         return out
 
-    return row, spec is not None
+    return row
 
 
-def _compute_rows(cfg: dict, sweep: tuple[str, list[float]] | None,
-                  workers: int = 1) -> list[dict]:
-    """Rows of a sweep, or the single row at the configured lambda when
-    sweep is None.  Closed-form rows run in one serial pass; only oracle
-    rows, which spend their time in numpy, go to a thread pool."""
+def _compute_rows(cfg: dict,
+                  sweep: tuple[str, list[float]] | None) -> list[dict]:
+    """Rows of a sweep in one serial pass, or the single row at the
+    configured lambda when sweep is None."""
     params = cfg["parameters"]
     base_t = _param(params, "temperature",
                     None if cfg["mode"] in _GEOMETRY_MODES else 0.0)
     base_lam = _param(params, "lambda", 1.0)
-    row, oracle = _row_function(cfg)
+    row = _row_function(cfg)
     name, values = sweep or ("lambda", [base_lam])
 
     def one(value: float) -> dict:
@@ -306,10 +310,7 @@ def _compute_rows(cfg: dict, sweep: tuple[str, list[float]] | None,
         out["lambda"] = value
         return out
 
-    if not oracle or workers <= 1 or len(values) == 1:
-        return [one(v) for v in values]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, values))
+    return [one(v) for v in values]
 
 
 def _columns(mode: str) -> tuple[str, ...]:
@@ -345,13 +346,12 @@ def _cmd_rows(args) -> int:
     fmt = args.format or out_cfg.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError("format must be 'csv' or 'json'")
+    sweep = None
     if args.command == "sweep":
         sweep = _sweep_values(cfg)
-        workers = args.workers or _number(cfg.get("workers", 1), "workers",
-                                          int)
-        rows = _compute_rows(cfg, sweep, workers)
-    else:
-        rows = _compute_rows(cfg, None)
+        if not args.workers:    # checked, though every value runs serially
+            _number(cfg.get("workers", 1), "workers", int)
+    rows = _compute_rows(cfg, sweep)
     columns = _columns(cfg["mode"])
     text = _render_csv(columns, rows) if fmt == "csv" \
         else _render_json(columns, rows)
@@ -394,12 +394,10 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--units", choices=("reduced", "si"), default=None)
         if name == "sweep":
             p.add_argument("--workers", type=int, default=0)
-        p.set_defaults(fn=_cmd_rows)
 
     v = sub.add_parser("validate")
     v.add_argument("--suite", required=True)
     v.add_argument("--n-max", type=int, default=100_000)
-    v.set_defaults(fn=_cmd_validate)
     return parser
 
 
@@ -409,7 +407,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        if args.command == "validate":
+            return _cmd_validate(args)
+        return _cmd_rows(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -322,3 +322,10 @@ def test_element_size_advisory():
     fine = cc.SeriesRLC.of(1e-3, 1e-6, 1e-12, element_size=1e-3)
     res2 = cc.force_series_rlc(fine, 300.0, 1.0, units="si")
     assert cc.WARN_ELEMENT_SIZE not in res2.warnings
+
+
+@pytest.mark.parametrize("loop", [cc.SeriesRLC, cc.ParallelRLC])
+@pytest.mark.parametrize("size", [0.0, -1e-3])
+def test_element_size_must_be_positive(loop, size):
+    with pytest.raises(ValueError, match="element_size"):
+        loop.of(1e-3, 1e-6, 1e-12, element_size=size)

@@ -1,11 +1,12 @@
 """CLI behaviour: config validation, outputs, determinism, exit codes."""
 
-import concurrent.futures
+import copy
 import hashlib
 import json
 
 import pytest
 
+from fluctforce import cli
 from fluctforce.cli import main
 
 
@@ -320,6 +321,15 @@ GOLDEN_CONFIGS = {
         "sweep": {"parameter": "lambda", "start": 0.5, "stop": 1.5,
                   "points": 4, "spacing": "linear"},
         "oracle": {"enabled": True, "n_max": 20_000}},
+    # each half of this sum spans two 2^19-term chunks and many leaves
+    "oracle-large": oscillator_cfg(
+        parameters={"damping": "drude", "temperature": 0.4,
+                    "omega0": {"coeff": 1.2, "power": 0.5},
+                    "gamma0": {"coeff": 0.3, "power": 1.0},
+                    "omega_d": 40.0},
+        sweep={"parameter": "lambda", "start": 0.8, "stop": 1.6,
+               "points": 3, "spacing": "linear"},
+        oracle={"enabled": True, "n_max": 1_100_000}),
 }
 
 # sha256 of the CSV and JSON output of each config above.  The digests
@@ -335,6 +345,9 @@ GOLDEN_DIGESTS = {
     "oracle": (
         "20622a31c8a86cf31fa34f25cdaa1d043ed4fe6b79dc861637038d83f7e71db6",
         "9eddef9fac7891fd6e71cd2611c3f9bb295f052c4b9383f2bf150a1dc7184d12"),
+    "oracle-large": (
+        "d334eee11df6b2729c7377f35ed6ec92f052abc8a0afa59673341767ec4647fe",
+        "ebf4fa76cd88fc9b5349cae746846c71556ebfc063245b6d2218e847638bc0a6"),
     "parallel": (
         "e1cce402403c0f867b570bcb1c26b4be95a4ed2c6af1c16ce399037606fe9e96",
         "aa1ddffc1b13b088aebc8a0713f40d96ce01bb5a91ce103d019bacdfed9d131e"),
@@ -374,6 +387,11 @@ def _set(path, value):
     return apply
 
 
+def _on_series(edit):
+    """Config transform that applies edit to the SI series-RLC config."""
+    return lambda cfg: edit(copy.deepcopy(GOLDEN_CONFIGS["series"]))
+
+
 @pytest.mark.parametrize("edit", [
     _set("workers", "two"),
     _set("oracle", {"enabled": True, "n_max": "x"}),
@@ -382,8 +400,12 @@ def _set(path, value):
     _set("sweep.stop", float("inf")),               # written as Infinity
     _set("parameters.temperature", "inf"),
     _set("parameters.omega0", {"coeff": "1e999"}),
+    _on_series(_set("parameters.element_size", 0)),
+    _on_series(_set("parameters.element_size", -1e-2)),
+    _on_series(_set("parameters.capacitance", {"planar": 5})),
 ], ids=["workers-text", "n_max-text", "coeff-text", "temperature-NaN",
-        "stop-Infinity", "temperature-inf-text", "coeff-overflow"])
+        "stop-Infinity", "temperature-inf-text", "coeff-overflow",
+        "element_size-zero", "element_size-negative", "planar-not-object"])
 def test_malformed_numbers_are_config_errors(tmp_path, edit):
     path = write_config(tmp_path, "c.json", edit(oscillator_cfg()))
     out = tmp_path / "never.csv"
@@ -392,15 +414,15 @@ def test_malformed_numbers_are_config_errors(tmp_path, edit):
 
 
 def test_parser_reuse_keeps_calls_apart(tmp_path, monkeypatch, capsys):
-    pools = []
+    seen = []
+    cmd_rows = cli._cmd_rows
 
-    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
+    def recording(args):
+        if args.command == "sweep":
+            seen.append((args.workers, args.format))
+        return cmd_rows(args)
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
-                        RecordingPool)
+    monkeypatch.setattr(cli, "_cmd_rows", recording)
     cfg = oscillator_cfg(oracle={"enabled": True, "n_max": 2_000},
                          workers=2, output={"format": "csv"})
     cfg["sweep"]["points"] = 3
@@ -417,6 +439,6 @@ def test_parser_reuse_keeps_calls_apart(tmp_path, monkeypatch, capsys):
         assert json.loads(flagged.read_text())["columns"][0] == "lambda"
         assert plain.read_text().startswith("lambda,force,")
         assert len(single.read_text().strip().split("\n")) == 2
-    # the flagged sweep uses four workers, the plain one the config's two
-    assert pools == [4, 2, 4, 2]
+    # the plain sweep sees no flag, so the config's format and workers apply
+    assert seen == [(4, "json"), (0, None)] * 2
     assert "PASS planar-relative-weights" in capsys.readouterr().out

@@ -1,10 +1,14 @@
 """Oracle-side tests: truncated sums, tails, finite differences."""
 
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fluctforce import matsubara
 from fluctforce.errors import DivergentSumError, PreconditionError
 from fluctforce.forces import free_energy_difference_gamma, \
     free_energy_drude_gamma
@@ -263,3 +267,178 @@ def test_per_parameter_cutoff_components_cancel():
     assert abs(combined) < 0.25 * abs(sums.f_omega_d_1.value)
     closed = -0.4 / (2.0 * math.pi * 500.0)
     assert abs(combined - closed) <= 0.05 * abs(closed)
+
+
+# -- the in-place leaf kernel ------------------------------------------------
+#
+# Every oracle sums its terms leaf by leaf in scratch buffers.  The
+# reference below is the whole-chunk form the kernel replaces: each term
+# written out of place as a numpy expression of omega_n = 2 pi T n,
+# summed by np.sum over 2^19-term chunks and math.fsum across them.  The
+# two must agree bit for bit at every length, including those that end
+# inside a leaf, at a leaf or chunk boundary, or just past one.
+
+OM, DOM, G0, DG0, WD, DWD, T = 1.3, 0.7, 0.45, 0.3, 3.0, 1.1, 0.37
+OM2 = 1.9
+TWO_PI_T = 2.0 * math.pi * T
+
+
+def _reference_terms():
+    """name -> (oracle call, index of its leaf, out-of-place term of w)."""
+    om, dom, g0, dg0, wd, dwd, om2 = OM, DOM, G0, DG0, WD, DWD, OM2
+    ohmic = OscillatorParams(om, Ohmic(g0), T)
+    drude = OscillatorParams(om, Drude(g0, wd), T)
+    delta = om2 * om2 - om * om
+    b, c = om * om + g0 * wd, om * om * wd
+
+    def cubic(w):
+        return ((w + wd) * w + b) * w + c
+
+    def force_drude(w):
+        wpd = w + wd
+        num = 2.0 * om * dom + w * (dg0 * wd / wpd
+                                    + g0 * dwd * w / (wpd * wpd))
+        den = (w + g0 * wd / wpd) * w + om * om
+        return num / den
+
+    def components():
+        return per_parameter_sums_drude(
+            drude, linear_model(om, dom, g0, dg0, wd, dwd), 1.0)
+
+    return {
+        "force-ohmic": (
+            lambda: force_sum_exact(ohmic, linear_model(om, dom, g0), 1.0),
+            0, lambda w: (2.0 * om * dom) / ((w + g0) * w + om * om)),
+        "force-drude": (
+            lambda: force_sum_exact(
+                drude, linear_model(om, dom, g0, dg0, wd, dwd), 1.0),
+            0, force_drude),
+        "free-energy-difference-ohmic": (
+            lambda: free_energy_difference(
+                ohmic, OscillatorParams(om2, Ohmic(g0), T)),
+            0, lambda w: np.log1p(delta / ((w + g0) * w + om * om))),
+        "free-energy-difference-drude": (
+            lambda: free_energy_difference(
+                drude, OscillatorParams(om2, Drude(g0, wd), T)),
+            0, lambda w: np.log1p(
+                delta / ((w + g0 * wd / (w + wd)) * w + om * om))),
+        "free-energy-drude-exact": (
+            lambda: free_energy_drude(drude, roots="exact"),
+            0, lambda w: np.log1p(g0 * wd / (w * (w + wd))
+                                  + om * om / (w * w))),
+        "free-energy-drude-approx": (
+            lambda: free_energy_drude(drude, roots="approx"),
+            0, lambda w: (np.log1p((g0 * w + om * om) / (w * w))
+                          + np.log1p(-g0 / (w + wd)))),
+        "component-omega": (
+            components, 0, lambda w: (w + wd) / cubic(w)),
+        "component-gamma0": (
+            components, 1, lambda w: wd * w / cubic(w)),
+        "component-omega_d-1": (
+            components, 2, lambda w: g0 * w / cubic(w)),
+        "component-omega_d-2": (
+            components, 3,
+            lambda w: wd * g0 * w / ((w + wd) * cubic(w))),
+    }
+
+
+REFERENCE_TERMS = _reference_terms()
+LEAF, CHUNK = matsubara._LEAF, matsubara._CHUNK
+LENGTHS = (1, 7, 8, 9, 127, 128, 129, LEAF - 1, LEAF, LEAF + 1,
+           CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5)
+
+
+def leaves_of(call):
+    """The leaf functions an oracle call hands to the summation."""
+    leaves = []
+
+    def record(term, two_pi_t, n_max):
+        assert two_pi_t == TWO_PI_T
+        leaves.append(term)
+        return 0.0, 0.0
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matsubara, "_split_sum", record)
+        call()
+    return leaves
+
+
+def whole_chunk_sum(term, n_from, n_to):
+    parts = []
+    for lo in range(n_from, n_to + 1, CHUNK):
+        hi = min(lo + CHUNK - 1, n_to)
+        narr = np.arange(lo, hi + 1, dtype=float)
+        parts.append(float(np.sum(term(TWO_PI_T * narr))))
+    return math.fsum(parts)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_TERMS))
+def test_leaf_sums_bit_identical_to_whole_chunk_sums(name):
+    call, index, reference = REFERENCE_TERMS[name]
+    leaf = leaves_of(call)[index]
+    # term by term: a last-bit change of a small term rarely reaches a sum
+    for n_from in (1, 10_000_000):
+        narr = np.arange(n_from, n_from + LEAF, dtype=float)
+        got = leaf(TWO_PI_T * narr, *(np.empty(LEAF) for _ in range(3)))
+        want = reference(TWO_PI_T * narr)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), \
+            n_from
+    for length in LENGTHS:
+        got = matsubara._chunked_sum(leaf, TWO_PI_T, 1, length)
+        assert got.hex() == whole_chunk_sum(reference, 1, length).hex(), \
+            length
+
+
+def _force_cases():
+    return [(OscillatorParams(OM, Ohmic(G0), T), linear_model(OM, DOM, G0)),
+            (OscillatorParams(OM, Drude(G0, WD), T),
+             linear_model(OM, DOM, G0, DG0, WD, DWD))]
+
+
+def test_concurrent_oracle_calls_match_serial():
+    # more threads than cores, each alternating two different leaf
+    # functions, so that shared scratch would mix their values
+    cases = _force_cases()
+    spec = SumSpec(n_max=300_000)
+
+    def values(order):
+        return [force_sum_exact(*cases[k], 1.0, spec).value.hex()
+                for k in order]
+
+    orders = [(0, 1, 0, 1), (1, 0, 1, 0)] * 2
+    serial = [values(order) for order in orders]
+    results = [None] * len(orders)
+    barrier = threading.Barrier(len(orders))
+
+    def worker(k):
+        barrier.wait(timeout=30)
+        results[k] = values(orders[k])
+
+    threads = [threading.Thread(target=worker, args=(k,))
+               for k in range(len(orders))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert results == serial
+
+
+def test_oracle_call_allocates_no_arrays():
+    # after one call has set up this thread's scratch, a 1e6-term sum
+    # allocates only small Python objects (whole-chunk arrays took MiBs)
+    spec = SumSpec(n_max=1_000_000)
+    for p, m in _force_cases():
+        force_sum_exact(p, m, 1.0, spec)
+        tracemalloc.start()
+        try:
+            assert force_sum_exact(p, m, 1.0, spec).n_used == 1_000_000
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
