@@ -325,13 +325,20 @@ def _render_csv(columns, rows) -> str:
     return buf.getvalue()
 
 
+# A row's keys at the indentation json.dumps(..., indent=2) gives them.
+# Without indent, json runs its C encoder; with it, the pure-Python one.
+_ROW_JSON = json.JSONEncoder(separators=(",\n      ", ": ")).encode
+
+
 def _render_json(columns, rows) -> str:
-    payload = {
-        "schema": SCHEMA,
-        "columns": list(columns),
-        "rows": [{c: row.get(c) for c in columns} for row in rows],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """The bytes of json.dumps(payload, indent=2) + "\\n", with each
+    (flat) row encoded by the C encoder and indented around it."""
+    head = json.dumps({"schema": SCHEMA, "columns": list(columns)}, indent=2)
+    body = ",\n    ".join(
+        "{\n      " + _ROW_JSON({c: row.get(c) for c in columns})[1:-1]
+        + "\n    }" for row in rows)
+    body = "[\n    " + body + "\n  ]" if rows else "[]"
+    return head[:-2] + ',\n  "rows": ' + body + "\n}\n"
 
 
 def _cmd_rows(args) -> int:

@@ -27,13 +27,18 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import PreconditionError
+from .errors import DomainError, PreconditionError
 
 #: omega_d below this multiple of max(Omega, gamma0) flags the
 #: approximate-root regime as unreliable (first order in Omega/omega_d).
 DRUDE_REGIME_FACTOR = 10.0
 
 WARN_DRUDE_APPROX = "drude-approx-regime"
+
+# The parameter checks are chained comparisons against _INF: they reject
+# NaN (every comparison with it is false) and +-inf, and call no function,
+# since a sweep builds new parameters for every point.
+_INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -43,8 +48,8 @@ class Ohmic:
     gamma0: float
 
     def __post_init__(self):
-        if self.gamma0 < 0.0:
-            raise ValueError("gamma0 must be >= 0")
+        if not 0.0 <= self.gamma0 < _INF:
+            raise DomainError("gamma0 must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -55,10 +60,10 @@ class Drude:
     omega_d: float
 
     def __post_init__(self):
-        if self.gamma0 < 0.0:
-            raise ValueError("gamma0 must be >= 0")
-        if self.omega_d <= 0.0:
-            raise ValueError("omega_d must be > 0")
+        if not 0.0 <= self.gamma0 < _INF:
+            raise DomainError("gamma0 must be finite and >= 0")
+        if not 0.0 < self.omega_d < _INF:
+            raise DomainError("omega_d must be finite and > 0")
 
     def in_approx_regime(self, omega0: float) -> bool:
         return self.omega_d >= DRUDE_REGIME_FACTOR * max(omega0, self.gamma0)
@@ -81,10 +86,12 @@ class OscillatorParams:
     mass: float | None = None
 
     def __post_init__(self):
-        if self.omega0 <= 0.0:
-            raise ValueError("omega0 must be > 0")
-        if self.temperature < 0.0:
-            raise ValueError("temperature must be >= 0")
+        if not 0.0 < self.omega0 < _INF:
+            raise DomainError("omega0 must be finite and > 0")
+        if not 0.0 <= self.temperature < _INF:
+            raise DomainError("temperature must be finite and >= 0")
+        if self.mass is not None and not 0.0 < self.mass < _INF:
+            raise DomainError("mass must be finite and > 0")
 
 
 def _const_zero(_: float) -> float:
@@ -256,11 +263,22 @@ def solve_cubic(a2: float, a1: float, a0: float) -> list[complex]:
 
 
 def _ordered(omegas: list[complex]) -> tuple[complex, complex, complex]:
-    by_mag = sorted(omegas, key=abs)
-    w3 = by_mag[2]
-    pair = sorted(by_mag[:2],
-                  key=lambda w: (-(1j * w).imag, (1j * w).real))
-    return pair[0], pair[1], w3
+    """(omega1, omega2, omega3) as the Eigenfrequencies docstring orders
+    them: the order of a stable sort by magnitude, then a stable sort of
+    the smaller two by (-Re(omega), -Im(omega)), written out as
+    comparisons.  (Im(i omega) = Re(omega) and Re(i omega) = -Im(omega).)"""
+    a, b, c = omegas
+    ka, kb, kc = abs(a), abs(b), abs(c)
+    # on a tie in magnitude the later root sorts last
+    if kc >= ka and kc >= kb:
+        x, y, w3 = (a, b, c) if ka <= kb else (b, a, c)
+    elif kb >= ka:
+        x, y, w3 = (a, c, b) if ka <= kc else (c, a, b)
+    else:
+        x, y, w3 = (b, c, a) if kb <= kc else (c, b, a)
+    if y.real > x.real or (y.real == x.real and y.imag > x.imag):
+        return y, x, w3
+    return x, y, w3
 
 
 def eigenfrequencies_drude_exact(p: OscillatorParams) -> Eigenfrequencies:

@@ -442,3 +442,23 @@ def test_parser_reuse_keeps_calls_apart(tmp_path, monkeypatch, capsys):
     # the plain sweep sees no flag, so the config's format and workers apply
     assert seen == [(4, "json"), (0, None)] * 2
     assert "PASS planar-relative-weights" in capsys.readouterr().out
+
+
+_AWKWARD_ROWS = [
+    {"lambda": None, "force": -0.0, "f_omega": 5e-324, "f_gamma0": 1e300,
+     "f_omegaD": -1e-300, "regime": 'say "hi"', "oracle": 0.0,
+     "discrepancy": 2.5, "warnings": "back\\slash\nnew line\ttab",
+     "f_casimir": "ünïcödé ☃ 𝄞", "r_weight": ""},
+    {"lambda": 0.1 + 0.2, "force": -1.7976931348623157e308,
+     "regime": "exact", "warnings": "a;b", "oracle": None},
+]
+
+
+@pytest.mark.parametrize("columns", [cli.BASE_COLUMNS, cli.GEOMETRY_COLUMNS])
+@pytest.mark.parametrize("count", [0, 1, 2])
+def test_render_json_is_indented_dumps(columns, count):
+    rows = _AWKWARD_ROWS[:count]
+    payload = {"schema": cli.SCHEMA, "columns": list(columns),
+               "rows": [{c: row.get(c) for c in columns} for row in rows]}
+    assert cli._render_json(columns, rows) \
+        == json.dumps(payload, indent=2) + "\n"

@@ -1,13 +1,16 @@
 """Eigenfrequency solvers, parametric models, damping evaluation."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fluctforce.errors import PreconditionError
-from fluctforce.oscillator import (Drude, Ohmic, OscillatorParams,
+from fluctforce.errors import DomainError, PreconditionError
+from fluctforce.oscillator import (Drude, Ohmic, OscillatorParams, _ordered,
                                    damping_at_matsubara,
                                    eigenfrequencies_drude_approx,
                                    eigenfrequencies_drude_exact,
@@ -184,3 +187,91 @@ def test_parameter_validation():
         eigenfrequencies_ohmic(OscillatorParams(1.0, Drude(0.1, 5.0), 1.0))
     with pytest.raises(PreconditionError):
         eigenfrequencies_drude_exact(OscillatorParams(1.0, Ohmic(0.1), 1.0))
+
+
+def _ordered_by_sorting(omegas):
+    """The root order as two stable sorts: the reference for _ordered."""
+    by_mag = sorted(omegas, key=abs)
+    pair = sorted(by_mag[:2], key=lambda w: (-(1j * w).imag, (1j * w).real))
+    return pair[0], pair[1], by_mag[2]
+
+
+def _same_roots(got, want):
+    return [repr(w) for w in got] == [repr(w) for w in want]
+
+
+def test_ordered_matches_sorting_on_the_vieta_battery():
+    from fluctforce import validation
+    om, wd, g0 = validation._vieta_grid(
+        10_000, np.random.default_rng(validation._SEED + 3))
+    for o, d, g in zip(om.tolist(), wd.tolist(), g0.tolist()):
+        omegas = [1j * s for s in solve_cubic(d, o * o + g * d, o * o * d)]
+        for perm in itertools.permutations(omegas):
+            assert _same_roots(_ordered(list(perm)),
+                               _ordered_by_sorting(list(perm)))
+
+
+@pytest.mark.parametrize("omegas", [
+    [1.0 - 0.5j, -1.0 - 0.5j, -30.0j],      # conjugate pair, equal |w|
+    [-0.2j, -0.7j, -40.0j],                  # overdamped real pair
+    [1.5 + 0j, -1.5 + 0j, -50.0j],           # gamma0 = 0, decoupled
+    [1.0 + 0j, -1.0 + 0j, 1.0j],             # three equal magnitudes
+    [1.0j, -1.0j, 1.0 + 0j],
+    [2.0 + 0j, 2.0 + 0j, 2.0 + 0j],          # identical roots
+    [0j, complex(-0.0, 0.0), complex(0.0, -0.0)],
+    [-0.5j, -0.5j, -9.0j],                   # exact double root
+    [3.0 - 4.0j, 4.0 - 3.0j, -5.0j],         # equal |w|, distinct parts
+    [1.0 - 1.0j, 1.0 - 2.0j, -3.0j],         # equal Re(w), tie on Im
+])
+def test_ordered_matches_sorting_on_ties(omegas):
+    for perm in itertools.permutations(omegas):
+        assert _same_roots(_ordered(list(perm)),
+                           _ordered_by_sorting(list(perm)))
+
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_NON_NEGATIVE = st.floats(0.0, allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(0.0, exclude_min=True, allow_nan=False,
+                      allow_infinity=False)
+
+
+@given(_NON_FINITE, _POSITIVE)
+@settings(max_examples=60, deadline=None)
+def test_damping_rejects_non_finite_fields(bad, good):
+    with pytest.raises(DomainError):
+        Ohmic(bad)
+    with pytest.raises(DomainError):
+        Drude(bad, good)
+    with pytest.raises(DomainError):
+        Drude(good, bad)
+
+
+@given(_NON_FINITE, _POSITIVE, _NON_NEGATIVE)
+@settings(max_examples=60, deadline=None)
+def test_params_reject_non_finite_fields(bad, positive, non_negative):
+    damping = Ohmic(non_negative)
+    with pytest.raises(DomainError):
+        OscillatorParams(bad, damping, non_negative)
+    with pytest.raises(DomainError):
+        OscillatorParams(positive, damping, bad)
+    with pytest.raises(DomainError):
+        OscillatorParams(positive, damping, non_negative, bad)
+
+
+@given(_POSITIVE, _NON_NEGATIVE, _POSITIVE, _NON_NEGATIVE,
+       st.none() | _POSITIVE)
+@settings(max_examples=200, deadline=None)
+def test_constructors_accept_finite_in_domain_values(omega0, gamma0, omega_d,
+                                                     temperature, mass):
+    for damping in (Ohmic(gamma0), Drude(gamma0, omega_d)):
+        p = OscillatorParams(omega0, damping, temperature, mass)
+        assert (p.omega0, p.temperature, p.mass) == (omega0, temperature,
+                                                     mass)
+
+
+def test_domain_errors_are_value_errors():
+    # CLI exit code 3 and existing `except ValueError` callers rely on it
+    with pytest.raises(ValueError):
+        OscillatorParams(1.0, Ohmic(0.1), math.inf)
+    with pytest.raises(DomainError, match="temperature"):
+        OscillatorParams(1.0, Ohmic(0.1), math.nan)
