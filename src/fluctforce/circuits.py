@@ -101,7 +101,11 @@ class ParallelRLC:
                    _as_law(capacitance), element_size)
 
 
-@dataclass(frozen=True)
+# Like the oscillator value types, the geometries check their fields in
+# a hand-written __init__ and write them straight into the instance dict.
+
+
+@dataclass(frozen=True, init=False)
 class PlanarCapacitor:
     """Parallel plates: contact area, gap, relative permittivity."""
 
@@ -109,21 +113,28 @@ class PlanarCapacitor:
     gap: float
     epsilon: float = 1.0
 
-    def __post_init__(self):
-        if self.area <= 0.0 or self.gap <= 0.0 or self.epsilon <= 0.0:
+    def __init__(self, area: float, gap: float, epsilon: float = 1.0):
+        if area <= 0.0 or gap <= 0.0 or epsilon <= 0.0:
             raise ValueError("area, gap and epsilon must be positive")
+        d = self.__dict__
+        d["area"] = area
+        d["gap"] = gap
+        d["epsilon"] = epsilon
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SpherePlate:
     """Sphere of radius `radius` above a plate at minimum gap `gap`."""
 
     radius: float
     gap: float
 
-    def __post_init__(self):
-        if self.radius <= 0.0 or self.gap <= 0.0:
+    def __init__(self, radius: float, gap: float):
+        if radius <= 0.0 or gap <= 0.0:
             raise ValueError("radius and gap must be positive")
+        d = self.__dict__
+        d["radius"] = radius
+        d["gap"] = gap
 
 
 def _check_positive(name: str, x: float) -> float:
@@ -132,17 +143,22 @@ def _check_positive(name: str, x: float) -> float:
     return x
 
 
+def _omega_of(cl: float, cc: float) -> float:
+    """Omega = 1/sqrt(LC) for a positive inductance and capacitance."""
+    _check_positive("inductance", cl)
+    _check_positive("capacitance", cc)
+    return 1.0 / math.sqrt(cl * cc)
+
+
 def _lc_frequency(l_of: ElementLaw, c_of: ElementLaw):
     """Omega = 1/sqrt(LC) and its derivative, shared by both loops."""
     def omega(lam: float) -> float:
-        cl = _check_positive("inductance", l_of.value(lam))
-        cc = _check_positive("capacitance", c_of.value(lam))
-        return 1.0 / math.sqrt(cl * cc)
+        return _omega_of(l_of.value(lam), c_of.value(lam))
 
     def d_omega(lam: float) -> float:
         cl, cc = l_of.value(lam), c_of.value(lam)
-        return -0.5 * omega(lam) * (l_of.derivative(lam) / cl
-                                    + c_of.derivative(lam) / cc)
+        return -0.5 * _omega_of(cl, cc) * (l_of.derivative(lam) / cl
+                                          + c_of.derivative(lam) / cc)
 
     return omega, d_omega
 
@@ -249,6 +265,11 @@ def _element_size_warnings(circuit, gamma: float, units: str) -> tuple[str, ...]
 
 def scale_result(res: ForceResult, hbar_out: float,
                  extra_warnings: tuple[str, ...] = ()) -> ForceResult:
+    """res in output units: every force field times hbar_out, and
+    extra_warnings appended.  In reduced units (hbar_out = 1) with no
+    extra warnings that is res itself, which is returned unchanged."""
+    if hbar_out == 1.0 and not extra_warnings:
+        return res
     components = None
     if res.components is not None:
         components = {k: hbar_out * v for k, v in res.components.items()}

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import math
 import sys
@@ -44,6 +43,12 @@ GEOMETRY_COLUMNS = BASE_COLUMNS + ("f_casimir", "r_weight")
 
 _GEOMETRY_MODES = ("planar", "sphere-plate")
 _MODES = ("oscillator", "series-rlc", "parallel-rlc") + _GEOMETRY_MODES
+
+#: the most sweep points a config may ask for; checked before any
+#: array is allocated.
+MAX_POINTS = 10**6
+
+_INF = math.inf
 
 
 class ConfigError(ValueError):
@@ -88,13 +93,21 @@ def _load_config(path: str) -> dict:
 
 
 def _number(value: Any, name: str, kind=float):
-    """A finite number from a config value; anything else is a ConfigError."""
-    try:
-        x = kind(value)
-        if math.isfinite(x):
-            return x
-    except (TypeError, ValueError, OverflowError):
-        pass
+    """A finite JSON number from a config value, as a float, or with
+    kind=int as an int, which the value must equal exactly (1e5 is
+    100000).  Anything else, booleans and strings included, is a
+    ConfigError."""
+    if type(value) is float or type(value) is int:
+        try:
+            x = float(value)
+        except OverflowError:
+            x = _INF
+        if -_INF < x < _INF:
+            if kind is float:
+                return x
+            if x.is_integer():
+                return value if type(value) is int else int(x)
+            raise ConfigError(f"{name!r} must be an integer")
     raise ConfigError(f"{name!r} must be a finite number")
 
 
@@ -137,6 +150,8 @@ def _sweep_values(cfg: dict) -> tuple[str, list[float]]:
         raise ConfigError("sweep needs numeric start/stop/points") from exc
     if points < 1:
         raise ConfigError("sweep points must be >= 1")
+    if points > MAX_POINTS:
+        raise ConfigError(f"sweep points must be <= {MAX_POINTS}")
     if not (0.0 < start <= stop):
         raise ConfigError("sweep range must be positive and ordered")
     spacing = sweep.get("spacing", "linear")
@@ -146,19 +161,27 @@ def _sweep_values(cfg: dict) -> tuple[str, list[float]]:
         values = np.geomspace(start, stop, points)
     else:
         raise ConfigError("spacing must be 'linear' or 'log'")
-    return name, [float(v) for v in values]
+    return name, values.tolist()
 
 
 def _oracle_spec(cfg: dict) -> SumSpec | None:
     oracle = cfg.get("oracle", {})
     if not isinstance(oracle, dict):
         raise ConfigError("'oracle' must be an object")
-    if not oracle.get("enabled", False):
+    enabled = oracle.get("enabled", False)
+    if type(enabled) is not bool:
+        raise ConfigError("oracle 'enabled' must be true or false")
+    if not enabled:
         return None
-    return SumSpec(n_max=_number(oracle.get("n_max", 100_000), "n_max", int))
+    n_max = _number(oracle.get("n_max", 100_000), "n_max", int)
+    if n_max < 1:
+        raise ConfigError("oracle n_max must be >= 1")
+    return SumSpec(n_max=n_max)
 
 
 def _force_row(lam: float, res: forces.ForceResult) -> dict:
+    """A row whose keys are BASE_COLUMNS in order; geometry rows append
+    the two extra columns, so their keys are GEOMETRY_COLUMNS."""
     parts = res.components or {}
     return {
         "lambda": lam,
@@ -317,27 +340,50 @@ def _columns(mode: str) -> tuple[str, ...]:
     return GEOMETRY_COLUMNS if mode in _GEOMETRY_MODES else BASE_COLUMNS
 
 
+def _in_column_order(columns: tuple[str, ...], rows) -> list[dict]:
+    """rows with exactly the columns as keys, in order: each row itself
+    where it already has them, as every row built here has."""
+    return [row if tuple(row) == columns
+            else {c: row.get(c) for c in columns} for row in rows]
+
+
+_repr = float.__repr__
+
+
 def _render_csv(columns, rows) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(columns) + "\n")
-    for row in rows:
-        buf.write(",".join(_fmt(row.get(c)) for c in columns) + "\n")
-    return buf.getvalue()
+    """One line per row, each cell as _fmt writes it; floats, None and
+    strings, the cells a row holds, are written without calling it."""
+    columns = tuple(columns)
+    lines = [",".join(columns)]
+    for row in _in_column_order(columns, rows):
+        lines.append(",".join([
+            _repr(v) if type(v) is float else "" if v is None
+            else v if type(v) is str else _fmt(v) for v in row.values()]))
+    lines.append("")
+    return "\n".join(lines)
 
 
-# A row's keys at the indentation json.dumps(..., indent=2) gives them.
+# The rows' keys at the indentation json.dumps(..., indent=2) gives them.
 # Without indent, json runs its C encoder; with it, the pure-Python one.
-_ROW_JSON = json.JSONEncoder(separators=(",\n      ", ": ")).encode
+_ROWS_JSON = json.JSONEncoder(separators=(",\n      ", ": ")).encode
 
 
 def _render_json(columns, rows) -> str:
-    """The bytes of json.dumps(payload, indent=2) + "\\n", with each
-    (flat) row encoded by the C encoder and indented around it."""
+    """The bytes of json.dumps(payload, indent=2) + "\\n".
+
+    All (flat) rows go through the C encoder in one call, which puts the
+    item separator between the rows as well; that separator is the only
+    place where "}" meets a raw newline (JSON escapes the newlines in
+    strings), so it is replaced there by the indented one."""
+    columns = tuple(columns)
     head = json.dumps({"schema": SCHEMA, "columns": list(columns)}, indent=2)
-    body = ",\n    ".join(
-        "{\n      " + _ROW_JSON({c: row.get(c) for c in columns})[1:-1]
-        + "\n    }" for row in rows)
-    body = "[\n    " + body + "\n  ]" if rows else "[]"
+    body = "[]"
+    if rows:
+        text = _ROWS_JSON(_in_column_order(columns, rows))
+        body = ("[\n    {\n      "
+                + text[2:-2].replace("},\n      {",
+                                     "\n    },\n    {\n      ")
+                + "\n    }\n  ]")
     return head[:-2] + ',\n  "rows": ' + body + "\n}\n"
 
 

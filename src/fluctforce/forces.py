@@ -53,7 +53,7 @@ WARN_DRUDE_HIGH_T = "drude-high-temperature-guard"
 WARN_IM_RESIDUAL = "imaginary-residual"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ForceResult:
     """A force value plus its provenance.
 
@@ -68,6 +68,18 @@ class ForceResult:
     warnings: tuple[str, ...] = ()
     components: dict[str, float] | None = None
     im_residual: float = 0.0
+
+    def __init__(self, value: float, regime: str,
+                 warnings: tuple[str, ...] = (),
+                 components: dict[str, float] | None = None,
+                 im_residual: float = 0.0):
+        # one write per field into the instance dict, as in oscillator
+        d = self.__dict__
+        d["value"] = value
+        d["regime"] = regime
+        d["warnings"] = warnings
+        d["components"] = components
+        d["im_residual"] = im_residual
 
 
 def _pair_data(om: float, g: float):

@@ -41,29 +41,40 @@ WARN_DRUDE_APPROX = "drude-approx-regime"
 _INF = math.inf
 
 
-@dataclass(frozen=True)
+# The value types below are frozen dataclasses with a hand-written
+# __init__: it runs the checks and then writes the fields straight into
+# the instance dict, which skips the frozen __setattr__ that a generated
+# __init__ calls once per field.  Equality, hashing, repr, replace() and
+# pickling still come from the dataclass machinery.
+
+
+@dataclass(frozen=True, init=False)
 class Ohmic:
     """Frequency-independent damping, gamma(omega) = gamma0."""
 
     gamma0: float
 
-    def __post_init__(self):
-        if not 0.0 <= self.gamma0 < _INF:
+    def __init__(self, gamma0: float):
+        if not 0.0 <= gamma0 < _INF:
             raise DomainError("gamma0 must be finite and >= 0")
+        self.__dict__["gamma0"] = gamma0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Drude:
     """Drude damping gamma0 * omega_d / (omega_d - i omega)."""
 
     gamma0: float
     omega_d: float
 
-    def __post_init__(self):
-        if not 0.0 <= self.gamma0 < _INF:
+    def __init__(self, gamma0: float, omega_d: float):
+        if not 0.0 <= gamma0 < _INF:
             raise DomainError("gamma0 must be finite and >= 0")
-        if not 0.0 < self.omega_d < _INF:
+        if not 0.0 < omega_d < _INF:
             raise DomainError("omega_d must be finite and > 0")
+        d = self.__dict__
+        d["gamma0"] = gamma0
+        d["omega_d"] = omega_d
 
     def in_approx_regime(self, omega0: float) -> bool:
         return self.omega_d >= DRUDE_REGIME_FACTOR * max(omega0, self.gamma0)
@@ -72,7 +83,7 @@ class Drude:
 DampingModel = Ohmic | Drude
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OscillatorParams:
     """Reduced-unit oscillator parameters.
 
@@ -85,13 +96,19 @@ class OscillatorParams:
     temperature: float
     mass: float | None = None
 
-    def __post_init__(self):
-        if not 0.0 < self.omega0 < _INF:
+    def __init__(self, omega0: float, damping: DampingModel,
+                 temperature: float, mass: float | None = None):
+        if not 0.0 < omega0 < _INF:
             raise DomainError("omega0 must be finite and > 0")
-        if not 0.0 <= self.temperature < _INF:
+        if not 0.0 <= temperature < _INF:
             raise DomainError("temperature must be finite and >= 0")
-        if self.mass is not None and not 0.0 < self.mass < _INF:
+        if mass is not None and not 0.0 < mass < _INF:
             raise DomainError("mass must be finite and > 0")
+        d = self.__dict__
+        d["omega0"] = omega0
+        d["damping"] = damping
+        d["temperature"] = temperature
+        d["mass"] = mass
 
 
 def _const_zero(_: float) -> float:
@@ -131,14 +148,32 @@ class ParametricModel:
 
 
 def power_law(coeff: float, exponent: float):
-    """Value/derivative callables for coeff * lam**exponent."""
+    """Value/derivative callables for coeff * lam**exponent.
+
+    Both raise DomainError where the result overflows, is not finite, or
+    is complex (a fractional power of a negative lam), rather than
+    passing an infinity, NaN or complex number on to the force."""
     def value(lam: float) -> float:
-        return coeff * lam ** exponent
+        try:
+            v = coeff * lam ** exponent
+        except (OverflowError, ZeroDivisionError):
+            v = _INF
+        if type(v) is not complex and -_INF < v < _INF:
+            return v
+        raise DomainError(f"{coeff!r} * lam**{exponent!r} is not a finite "
+                          f"real number at lam = {lam!r}")
 
     def derivative(lam: float) -> float:
         if exponent == 0.0:
             return 0.0
-        return coeff * exponent * lam ** (exponent - 1.0)
+        try:
+            v = coeff * exponent * lam ** (exponent - 1.0)
+        except (OverflowError, ZeroDivisionError):
+            v = _INF
+        if type(v) is not complex and -_INF < v < _INF:
+            return v
+        raise DomainError(f"the derivative of {coeff!r} * lam**{exponent!r} "
+                          f"is not a finite real number at lam = {lam!r}")
 
     return value, derivative
 
@@ -160,7 +195,7 @@ def power_law_model(omega0: tuple[float, float],
     return ParametricModel(om, dom, g0, dg0, wd, dwd)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Eigenfrequencies:
     """Complex oscillator eigenfrequencies.
 
@@ -176,6 +211,16 @@ class Eigenfrequencies:
     omega3: complex | None
     method: str
     warnings: tuple[str, ...] = ()
+
+    def __init__(self, omega1: complex, omega2: complex,
+                 omega3: complex | None, method: str,
+                 warnings: tuple[str, ...] = ()):
+        d = self.__dict__
+        d["omega1"] = omega1
+        d["omega2"] = omega2
+        d["omega3"] = omega3
+        d["method"] = method
+        d["warnings"] = warnings
 
     def as_tuple(self) -> tuple[complex, ...]:
         if self.omega3 is None:

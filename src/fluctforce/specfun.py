@@ -55,20 +55,30 @@ _TRIGAMMA_COEFFS = (
 )
 
 
+_INF = math.inf
+# 1 as a complex: complex / complex and complex + complex skip the
+# conversion that a float operand goes through, with the same bits on
+# CPython 3.10-3.13 (which widen the float to complex(x, 0.0) first).
+_ONE = complex(1.0, 0.0)
+
+
 def _checked(z: complex | float) -> complex:
     z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError("argument must be finite")
-    if z.real <= 0.0:
+    if not (0.0 < z.real < _INF and -_INF < z.imag < _INF):
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            raise DomainError("argument must be finite")
         raise DomainError(f"Re z must be positive, got {z!r}")
     return z
 
 
 def _horner_even(coeffs: tuple[float, ...], inv_w2: complex) -> complex:
-    acc = 0.0j
-    for c in reversed(coeffs):
-        acc = acc * inv_w2 + c
-    return acc
+    """sum_k coeffs[k] inv_w2**k by Horner's rule, unrolled for seven
+    coefficients.  It starts from the last coefficient times inv_w2,
+    which is what a loop from an accumulator of 0j computes, bit for
+    bit: 0j * inv_w2 + c is exactly complex(c, 0.0)."""
+    c0, c1, c2, c3, c4, c5, c6 = coeffs
+    return (((((c6 * inv_w2 + c5) * inv_w2 + c4) * inv_w2 + c3) * inv_w2
+             + c2) * inv_w2 + c1) * inv_w2 + c0
 
 
 def log_gamma(z: complex | float) -> complex:
@@ -78,8 +88,8 @@ def log_gamma(z: complex | float) -> complex:
     w = z
     while w.real < _SHIFT_THRESHOLD:
         shift += cmath.log(w)
-        w += 1.0
-    inv_w = 1.0 / w
+        w += _ONE
+    inv_w = _ONE / w
     series = inv_w * _horner_even(_LOG_GAMMA_COEFFS, inv_w * inv_w)
     return (w - 0.5) * cmath.log(w) - w + _HALF_LOG_TWO_PI + series - shift
 
@@ -90,9 +100,9 @@ def digamma(z: complex | float) -> complex:
     shift = 0.0j
     w = z
     while w.real < _SHIFT_THRESHOLD:
-        shift += 1.0 / w
-        w += 1.0
-    inv_w = 1.0 / w
+        shift += _ONE / w
+        w += _ONE
+    inv_w = _ONE / w
     inv_w2 = inv_w * inv_w
     series = inv_w2 * _horner_even(_DIGAMMA_COEFFS, inv_w2)
     return cmath.log(w) - 0.5 * inv_w - series - shift
@@ -104,9 +114,9 @@ def trigamma(z: complex | float) -> complex:
     shift = 0.0j
     w = z
     while w.real < _SHIFT_THRESHOLD:
-        shift += 1.0 / (w * w)
-        w += 1.0
-    inv_w = 1.0 / w
+        shift += _ONE / (w * w)
+        w += _ONE
+    inv_w = _ONE / w
     inv_w2 = inv_w * inv_w
     series = inv_w * inv_w2 * _horner_even(_TRIGAMMA_COEFFS, inv_w2)
     return inv_w + 0.5 * inv_w2 + series + shift

@@ -329,3 +329,17 @@ def test_element_size_advisory():
 def test_element_size_must_be_positive(loop, size):
     with pytest.raises(ValueError, match="element_size"):
         loop.of(1e-3, 1e-6, 1e-12, element_size=size)
+
+
+def test_scale_result_passes_unit_scale_through():
+    r = cc.ForceResult(-0.25, "exact", ("w",), {"f_omega": -0.25}, 1e-17)
+    assert cc.scale_result(r, 1.0) is r
+    assert cc.scale_result(r, 1.0, ()) is r
+    # extra warnings or another scale build a new result
+    warned = cc.scale_result(r, 1.0, (cc.WARN_ELEMENT_SIZE,))
+    assert warned is not r and warned.warnings == ("w", cc.WARN_ELEMENT_SIZE)
+    assert (warned.value, warned.components, warned.im_residual) \
+        == (r.value, r.components, r.im_residual)
+    scaled = cc.scale_result(r, HBAR)
+    assert scaled == cc.ForceResult(HBAR * -0.25, "exact", ("w",),
+                                    {"f_omega": HBAR * -0.25}, HBAR * 1e-17)

@@ -462,3 +462,111 @@ def test_render_json_is_indented_dumps(columns, count):
                "rows": [{c: row.get(c) for c in columns} for row in rows]}
     assert cli._render_json(columns, rows) \
         == json.dumps(payload, indent=2) + "\n"
+
+
+_OVERFLOWING_LAWS = [
+    ({"coeff": 1e300, "power": 0.5}, 1e-300),   # dOmega/dlambda overflows
+    ({"coeff": 1.0, "power": 2.0}, 1e200),      # Omega itself overflows
+]
+
+
+@pytest.mark.parametrize("command, law, lam", [
+    ("force", {"coeff": 1.0, "power": 0.5}, -1.0),   # Omega would be complex
+] + [(command, law, lam) for command in ("force", "sweep")
+     for law, lam in _OVERFLOWING_LAWS])
+def test_overflowing_power_law_is_a_domain_error(tmp_path, capsys, command,
+                                                  law, lam):
+    cfg = oscillator_cfg()
+    cfg["parameters"]["omega0"] = law
+    cfg["parameters"]["lambda"] = lam
+    cfg["sweep"] = {"start": lam, "stop": lam, "points": 1}
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", write_config(tmp_path, "c.json", cfg),
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("domain error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit", [
+    _set("oracle", {"enabled": "no"}),
+    _set("oracle", {"enabled": 1}),
+    _set("oracle", {"enabled": None}),
+    _set("sweep.points", 2.7),
+    _set("sweep.points", True),
+    _set("oracle", {"enabled": True, "n_max": 2000.5}),
+    _set("oracle", {"enabled": True, "n_max": True}),
+    _set("oracle", {"enabled": True, "n_max": 0}),
+    _set("oracle", {"enabled": True, "n_max": -5}),
+    _set("workers", 2.7),
+    _set("workers", True),
+    _set("parameters.temperature", True),
+    _set("parameters.gamma0", False),
+    _set("parameters.omega0", {"coeff": True, "power": 0.5}),
+    _set("parameters.temperature", "0.5"),
+    _set("sweep.start", "0.5"),
+    _set("sweep.points", 10**12),
+    _set("sweep.points", 10**6 + 1),
+], ids=["enabled-text", "enabled-int", "enabled-null", "points-fraction",
+        "points-true", "n_max-fraction", "n_max-true", "n_max-zero",
+        "n_max-negative", "workers-fraction", "workers-true",
+        "temperature-true", "gamma0-false", "coeff-true",
+        "temperature-numeric-text", "start-numeric-text", "points-1e12",
+        "points-over-cap"])
+def test_wrongly_typed_config_values_are_config_errors(tmp_path, capsys,
+                                                       edit):
+    path = write_config(tmp_path, "c.json", edit(oscillator_cfg()))
+    out = tmp_path / "never.csv"
+    assert main(["sweep", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
+def test_integral_floats_stay_valid(tmp_path):
+    outputs = []
+    for points, n_max, workers in ((4, 2000, 2), (4.0, 2e3, 2.0)):
+        cfg = oscillator_cfg(oracle={"enabled": True, "n_max": n_max},
+                             workers=workers)
+        cfg["sweep"]["points"] = points
+        out = tmp_path / f"o{len(outputs)}.csv"
+        assert main(["sweep", "--config",
+                     write_config(tmp_path, "c.json", cfg),
+                     "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].decode().strip().split("\n")) == 5
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_existing_output_is_replaced(tmp_path, fmt):
+    path = write_config(tmp_path, "c.json", GOLDEN_CONFIGS["drude"])
+    fresh = tmp_path / f"fresh.{fmt}"
+    argv = ["sweep", "--config", path, "--format", fmt, "--out"]
+    assert main(argv + [str(fresh)]) == 0
+    want = fresh.read_bytes()
+    out = tmp_path / f"out.{fmt}"
+    for old in (b"x" * (3 * len(want) + 17), want[:-40], b"", want,
+                b"\n" * 5):
+        out.write_bytes(old)
+        assert main(argv + [str(out)]) == 0
+        assert out.read_bytes() == want
+    # a symlinked output path is written through, and stays a link
+    target = tmp_path / "target"
+    target.write_bytes(b"y" * (2 * len(want)))
+    link = tmp_path / f"link.{fmt}"
+    link.symlink_to(target)
+    assert main(argv + [str(link)]) == 0
+    assert link.is_symlink() and target.read_bytes() == want
+
+
+def test_render_json_strings_that_look_like_row_separators():
+    tricky = ["},\n      {", "}, {", "}\n    },\n    {\n      {", "{", "}"]
+    rows = [{"lambda": float(i), "force": None, "regime": text,
+             "warnings": text + ";" + text} for i, text in enumerate(tricky)]
+    rows.append(dict(zip(cli.BASE_COLUMNS, tricky * 2)))
+    columns = cli.BASE_COLUMNS
+    payload = {"schema": cli.SCHEMA, "columns": list(columns),
+               "rows": [{c: row.get(c) for c in columns} for row in rows]}
+    for count in range(len(rows) + 1):
+        payload_part = dict(payload, rows=payload["rows"][:count])
+        assert cli._render_json(columns, rows[:count]) \
+            == json.dumps(payload_part, indent=2) + "\n"

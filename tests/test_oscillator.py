@@ -14,7 +14,8 @@ from fluctforce.oscillator import (Drude, Ohmic, OscillatorParams, _ordered,
                                    damping_at_matsubara,
                                    eigenfrequencies_drude_approx,
                                    eigenfrequencies_drude_exact,
-                                   eigenfrequencies_ohmic, power_law_model,
+                                   eigenfrequencies_ohmic, power_law,
+                                   power_law_model,
                                    solve_cubic, WARN_DRUDE_APPROX)
 
 
@@ -275,3 +276,39 @@ def test_domain_errors_are_value_errors():
         OscillatorParams(1.0, Ohmic(0.1), math.inf)
     with pytest.raises(DomainError, match="temperature"):
         OscillatorParams(1.0, Ohmic(0.1), math.nan)
+
+
+@pytest.mark.parametrize("law, lam, which", [
+    ((1e300, 0.5), 1e-300, "derivative"),   # 0.5e300 * 1e150 overflows
+    ((1.0, 2.0), 1e200, "value"),           # lam**2 raises OverflowError
+    ((1.0, -0.5), 0.0, "value"),            # 0.0 ** -0.5 is infinite
+    ((1e308, 2.0), 1.0, "derivative"),      # coeff * exponent overflows
+    ((1.0, 0.5), -1.0, "value"),            # complex: (-1.0) ** 0.5
+    ((1.0, 0.5), -1.0, "derivative"),
+])
+def test_power_law_raises_where_not_finite(law, lam, which):
+    value, derivative = power_law(*law)
+    fn = value if which == "value" else derivative
+    with pytest.raises(DomainError, match="not a finite real number"):
+        fn(lam)
+
+
+def test_power_law_overflow_stops_the_model():
+    m = power_law_model(omega0=(1e300, 0.5), gamma0=(0.3, 0.0))
+    assert m.params_at(1e-300, 0.5).omega0 == 1e150   # the value is finite
+    with pytest.raises(DomainError):
+        m.d_omega(1e-300)
+    m2 = power_law_model(omega0=(1.0, 2.0), gamma0=(0.3, 0.0))
+    with pytest.raises(DomainError):
+        m2.params_at(1e200, 0.5)
+
+
+def test_power_law_finite_values_unchanged():
+    value, derivative = power_law(1.7, -0.5)
+    for lam in (1e-100, 0.3, 1.0, 2.5, 1e300):
+        assert value(lam) == 1.7 * lam ** -0.5
+        assert derivative(lam) == 1.7 * -0.5 * lam ** -1.5
+    assert power_law(2.0, 0.0)[1](1e300) == 0.0
+    # integral powers of a negative lambda are real
+    assert power_law(2.0, 2.0)[0](-3.0) == 18.0
+    assert power_law(2.0, 3.0)[1](-1.5) == 2.0 * 3.0 * (-1.5) ** 2.0

@@ -3,6 +3,8 @@ and recurrence properties, asymptotic behaviour."""
 
 import cmath
 import math
+import platform
+import sys
 
 import numpy as np
 import pytest
@@ -130,3 +132,102 @@ def test_digamma_series_near_one():
     z = 1e-4
     approx = -EULER_GAMMA + (math.pi ** 2 / 6.0) * z
     assert abs(digamma(1.0 + z) - approx) < 1e-7
+
+
+# The shift-and-expand scheme as first written: a float 1.0 in the shift
+# loops and a Horner loop over the coefficients.  The module must give
+# the same bits, signed zeros included.
+#
+# That holds for the arithmetic of CPython 3.10-3.13, which widens a
+# float operand of a complex operation to complex(x, 0.0) first, so the
+# reference below computes there what the first loops computed.  CPython
+# 3.14 follows C99 Annex G for mixed float/complex operands instead: it
+# moves signed zeros both in the reference's float operands and in the
+# module's own mixed operations, so there the bit identity is not
+# claimed (the accuracy tests above still apply).
+_WIDENING_ARITHMETIC = (platform.python_implementation() == "CPython"
+                        and (3, 10) <= sys.version_info[:2] <= (3, 13))
+def _reference(kind):
+    from fluctforce import specfun as sf
+
+    def horner(coeffs, inv_w2):
+        acc = 0.0j
+        for c in reversed(coeffs):
+            acc = acc * inv_w2 + c
+        return acc
+
+    def checked(z):
+        z = complex(z)
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            raise DomainError("argument must be finite")
+        if z.real <= 0.0:
+            raise DomainError(f"Re z must be positive, got {z!r}")
+        return z
+
+    def ref(z):
+        z = checked(z)
+        shift = 0.0j
+        w = z
+        while w.real < 12.0:
+            if kind == "log_gamma":
+                shift += cmath.log(w)
+            elif kind == "digamma":
+                shift += 1.0 / w
+            else:
+                shift += 1.0 / (w * w)
+            w += 1.0
+        inv_w = 1.0 / w
+        if kind == "log_gamma":
+            series = inv_w * horner(sf._LOG_GAMMA_COEFFS, inv_w * inv_w)
+            return (w - 0.5) * cmath.log(w) - w + sf._HALF_LOG_TWO_PI \
+                + series - shift
+        inv_w2 = inv_w * inv_w
+        if kind == "digamma":
+            series = inv_w2 * horner(sf._DIGAMMA_COEFFS, inv_w2)
+            return cmath.log(w) - 0.5 * inv_w - series - shift
+        series = inv_w * inv_w2 * horner(sf._TRIGAMMA_COEFFS, inv_w2)
+        return inv_w + 0.5 * inv_w2 + series + shift
+
+    return ref
+
+
+def _bit_grid():
+    twelve = [math.nextafter(12.0, 0.0), 12.0, math.nextafter(12.0, 20.0),
+              11.0, 11.5, 12.5, 13.0]
+    reals = [5e-324, 1e-300, 1e-8, 0.1, 0.5, 1.0, 1.0 + 2**-52, 2.5, 7.3,
+             1e3, 1e150, 1e300] + twelve \
+        + [math.nextafter(x, 0.0) for x in twelve]
+    imags = [0.0, -0.0, 1e-300, -1e-300, 0.3, -0.3, 12.0, -12.0, 1e3,
+             -1e3, 1e8, -1e8, 1e150, -1e150, 1e300, -1e300]
+    zs = [complex(x, y) for x in reals for y in imags]
+    rng = np.random.default_rng(20261018)
+    re = np.concatenate([rng.uniform(0.0, 25.0, 400),
+                         rng.uniform(11.0, 13.0, 200),
+                         10.0 ** rng.uniform(-300, 300, 200)])
+    im = np.concatenate([rng.uniform(-50.0, 50.0, 600),
+                         np.sign(rng.uniform(-1, 1, 200))
+                         * 10.0 ** rng.uniform(-300, 300, 200)])
+    zs += [complex(x, y) for x, y in zip(re.tolist(), im.tolist()) if x > 0]
+    return zs + reals + [1, 3, 12]          # floats and ints as well
+
+
+def _outcome(fn, z):
+    try:
+        w = fn(z)
+    except (DomainError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)      # w * w underflows for tiny z
+    return (math.copysign(1.0, w.real), math.copysign(1.0, w.imag),
+            w.real.hex(), w.imag.hex())
+
+
+@pytest.mark.skipif(not _WIDENING_ARITHMETIC,
+                    reason="bit identity is claimed for CPython 3.10-3.13")
+@pytest.mark.parametrize("kind", ["log_gamma", "digamma", "trigamma"])
+def test_bit_identical_to_the_reference_loops(kind):
+    from fluctforce import specfun as sf
+    fn, ref = getattr(sf, kind), _reference(kind)
+    bad = [0.0, -0.0, -1.5, complex(-0.0, 1.0), complex(0.0, -0.0),
+           complex(math.nan, 1.0), complex(1.0, math.inf),
+           complex(-math.inf, 0.0), math.nan]
+    for z in _bit_grid() + bad:
+        assert _outcome(fn, z) == _outcome(ref, z), z
