@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .constants import C_LIGHT, EPSILON_0, HBAR, K_B, ZETA_3
-from .errors import PreconditionError
+from .errors import DomainError, PreconditionError
 from .forces import (ForceResult, force_ohmic_exact, force_ohmic_high_t,
                      force_ohmic_low_t, force_ohmic_weak_dissipation)
 from .oscillator import ParametricModel, power_law
@@ -115,7 +115,7 @@ class PlanarCapacitor:
 
     def __init__(self, area: float, gap: float, epsilon: float = 1.0):
         if area <= 0.0 or gap <= 0.0 or epsilon <= 0.0:
-            raise ValueError("area, gap and epsilon must be positive")
+            raise DomainError("area, gap and epsilon must be positive")
         d = self.__dict__
         d["area"] = area
         d["gap"] = gap
@@ -131,7 +131,7 @@ class SpherePlate:
 
     def __init__(self, radius: float, gap: float):
         if radius <= 0.0 or gap <= 0.0:
-            raise ValueError("radius and gap must be positive")
+            raise DomainError("radius and gap must be positive")
         d = self.__dict__
         d["radius"] = radius
         d["gap"] = gap
@@ -139,7 +139,7 @@ class SpherePlate:
 
 def _check_positive(name: str, x: float) -> float:
     if x <= 0.0:
-        raise ValueError(f"{name} must be positive, got {x}")
+        raise DomainError(f"{name} must be positive, got {x}")
     return x
 
 
@@ -244,7 +244,7 @@ def units_factors(temperature: float, units: str) -> tuple[float, float]:
         return HBAR, K_B * temperature / HBAR
     if units == "reduced":
         return 1.0, temperature
-    raise ValueError("units must be 'si' or 'reduced'")
+    raise DomainError("units must be 'si' or 'reduced'")
 
 
 _OHMIC_DISPATCH = {
@@ -286,7 +286,7 @@ def series_model(c: SeriesRLC, regime: str = "exact") -> ParametricModel:
     applies).  Build it once; rlc_force_at evaluates it at each point.
     """
     if regime not in _REGIMES:
-        raise ValueError(f"regime must be one of {_REGIMES}")
+        raise DomainError(f"regime must be one of {_REGIMES}")
     if not (c.resistance.constant and c.inductance.constant):
         raise PreconditionError(
             "series RLC force requires lambda-independent R and L")
@@ -300,7 +300,7 @@ def parallel_model(c: ParallelRLC, regime: str = "exact") -> ParametricModel:
     damping fixed; R and C must be lambda-independent.
     """
     if regime not in _REGIMES:
-        raise ValueError(f"regime must be one of {_REGIMES}")
+        raise DomainError(f"regime must be one of {_REGIMES}")
     if not (c.resistance.constant and c.capacitance.constant):
         raise PreconditionError(
             "parallel RLC force requires lambda-independent R and C")
@@ -374,7 +374,7 @@ def casimir_reference(geometry, temperature: float, regime: str) -> ForceResult:
     contribution is fully suppressed at high temperatures.
     """
     if regime not in ("low-T", "high-T"):
-        raise ValueError("regime must be 'low-T' or 'high-T'")
+        raise DomainError("regime must be 'low-T' or 'high-T'")
     warnings: tuple[str, ...] = ()
     x = _thermal_wavelength_ratio(temperature, geometry.gap)
     if 0.1 <= x <= 10.0:
@@ -411,7 +411,7 @@ def sphere_plate_circuit_force(g: SpherePlate, inductance: float,
     interpolated sphere-plate capacitance.
     """
     if regime not in ("low-T", "high-T"):
-        raise ValueError("regime must be 'low-T' or 'high-T'")
+        raise DomainError("regime must be 'low-T' or 'high-T'")
     warnings: tuple[str, ...] = ()
     if g.gap > g.radius:
         warnings = (WARN_SPHERE_INTERP,)
@@ -444,7 +444,7 @@ def relative_weight(geometry, circuit: SeriesRLC, temperature: float,
     cancels between the circuit force and the Casimir reference.
     """
     if regime not in ("low-T", "high-T"):
-        raise ValueError("regime must be 'low-T' or 'high-T'")
+        raise DomainError("regime must be 'low-T' or 'high-T'")
     del temperature
     if isinstance(geometry, PlanarCapacitor):
         s, d = geometry.area, geometry.gap

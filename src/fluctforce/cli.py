@@ -15,8 +15,15 @@ pass; --workers and the config key "workers" are still accepted and
 checked, for existing configs, but change neither how rows run nor a
 byte of the output.
 
-Exit codes: 0 success, 2 config error, 3 domain/precondition violation,
+Exit codes: 0 success, 2 config error, 3 domain/precondition violation
+(the library's DomainError, PreconditionError and DivergentSumError),
 4 validation failure.
+
+Importing this module does not load numpy, and neither does `force` or
+a linear closed-form sweep (linear points come from _linspace, which
+gives np.linspace's bits).  Three things load it on first use: the
+Matsubara oracle, log spacing (np.geomspace, whose power and log10 are
+numpy's own and differ in bits from libm's) and `validate`.
 """
 
 from __future__ import annotations
@@ -28,9 +35,7 @@ import math
 import sys
 from typing import Any
 
-import numpy as np
-
-from . import circuits, forces, matsubara, validation
+from . import circuits, forces, matsubara
 from .errors import DivergentSumError, DomainError, PreconditionError
 from .matsubara import SumSpec
 from .oscillator import ParametricModel, power_law
@@ -156,12 +161,29 @@ def _sweep_values(cfg: dict) -> tuple[str, list[float]]:
         raise ConfigError("sweep range must be positive and ordered")
     spacing = sweep.get("spacing", "linear")
     if spacing == "linear":
-        values = np.linspace(start, stop, points)
-    elif spacing == "log":
-        values = np.geomspace(start, stop, points)
+        return name, _linspace(start, stop, points)
+    if spacing == "log":
+        import numpy as np
+        return name, np.geomspace(start, stop, points).tolist()
+    raise ConfigError("spacing must be 'linear' or 'log'")
+
+
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """np.linspace(start, stop, num).tolist() without numpy, bit for bit:
+    numpy's own steps, value i = i * step + start with step = (stop -
+    start) / (num - 1), or i / (num - 1) * (stop - start) + start where
+    that step underflows to zero, and the last value set to stop."""
+    div = num - 1
+    delta = stop - start
+    if div <= 0:
+        return [0.0 * delta + start] * num
+    step = delta / div
+    if step == 0.0:
+        values = [i / div * delta + start for i in range(num)]
     else:
-        raise ConfigError("spacing must be 'linear' or 'log'")
-    return name, values.tolist()
+        values = [i * step + start for i in range(num)]
+    values[-1] = stop
+    return values
 
 
 def _oracle_spec(cfg: dict) -> SumSpec | None:
@@ -418,6 +440,7 @@ def _cmd_rows(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from . import validation
     try:
         reports = validation.run_suite(args.suite, n_max=args.n_max)
     except ValueError as exc:
@@ -466,8 +489,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, PreconditionError, DivergentSumError,
-            ValueError) as exc:
+    except (DomainError, PreconditionError, DivergentSumError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
 

@@ -20,6 +20,9 @@ series directly.  Conventions:
   fresh temporary of 128 KiB or more is mmapped by the C allocator and
   page-faulted anew on every call, which used to cost more than the
   arithmetic.
+* numpy is imported inside the functions that sum, not by this module,
+  so that importing fluctforce (and running the closed forms) does not
+  load it.
 
 Tail handling: the summands decay like known powers of n, so the leading
 n^-2 (and, where present, n^-3) coefficients are integrated analytically
@@ -37,9 +40,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
-from .errors import DivergentSumError, PreconditionError
+from .errors import DivergentSumError, DomainError, PreconditionError
 from .oscillator import Drude, Ohmic, OscillatorParams, ParametricModel
 
 _CHUNK = 1 << 19
@@ -61,15 +62,14 @@ class SumSpec:
 
     n_max: int = 100_000
     tail: str = "integral"          # "integral" | "none"
-    half_weight_n0: bool = True
     auto_scale: bool = True
     hard_cap: int = 16_000_000
 
     def __post_init__(self):
         if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
+            raise DomainError("n_max must be >= 1")
         if self.tail not in ("integral", "none"):
-            raise ValueError("tail must be 'integral' or 'none'")
+            raise DomainError("tail must be 'integral' or 'none'")
 
 
 @dataclass(frozen=True)
@@ -93,6 +93,7 @@ def _leaf_buffers() -> tuple[np.ndarray, ...]:
     try:
         return _scratch.buffers
     except AttributeError:
+        import numpy as np
         _scratch.buffers = (np.arange(_LEAF, dtype=np.float64),) + tuple(
             np.empty(_LEAF) for _ in range(4))
         return _scratch.buffers
@@ -109,6 +110,7 @@ def _pairwise_sum(term, two_pi_t: float, n_from: int, count: int) -> float:
         half -= half % 8
         return (_pairwise_sum(term, two_pi_t, n_from, half)
                 + _pairwise_sum(term, two_pi_t, n_from + half, count - half))
+    import numpy as np
     ramp, *buffers = _leaf_buffers()
     w, a, b, c = (buf[:count] for buf in buffers)
     np.add(ramp[:count], n_from, out=w)
@@ -187,6 +189,7 @@ def force_sum_exact(p: OscillatorParams, m: ParametricModel, lam: float,
     t = p.temperature
     if t <= 0.0:
         raise PreconditionError("force_sum_exact requires temperature > 0")
+    import numpy as np
     om = p.omega0
     g0 = p.damping.gamma0
     dom, dg0, dwd = m.derivatives_at(lam)
@@ -230,8 +233,7 @@ def force_sum_exact(p: OscillatorParams, m: ParametricModel, lam: float,
         c3 = -(dg0 * wd * wd + 2.0 * g0 * dwd * wd)
 
     n_max = _effective_n_max(spec, scale, t)
-    weight = 0.5 if spec.half_weight_n0 else 1.0
-    head = weight * 2.0 * dom / om
+    head = 0.5 * 2.0 * dom / om
     return _TailSum(term, -t, head, c2, c3, two_pi_t, spec, n_max).result()
 
 
@@ -249,6 +251,7 @@ def free_energy_difference(p1: OscillatorParams, p2: OscillatorParams,
     t = p1.temperature
     if t <= 0.0:
         raise PreconditionError("free_energy_difference requires temperature > 0")
+    import numpy as np
     om1, om2 = p1.omega0, p2.omega0
     g0 = p1.damping.gamma0
     delta = om2 * om2 - om1 * om1
@@ -281,8 +284,7 @@ def free_energy_difference(p1: OscillatorParams, p2: OscillatorParams,
         c3 = 0.0
 
     n_max = _effective_n_max(spec, scale, t)
-    weight = 0.5 if spec.half_weight_n0 else 1.0
-    head = weight * math.log1p(delta / (om1 * om1))
+    head = 0.5 * math.log1p(delta / (om1 * om1))
     return _TailSum(term, t, head, delta, c3, two_pi_t, spec, n_max).result()
 
 
@@ -307,10 +309,11 @@ def free_energy_drude(p: OscillatorParams, spec: SumSpec = SumSpec(),
     if t <= 0.0:
         raise PreconditionError("free_energy_drude requires temperature > 0")
     if roots not in ("approx", "exact"):
-        raise ValueError("roots must be 'approx' or 'exact'")
+        raise DomainError("roots must be 'approx' or 'exact'")
     om, g0, wd = p.omega0, p.damping.gamma0, p.damping.omega_d
     if roots == "approx" and g0 >= wd:
         raise PreconditionError("approximate roots need gamma0 < omega_d")
+    import numpy as np
     two_pi_t = 2.0 * math.pi * t
 
     if roots == "exact":
@@ -397,6 +400,7 @@ def per_parameter_sums_drude(p: OscillatorParams, m: ParametricModel,
     t = p.temperature
     if t <= 0.0:
         raise PreconditionError("per_parameter_sums_drude requires temperature > 0")
+    import numpy as np
     om, g0, wd = p.omega0, p.damping.gamma0, p.damping.omega_d
     dom, dg0, dwd = m.derivatives_at(lam)
     two_pi_t = 2.0 * math.pi * t
@@ -431,9 +435,8 @@ def per_parameter_sums_drude(p: OscillatorParams, m: ParametricModel,
         np.multiply(w, wd * g0, out=num)
         return np.divide(num, den, out=num)
 
-    weight = 0.5 if spec.half_weight_n0 else 1.0
     pref_om = -2.0 * t * om * dom
-    f_om = _TailSum(term_omega, pref_om, weight * wd / c,
+    f_om = _TailSum(term_omega, pref_om, 0.5 * wd / c,
                     1.0, 0.0, two_pi_t, spec, n_max).result()
     f_g0 = _TailSum(term_gamma0, -t * dg0, 0.0,
                     wd, -wd * wd, two_pi_t, spec, n_max).result()

@@ -9,6 +9,11 @@ is what the force formulas downstream are budgeted for.
 
 Reflection to Re z <= 0 is intentionally not provided; every argument
 arising from the force expressions has the form 1 + (positive) +- i y.
+Near z = 0, psi(z) ~ -1/z and psi'(z) ~ 1/z^2 overflow, so digamma
+raises DomainError for |z| < 1e-300 and trigamma for |z| < 1e-150,
+where they would pass 1e300; log_gamma stays finite there.  trigamma
+also raises DomainError for |Im z| >= 1e306, where w * w in its shift
+loop overflows in both parts and would give NaN.
 """
 
 from __future__ import annotations
@@ -56,18 +61,31 @@ _TRIGAMMA_COEFFS = (
 
 
 _INF = math.inf
+#: the |z| below which digamma and trigamma raise DomainError, and the
+#: |Im z| from which trigamma does.
+_DIGAMMA_FLOOR = 1e-300
+_TRIGAMMA_FLOOR = 1e-150
+_TRIGAMMA_CEILING = 1e306
 # 1 as a complex: complex / complex and complex + complex skip the
 # conversion that a float operand goes through, with the same bits on
 # CPython 3.10-3.13 (which widen the float to complex(x, 0.0) first).
 _ONE = complex(1.0, 0.0)
 
 
-def _checked(z: complex | float) -> complex:
+def _checked(z: complex | float, floor: float = 0.0,
+             ceiling: float = _INF) -> complex:
+    """z as a complex with Re z > 0, both parts finite, |z| >= floor and
+    |Im z| < ceiling."""
     z = complex(z)
-    if not (0.0 < z.real < _INF and -_INF < z.imag < _INF):
+    if not (floor < z.real < _INF and -ceiling < z.imag < ceiling):
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             raise DomainError("argument must be finite")
-        raise DomainError(f"Re z must be positive, got {z!r}")
+        if z.real <= 0.0:
+            raise DomainError(f"Re z must be positive, got {z!r}")
+        if math.hypot(z.real, z.imag) < floor:
+            raise DomainError(f"|z| must be at least {floor!r}, got {z!r}")
+        if abs(z.imag) >= ceiling:
+            raise DomainError(f"|Im z| must be below {ceiling!r}, got {z!r}")
     return z
 
 
@@ -95,8 +113,8 @@ def log_gamma(z: complex | float) -> complex:
 
 
 def digamma(z: complex | float) -> complex:
-    """psi(z) = d/dz log Gamma(z) for Re z > 0."""
-    z = _checked(z)
+    """psi(z) = d/dz log Gamma(z) for Re z > 0 and |z| >= 1e-300."""
+    z = _checked(z, _DIGAMMA_FLOOR)
     shift = 0.0j
     w = z
     while w.real < _SHIFT_THRESHOLD:
@@ -109,8 +127,9 @@ def digamma(z: complex | float) -> complex:
 
 
 def trigamma(z: complex | float) -> complex:
-    """psi'(z), the derivative of digamma, for Re z > 0."""
-    z = _checked(z)
+    """psi'(z), the derivative of digamma, for Re z > 0, |z| >= 1e-150
+    and |Im z| < 1e306."""
+    z = _checked(z, _TRIGAMMA_FLOOR, _TRIGAMMA_CEILING)
     shift = 0.0j
     w = z
     while w.real < _SHIFT_THRESHOLD:

@@ -3,6 +3,11 @@
 import copy
 import hashlib
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -570,3 +575,116 @@ def test_render_json_strings_that_look_like_row_separators():
         payload_part = dict(payload, rows=payload["rows"][:count])
         assert cli._render_json(columns, rows[:count]) \
             == json.dumps(payload_part, indent=2) + "\n"
+
+
+def test_bare_value_error_is_not_a_domain_error(tmp_path, monkeypatch,
+                                               capsys):
+    # exit 3 is for the library's own errors; a bare ValueError is a bug
+    def broken_rows(cfg):
+        def row(lam, temperature):
+            raise ValueError("internal bug")
+        return row
+
+    monkeypatch.setattr(cli, "_row_function", broken_rows)
+    path = write_config(tmp_path, "c.json", oscillator_cfg())
+    for command in ("force", "sweep"):
+        with pytest.raises(ValueError, match="internal bug") as info:
+            main([command, "--config", path, "--out", str(tmp_path / "o")])
+        assert type(info.value) is ValueError
+    assert "domain error" not in capsys.readouterr().err
+
+
+# cli.main on each argv in one fresh interpreter, noting after the import
+# and after each call whether numpy has been loaded.
+_FRESH = """
+import json, sys
+import fluctforce
+steps = [["import fluctforce", "numpy" in sys.modules]]
+from fluctforce import cli
+steps.append(["import fluctforce.cli", "numpy" in sys.modules])
+for argv in json.loads(sys.argv[1]):
+    steps.append([cli.main(argv), "numpy" in sys.modules])
+print(json.dumps(steps))
+"""
+
+
+def _fresh(*argvs):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _FRESH, json.dumps(argvs)],
+                         env=env, capture_output=True, text=True, check=True,
+                         timeout=120)
+    return [tuple(step) for step in json.loads(out.stdout.splitlines()[-1])]
+
+
+_CLOSED_MODES = ("ohmic", "drude", "series", "parallel", "planar",
+                 "sphere-plate")
+
+
+def test_closed_forms_leave_numpy_unloaded(tmp_path):
+    argvs = []
+    for name in _CLOSED_MODES:
+        write_config(tmp_path, f"{name}.json", GOLDEN_CONFIGS[name])
+        cfg = copy.deepcopy(GOLDEN_CONFIGS[name])
+        cfg["parameters"].setdefault("temperature", 2.0)
+        argvs.append(["force", "--config",
+                      write_config(tmp_path, f"force-{name}.json", cfg),
+                      "--out", str(tmp_path / f"{name}.csv")])
+    for name, fmt in (("ohmic", "csv"), ("parallel", "json"),
+                      ("sphere-plate", "csv")):      # linear sweeps
+        assert GOLDEN_CONFIGS[name]["sweep"]["spacing"] == "linear"
+        argvs.append(["sweep", "--config", str(tmp_path / f"{name}.json"),
+                      "--format", fmt,
+                      "--out", str(tmp_path / f"sweep-{name}.{fmt}")])
+    steps = _fresh(*argvs)
+    assert steps == [("import fluctforce", False),
+                     ("import fluctforce.cli", False)] + [(0, False)] * 9
+    for name, fmt, digest in (("ohmic", "csv", 0), ("parallel", "json", 1),
+                              ("sphere-plate", "csv", 0)):
+        data = (tmp_path / f"sweep-{name}.{fmt}").read_bytes()
+        assert hashlib.sha256(data).hexdigest() \
+            == GOLDEN_DIGESTS[name][digest]
+
+
+@pytest.mark.parametrize("name, fmt", [("oracle", "csv"), ("drude", "json")],
+                         ids=["oracle-sweep", "log-sweep"])
+def test_numpy_sweeps_load_it_on_first_use(tmp_path, name, fmt):
+    out = tmp_path / f"o.{fmt}"
+    path = write_config(tmp_path, "c.json", GOLDEN_CONFIGS[name])
+    steps = _fresh(["sweep", "--config", path, "--format", fmt,
+                    "--out", str(out)])
+    assert steps == [("import fluctforce", False),
+                     ("import fluctforce.cli", False), (0, True)]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() \
+        == GOLDEN_DIGESTS[name][("csv", "json").index(fmt)]
+
+
+def test_validate_loads_numpy_on_first_use():
+    assert _fresh(["validate", "--suite", "paper-numbers"]) == [
+        ("import fluctforce", False), ("import fluctforce.cli", False),
+        (0, True)]
+
+
+def test_linspace_is_numpy_linspace_bit_for_bit():
+    import numpy as np
+    rng = np.random.default_rng(20261018)
+    tiny = 5e-324
+    cases = [(1.0, 2.0, 1), (1.0, 2.0, 2), (0.5, 0.5, 7), (3.0, 3.0, 1),
+             (1.0, math.nextafter(1.0, 2.0), 5),
+             (tiny, 3 * tiny, 7),                       # step underflows
+             (-tiny, tiny, 4), (0.0, 2.2e-308, 9),
+             (1.7e308, 1.7976931348623157e308, 6),
+             (-1.7e308, 1.7e308, 5),                   # delta overflows
+             (0.5, 2.0, 10**6)]
+    scales = 10.0 ** rng.uniform(-320, 308, (2000, 2))
+    signs = np.where(rng.random((2000, 2)) < 0.2, -1.0, 1.0)
+    bounds = np.sort(scales * signs, axis=1)
+    counts = rng.integers(1, 200, 2000)
+    cases += [(a, b, int(n)) for (a, b), n in zip(bounds.tolist(), counts)]
+    for start, stop, num in cases:
+        with np.errstate(over="ignore", invalid="ignore"):   # delta is inf
+            want = np.linspace(start, stop, num)
+        got = np.array(cli._linspace(start, stop, num))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), \
+            (start, stop, num)

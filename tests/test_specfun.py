@@ -79,6 +79,37 @@ def test_domain_errors():
             fn(0.0)
         with pytest.raises(DomainError):
             fn(complex("inf"))
+    # below the |z| floors psi ~ -1/z and psi' ~ 1/z^2 would overflow
+    for fn, z in ((digamma, 5e-324), (digamma, complex(1e-301, -1e-301)),
+                  (trigamma, 1e-300), (trigamma, complex(1e-300, 1e-300)),
+                  (trigamma, complex(1e-151, 5e-324))):
+        with pytest.raises(DomainError, match="must be at least"):
+            fn(z)
+    # at the floors: psi(z) ~ -1/z, psi'(z) ~ 1/z^2
+    assert digamma(1e-300).real == pytest.approx(-1e300)
+    assert trigamma(1e-150).real == pytest.approx(1e300)
+    # w * w in trigamma's shift loop overflows in both parts here
+    for z in (complex(1.0, 1e306), complex(20.0, -1e307),
+              complex(5e-324, 1.7e308)):
+        with pytest.raises(DomainError, match="must be below"):
+            trigamma(z)
+    w = trigamma(complex(1.0, 9e305))
+    assert math.isfinite(w.real) and math.isfinite(w.imag)
+    assert math.isfinite(log_gamma(5e-324).real)
+
+
+@given(st.floats(0.0, exclude_min=True, allow_infinity=False),
+       st.floats(allow_nan=False, allow_infinity=False))
+@settings(max_examples=1000, deadline=None)
+def test_finite_or_domain_error(re, im):
+    # the whole right half plane, subnormal and huge parts included
+    z = complex(re, im)
+    for fn in (digamma, trigamma):
+        try:
+            w = fn(z)
+        except DomainError:
+            continue
+        assert math.isfinite(w.real) and math.isfinite(w.imag), (fn, z, w)
 
 
 def test_recurrence_random_grid():
@@ -214,8 +245,8 @@ def _bit_grid():
 def _outcome(fn, z):
     try:
         w = fn(z)
-    except (DomainError, ZeroDivisionError) as exc:
-        return type(exc), str(exc)      # w * w underflows for tiny z
+    except DomainError as exc:
+        return type(exc), str(exc)
     return (math.copysign(1.0, w.real), math.copysign(1.0, w.imag),
             w.real.hex(), w.imag.hex())
 
@@ -224,10 +255,22 @@ def _outcome(fn, z):
                     reason="bit identity is claimed for CPython 3.10-3.13")
 @pytest.mark.parametrize("kind", ["log_gamma", "digamma", "trigamma"])
 def test_bit_identical_to_the_reference_loops(kind):
+    # Above the |z| floor the module gives the reference's bits; below
+    # it, where the reference overflows or divides by zero, DomainError.
     from fluctforce import specfun as sf
     fn, ref = getattr(sf, kind), _reference(kind)
+    floor = {"log_gamma": 0.0, "digamma": sf._DIGAMMA_FLOOR,
+             "trigamma": sf._TRIGAMMA_FLOOR}[kind]
     bad = [0.0, -0.0, -1.5, complex(-0.0, 1.0), complex(0.0, -0.0),
            complex(math.nan, 1.0), complex(1.0, math.inf),
            complex(-math.inf, 0.0), math.nan]
+    below = 0
     for z in _bit_grid() + bad:
-        assert _outcome(fn, z) == _outcome(ref, z), z
+        c = complex(z)
+        if c.real > 0.0 and math.hypot(c.real, c.imag) < floor:
+            below += 1
+            with pytest.raises(DomainError):
+                fn(z)
+        else:
+            assert _outcome(fn, z) == _outcome(ref, z), z
+    assert (below > 0) == (floor > 0.0)

@@ -108,11 +108,12 @@ BAD = [
      "mass must be finite and > 0"),
     (OscillatorParams, (-1.0, Ohmic(0.1), -1.0, -1.0), DomainError,
      "omega0 must be finite and > 0"),
-    (PlanarCapacitor, (1e-4, 0.0), ValueError,
+    (PlanarCapacitor, (1e-4, 0.0), DomainError,
      "area, gap and epsilon must be positive"),
-    (PlanarCapacitor, (1e-4, 1e-6, -2.0), ValueError,
+    (PlanarCapacitor, (1e-4, 1e-6, -2.0), DomainError,
      "area, gap and epsilon must be positive"),
-    (SpherePlate, (0.0, 1e-6), ValueError, "radius and gap must be positive"),
+    (SpherePlate, (0.0, 1e-6), DomainError,
+     "radius and gap must be positive"),
 ]
 
 
