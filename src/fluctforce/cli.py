@@ -441,11 +441,13 @@ def _cmd_rows(args) -> int:
 
 def _cmd_validate(args) -> int:
     from . import validation
-    try:
-        reports = validation.run_suite(args.suite, n_max=args.n_max)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
+    if args.suite not in validation.SUITE_NAMES:
+        print(f"unknown suite {args.suite!r}; choose from "
+              f"{validation.SUITE_NAMES}", file=sys.stderr)
         return 2
+    if args.n_max < 1:
+        raise ConfigError("--n-max must be >= 1")
+    reports = validation.run_suite(args.suite, n_max=args.n_max)
     ok = True
     for report in reports:
         print(report.line())

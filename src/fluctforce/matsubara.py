@@ -12,14 +12,16 @@ series directly.  Conventions:
   CLI runs its rows the same way.
 * A chunk is not computed as one array.  Its pairwise sum is split
   exactly where numpy's np.sum would split it, down to leaves of at most
-  _LEAF terms, and each leaf is computed in place and summed by np.sum,
-  so the value is bit for bit np.sum of the whole chunk.  Each summand is
-  a leaf function term(w, a, b, c): w holds the leaf's omega_n, a, b and
-  c are scratch of the same length, and it returns the array holding its
-  values.  The leaf buffers are allocated once per thread and reused: a
-  fresh temporary of 128 KiB or more is mmapped by the C allocator and
-  page-faulted anew on every call, which used to cost more than the
-  arithmetic.
+  _LEAF terms, and each leaf is computed in place and summed by
+  np.add.reduce (the pairwise loop np.sum runs, without its Python
+  wrapper), so the value is bit for bit np.sum of the whole chunk.  The
+  split does not depend on _LEAF, so neither does the value.  Each
+  summand is a leaf function term(w, a, b, c): w holds the leaf's
+  omega_n, a, b and c are scratch of the same length, and it returns the
+  array holding its values.  The leaf buffers (1.25 MiB, within a 2 MiB
+  L2 cache) are allocated once per thread and reused: a fresh temporary
+  of 128 KiB or more is mmapped by the C allocator and page-faulted anew
+  on every call, which used to cost more than the arithmetic.
 * numpy is imported inside the functions that sum, not by this module,
   so that importing fluctforce (and running the closed forms) does not
   load it.
@@ -45,8 +47,9 @@ from .oscillator import Drude, Ohmic, OscillatorParams, ParametricModel
 
 _CHUNK = 1 << 19
 #: longest run of terms computed at once: the ramp and four leaf buffers
-#: take 640 KiB, less than the L2 cache of a current x86 core.
-_LEAF = 1 << 14
+#: take 1.25 MiB, within a 2 MiB per-core L2 cache.  Twice as long, the
+#: five-buffer leaves spill L2 and each term costs more.
+_LEAF = 1 << 15
 
 _scratch = threading.local()
 
@@ -74,28 +77,34 @@ class SumSpec:
 
 @dataclass(frozen=True)
 class OracleResult:
+    """An oracle value.  capped is true when the requested or auto-scaled
+    term count exceeded SumSpec.hard_cap and n_used was cut to the cap."""
+
     value: float
     truncation_estimate: float
     n_used: int
+    capped: bool = False
 
 
-def _effective_n_max(spec: SumSpec, scale: float, temperature: float) -> int:
+def _requested_n_max(spec: SumSpec, scale: float, temperature: float) -> int:
+    """spec.n_max, raised by auto-scaling, before the hard cap."""
     n = spec.n_max
     if spec.auto_scale and temperature > 0.0:
         need = int(math.ceil(_AUTO_SCALE_FACTOR * scale / temperature))
         n = max(n, need)
-    return min(n, spec.hard_cap)
+    return n
 
 
-def _leaf_buffers() -> tuple[np.ndarray, ...]:
-    """This thread's leaf scratch (ramp 0.._LEAF-1, w, a, b, c), allocated
-    on its first sum and reused by every later one."""
+def _leaf_buffers() -> tuple:
+    """This thread's leaf scratch (ramp 0.._LEAF-1, w, a, b, c) and the
+    ufuncs a leaf applies to it (np.add and np.add.reduce), built on its
+    first sum and reused by every later one."""
     try:
         return _scratch.buffers
     except AttributeError:
         import numpy as np
         _scratch.buffers = (np.arange(_LEAF, dtype=np.float64),) + tuple(
-            np.empty(_LEAF) for _ in range(4))
+            np.empty(_LEAF) for _ in range(4)) + (np.add, np.add.reduce)
         return _scratch.buffers
 
 
@@ -110,12 +119,11 @@ def _pairwise_sum(term, two_pi_t: float, n_from: int, count: int) -> float:
         half -= half % 8
         return (_pairwise_sum(term, two_pi_t, n_from, half)
                 + _pairwise_sum(term, two_pi_t, n_from + half, count - half))
-    import numpy as np
-    ramp, *buffers = _leaf_buffers()
-    w, a, b, c = (buf[:count] for buf in buffers)
-    np.add(ramp[:count], n_from, out=w)
+    ramp, w, a, b, c, add, reduce = _leaf_buffers()
+    w = w[:count]
+    add(ramp[:count], n_from, out=w)
     w *= two_pi_t
-    return float(np.sum(term(w, a, b, c)))
+    return float(reduce(term(w, a[:count], b[:count], c[:count])))
 
 
 def _chunked_sum(term, two_pi_t: float, n_from: int, n_to: int) -> float:
@@ -149,7 +157,9 @@ class _TailSum:
 
     def __init__(self, term, prefactor: float, head: float,
                  c2: float, c3: float, two_pi_t: float, spec: SumSpec,
-                 n_max: int):
+                 n_req: int):
+        n_max = min(n_req, spec.hard_cap)
+        self.capped = n_req > n_max
         self.partial_half, self.partial_full = _split_sum(term, two_pi_t,
                                                           n_max)
         self.prefactor = prefactor
@@ -171,7 +181,7 @@ class _TailSum:
     def result(self) -> OracleResult:
         full = self._value(self.n_max, self.partial_full)
         half = self._value(self.n_max // 2, self.partial_half)
-        return OracleResult(full, abs(full - half), self.n_max)
+        return OracleResult(full, abs(full - half), self.n_max, self.capped)
 
 
 def force_sum_exact(p: OscillatorParams, m: ParametricModel, lam: float,
@@ -232,9 +242,9 @@ def force_sum_exact(p: OscillatorParams, m: ParametricModel, lam: float,
         c2 = 2.0 * om * dom + dg0 * wd + g0 * dwd
         c3 = -(dg0 * wd * wd + 2.0 * g0 * dwd * wd)
 
-    n_max = _effective_n_max(spec, scale, t)
+    n_req = _requested_n_max(spec, scale, t)
     head = 0.5 * 2.0 * dom / om
-    return _TailSum(term, -t, head, c2, c3, two_pi_t, spec, n_max).result()
+    return _TailSum(term, -t, head, c2, c3, two_pi_t, spec, n_req).result()
 
 
 def free_energy_difference(p1: OscillatorParams, p2: OscillatorParams,
@@ -283,9 +293,9 @@ def free_energy_difference(p1: OscillatorParams, p2: OscillatorParams,
 
         c3 = 0.0
 
-    n_max = _effective_n_max(spec, scale, t)
+    n_req = _requested_n_max(spec, scale, t)
     head = 0.5 * math.log1p(delta / (om1 * om1))
-    return _TailSum(term, t, head, delta, c3, two_pi_t, spec, n_max).result()
+    return _TailSum(term, t, head, delta, c3, two_pi_t, spec, n_req).result()
 
 
 def free_energy_drude(p: OscillatorParams, spec: SumSpec = SumSpec(),
@@ -343,9 +353,9 @@ def free_energy_drude(p: OscillatorParams, spec: SumSpec = SumSpec(),
         c2 = om * om + g0 * wd - g0 * g0
         c3 = -g0 * (wd * wd - g0 * wd + om * om)
 
-    n_max = _effective_n_max(spec, max(om, g0, wd), t)
+    n_req = _requested_n_max(spec, max(om, g0, wd), t)
     head = math.log(om / t)
-    return _TailSum(term, t, head, c2, c3, two_pi_t, spec, n_max).result()
+    return _TailSum(term, t, head, c2, c3, two_pi_t, spec, n_req).result()
 
 
 def central_difference(energy_of: Callable[[float], float],
@@ -404,7 +414,7 @@ def per_parameter_sums_drude(p: OscillatorParams, m: ParametricModel,
     om, g0, wd = p.omega0, p.damping.gamma0, p.damping.omega_d
     dom, dg0, dwd = m.derivatives_at(lam)
     two_pi_t = 2.0 * math.pi * t
-    n_max = _effective_n_max(spec, max(om, g0, wd), t)
+    n_req = _requested_n_max(spec, max(om, g0, wd), t)
     b = om * om + g0 * wd
     c = om * om * wd
 
@@ -437,11 +447,11 @@ def per_parameter_sums_drude(p: OscillatorParams, m: ParametricModel,
 
     pref_om = -2.0 * t * om * dom
     f_om = _TailSum(term_omega, pref_om, 0.5 * wd / c,
-                    1.0, 0.0, two_pi_t, spec, n_max).result()
+                    1.0, 0.0, two_pi_t, spec, n_req).result()
     f_g0 = _TailSum(term_gamma0, -t * dg0, 0.0,
-                    wd, -wd * wd, two_pi_t, spec, n_max).result()
+                    wd, -wd * wd, two_pi_t, spec, n_req).result()
     f_w1 = _TailSum(term_wd1, -t * dwd, 0.0,
-                    g0, -g0 * wd, two_pi_t, spec, n_max).result()
+                    g0, -g0 * wd, two_pi_t, spec, n_req).result()
     f_w2 = _TailSum(term_wd2, t * dwd, 0.0,
-                    0.0, wd * g0, two_pi_t, spec, n_max).result()
+                    0.0, wd * g0, two_pi_t, spec, n_req).result()
     return PerParameterSums(f_om, f_g0, f_w1, f_w2)

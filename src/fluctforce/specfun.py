@@ -13,7 +13,10 @@ Near z = 0, psi(z) ~ -1/z and psi'(z) ~ 1/z^2 overflow, so digamma
 raises DomainError for |z| < 1e-300 and trigamma for |z| < 1e-150,
 where they would pass 1e300; log_gamma stays finite there.  trigamma
 also raises DomainError for |Im z| >= 1e306, where w * w in its shift
-loop overflows in both parts and would give NaN.
+loop overflows in both parts and would give NaN.  log_gamma raises
+DomainError where log Gamma(z) ~ z log z itself passes the largest
+float, which starts near |z| = 2.5e305 (log_gamma(2.6e305) and
+log_gamma(1e-300 + 1e308j) would be infinite).
 """
 
 from __future__ import annotations
@@ -100,7 +103,8 @@ def _horner_even(coeffs: tuple[float, ...], inv_w2: complex) -> complex:
 
 
 def log_gamma(z: complex | float) -> complex:
-    """Principal-branch log Gamma(z) for Re z > 0."""
+    """Principal-branch log Gamma(z) for Re z > 0 where it is finite
+    (|z| below about 2.5e305)."""
     z = _checked(z)
     shift = 0.0j
     w = z
@@ -109,7 +113,11 @@ def log_gamma(z: complex | float) -> complex:
         w += _ONE
     inv_w = _ONE / w
     series = inv_w * _horner_even(_LOG_GAMMA_COEFFS, inv_w * inv_w)
-    return (w - 0.5) * cmath.log(w) - w + _HALF_LOG_TWO_PI + series - shift
+    value = ((w - 0.5) * cmath.log(w) - w + _HALF_LOG_TWO_PI + series
+             - shift)
+    if not cmath.isfinite(value):
+        raise DomainError(f"log Gamma overflows at {z!r}")
+    return value
 
 
 def digamma(z: complex | float) -> complex:

@@ -267,6 +267,25 @@ def test_validate_unknown_suite():
     assert main(["validate", "--suite", "does-not-exist"]) == 2
 
 
+def test_validate_criterion_value_error_is_not_a_usage_error(monkeypatch):
+    # a fault inside a criterion propagates; it is not an unknown suite
+    from fluctforce import validation
+
+    def broken():
+        raise ValueError("criterion fault")
+
+    monkeypatch.setattr(validation, "criterion_planar_weights", broken)
+    with pytest.raises(ValueError, match="criterion fault"):
+        main(["validate", "--suite", "paper-numbers"])
+
+
+@pytest.mark.parametrize("suite", ["ohmic-oracle", "drude-fd", "asymptotics",
+                                   "circuits", "paper-numbers"])
+def test_validate_n_max_below_one_is_config_error(suite, capsys):
+    assert main(["validate", "--suite", suite, "--n-max", "0"]) == 2
+    assert "--n-max must be >= 1" in capsys.readouterr().err
+
+
 def test_divergent_sum_exit_code(tmp_path):
     # Ohmic damping with lambda-dependent gamma0 and the oracle enabled
     cfg = oscillator_cfg(oracle={"enabled": True, "n_max": 10_000})

@@ -63,6 +63,27 @@ def test_requires_positive_temperature():
         force_sum_exact(p, m, 1.0)
 
 
+def test_cap_status():
+    # T = 1e-3 auto-scales to 5 * 1 / 1e-3 = 5000 terms
+    p = OscillatorParams(1.0, Ohmic(0.5), 1e-3)
+    m = linear_model(1.0, dom=1.0, g0=0.5)
+    free = force_sum_exact(p, m, 1.0, SumSpec(n_max=100, hard_cap=5_000))
+    assert (free.n_used, free.capped) == (5_000, False)
+    cut = force_sum_exact(p, m, 1.0, SumSpec(n_max=100, hard_cap=4_999))
+    assert (cut.n_used, cut.capped) == (4_999, True)
+    # a requested n_max above the cap, auto-scaling off
+    over = SumSpec(n_max=2_000, auto_scale=False, hard_cap=1_000)
+    assert force_sum_exact(p, m, 1.0, over).capped
+    sums = per_parameter_sums_drude(OscillatorParams(1.0, Drude(0.5, 2.0),
+                                                     1e-3),
+                                    linear_model(1.0, 1.0, 0.5, 0.0, 2.0),
+                                    1.0, over)
+    assert all(part.capped and part.n_used == 1_000
+               for part in (sums.f_omega, sums.f_gamma0, sums.f_omega_d_1,
+                            sums.f_omega_d_2))
+    assert not finite_difference_force(lambda lam: lam * lam, 1.0).capped
+
+
 def test_tail_estimate_bounds_doubling():
     rng = np.random.default_rng(2024)
     for _ in range(100):
@@ -344,8 +365,11 @@ def _reference_terms():
 
 REFERENCE_TERMS = _reference_terms()
 LEAF, CHUNK = matsubara._LEAF, matsubara._CHUNK
+# the last four put leaves at and just past LEAF after numpy's
+# multiple-of-8 rounding of each pairwise split
 LENGTHS = (1, 7, 8, 9, 127, 128, 129, LEAF - 1, LEAF, LEAF + 1,
-           CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5)
+           CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5,
+           2 * LEAF, 2 * LEAF + 8, 2 * LEAF + 16, 4 * LEAF - 8)
 
 
 def leaves_of(call):

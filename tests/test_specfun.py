@@ -96,6 +96,11 @@ def test_domain_errors():
     w = trigamma(complex(1.0, 9e305))
     assert math.isfinite(w.real) and math.isfinite(w.imag)
     assert math.isfinite(log_gamma(5e-324).real)
+    # log Gamma(z) ~ z log z passes the largest float
+    for z in (2.6e305, complex(1e-300, 1e308), complex(1.0, 1.7e308)):
+        with pytest.raises(DomainError, match="overflows"):
+            log_gamma(z)
+    assert log_gamma(2.5e305).real == pytest.approx(1.7555e308, rel=1e-4)
 
 
 @given(st.floats(0.0, exclude_min=True, allow_infinity=False),
@@ -104,7 +109,7 @@ def test_domain_errors():
 def test_finite_or_domain_error(re, im):
     # the whole right half plane, subnormal and huge parts included
     z = complex(re, im)
-    for fn in (digamma, trigamma):
+    for fn in (digamma, trigamma, log_gamma):
         try:
             w = fn(z)
         except DomainError:
