@@ -12,9 +12,6 @@ from .forces import (ForceResult, force_drude_full, force_drude_high_t,
                      force_ohmic_exact, force_ohmic_high_t,
                      force_ohmic_low_t, force_ohmic_weak_dissipation,
                      force_tilde, free_energy_drude_gamma)
-from .matsubara import (OracleResult, SumSpec, finite_difference_force,
-                        force_sum_exact, free_energy_difference,
-                        free_energy_drude, per_parameter_sums_drude)
 from .oscillator import (DampingModel, Drude, Eigenfrequencies, Ohmic,
                          OscillatorParams, ParametricModel,
                          damping_at_matsubara, eigenfrequencies_drude_approx,
@@ -38,3 +35,22 @@ __all__ = [
     "log_gamma", "per_parameter_sums_drude", "power_law_model", "trigamma",
     "__version__",
 ]
+
+# The Matsubara oracles load on first use (PEP 562), so that importing
+# the package, and running the closed forms, neither builds them nor
+# imports numpy.
+_MATSUBARA = frozenset({
+    "OracleResult", "SumSpec", "finite_difference_force", "force_sum_exact",
+    "free_energy_difference", "free_energy_drude", "per_parameter_sums_drude",
+})
+
+
+def __getattr__(name):
+    if name in _MATSUBARA:
+        from . import matsubara
+        return getattr(matsubara, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _MATSUBARA)

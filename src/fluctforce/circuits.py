@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from ._value import Frozen
 from .constants import C_LIGHT, EPSILON_0, HBAR, K_B, ZETA_3
 from .errors import DomainError, PreconditionError
 from .forces import (ForceResult, force_ohmic_exact, force_ohmic_high_t,
@@ -37,9 +38,20 @@ EDGE_EFFECT_RATIO = 0.1
 
 _REGIMES = ("exact", "weak-dissipation", "high-T", "low-T")
 
+# The closed forms below return finite numbers or raise DomainError.
+# As in oscillator.power_law, a power of a length that overflows or
+# underflows to a zero divisor counts as an infinite result, and results
+# are checked by chained comparisons against _INF, which NaN also fails
+# and which, unlike a function call, costs next to nothing per row.
+_INF = math.inf
 
-@dataclass(frozen=True)
-class ElementLaw:
+
+def _not_finite(what: str) -> DomainError:
+    return DomainError(f"{what} is not a finite number for these inputs")
+
+
+@dataclass(repr=False, eq=False)
+class ElementLaw(Frozen):
     """A circuit element value as a function of the sweep parameter."""
 
     value: Callable[[float], float]
@@ -63,8 +75,8 @@ def _as_law(x) -> ElementLaw:
     return constant_element(float(x))
 
 
-@dataclass(frozen=True)
-class SeriesRLC:
+@dataclass(repr=False, eq=False)
+class SeriesRLC(Frozen):
     """Series loop; element_size is an optional advisory length used to
     check the lumped-element condition R/L << c/r0."""
 
@@ -84,8 +96,8 @@ class SeriesRLC:
                    _as_law(capacitance), element_size)
 
 
-@dataclass(frozen=True)
-class ParallelRLC:
+@dataclass(repr=False, eq=False)
+class ParallelRLC(Frozen):
     resistance: ElementLaw
     inductance: ElementLaw
     capacitance: ElementLaw
@@ -105,8 +117,8 @@ class ParallelRLC:
 # a hand-written __init__ and write them straight into the instance dict.
 
 
-@dataclass(frozen=True, init=False)
-class PlanarCapacitor:
+@dataclass(repr=False, eq=False, init=False)
+class PlanarCapacitor(Frozen):
     """Parallel plates: contact area, gap, relative permittivity."""
 
     area: float
@@ -122,8 +134,8 @@ class PlanarCapacitor:
         d["epsilon"] = epsilon
 
 
-@dataclass(frozen=True, init=False)
-class SpherePlate:
+@dataclass(repr=False, eq=False, init=False)
+class SpherePlate(Frozen):
     """Sphere of radius `radius` above a plate at minimum gap `gap`."""
 
     radius: float
@@ -132,6 +144,8 @@ class SpherePlate:
     def __init__(self, radius: float, gap: float):
         if radius <= 0.0 or gap <= 0.0:
             raise DomainError("radius and gap must be positive")
+        if not radius / gap < _INF:
+            raise DomainError("radius / gap must be finite")
         d = self.__dict__
         d["radius"] = radius
         d["gap"] = gap
@@ -199,7 +213,10 @@ def map_parallel(c: ParallelRLC) -> ParametricModel:
 def capacitance_planar(g: PlanarCapacitor) -> tuple[float, float]:
     """(C, dC/dd) of an ideal parallel-plate capacitor, SI."""
     cap = EPSILON_0 * g.epsilon * g.area / g.gap
-    return cap, -cap / g.gap
+    dcap = -cap / g.gap
+    if -_INF < dcap < _INF:     # and so is C = -d dC/dd
+        return cap, dcap
+    raise _not_finite("dC/dd")
 
 
 def capacitance_sphere_plate(g: SpherePlate) -> tuple[float, float]:
@@ -211,15 +228,34 @@ def capacitance_sphere_plate(g: SpherePlate) -> tuple[float, float]:
     """
     ratio = g.radius / g.gap
     cap = 4.0 * math.pi * EPSILON_0 * g.radius * (1.0 + 0.5 * math.log1p(ratio))
-    dcap = -2.0 * math.pi * EPSILON_0 * g.radius ** 2 / (
-        g.gap ** 2 * (1.0 + ratio))
-    return cap, dcap
+    try:
+        dcap = -2.0 * math.pi * EPSILON_0 * g.radius ** 2 / (
+            g.gap ** 2 * (1.0 + ratio))
+    except (OverflowError, ZeroDivisionError):
+        dcap = -_INF
+    if -_INF < dcap < _INF:     # C is finite: SpherePlate bounds R/d
+        return cap, dcap
+    raise _not_finite("dC/dd")
 
 
 def planar_capacitance_law(area: float, epsilon: float = 1.0) -> ElementLaw:
     """C(d) = eps0 * epsilon * area / d as an ElementLaw over the gap."""
     coeff = EPSILON_0 * epsilon * area
-    return ElementLaw(lambda d: coeff / d, lambda d: -coeff / (d * d))
+
+    def value(d: float) -> float:
+        cap = coeff / d if d else _INF
+        if -_INF < cap < _INF:
+            return cap
+        raise _not_finite("C")
+
+    def derivative(d: float) -> float:
+        d2 = d * d
+        dcap = -coeff / d2 if d2 else -_INF
+        if -_INF < dcap < _INF:
+            return dcap
+        raise _not_finite("dC/dd")
+
+    return ElementLaw(value, derivative)
 
 
 def sphere_plate_capacitance_law(radius: float) -> ElementLaw:
@@ -315,6 +351,8 @@ def rlc_force_at(c: SeriesRLC | ParallelRLC, model: ParametricModel,
     hbar_out, t_freq = units_factors(temperature, units)
     p = model.params_at(lam, t_freq)
     res = _OHMIC_DISPATCH[regime](p, model.d_omega(lam))
+    if not -_INF < res.value < _INF:
+        raise _not_finite("the circuit force")
     return scale_result(res, hbar_out,
                         _element_size_warnings(c, p.damping.gamma0, units))
 
@@ -340,9 +378,16 @@ def planar_rlc_low_t_weak(g: PlanarCapacitor, inductance: float,
     f = -hbar / (4 sqrt(eps0 eps L S d)) + hbar R / (4 pi L d), valid for
     R^2 << 4 L d / (eps0 eps S) and T << hbar Omega / (2 pi k_B).
     """
+    _check_positive("inductance", inductance)
     s, d, eps = g.area, g.gap, g.epsilon
-    return (-HBAR / (4.0 * math.sqrt(EPSILON_0 * eps * inductance * s * d))
-            + HBAR * resistance / (4.0 * math.pi * inductance * d))
+    try:
+        value = (-HBAR / (4.0 * math.sqrt(EPSILON_0 * eps * inductance * s * d))
+                 + HBAR * resistance / (4.0 * math.pi * inductance * d))
+    except ZeroDivisionError:
+        value = -_INF
+    if -_INF < value < _INF:
+        return value
+    raise _not_finite("the low-temperature weak-dissipation force")
 
 
 def planar_rlc_low_t_strong(g: PlanarCapacitor, inductance: float,
@@ -351,10 +396,19 @@ def planar_rlc_low_t_strong(g: PlanarCapacitor, inductance: float,
 
     f = -hbar / (2 pi eps0 eps S R) * log(eps0 eps S R^2 / (L d)).
     """
+    _check_positive("inductance", inductance)
+    _check_positive("resistance", resistance)
     s, d, eps = g.area, g.gap, g.epsilon
-    return (-HBAR / (2.0 * math.pi * EPSILON_0 * eps * s * resistance)
-            * math.log(EPSILON_0 * eps * s * resistance ** 2
-                       / (inductance * d)))
+    try:
+        value = (-HBAR / (2.0 * math.pi * EPSILON_0 * eps * s * resistance)
+                 * math.log(EPSILON_0 * eps * s * resistance ** 2
+                            / (inductance * d)))
+    except (OverflowError, ZeroDivisionError, ValueError):
+        # ValueError: the logarithm's argument underflowed to 0
+        value = -_INF
+    if -_INF < value < _INF:
+        return value
+    raise _not_finite("the low-temperature strong-dissipation force")
 
 
 def _thermal_wavelength_ratio(temperature: float, gap: float) -> float:
@@ -379,25 +433,32 @@ def casimir_reference(geometry, temperature: float, regime: str) -> ForceResult:
     x = _thermal_wavelength_ratio(temperature, geometry.gap)
     if 0.1 <= x <= 10.0:
         warnings = (WARN_REGIME_AMBIGUOUS,)
-    if isinstance(geometry, PlanarCapacitor):
-        s, d = geometry.area, geometry.gap
-        if d * d / s > EDGE_EFFECT_RATIO:
-            warnings = warnings + (WARN_EDGE_EFFECTS,)
-        if regime == "low-T":
-            value = -math.pi ** 2 * HBAR * C_LIGHT * s / (240.0 * d ** 4)
+    try:
+        if isinstance(geometry, PlanarCapacitor):
+            s, d = geometry.area, geometry.gap
+            if d * d / s > EDGE_EFFECT_RATIO:
+                warnings = warnings + (WARN_EDGE_EFFECTS,)
+            if regime == "low-T":
+                value = -math.pi ** 2 * HBAR * C_LIGHT * s / (240.0 * d ** 4)
+            else:
+                value = -ZETA_3 * K_B * temperature * s / (
+                    8.0 * math.pi * d ** 3)
+        elif isinstance(geometry, SpherePlate):
+            r, d = geometry.radius, geometry.gap
+            if d > r:
+                warnings = warnings + (WARN_SPHERE_INTERP,)
+            if regime == "low-T":
+                value = -math.pi ** 3 * HBAR * C_LIGHT * r / (360.0 * d ** 3)
+            else:
+                value = -ZETA_3 * K_B * temperature * r / (8.0 * d ** 2)
         else:
-            value = -ZETA_3 * K_B * temperature * s / (8.0 * math.pi * d ** 3)
-    elif isinstance(geometry, SpherePlate):
-        r, d = geometry.radius, geometry.gap
-        if d > r:
-            warnings = warnings + (WARN_SPHERE_INTERP,)
-        if regime == "low-T":
-            value = -math.pi ** 3 * HBAR * C_LIGHT * r / (360.0 * d ** 3)
-        else:
-            value = -ZETA_3 * K_B * temperature * r / (8.0 * d ** 2)
-    else:
-        raise PreconditionError("geometry must be PlanarCapacitor or SpherePlate")
-    return ForceResult(value, regime, warnings)
+            raise PreconditionError(
+                "geometry must be PlanarCapacitor or SpherePlate")
+    except (OverflowError, ZeroDivisionError):
+        value = -_INF
+    if -_INF < value < _INF:
+        return ForceResult(value, regime, warnings)
+    raise _not_finite("the Casimir reference force")
 
 
 def sphere_plate_circuit_force(g: SpherePlate, inductance: float,
@@ -418,13 +479,19 @@ def sphere_plate_circuit_force(g: SpherePlate, inductance: float,
     d, r = g.gap, g.radius
     bracket = 1.0 + 0.5 * math.log1p(r / d)
     geom = d * (1.0 + d / r) * bracket
-    if regime == "low-T":
-        cap, _ = capacitance_sphere_plate(g)
-        omega_lc = 1.0 / math.sqrt(inductance * cap)
-        value = -HBAR * omega_lc / (8.0 * geom)
-    else:
-        value = -K_B * temperature / (4.0 * geom)
-    return ForceResult(value, regime, warnings)
+    try:
+        if regime == "low-T":
+            _check_positive("inductance", inductance)
+            cap, _ = capacitance_sphere_plate(g)
+            omega_lc = 1.0 / math.sqrt(inductance * cap)
+            value = -HBAR * omega_lc / (8.0 * geom)
+        else:
+            value = -K_B * temperature / (4.0 * geom)
+    except ZeroDivisionError:
+        value = -_INF
+    if -_INF < value < _INF:
+        return ForceResult(value, regime, warnings)
+    raise _not_finite("the sphere-plate circuit force")
 
 
 def relative_weight(geometry, circuit: SeriesRLC, temperature: float,
@@ -446,20 +513,35 @@ def relative_weight(geometry, circuit: SeriesRLC, temperature: float,
     if regime not in ("low-T", "high-T"):
         raise DomainError("regime must be 'low-T' or 'high-T'")
     del temperature
-    if isinstance(geometry, PlanarCapacitor):
-        s, d = geometry.area, geometry.gap
-        if regime == "high-T":
-            return 4.0 * math.pi * d * d / (ZETA_3 * s)
-        inductance = circuit.inductance.value(d)
-        omega_lc = math.sqrt(d / (EPSILON_0 * geometry.epsilon * inductance * s))
-        return (60.0 / math.pi ** 2) * (omega_lc * d / C_LIGHT) * (d * d / s)
-    if isinstance(geometry, SpherePlate):
-        r, d = geometry.radius, geometry.gap
-        bracket = (r / d + 1.0) * (1.0 + 0.5 * math.log1p(r / d))
-        if regime == "high-T":
-            return (2.0 / ZETA_3) / bracket
-        inductance = circuit.inductance.value(d)
-        cap, _ = capacitance_sphere_plate(geometry)
-        omega_lc = 1.0 / math.sqrt(inductance * cap)
-        return (omega_lc * d / C_LIGHT) * (45.0 / math.pi ** 3) / bracket
-    raise PreconditionError("geometry must be PlanarCapacitor or SpherePlate")
+    try:
+        if isinstance(geometry, PlanarCapacitor):
+            s, d = geometry.area, geometry.gap
+            if regime == "high-T":
+                weight = 4.0 * math.pi * d * d / (ZETA_3 * s)
+            else:
+                inductance = _check_positive("inductance",
+                                             circuit.inductance.value(d))
+                omega_lc = math.sqrt(d / (EPSILON_0 * geometry.epsilon
+                                          * inductance * s))
+                weight = (60.0 / math.pi ** 2) * (omega_lc * d / C_LIGHT) \
+                    * (d * d / s)
+        elif isinstance(geometry, SpherePlate):
+            r, d = geometry.radius, geometry.gap
+            bracket = (r / d + 1.0) * (1.0 + 0.5 * math.log1p(r / d))
+            if regime == "high-T":
+                weight = (2.0 / ZETA_3) / bracket
+            else:
+                inductance = _check_positive("inductance",
+                                             circuit.inductance.value(d))
+                cap, _ = capacitance_sphere_plate(geometry)
+                omega_lc = 1.0 / math.sqrt(inductance * cap)
+                weight = (omega_lc * d / C_LIGHT) * (45.0 / math.pi ** 3) \
+                    / bracket
+        else:
+            raise PreconditionError(
+                "geometry must be PlanarCapacitor or SpherePlate")
+    except ZeroDivisionError:
+        weight = _INF
+    if -_INF < weight < _INF:
+        return weight
+    raise _not_finite("the relative weight")

@@ -19,11 +19,13 @@ Exit codes: 0 success, 2 config error, 3 domain/precondition violation
 (the library's DomainError, PreconditionError and DivergentSumError),
 4 validation failure.
 
-Importing this module does not load numpy, and neither does `force` or
-a linear closed-form sweep (linear points come from _linspace, which
-gives np.linspace's bits).  Three things load it on first use: the
-Matsubara oracle, log spacing (np.geomspace, whose power and log10 are
-numpy's own and differ in bits from libm's) and `validate`.
+Importing this module loads neither numpy nor the Matsubara oracles,
+and neither does `force` or a linear closed-form sweep (linear points
+come from _linspace, which gives np.linspace's bits).  The oracles
+(matsubara, and with them numpy) load on first use in a config with
+the oracle enabled and in `validate`; numpy alone loads for log spacing
+(np.geomspace, whose power and log10 are numpy's own and differ in bits
+from libm's).
 """
 
 from __future__ import annotations
@@ -33,12 +35,14 @@ import functools
 import json
 import math
 import sys
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from . import circuits, forces, matsubara
+from . import circuits, forces
 from .errors import DivergentSumError, DomainError, PreconditionError
-from .matsubara import SumSpec
 from .oscillator import ParametricModel, power_law
+
+if TYPE_CHECKING:
+    from .matsubara import SumSpec
 
 SCHEMA = "fluctforce/1"
 
@@ -198,6 +202,7 @@ def _oracle_spec(cfg: dict) -> SumSpec | None:
     n_max = _number(oracle.get("n_max", 100_000), "n_max", int)
     if n_max < 1:
         raise ConfigError("oracle n_max must be >= 1")
+    from .matsubara import SumSpec
     return SumSpec(n_max=n_max)
 
 
@@ -323,6 +328,8 @@ def _row_function(cfg: dict):
     else:
         model, force_at = _loop(params, units, mode == "series-rlc")
     spec = _oracle_spec(cfg)
+    if spec is not None:
+        from . import matsubara
 
     def row(lam: float, temperature: float) -> dict:
         res = force_at(lam, temperature)

@@ -27,7 +27,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import PreconditionError
+from ._value import Frozen
+from .errors import DomainError, PreconditionError
 from .oscillator import Drude, Ohmic, OscillatorParams, ParametricModel, \
     WARN_DRUDE_APPROX
 from .specfun import digamma, log_gamma, trigamma
@@ -53,8 +54,8 @@ WARN_DRUDE_HIGH_T = "drude-high-temperature-guard"
 WARN_IM_RESIDUAL = "imaginary-residual"
 
 
-@dataclass(frozen=True, init=False)
-class ForceResult:
+@dataclass(repr=False, eq=False, init=False)
+class ForceResult(Frozen):
     """A force value plus its provenance.
 
     components, when present, splits the value by driving parameter:
@@ -106,7 +107,13 @@ def _log_quotient(om: float, g: float) -> complex:
     if abs(d) <= CRITICAL_DAMPING_CUT * om * om:
         c = 0.5 * g
         return 1j * (2.0 / c) * (1.0 - d / (3.0 * c * c))
-    return (cmath.log(i_w1) - cmath.log(i_w2)) / sq
+    try:
+        return (cmath.log(i_w1) - cmath.log(i_w2)) / sq
+    except ValueError:
+        # Omega^2 is so far below gamma^2/4 that i omega2 rounds to 0
+        raise DomainError("the low-temperature force takes log(i omega2), "
+                          "and i omega2 rounds to 0 at this overdamping") \
+            from None
 
 
 def _realize(value_c: complex, regime: str, warnings: tuple[str, ...],

@@ -42,6 +42,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable
 
+from ._value import Frozen
 from .errors import DivergentSumError, DomainError, PreconditionError
 from .oscillator import Drude, Ohmic, OscillatorParams, ParametricModel
 
@@ -59,8 +60,8 @@ _scratch = threading.local()
 _AUTO_SCALE_FACTOR = 5.0
 
 
-@dataclass(frozen=True)
-class SumSpec:
+@dataclass(repr=False, eq=False)
+class SumSpec(Frozen):
     """Controls for truncated Matsubara sums."""
 
     n_max: int = 100_000
@@ -75,8 +76,8 @@ class SumSpec:
             raise DomainError("tail must be 'integral' or 'none'")
 
 
-@dataclass(frozen=True)
-class OracleResult:
+@dataclass(repr=False, eq=False, init=False)
+class OracleResult(Frozen):
     """An oracle value.  capped is true when the requested or auto-scaled
     term count exceeded SumSpec.hard_cap and n_used was cut to the cap."""
 
@@ -84,6 +85,15 @@ class OracleResult:
     truncation_estimate: float
     n_used: int
     capped: bool = False
+
+    def __init__(self, value: float, truncation_estimate: float,
+                 n_used: int, capped: bool = False):
+        # one is built per oracle call: written as in oscillator
+        d = self.__dict__
+        d["value"] = value
+        d["truncation_estimate"] = truncation_estimate
+        d["n_used"] = n_used
+        d["capped"] = capped
 
 
 def _requested_n_max(spec: SumSpec, scale: float, temperature: float) -> int:
@@ -381,8 +391,8 @@ def finite_difference_force(energy_of: Callable[[float], float], lam: float,
     return OracleResult(value, abs(d2 - d1) / 3.0, 4)
 
 
-@dataclass(frozen=True)
-class PerParameterSums:
+@dataclass(repr=False, eq=False)
+class PerParameterSums(Frozen):
     """The four Drude force components, each with its own truncation data."""
 
     f_omega: OracleResult

@@ -17,7 +17,12 @@ solved by a depressed-cubic branch (trigonometric for three real roots,
 Cardano otherwise) followed by Newton polish on the original cubic.  The
 polish step matters: when omega_d dominates, undoing the depression shift
 cancels catastrophically for the two small roots, and one or two Newton
-steps restore them to ~1 ulp.
+steps restore them: to about 1e-15, relative, over the Vieta battery's
+range (omega_d / Omega up to 1e4, gamma0 / Omega up to 10).  Far beyond
+it two steps do not suffice, and at omega_d / Omega of 1e8 to 1e12 a
+small root can be wrong in every digit.  Such roots carry the
+cubic-residual warning (they fail a relative Vieta check), and roots
+that are not finite raise DomainError.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
+from ._value import Frozen
 from .errors import DomainError, PreconditionError
 
 #: omega_d below this multiple of max(Omega, gamma0) flags the
@@ -35,21 +41,27 @@ DRUDE_REGIME_FACTOR = 10.0
 
 WARN_DRUDE_APPROX = "drude-approx-regime"
 
+#: exact Drude roots whose Vieta product or pair sum misses the cubic's
+#: coefficient by more than this relative amount carry WARN_CUBIC_RESIDUAL.
+CUBIC_RESIDUAL_BOUND = 1e-9
+
+WARN_CUBIC_RESIDUAL = "cubic-residual"
+
 # The parameter checks are chained comparisons against _INF: they reject
 # NaN (every comparison with it is false) and +-inf, and call no function,
 # since a sweep builds new parameters for every point.
 _INF = math.inf
 
 
-# The value types below are frozen dataclasses with a hand-written
-# __init__: it runs the checks and then writes the fields straight into
-# the instance dict, which skips the frozen __setattr__ that a generated
-# __init__ calls once per field.  Equality, hashing, repr, replace() and
+# The value types below are frozen (see _value.Frozen) dataclasses with
+# a hand-written __init__: it runs the checks and then writes the fields
+# straight into the instance dict, which skips the __setattr__ that a
+# generated __init__ calls once per field.  fields(), replace() and
 # pickling still come from the dataclass machinery.
 
 
-@dataclass(frozen=True, init=False)
-class Ohmic:
+@dataclass(repr=False, eq=False, init=False)
+class Ohmic(Frozen):
     """Frequency-independent damping, gamma(omega) = gamma0."""
 
     gamma0: float
@@ -60,8 +72,8 @@ class Ohmic:
         self.__dict__["gamma0"] = gamma0
 
 
-@dataclass(frozen=True, init=False)
-class Drude:
+@dataclass(repr=False, eq=False, init=False)
+class Drude(Frozen):
     """Drude damping gamma0 * omega_d / (omega_d - i omega)."""
 
     gamma0: float
@@ -83,8 +95,8 @@ class Drude:
 DampingModel = Ohmic | Drude
 
 
-@dataclass(frozen=True, init=False)
-class OscillatorParams:
+@dataclass(repr=False, eq=False, init=False)
+class OscillatorParams(Frozen):
     """Reduced-unit oscillator parameters.
 
     The mass cancels from every force expression and is kept only for
@@ -115,8 +127,8 @@ def _const_zero(_: float) -> float:
     return 0.0
 
 
-@dataclass(frozen=True)
-class ParametricModel:
+@dataclass(repr=False, eq=False)
+class ParametricModel(Frozen):
     """Oscillator parameters as functions of a sweep parameter lambda.
 
     lambda is abstract: a distance, an angle, or anything else the
@@ -195,8 +207,8 @@ def power_law_model(omega0: tuple[float, float],
     return ParametricModel(om, dom, g0, dg0, wd, dwd)
 
 
-@dataclass(frozen=True, init=False)
-class Eigenfrequencies:
+@dataclass(repr=False, eq=False, init=False)
+class Eigenfrequencies(Frozen):
     """Complex oscillator eigenfrequencies.
 
     omega3 is None for Ohmic damping.  For Drude damping omega3 is the
@@ -333,17 +345,33 @@ def eigenfrequencies_drude_exact(p: OscillatorParams) -> Eigenfrequencies:
     gamma0 omega_d) omega - i Omega^2 omega_d = 0 onto the real cubic
     s^3 + omega_d s^2 + (Omega^2 + gamma0 omega_d) s + Omega^2 omega_d.
     gamma0 = 0 short-circuits to the decoupled roots {+-Omega, -i omega_d}.
+
+    Roots that are not finite raise DomainError.  Roots whose product or
+    pair sum misses the cubic's coefficient by more than
+    CUBIC_RESIDUAL_BOUND, relative, carry WARN_CUBIC_RESIDUAL: the solver
+    has lost accuracy there (see the module docstring).
     """
     if not isinstance(p.damping, Drude):
         raise PreconditionError("eigenfrequencies_drude_exact requires Drude damping")
     om, g0, wd = p.omega0, p.damping.gamma0, p.damping.omega_d
+    warnings: tuple[str, ...] = ()
     if g0 == 0.0:
         omegas = [complex(om), complex(-om), complex(0.0, -wd)]
     else:
-        s_roots = solve_cubic(wd, om * om + g0 * wd, om * om * wd)
-        omegas = [1j * s for s in s_roots]
+        a1, a0 = om * om + g0 * wd, om * om * wd
+        s1, s2, s3 = solve_cubic(wd, a1, a0)
+        product = s1 * s2 * s3
+        pair_sum = s1 * s2 + (s1 + s2) * s3
+        if not (abs(product) < _INF and abs(pair_sum) < _INF):
+            raise DomainError("the Drude cubic's roots are not finite at "
+                              f"Omega = {om!r}, gamma0 = {g0!r}, "
+                              f"omega_d = {wd!r}")
+        if not (abs(product + a0) <= CUBIC_RESIDUAL_BOUND * a0
+                and abs(pair_sum - a1) <= CUBIC_RESIDUAL_BOUND * a1):
+            warnings = (WARN_CUBIC_RESIDUAL,)
+        omegas = [1j * s1, 1j * s2, 1j * s3]
     w1, w2, w3 = _ordered(omegas)
-    return Eigenfrequencies(w1, w2, w3, "exact-cubic")
+    return Eigenfrequencies(w1, w2, w3, "exact-cubic", warnings)
 
 
 def eigenfrequencies_drude_approx(p: OscillatorParams) -> Eigenfrequencies:

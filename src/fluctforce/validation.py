@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuits, forces, matsubara
+from ._value import Frozen
 from .matsubara import SumSpec
 from .oscillator import Drude, Ohmic, OscillatorParams, ParametricModel, \
     eigenfrequencies_drude_exact
@@ -23,8 +24,8 @@ from .oscillator import Drude, Ohmic, OscillatorParams, ParametricModel, \
 _SEED = 20260809
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+@dataclass(repr=False, eq=False)
+class CriterionReport(Frozen):
     name: str
     passed: bool
     worst: float

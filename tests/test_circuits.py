@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fluctforce import circuits as cc
-from fluctforce.errors import PreconditionError
+from fluctforce.errors import DomainError, PreconditionError
 from fluctforce.forces import force_ohmic_exact
 from fluctforce.matsubara import SumSpec, force_sum_exact
 
@@ -343,3 +343,59 @@ def test_scale_result_passes_unit_scale_through():
     scaled = cc.scale_result(r, HBAR)
     assert scaled == cc.ForceResult(HBAR * -0.25, "exact", ("w",),
                                     {"f_omega": HBAR * -0.25}, HBAR * 1e-17)
+
+
+_LOOP = cc.SeriesRLC.of(1e-3, 1e-6, 1e-12)
+
+
+# closed forms whose result overflows, or divides by a power of the gap
+# that underflows to zero: a DomainError, never inf, NaN or a bare
+# ZeroDivisionError
+@pytest.mark.parametrize("fn, args", [
+    (cc.casimir_reference, (cc.PlanarCapacitor(1e300, 1e-10), 300.0,
+                            "low-T")),
+    (cc.casimir_reference, (cc.PlanarCapacitor(1e300, 1e-10), 300.0,
+                            "high-T")),
+    (cc.casimir_reference, (cc.PlanarCapacitor(1e-4, 1e-90), 300.0,
+                            "low-T")),
+    (cc.casimir_reference, (cc.PlanarCapacitor(1e-4, 1e200), 300.0,
+                            "low-T")),
+    (cc.casimir_reference, (cc.SpherePlate(1e-4, 1e-110), 300.0, "low-T")),
+    (cc.casimir_reference, (cc.SpherePlate(1e-4, 1e-170), 300.0, "high-T")),
+    (cc.relative_weight, (cc.PlanarCapacitor(1e-300, 1e300), None, 300.0,
+                          "high-T")),
+    (cc.relative_weight, (cc.PlanarCapacitor(1e-300, 1e-5), _LOOP, 300.0,
+                          "low-T")),
+    (cc.capacitance_planar, (cc.PlanarCapacitor(1e300, 1e-90),)),
+    (cc.capacitance_sphere_plate, (cc.SpherePlate(1e-4, 1e-170),)),
+    (cc.planar_capacitance_law(1e-4).derivative, (1e-170,)),
+    (cc.planar_capacitance_law(1e300).value, (1e-90,)),
+    (cc.planar_rlc_low_t_weak, (cc.PlanarCapacitor(1e-200, 1e-200), 1e-9,
+                                1.0)),
+    (cc.planar_rlc_low_t_strong, (cc.PlanarCapacitor(1e-4, 1e-6), 1e-9,
+                                  0.0)),
+    (cc.planar_rlc_low_t_strong, (cc.PlanarCapacitor(1e-4, 1e-6), 1e-9,
+                                  1e-200)),
+    (cc.sphere_plate_circuit_force, (cc.SpherePlate(1e-4, 1e-6), -1e-9,
+                                     300.0, "low-T")),
+])
+def test_closed_forms_raise_domain_error_where_not_finite(fn, args):
+    with pytest.raises(DomainError):
+        fn(*args)
+
+
+def test_overdamped_low_t_force_raises_where_a_root_rounds_to_zero():
+    # C(d) of a 1e-90 gap: Omega ~ 1e-35 against gamma = 1e3, so
+    # i omega2 = gamma/2 - sqrt(gamma^2/4 - Omega^2) rounds to 0
+    loop = cc.SeriesRLC.of(1e-3, 1e-6, cc.planar_capacitance_law(2.5e-5))
+    model = cc.series_model(loop, "low-T")
+    with pytest.raises(DomainError, match="rounds to 0"):
+        cc.rlc_force_at(loop, model, 0.01, 1e-90, "low-T")
+    assert cc.rlc_force_at(loop, model, 0.01, 1e-6, "low-T").value < 0.0
+
+
+def test_circuit_force_raises_where_dc_dd_overflows():
+    loop = cc.SeriesRLC.of(1e-3, 1e-6, cc.planar_capacitance_law(1e300))
+    model = cc.series_model(loop, "high-T")
+    with pytest.raises(DomainError, match="dC/dd"):
+        cc.rlc_force_at(loop, model, 300.0, 1e-10, "high-T")

@@ -511,6 +511,29 @@ def test_overflowing_power_law_is_a_domain_error(tmp_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode, regime, params, start", [
+    # dC/dd = -C/d and the Casimir reference overflow
+    ("planar", "high-T", {"area": 1e300, "resistance": 1e-3}, 1e-10),
+    # the T = 0 log of a root that rounds to 0, then gap**4 underflows
+    ("planar", "low-T", {"area": 2.5e-5, "resistance": 1e-3}, 1e-90),
+    ("sphere-plate", "low-T", {"radius": 1e-4}, 1e-110),
+], ids=["planar-high-T-area", "planar-low-T-gap", "sphere-plate-low-T-gap"])
+@pytest.mark.parametrize("command", ["force", "sweep"])
+def test_non_finite_geometry_rows_are_domain_errors(tmp_path, capsys, mode,
+                                                    regime, params, start,
+                                                    command):
+    cfg = {"schema": "fluctforce/1", "mode": mode, "units": "si",
+           "parameters": dict(params, inductance=1e-6, temperature=300.0,
+                              regime=regime, **{"lambda": start}),
+           "sweep": {"parameter": "lambda", "start": start, "stop": 2e-5,
+                     "points": 3, "spacing": "linear"}}
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", write_config(tmp_path, "c.json", cfg),
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("domain error: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("edit", [
     _set("oracle", {"enabled": "no"}),
     _set("oracle", {"enabled": 1}),
@@ -614,27 +637,35 @@ def test_bare_value_error_is_not_a_domain_error(tmp_path, monkeypatch,
 
 
 # cli.main on each argv in one fresh interpreter, noting after the import
-# and after each call whether numpy has been loaded.
+# and after each call whether numpy and the Matsubara oracles have been
+# loaded.
 _FRESH = """
 import json, sys
+def loaded():
+    return ["numpy" in sys.modules, "fluctforce.matsubara" in sys.modules]
 import fluctforce
-steps = [["import fluctforce", "numpy" in sys.modules]]
+steps = [["import fluctforce"] + loaded()]
 from fluctforce import cli
-steps.append(["import fluctforce.cli", "numpy" in sys.modules])
+steps.append(["import fluctforce.cli"] + loaded())
 for argv in json.loads(sys.argv[1]):
-    steps.append([cli.main(argv), "numpy" in sys.modules])
+    steps.append([cli.main(argv)] + loaded())
 print(json.dumps(steps))
 """
 
 
-def _fresh(*argvs):
+def _run_fresh(script, *args):
+    """The JSON a script prints last, run in a fresh interpreter."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", _FRESH, json.dumps(argvs)],
-                         env=env, capture_output=True, text=True, check=True,
+    out = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                         capture_output=True, text=True, check=True,
                          timeout=120)
-    return [tuple(step) for step in json.loads(out.stdout.splitlines()[-1])]
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def _fresh(*argvs):
+    return [tuple(step) for step in _run_fresh(_FRESH, json.dumps(argvs))]
 
 
 _CLOSED_MODES = ("ohmic", "drude", "series", "parallel", "planar",
@@ -657,8 +688,9 @@ def test_closed_forms_leave_numpy_unloaded(tmp_path):
                       "--format", fmt,
                       "--out", str(tmp_path / f"sweep-{name}.{fmt}")])
     steps = _fresh(*argvs)
-    assert steps == [("import fluctforce", False),
-                     ("import fluctforce.cli", False)] + [(0, False)] * 9
+    assert steps == [("import fluctforce", False, False),
+                     ("import fluctforce.cli", False, False)] \
+        + [(0, False, False)] * 9
     for name, fmt, digest in (("ohmic", "csv", 0), ("parallel", "json", 1),
                               ("sphere-plate", "csv", 0)):
         data = (tmp_path / f"sweep-{name}.{fmt}").read_bytes()
@@ -669,20 +701,59 @@ def test_closed_forms_leave_numpy_unloaded(tmp_path):
 @pytest.mark.parametrize("name, fmt", [("oracle", "csv"), ("drude", "json")],
                          ids=["oracle-sweep", "log-sweep"])
 def test_numpy_sweeps_load_it_on_first_use(tmp_path, name, fmt):
+    # numpy for both; the Matsubara oracles only for the oracle sweep,
+    # not for a closed-form sweep with log spacing
     out = tmp_path / f"o.{fmt}"
     path = write_config(tmp_path, "c.json", GOLDEN_CONFIGS[name])
     steps = _fresh(["sweep", "--config", path, "--format", fmt,
                     "--out", str(out)])
-    assert steps == [("import fluctforce", False),
-                     ("import fluctforce.cli", False), (0, True)]
+    assert GOLDEN_CONFIGS["drude"]["sweep"]["spacing"] == "log"
+    assert steps == [("import fluctforce", False, False),
+                     ("import fluctforce.cli", False, False),
+                     (0, True, name == "oracle")]
     assert hashlib.sha256(out.read_bytes()).hexdigest() \
         == GOLDEN_DIGESTS[name][("csv", "json").index(fmt)]
 
 
 def test_validate_loads_numpy_on_first_use():
     assert _fresh(["validate", "--suite", "paper-numbers"]) == [
-        ("import fluctforce", False), ("import fluctforce.cli", False),
-        (0, True)]
+        ("import fluctforce", False, False),
+        ("import fluctforce.cli", False, False), (0, True, True)]
+
+
+# the package's public names in a fresh interpreter: `import *`, dir()
+# and attribute access resolve every name in __all__, and only a name
+# from the Matsubara oracles loads them
+_FRESH_NAMES = """
+import json, sys
+import fluctforce
+steps = ["fluctforce.matsubara" in sys.modules]
+listed = set(dir(fluctforce))
+steps.append(sorted(set(fluctforce.__all__) - listed))
+steps.append("fluctforce.matsubara" in sys.modules)
+steps.append(fluctforce.force_ohmic_exact.__module__)
+steps.append("fluctforce.matsubara" in sys.modules)
+namespace = {}
+exec("from fluctforce import *", namespace)
+steps.append(sorted(set(fluctforce.__all__) - set(namespace)))
+steps.append("fluctforce.matsubara" in sys.modules)
+from fluctforce import matsubara
+steps.append(all(namespace[n] is getattr(fluctforce, n)
+                 for n in fluctforce.__all__))
+steps.append(namespace["SumSpec"] is matsubara.SumSpec
+             and fluctforce.force_sum_exact is matsubara.force_sum_exact)
+try:
+    fluctforce.no_such_name
+except AttributeError as exc:
+    steps.append(str(exc))
+print(json.dumps(steps))
+"""
+
+
+def test_package_names_resolve_and_load_the_oracles_on_first_use():
+    assert _run_fresh(_FRESH_NAMES) == [
+        False, [], False, "fluctforce.forces", False, [], True, True, True,
+        "module 'fluctforce' has no attribute 'no_such_name'"]
 
 
 def test_linspace_is_numpy_linspace_bit_for_bit():

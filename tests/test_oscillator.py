@@ -16,7 +16,8 @@ from fluctforce.oscillator import (Drude, Ohmic, OscillatorParams, _ordered,
                                    eigenfrequencies_drude_exact,
                                    eigenfrequencies_ohmic, power_law,
                                    power_law_model,
-                                   solve_cubic, WARN_DRUDE_APPROX)
+                                   solve_cubic, WARN_CUBIC_RESIDUAL,
+                                   WARN_DRUDE_APPROX)
 
 
 def i_omegas(eig):
@@ -312,3 +313,97 @@ def test_power_law_finite_values_unchanged():
     # integral powers of a negative lambda are real
     assert power_law(2.0, 2.0)[0](-3.0) == 18.0
     assert power_law(2.0, 3.0)[1](-1.5) == 2.0 * 3.0 * (-1.5) ** 2.0
+
+
+# (Omega, gamma0, omega_d) and the three Drude eigenfrequencies, from the
+# cubic's roots by mpmath.polyroots at 80 digits (frozen here: the test
+# environment need not have mpmath), in order of magnitude.  The solver
+# is accurate on the first group and not on the second.
+_ACCURATE = [
+    ((1.0, 1.0, 1e3), ((-0.8663147540053021 - 0.5005005004999975j),
+                       (0.8663147540053021 - 0.5005005004999975j),
+                       -998.998998999j)),
+    ((1.0, 0.5, 1e6), ((-0.9682460624761388 - 0.250000124999875j),
+                       (0.9682460624761388 - 0.250000124999875j),
+                       -999999.49999975j)),
+    ((3.17, 97.1, 5.55e11), (-0.10360075299711319j, -96.99639926399101j,
+                             -554999999902.9j)),
+    ((0.0796, 0.00252, 4.33e9), (
+        (-0.07959002701346247 - 0.0012600000000007334j),
+        (0.07959002701346247 - 0.0012600000000007334j),
+        -4329999999.99748j)),
+    ((0.0105, 0.134, 1.25e9), (-0.0008278759597360857j,
+                               -0.13317212405462872j, -1249999999.866j)),
+    ((0.744, 0.0244, 45300.0), (
+        (-0.7439001666836098 - 0.012200006568018642j),
+        (0.7439001666836098 - 0.012200006568018642j),
+        -45299.975599986865j)),
+]
+_INACCURATE = [
+    ((1.0, 1.0, 1e50), ((-0.8660254037844386 - 0.5j),
+                        (0.8660254037844386 - 0.5j), -1e50j)),
+    ((1.0, 0.1, 1e12), ((-0.9987492177719588 - 0.050000000000005006j),
+                        (0.9987492177719588 - 0.050000000000005006j),
+                        -999999999999.9j)),
+    ((1.0, 3.0, 1e8), (-0.38196600929267766j, -2.6180340807073277j,
+                       -99999996.99999991j)),
+    ((0.01, 1.0, 1e8), (-0.0001000100020004001j, -0.9998999999979998j,
+                        -99999998.99999999j)),
+    ((1.64, 156.0, 1.32e12), (-0.017242931530049452j, -155.9827570869063j,
+                              -1319999999844j)),
+    ((0.301, 0.000314, 6.01e9), (
+        (-0.30099995905482235 - 0.0001570000000000082j),
+        (0.30099995905482235 - 0.0001570000000000082j),
+        -6009999999.999686j)),
+    ((0.0415, 0.000904, 2.64e9), (
+        (-0.04149753843302744 - 0.00045200000000015475j),
+        (0.04149753843302744 - 0.00045200000000015475j),
+        -2639999999.999096j)),
+    ((0.196, 0.0011, 2.86e9), (
+        (-0.1959992283148451 - 0.0005500000000002116j),
+        (0.1959992283148451 - 0.0005500000000002116j),
+        -2859999999.9989j)),
+]
+
+
+def _worst_root_error(params, want):
+    eig = eigenfrequencies_drude_exact(
+        OscillatorParams(params[0], Drude(*params[1:]), 1.0))
+    return eig, max(min(abs(w - r) / abs(r) for r in want)
+                    for w in eig.as_tuple())
+
+
+@pytest.mark.parametrize("params, want", _ACCURATE)
+def test_drude_exact_accurate_roots_carry_no_warning(params, want):
+    eig, worst = _worst_root_error(params, want)
+    assert eig.warnings == () and worst <= 1e-12
+
+
+@pytest.mark.parametrize("params, want", _INACCURATE)
+def test_drude_exact_inaccurate_roots_carry_the_cubic_residual_warning(
+        params, want):
+    eig, worst = _worst_root_error(params, want)
+    assert eig.warnings == (WARN_CUBIC_RESIDUAL,) and worst > 1e-9
+
+
+@pytest.mark.parametrize("omega_d", [1e52, 1e100, 1e300])
+def test_drude_exact_non_finite_roots_raise(omega_d):
+    with pytest.raises(DomainError, match="not finite"):
+        eigenfrequencies_drude_exact(
+            OscillatorParams(1.0, Drude(1.0, omega_d), 1.0))
+
+
+def test_drude_exact_roots_unmoved_by_the_check():
+    # the roots are still the solver's own, ordered, bit for bit, and the
+    # Vieta battery's whole range stays free of the warning
+    from fluctforce import validation
+    om, wd, g0 = validation._vieta_grid(
+        10_000, np.random.default_rng(validation._SEED + 3))
+    grid = list(zip(om.tolist(), g0.tolist(), wd.tolist()))
+    for i, (o, g, d) in enumerate(
+            grid + [p for p, _ in _ACCURATE + _INACCURATE]):
+        eig = eigenfrequencies_drude_exact(OscillatorParams(o, Drude(g, d),
+                                                            1.0))
+        omegas = [1j * s for s in solve_cubic(d, o * o + g * d, o * o * d)]
+        assert _same_roots(eig.as_tuple(), _ordered(omegas))
+        assert i >= len(grid) or eig.warnings == ()

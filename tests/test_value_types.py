@@ -1,5 +1,6 @@
-"""The frozen value types with hand-written __init__: they must behave
-exactly as the generated dataclass __init__ did."""
+"""The frozen value types: each must behave exactly as a
+@dataclass(frozen=True) with the same fields does, whether its __init__
+is hand-written or generated."""
 
 import copy
 import dataclasses
@@ -9,11 +10,28 @@ import pickle
 
 import pytest
 
-from fluctforce.circuits import PlanarCapacitor, SpherePlate
+from fluctforce import (_value, circuits, forces, matsubara, oscillator,
+                        validation)
+from fluctforce.circuits import (ElementLaw, ParallelRLC, PlanarCapacitor,
+                                 SeriesRLC, SpherePlate)
 from fluctforce.errors import DomainError
 from fluctforce.forces import ForceResult
+from fluctforce.matsubara import OracleResult, PerParameterSums, SumSpec
 from fluctforce.oscillator import (Drude, Eigenfrequencies, Ohmic,
-                                   OscillatorParams)
+                                   OscillatorParams, ParametricModel)
+from fluctforce.validation import CriterionReport
+
+# field values of the samples below: picklable, with a stable repr
+_ORACLES = (OracleResult(-0.5, 1e-9, 4096), OracleResult(0.25, 0.0, 8, True))
+_ORACLE_TEXT = ("OracleResult(value=-0.5, truncation_estimate=1e-09, "
+                "n_used=4096, capped=False)",
+                "OracleResult(value=0.25, truncation_estimate=0.0, n_used=8, "
+                "capped=True)")
+_LAWS = (ElementLaw(abs, abs, True), ElementLaw(math.exp, math.exp))
+_LAW_TEXT = ("ElementLaw(value=<built-in function abs>, derivative=<built-in "
+             "function abs>, constant=True)",
+             "ElementLaw(value=<built-in function exp>, derivative=<built-in "
+             "function exp>, constant=False)")
 
 # one valid instance per type, its repr, and a valid field change
 SAMPLES = [
@@ -40,6 +58,31 @@ SAMPLES = [
      "gap=1e-06, epsilon=1.0)", {"gap": 2e-6}),
     (SpherePlate, (1e-4, 2e-5), "SpherePlate(radius=0.0001, gap=2e-05)",
      {"gap": 3e-5}),
+    (ParametricModel, (math.sqrt, math.cos, math.exp, math.sin),
+     "ParametricModel(omega=<built-in function sqrt>, d_omega=<built-in "
+     "function cos>, gamma0=<built-in function exp>, d_gamma0=<built-in "
+     "function sin>, omega_d=None, d_omega_d=None)", {"omega_d": math.tan}),
+    (SumSpec, (), "SumSpec(n_max=100000, tail='integral', auto_scale=True, "
+     "hard_cap=16000000)", {"n_max": 5}),
+    (SumSpec, (20_000, "none", False, 10**6), "SumSpec(n_max=20000, "
+     "tail='none', auto_scale=False, hard_cap=1000000)", {"tail": "integral"}),
+    (OracleResult, (-0.5, 1e-9, 4096), _ORACLE_TEXT[0], {"capped": True}),
+    (PerParameterSums, _ORACLES + _ORACLES,
+     f"PerParameterSums(f_omega={_ORACLE_TEXT[0]}, "
+     f"f_gamma0={_ORACLE_TEXT[1]}, f_omega_d_1={_ORACLE_TEXT[0]}, "
+     f"f_omega_d_2={_ORACLE_TEXT[1]})", {"f_omega": _ORACLES[1]}),
+    (ElementLaw, (math.exp, math.exp), _LAW_TEXT[1], {"constant": True}),
+    (SeriesRLC, _LAWS + _LAWS[:1],
+     f"SeriesRLC(resistance={_LAW_TEXT[0]}, inductance={_LAW_TEXT[1]}, "
+     f"capacitance={_LAW_TEXT[0]}, element_size=None)",
+     {"element_size": 0.01}),
+    (ParallelRLC, _LAWS[::-1] + (_LAWS[0], 0.5),
+     f"ParallelRLC(resistance={_LAW_TEXT[1]}, inductance={_LAW_TEXT[0]}, "
+     f"capacitance={_LAW_TEXT[0]}, element_size=0.5)",
+     {"inductance": _LAWS[1]}),
+    (CriterionReport, ("sign-laws", True, 0.0, 0.0),
+     "CriterionReport(name='sign-laws', passed=True, worst=0.0, "
+     "tolerance=0.0, detail='')", {"passed": False}),
 ]
 IDS = [f"{cls.__name__}-{i}" for i, (cls, *_) in enumerate(SAMPLES)]
 
@@ -114,6 +157,14 @@ BAD = [
      "area, gap and epsilon must be positive"),
     (SpherePlate, (0.0, 1e-6), DomainError,
      "radius and gap must be positive"),
+    (SpherePlate, (1e-4, 1e-320), DomainError, "radius / gap must be finite"),
+    (SumSpec, (0,), DomainError, "n_max must be >= 1"),
+    (SumSpec, (10, "midpoint"), DomainError,
+     "tail must be 'integral' or 'none'"),
+    (SeriesRLC, _LAWS + (_LAWS[0], 0.0), DomainError,
+     "element_size must be positive, got 0.0"),
+    (ParallelRLC, _LAWS + (_LAWS[0], -1.0), DomainError,
+     "element_size must be positive, got -1.0"),
 ]
 
 
@@ -133,7 +184,101 @@ def test_checks_and_messages(cls, args, exc, message):
      "area, gap and epsilon must be positive"),
     (SpherePlate(1e-4, 1e-6), {"radius": -1.0},
      "radius and gap must be positive"),
+    (SumSpec(), {"n_max": 0}, "n_max must be >= 1"),
+    (SeriesRLC(*_LAWS, _LAWS[0]), {"element_size": -2.0},
+     "element_size must be positive"),
+    (ParallelRLC(*_LAWS, _LAWS[0]), {"element_size": 0.0},
+     "element_size must be positive"),
 ])
 def test_replace_checks_again(obj, change, message):
     with pytest.raises(ValueError, match=message):
         dataclasses.replace(obj, **change)
+
+
+_FIELD_ATTRS = ("name", "type", "default", "default_factory", "init", "repr",
+                "hash", "compare", "metadata", "kw_only")
+
+
+def _twin(cls):
+    """What @dataclass(frozen=True) generates for cls's fields, under
+    cls's name."""
+    return dataclasses.make_dataclass(cls.__name__, [
+        (f.name, f.type, dataclasses.field(
+            default=f.default, default_factory=f.default_factory,
+            init=f.init, repr=f.repr, hash=f.hash, compare=f.compare,
+            metadata=f.metadata, kw_only=f.kw_only))
+        for f in dataclasses.fields(cls)], frozen=True)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("cls, args, text, change", SAMPLES, ids=IDS)
+def test_matches_a_generated_frozen_twin(cls, args, text, change):
+    twin = _twin(cls)
+    assert [[getattr(f, a) for a in _FIELD_ATTRS]
+            for f in dataclasses.fields(cls)] \
+        == [[getattr(f, a) for a in _FIELD_ATTRS]
+            for f in dataclasses.fields(twin)]
+    assert list(inspect.signature(cls).parameters.values()) \
+        == list(inspect.signature(twin).parameters.values())
+    obj, tw = cls(*args), twin(*args)
+    changed = dataclasses.replace(obj, **change)
+    tw_changed = dataclasses.replace(tw, **change)
+    assert repr(obj) == repr(tw) == text
+    assert repr(changed) == repr(tw_changed)
+    for a, b, ta, tb in ((obj, cls(*args), tw, twin(*args)),
+                         (obj, changed, tw, tw_changed), (obj, obj, tw, tw)):
+        assert (a == b, a != b) == (ta == tb, ta != tb)
+    assert obj.__eq__(tw) is NotImplemented and obj != tw
+    assert _outcome(hash, obj) == _outcome(hash, tw)
+    assert _outcome(hash, changed) == _outcome(hash, tw_changed)
+    for name in [f.name for f in dataclasses.fields(cls)] + ["extra"]:
+        for target in (obj, tw):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(target, name, 1)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(target, name)
+        assert _outcome(setattr, obj, name, 1) == _outcome(setattr, tw, name, 1)
+        assert _outcome(delattr, obj, name) == _outcome(delattr, tw, name)
+    assert repr(obj) == text
+
+
+def test_every_value_type_is_sampled():
+    types = {obj for mod in (circuits, forces, matsubara, oscillator,
+                             validation)
+             for obj in vars(mod).values()
+             if isinstance(obj, type) and issubclass(obj, _value.Frozen)
+             and obj is not _value.Frozen}
+    assert types == {cls for cls, *_ in SAMPLES} and len(types) == 15
+
+
+@pytest.mark.parametrize("cls", sorted({cls for cls, *_ in SAMPLES},
+                                       key=lambda c: c.__name__))
+def test_dataclass_generates_no_more_than_init(cls):
+    # repr, eq, hash, setattr and delattr come from the shared base
+    assert {"__repr__", "__eq__", "__hash__", "__setattr__",
+            "__delattr__"}.isdisjoint(vars(cls))
+
+
+def test_each_field_is_set_once():
+    obj = object.__new__(SumSpec)
+    obj.n_max = 5
+    with pytest.raises(dataclasses.FrozenInstanceError,
+                       match="cannot assign to field 'n_max'"):
+        obj.n_max = 6
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        obj.extra = 1
+    assert vars(obj) == {"n_max": 5}
+
+
+def test_recursive_repr_is_cut():
+    law = ElementLaw(abs, abs)
+    law.__dict__["value"] = law            # a cycle no real value holds
+    assert repr(law) == ("ElementLaw(value=..., derivative=<built-in "
+                         "function abs>, constant=False)")
