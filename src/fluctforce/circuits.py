@@ -18,14 +18,14 @@ frequency unit) with units="reduced".  Geometry operations
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from ._value import Frozen
 from .constants import C_LIGHT, EPSILON_0, HBAR, K_B, ZETA_3
 from .errors import DomainError, PreconditionError
-from .forces import (ForceResult, force_ohmic_exact, force_ohmic_high_t,
-                     force_ohmic_low_t, force_ohmic_weak_dissipation)
+from .forces import (ForceResult, _not_finite, force_ohmic_exact,
+                     force_ohmic_high_t, force_ohmic_low_t,
+                     force_ohmic_weak_dissipation)
 from .oscillator import ParametricModel, power_law
 
 WARN_EDGE_EFFECTS = "edge-effects"
@@ -46,17 +46,20 @@ _REGIMES = ("exact", "weak-dissipation", "high-T", "low-T")
 _INF = math.inf
 
 
-def _not_finite(what: str) -> DomainError:
-    return DomainError(f"{what} is not a finite number for these inputs")
-
-
-@dataclass(repr=False, eq=False)
 class ElementLaw(Frozen):
     """A circuit element value as a function of the sweep parameter."""
 
     value: Callable[[float], float]
     derivative: Callable[[float], float]
     constant: bool = False
+
+    def __init__(self, value: Callable[[float], float],
+                 derivative: Callable[[float], float],
+                 constant: bool = False):
+        d = self.__dict__
+        d["value"] = value
+        d["derivative"] = derivative
+        d["constant"] = constant
 
 
 def constant_element(x: float) -> ElementLaw:
@@ -75,7 +78,6 @@ def _as_law(x) -> ElementLaw:
     return constant_element(float(x))
 
 
-@dataclass(repr=False, eq=False)
 class SeriesRLC(Frozen):
     """Series loop; element_size is an optional advisory length used to
     check the lumped-element condition R/L << c/r0."""
@@ -85,9 +87,15 @@ class SeriesRLC(Frozen):
     capacitance: ElementLaw
     element_size: float | None = None
 
-    def __post_init__(self):
-        if self.element_size is not None:
-            _check_positive("element_size", self.element_size)
+    def __init__(self, resistance: ElementLaw, inductance: ElementLaw,
+                 capacitance: ElementLaw, element_size: float | None = None):
+        if element_size is not None:
+            _check_positive("element_size", element_size)
+        d = self.__dict__
+        d["resistance"] = resistance
+        d["inductance"] = inductance
+        d["capacitance"] = capacitance
+        d["element_size"] = element_size
 
     @classmethod
     def of(cls, resistance, inductance, capacitance, element_size=None):
@@ -96,28 +104,18 @@ class SeriesRLC(Frozen):
                    _as_law(capacitance), element_size)
 
 
-@dataclass(repr=False, eq=False)
 class ParallelRLC(Frozen):
+    """Parallel loop, with SeriesRLC's fields and checks."""
+
     resistance: ElementLaw
     inductance: ElementLaw
     capacitance: ElementLaw
     element_size: float | None = None
 
-    def __post_init__(self):
-        if self.element_size is not None:
-            _check_positive("element_size", self.element_size)
-
-    @classmethod
-    def of(cls, resistance, inductance, capacitance, element_size=None):
-        return cls(_as_law(resistance), _as_law(inductance),
-                   _as_law(capacitance), element_size)
+    __init__ = SeriesRLC.__init__
+    of = vars(SeriesRLC)["of"]
 
 
-# Like the oscillator value types, the geometries check their fields in
-# a hand-written __init__ and write them straight into the instance dict.
-
-
-@dataclass(repr=False, eq=False, init=False)
 class PlanarCapacitor(Frozen):
     """Parallel plates: contact area, gap, relative permittivity."""
 
@@ -134,7 +132,6 @@ class PlanarCapacitor(Frozen):
         d["epsilon"] = epsilon
 
 
-@dataclass(repr=False, eq=False, init=False)
 class SpherePlate(Frozen):
     """Sphere of radius `radius` above a plate at minimum gap `gap`."""
 
@@ -351,8 +348,6 @@ def rlc_force_at(c: SeriesRLC | ParallelRLC, model: ParametricModel,
     hbar_out, t_freq = units_factors(temperature, units)
     p = model.params_at(lam, t_freq)
     res = _OHMIC_DISPATCH[regime](p, model.d_omega(lam))
-    if not -_INF < res.value < _INF:
-        raise _not_finite("the circuit force")
     return scale_result(res, hbar_out,
                         _element_size_warnings(c, p.damping.gamma0, units))
 

@@ -19,18 +19,21 @@ Conventions shared by every function here:
 * Exact variants combine conjugate digammas and must come out real; the
   discarded imaginary part is recorded as im_residual and flagged if it
   exceeds 1e-10 of the value.
+* Every function returns finite numbers or raises DomainError: as in
+  circuits, results are checked by chained comparisons against _INF,
+  which NaN also fails, and a quotient that overflows, or underflows to
+  a zero divisor or a zero under a logarithm, counts as infinite.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from ._value import Frozen
 from .errors import DomainError, PreconditionError
 from .oscillator import Drude, Ohmic, OscillatorParams, ParametricModel, \
-    WARN_DRUDE_APPROX
+    WARN_DRUDE_APPROX, _INF, _pair_data
 from .specfun import digamma, log_gamma, trigamma
 
 #: |Omega^2 - gamma^2/4| below this multiple of Omega^2 switches the
@@ -54,7 +57,6 @@ WARN_DRUDE_HIGH_T = "drude-high-temperature-guard"
 WARN_IM_RESIDUAL = "imaginary-residual"
 
 
-@dataclass(repr=False, eq=False, init=False)
 class ForceResult(Frozen):
     """A force value plus its provenance.
 
@@ -74,7 +76,6 @@ class ForceResult(Frozen):
                  warnings: tuple[str, ...] = (),
                  components: dict[str, float] | None = None,
                  im_residual: float = 0.0):
-        # one write per field into the instance dict, as in oscillator
         d = self.__dict__
         d["value"] = value
         d["regime"] = regime
@@ -83,11 +84,8 @@ class ForceResult(Frozen):
         d["im_residual"] = im_residual
 
 
-def _pair_data(om: float, g: float):
-    """(i_omega1, i_omega2, sqrt(D), D) with D = Omega^2 - gamma^2/4."""
-    d = om * om - 0.25 * g * g
-    sq = cmath.sqrt(complex(d))
-    return 0.5 * g + 1j * sq, 0.5 * g - 1j * sq, sq, d
+def _not_finite(what: str) -> DomainError:
+    return DomainError(f"{what} is not a finite number for these inputs")
 
 
 def _psi_quotient(om: float, g: float, t: float) -> complex:
@@ -106,6 +104,8 @@ def _log_quotient(om: float, g: float) -> complex:
     i_w1, i_w2, sq, d = _pair_data(om, g)
     if abs(d) <= CRITICAL_DAMPING_CUT * om * om:
         c = 0.5 * g
+        if c * c == 0.0:                # gamma^2 (and Omega^2) underflow
+            raise _not_finite("the low-temperature force")
         return 1j * (2.0 / c) * (1.0 - d / (3.0 * c * c))
     try:
         return (cmath.log(i_w1) - cmath.log(i_w2)) / sq
@@ -120,6 +120,9 @@ def _realize(value_c: complex, regime: str, warnings: tuple[str, ...],
              components_c: dict[str, complex] | None = None) -> ForceResult:
     value = value_c.real
     residual = abs(value_c.imag)
+    # the components sum to value_c, so they are finite when it is
+    if not (-_INF < value < _INF and residual < _INF):
+        raise _not_finite(f"the {regime} force")
     if residual > IM_RESIDUAL_BOUND * max(abs(value), 1e-300):
         warnings = warnings + (WARN_IM_RESIDUAL,)
     components = None
@@ -168,11 +171,14 @@ def force_ohmic_weak_dissipation(p: OscillatorParams,
     else:
         if g > WEAK_DISSIPATION_GUARD * min(om, t):
             warnings = (WARN_WEAK_DISSIPATION,)
-        coth_half = 0.5 / math.tanh(0.5 * om / t)
+        tanh_half = math.tanh(0.5 * om / t)   # 0 where Omega / T underflows
+        coth_half = 0.5 / tanh_half if tanh_half else _INF
         trig_term = (g / (4.0 * math.pi ** 2 * t)
                      * trigamma(1.0 + 1j * om / (2.0 * math.pi * t)).imag)
     value = -(coth_half + trig_term) * d_omega
-    return ForceResult(value, "weak-dissipation", warnings)
+    if -_INF < value < _INF:
+        return ForceResult(value, "weak-dissipation", warnings)
+    raise _not_finite("the weak-dissipation force")
 
 
 def force_ohmic_high_t(p: OscillatorParams, d_omega: float) -> ForceResult:
@@ -188,7 +194,9 @@ def force_ohmic_high_t(p: OscillatorParams, d_omega: float) -> ForceResult:
     if t < HIGH_T_GUARD * max(om, g):
         warnings = (WARN_HIGH_T,)
     value = -(t / om + om / (12.0 * t)) * d_omega
-    return ForceResult(value, "high-T", warnings)
+    if -_INF < value < _INF:
+        return ForceResult(value, "high-T", warnings)
+    raise _not_finite("the high-T force")
 
 
 def force_ohmic_low_t(p: OscillatorParams, d_omega: float) -> ForceResult:
@@ -291,6 +299,8 @@ def force_drude_very_high_t(p: OscillatorParams, m: ParametricModel,
     if t < VERY_HIGH_T_GUARD * wd:
         warnings = warnings + (WARN_VERY_HIGH_T,)
     value = -(t / om) * dom - wd / (24.0 * t) * dg0 - g0 / (24.0 * t) * dwd
+    if not -_INF < value < _INF:
+        raise _not_finite("the very-high-T force")
     return ForceResult(value, "very-high-T", warnings,
                        {"f_omega": -(t / om) * dom,
                         "f_gamma0": -wd / (24.0 * t) * dg0,
@@ -312,10 +322,14 @@ def force_drude_high_t(p: OscillatorParams, m: ParametricModel,
         raise PreconditionError("high-temperature form requires T > 0")
     if not (wd >= HIGH_T_GUARD * t and t >= HIGH_T_GUARD * max(om, g0)):
         warnings = warnings + (WARN_DRUDE_HIGH_T,)
+    ratio = wd / (2.0 * math.pi * t)
     f_om = -(t / om) * dom
-    f_g = -math.log(wd / (2.0 * math.pi * t)) / (2.0 * math.pi) * dg0
+    f_g = -(math.log(ratio) if ratio else -_INF) / (2.0 * math.pi) * dg0
     f_wd = -g0 / (2.0 * math.pi * wd) * dwd
-    return ForceResult(f_om + f_g + f_wd, "high-T", warnings,
+    value = f_om + f_g + f_wd
+    if not -_INF < value < _INF:
+        raise _not_finite("the high-T force")
+    return ForceResult(value, "high-T", warnings,
                        {"f_omega": f_om, "f_gamma0": f_g, "f_omegaD": f_wd})
 
 
@@ -336,7 +350,8 @@ def force_drude_low_t(p: OscillatorParams, m: ParametricModel,
             warnings = warnings + (WARN_LOW_T,)
     quot = _log_quotient(om, g0)
     c_om = 1j * om * quot / (2.0 * math.pi) * dom
-    c_g = (-math.log(wd / om) / (2.0 * math.pi)
+    ratio = wd / om
+    c_g = (-(math.log(ratio) if ratio else -_INF) / (2.0 * math.pi)
            - 1j * 0.25 * g0 * quot / (2.0 * math.pi)) * dg0
     c_wd = complex(-g0 / (2.0 * math.pi * wd) * dwd)
     return _realize(c_om + c_g + c_wd, "low-T", warnings,
@@ -357,7 +372,8 @@ def _free_energy_drude_gamma_c(p: OscillatorParams) -> complex:
           + log_gamma(1.0 + i_w2 / two_pi_t)
           + log_gamma(1.0 + (wd - g0) / two_pi_t)
           - log_gamma(1.0 + wd / two_pi_t))
-    return -t * (math.log(t / om) + lg)
+    ratio = t / om
+    return -t * ((math.log(ratio) if ratio else -_INF) + lg)
 
 
 def free_energy_drude_gamma(p: OscillatorParams) -> float:
@@ -367,7 +383,10 @@ def free_energy_drude_gamma(p: OscillatorParams) -> float:
     with the first-order eigenfrequencies; real because a1, a2 are a
     conjugate pair (or both real when overdamped).
     """
-    return _free_energy_drude_gamma_c(p).real
+    value = _free_energy_drude_gamma_c(p).real
+    if -_INF < value < _INF:
+        return value
+    raise _not_finite("the Drude free energy")
 
 
 def free_energy_difference_gamma(p: OscillatorParams, omega2: float) -> float:
@@ -389,6 +408,8 @@ def free_energy_difference_gamma(p: OscillatorParams, omega2: float) -> float:
     t = p.temperature
     if t <= 0.0:
         raise PreconditionError("free_energy_difference_gamma requires T > 0")
+    if not 0.0 < omega2 < _INF:
+        raise DomainError("omega2 must be finite and > 0")
     om1, g = p.omega0, p.damping.gamma0
     two_pi_t = 2.0 * math.pi * t
 
@@ -397,6 +418,9 @@ def free_energy_difference_gamma(p: OscillatorParams, omega2: float) -> float:
         return (log_gamma(1.0 + i_w1 / two_pi_t)
                 + log_gamma(1.0 + i_w2 / two_pi_t))
 
-    value = t * (math.log(omega2 / om1)
+    ratio = omega2 / om1
+    value = t * ((math.log(ratio) if ratio else -_INF)
                  + (pair_log_gamma(om1) - pair_log_gamma(omega2)).real)
-    return value
+    if -_INF < value < _INF:
+        return value
+    raise _not_finite("the free-energy difference")

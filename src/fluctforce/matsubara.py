@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from typing import Callable
 
 from ._value import Frozen
@@ -60,7 +59,6 @@ _scratch = threading.local()
 _AUTO_SCALE_FACTOR = 5.0
 
 
-@dataclass(repr=False, eq=False)
 class SumSpec(Frozen):
     """Controls for truncated Matsubara sums."""
 
@@ -69,14 +67,23 @@ class SumSpec(Frozen):
     auto_scale: bool = True
     hard_cap: int = 16_000_000
 
-    def __post_init__(self):
-        if self.n_max < 1:
+    def __init__(self, n_max: int = 100_000, tail: str = "integral",
+                 auto_scale: bool = True, hard_cap: int = 16_000_000):
+        if type(n_max) is not int or type(hard_cap) is not int:
+            raise DomainError("n_max and hard_cap must be ints")
+        if n_max < 1:
             raise DomainError("n_max must be >= 1")
-        if self.tail not in ("integral", "none"):
+        if hard_cap < 1:
+            raise DomainError("hard_cap must be >= 1")
+        if tail not in ("integral", "none"):
             raise DomainError("tail must be 'integral' or 'none'")
+        d = self.__dict__
+        d["n_max"] = n_max
+        d["tail"] = tail
+        d["auto_scale"] = auto_scale
+        d["hard_cap"] = hard_cap
 
 
-@dataclass(repr=False, eq=False, init=False)
 class OracleResult(Frozen):
     """An oracle value.  capped is true when the requested or auto-scaled
     term count exceeded SumSpec.hard_cap and n_used was cut to the cap."""
@@ -88,7 +95,6 @@ class OracleResult(Frozen):
 
     def __init__(self, value: float, truncation_estimate: float,
                  n_used: int, capped: bool = False):
-        # one is built per oracle call: written as in oscillator
         d = self.__dict__
         d["value"] = value
         d["truncation_estimate"] = truncation_estimate
@@ -391,7 +397,6 @@ def finite_difference_force(energy_of: Callable[[float], float], lam: float,
     return OracleResult(value, abs(d2 - d1) / 3.0, 4)
 
 
-@dataclass(repr=False, eq=False)
 class PerParameterSums(Frozen):
     """The four Drude force components, each with its own truncation data."""
 
@@ -399,6 +404,14 @@ class PerParameterSums(Frozen):
     f_gamma0: OracleResult
     f_omega_d_1: OracleResult
     f_omega_d_2: OracleResult
+
+    def __init__(self, f_omega: OracleResult, f_gamma0: OracleResult,
+                 f_omega_d_1: OracleResult, f_omega_d_2: OracleResult):
+        d = self.__dict__
+        d["f_omega"] = f_omega
+        d["f_gamma0"] = f_gamma0
+        d["f_omega_d_1"] = f_omega_d_1
+        d["f_omega_d_2"] = f_omega_d_2
 
     def total(self) -> float:
         return (self.f_omega.value + self.f_gamma0.value

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 from ._value import Frozen
@@ -53,14 +52,6 @@ WARN_CUBIC_RESIDUAL = "cubic-residual"
 _INF = math.inf
 
 
-# The value types below are frozen (see _value.Frozen) dataclasses with
-# a hand-written __init__: it runs the checks and then writes the fields
-# straight into the instance dict, which skips the __setattr__ that a
-# generated __init__ calls once per field.  fields(), replace() and
-# pickling still come from the dataclass machinery.
-
-
-@dataclass(repr=False, eq=False, init=False)
 class Ohmic(Frozen):
     """Frequency-independent damping, gamma(omega) = gamma0."""
 
@@ -72,7 +63,6 @@ class Ohmic(Frozen):
         self.__dict__["gamma0"] = gamma0
 
 
-@dataclass(repr=False, eq=False, init=False)
 class Drude(Frozen):
     """Drude damping gamma0 * omega_d / (omega_d - i omega)."""
 
@@ -95,7 +85,6 @@ class Drude(Frozen):
 DampingModel = Ohmic | Drude
 
 
-@dataclass(repr=False, eq=False, init=False)
 class OscillatorParams(Frozen):
     """Reduced-unit oscillator parameters.
 
@@ -127,7 +116,6 @@ def _const_zero(_: float) -> float:
     return 0.0
 
 
-@dataclass(repr=False, eq=False)
 class ParametricModel(Frozen):
     """Oscillator parameters as functions of a sweep parameter lambda.
 
@@ -139,10 +127,24 @@ class ParametricModel(Frozen):
 
     omega: Callable[[float], float]
     d_omega: Callable[[float], float]
-    gamma0: Callable[[float], float] = field(default=_const_zero)
-    d_gamma0: Callable[[float], float] = field(default=_const_zero)
+    gamma0: Callable[[float], float] = _const_zero
+    d_gamma0: Callable[[float], float] = _const_zero
     omega_d: Callable[[float], float] | None = None
     d_omega_d: Callable[[float], float] | None = None
+
+    def __init__(self, omega: Callable[[float], float],
+                 d_omega: Callable[[float], float],
+                 gamma0: Callable[[float], float] = _const_zero,
+                 d_gamma0: Callable[[float], float] = _const_zero,
+                 omega_d: Callable[[float], float] | None = None,
+                 d_omega_d: Callable[[float], float] | None = None):
+        d = self.__dict__
+        d["omega"] = omega
+        d["d_omega"] = d_omega
+        d["gamma0"] = gamma0
+        d["d_gamma0"] = d_gamma0
+        d["omega_d"] = omega_d
+        d["d_omega_d"] = d_omega_d
 
     def params_at(self, lam: float, temperature: float,
                   mass: float | None = None) -> OscillatorParams:
@@ -207,7 +209,6 @@ def power_law_model(omega0: tuple[float, float],
     return ParametricModel(om, dom, g0, dg0, wd, dwd)
 
 
-@dataclass(repr=False, eq=False, init=False)
 class Eigenfrequencies(Frozen):
     """Complex oscillator eigenfrequencies.
 
@@ -240,6 +241,15 @@ class Eigenfrequencies(Frozen):
         return (self.omega1, self.omega2, self.omega3)
 
 
+def _pair_data(om: float, g: float):
+    """(i_omega1, i_omega2, sqrt(D), D) with D = Omega^2 - gamma^2/4:
+    the Ohmic root pair, also the small pair of the Drude approximation
+    and the pair in every digamma argument of forces."""
+    d = om * om - 0.25 * g * g
+    sq = cmath.sqrt(complex(d))
+    return 0.5 * g + 1j * sq, 0.5 * g - 1j * sq, sq, d
+
+
 def eigenfrequencies_ohmic(p: OscillatorParams) -> Eigenfrequencies:
     """Roots of omega^2 + i gamma omega - Omega^2 = 0.
 
@@ -249,10 +259,7 @@ def eigenfrequencies_ohmic(p: OscillatorParams) -> Eigenfrequencies:
     """
     if not isinstance(p.damping, Ohmic):
         raise PreconditionError("eigenfrequencies_ohmic requires Ohmic damping")
-    g = p.damping.gamma0
-    sq = cmath.sqrt(complex(p.omega0 * p.omega0 - 0.25 * g * g))
-    i_w1 = 0.5 * g + 1j * sq
-    i_w2 = 0.5 * g - 1j * sq
+    i_w1, i_w2, _, _ = _pair_data(p.omega0, p.damping.gamma0)
     return Eigenfrequencies(-1j * i_w1, -1j * i_w2, None, "ohmic")
 
 
@@ -386,9 +393,7 @@ def eigenfrequencies_drude_approx(p: OscillatorParams) -> Eigenfrequencies:
         raise PreconditionError("eigenfrequencies_drude_approx requires Drude damping")
     g0, wd = p.damping.gamma0, p.damping.omega_d
     warnings = () if p.damping.in_approx_regime(p.omega0) else (WARN_DRUDE_APPROX,)
-    sq = cmath.sqrt(complex(p.omega0 * p.omega0 - 0.25 * g0 * g0))
-    i_w1 = 0.5 * g0 + 1j * sq
-    i_w2 = 0.5 * g0 - 1j * sq
+    i_w1, i_w2, _, _ = _pair_data(p.omega0, g0)
     return Eigenfrequencies(-1j * i_w1, -1j * i_w2, complex(0.0, -(wd - g0)),
                             "approx", warnings)
 

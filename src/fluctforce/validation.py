@@ -11,7 +11,6 @@ their public scalar entry points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,13 +23,23 @@ from .oscillator import Drude, Ohmic, OscillatorParams, ParametricModel, \
 _SEED = 20260809
 
 
-@dataclass(repr=False, eq=False)
 class CriterionReport(Frozen):
+    """One criterion's outcome: its worst error against its tolerance."""
+
     name: str
     passed: bool
     worst: float
     tolerance: float
     detail: str = ""
+
+    def __init__(self, name: str, passed: bool, worst: float,
+                 tolerance: float, detail: str = ""):
+        d = self.__dict__
+        d["name"] = name
+        d["passed"] = passed
+        d["worst"] = worst
+        d["tolerance"] = tolerance
+        d["detail"] = detail
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

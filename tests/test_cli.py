@@ -654,10 +654,12 @@ print(json.dumps(steps))
 
 
 def _run_fresh(script, *args):
-    """The JSON a script prints last, run in a fresh interpreter."""
+    """The JSON a script prints last, run in a fresh interpreter that
+    imports from the package and the test modules."""
     src = str(Path(cli.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+        filter(None, [src, tests, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", script, *args], env=env,
                          capture_output=True, text=True, check=True,
                          timeout=120)
@@ -754,6 +756,76 @@ def test_package_names_resolve_and_load_the_oracles_on_first_use():
     assert _run_fresh(_FRESH_NAMES) == [
         False, [], False, "fluctforce.forces", False, [], True, True, True,
         "module 'fluctforce' has no attribute 'no_such_name'"]
+
+
+# A closed force and sweep in a fresh interpreter, which must load neither
+# dataclasses nor inspect; then, with dataclasses imported, each sampled
+# value type as dataclasses sees it.  The first lookup of a type's
+# metadata adds __dataclass_fields__ and __dataclass_params__ to the
+# class and nothing else.
+_FRESH_METADATA = """
+import json, pickle, sys
+from fluctforce import cli
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+steps = [codes, "dataclasses" in sys.modules, "inspect" in sys.modules]
+import dataclasses
+from fluctforce import _value
+from fluctforce.errors import DomainError
+from test_value_types import SAMPLES
+INVALID = {"Ohmic": {"gamma0": -1.0}, "Drude": {"omega_d": 0.0},
+           "OscillatorParams": {"omega0": 0.0},
+           "PlanarCapacitor": {"gap": 0.0}, "SpherePlate": {"radius": 0.0},
+           "SumSpec": {"hard_cap": 0}, "SeriesRLC": {"element_size": 0.0},
+           "ParallelRLC": {"element_size": -1.0}}
+def plain(v):
+    if isinstance(v, _value.Frozen):
+        return {n: plain(getattr(v, n)) for n in v.__match_args__}
+    return v
+def matched(obj):
+    names = ", ".join(f"v{i}" for i in range(len(obj.__match_args__)))
+    scope = {"obj": obj, "cls": type(obj)}
+    exec(f"match obj:\\n case cls({names}):\\n  got = [{names}]", scope)
+    return scope["got"]
+added = {}
+for cls in dict.fromkeys(cls for cls, *_ in SAMPLES):
+    before = set(vars(cls))
+    added[cls] = [dataclasses.is_dataclass(cls),
+                  sorted(set(vars(cls)) - before)]
+for cls, args, _, change in SAMPLES:
+    obj = cls(*args)
+    row = [cls.__name__, dataclasses.is_dataclass(obj), *added[cls],
+           cls.__dataclass_params__.init,
+           [f.name for f in dataclasses.fields(obj)]
+           == list(cls.__match_args__),
+           dataclasses.replace(obj, **change)
+           == cls(**{**vars(obj), **change})]
+    bad = INVALID.get(cls.__name__, {})
+    try:
+        dataclasses.replace(obj, **bad)
+        row.append(not bad)
+    except DomainError:
+        row.append(bool(bad))
+    row += [dataclasses.asdict(obj) == plain(obj),
+            pickle.loads(pickle.dumps(obj)) == obj,
+            matched(obj) == [getattr(obj, n) for n in cls.__match_args__]]
+    steps.append(row)
+steps.append(dataclasses.is_dataclass(_value.Frozen))
+print(json.dumps(steps))
+"""
+
+
+def test_value_type_metadata_is_built_on_first_use(tmp_path):
+    from test_value_types import SAMPLES
+    path = write_config(tmp_path, "c.json", GOLDEN_CONFIGS["ohmic"])
+    steps = _run_fresh(_FRESH_METADATA, json.dumps([
+        ["force", "--config", path, "--out", str(tmp_path / "f.csv")],
+        ["sweep", "--config", path, "--out", str(tmp_path / "s.csv")]]))
+    assert steps[:3] == [[0, 0], False, False]
+    assert steps[3:] == [
+        [cls.__name__, True, True,
+         ["__dataclass_fields__", "__dataclass_params__"],
+         False, True, True, True, True, True, True]
+        for cls, *_ in SAMPLES] + [False]
 
 
 def test_linspace_is_numpy_linspace_bit_for_bit():

@@ -4,19 +4,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fluctforce import forces
-from fluctforce.errors import PreconditionError
+from fluctforce.errors import DomainError, PreconditionError
 from fluctforce.forces import (force_drude_full, force_drude_high_t,
                                force_drude_low_t, force_drude_very_high_t,
                                force_ohmic_exact, force_ohmic_high_t,
                                force_ohmic_low_t,
                                force_ohmic_weak_dissipation, force_tilde,
+                               free_energy_difference_gamma,
                                free_energy_drude_gamma)
 from fluctforce.matsubara import (SumSpec, finite_difference_force,
                                   force_sum_exact, free_energy_difference,
                                   free_energy_drude)
-from fluctforce.oscillator import Drude, Ohmic, OscillatorParams
+from fluctforce.oscillator import Drude, Ohmic, OscillatorParams, \
+    ParametricModel
 
 from test_matsubara import OHMIC_FORCE_FIXTURE, linear_model
 
@@ -389,3 +393,50 @@ def test_sign_laws_in_guard():
         m = linear_model(1.0, derivs[0], 0.4, derivs[1], 200.0, derivs[2])
         p = m.params_at(1.0, 0.7)
         assert force_drude_full(p, m, 1.0).value < 0.0
+
+
+# Every public closed form returns finite numbers or raises a library
+# error, over the whole range of valid parameters.
+_POSITIVE = st.floats(0.0, exclude_min=True, allow_nan=False,
+                      allow_infinity=False)
+_NON_NEGATIVE = st.floats(0.0, allow_nan=False, allow_infinity=False)
+_REAL = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _finite_or_library_error(fn, *args):
+    try:
+        out = fn(*args)
+    except (DomainError, PreconditionError):
+        return
+    values = [out] if isinstance(out, float) else \
+        [out.value, out.im_residual, *(out.components or {}).values()]
+    assert all(math.isfinite(v) for v in values), (fn.__name__, args, out)
+
+
+@given(om=_POSITIVE, g0=_NON_NEGATIVE, t=_NON_NEGATIVE, dom=_REAL,
+       dg0=_REAL, omega2=_NON_NEGATIVE)
+@example(om=1e-200, g0=0.0, t=1e200, dom=1.0, dg0=0.0, omega2=1.0)
+@example(om=1.0, g0=0.5, t=1.0, dom=1.0, dg0=0.0, omega2=0.0)
+@settings(max_examples=300, deadline=None)
+def test_ohmic_closed_forms_are_finite_or_raise(om, g0, t, dom, dg0, omega2):
+    p = OscillatorParams(om, Ohmic(g0), t)
+    for fn in (force_ohmic_exact, force_ohmic_weak_dissipation,
+               force_ohmic_high_t, force_ohmic_low_t):
+        _finite_or_library_error(fn, p, dom)
+    _finite_or_library_error(force_tilde, p, dom, dg0)
+    _finite_or_library_error(free_energy_difference_gamma, p, omega2)
+
+
+@given(om=_POSITIVE, g0=_NON_NEGATIVE, wd=_POSITIVE, t=_NON_NEGATIVE,
+       dom=_REAL, dg0=_REAL, dwd=_REAL)
+@example(om=1.0, g0=0.5, wd=1e300, t=1e-300, dom=1.0, dg0=0.0, dwd=0.0)
+@example(om=1e-300, g0=0.5, wd=10.0, t=1e300, dom=1.0, dg0=0.0, dwd=0.0)
+@settings(max_examples=300, deadline=None)
+def test_drude_closed_forms_are_finite_or_raise(om, g0, wd, t, dom, dg0, dwd):
+    p = OscillatorParams(om, Drude(g0, wd), t)
+    m = ParametricModel(lambda lam: om, lambda lam: dom, lambda lam: g0,
+                        lambda lam: dg0, lambda lam: wd, lambda lam: dwd)
+    for fn in (force_drude_full, force_drude_very_high_t, force_drude_high_t,
+               force_drude_low_t):
+        _finite_or_library_error(fn, p, m, 1.0)
+    _finite_or_library_error(free_energy_drude_gamma, p)

@@ -1,6 +1,6 @@
 """The frozen value types: each must behave exactly as a
-@dataclass(frozen=True) with the same fields does, whether its __init__
-is hand-written or generated."""
+@dataclass(frozen=True) with the same fields does, with its hand-written
+__init__ and the dataclass metadata built on first use."""
 
 import copy
 import dataclasses
@@ -134,6 +134,7 @@ def test_pickle_and_copy_round_trip(cls, args, text, change):
     changed = dataclasses.replace(obj, **change)
     assert {k: v for k, v in vars(changed).items() if k not in change} \
         == {k: v for k, v in vars(obj).items() if k not in change}
+    assert obj.__replace__(**change) == changed      # as copy.replace calls it
 
 
 # constructor, arguments, exception type and message
@@ -165,6 +166,14 @@ BAD = [
      "element_size must be positive, got 0.0"),
     (ParallelRLC, _LAWS + (_LAWS[0], -1.0), DomainError,
      "element_size must be positive, got -1.0"),
+    (SumSpec, (100, "integral", True, 0), DomainError,
+     "hard_cap must be >= 1"),
+    (SumSpec, (100, "integral", True, -5), DomainError,
+     "hard_cap must be >= 1"),
+    (SumSpec, (100.0,), DomainError, "n_max and hard_cap must be ints"),
+    (SumSpec, (True,), DomainError, "n_max and hard_cap must be ints"),
+    (SumSpec, (100, "integral", True, 1e6), DomainError,
+     "n_max and hard_cap must be ints"),
 ]
 
 
@@ -189,6 +198,7 @@ def test_checks_and_messages(cls, args, exc, message):
      "element_size must be positive"),
     (ParallelRLC(*_LAWS, _LAWS[0]), {"element_size": 0.0},
      "element_size must be positive"),
+    (SumSpec(), {"hard_cap": 0}, "hard_cap must be >= 1"),
 ])
 def test_replace_checks_again(obj, change, message):
     with pytest.raises(ValueError, match=message):
@@ -261,9 +271,11 @@ def test_every_value_type_is_sampled():
 @pytest.mark.parametrize("cls", sorted({cls for cls, *_ in SAMPLES},
                                        key=lambda c: c.__name__))
 def test_dataclass_generates_no_more_than_init(cls):
-    # repr, eq, hash, setattr and delattr come from the shared base
+    # repr, eq, hash, setattr and delattr come from the shared base, and
+    # every __init__ is hand-written
     assert {"__repr__", "__eq__", "__hash__", "__setattr__",
             "__delattr__"}.isdisjoint(vars(cls))
+    assert vars(cls)["__init__"].__code__.co_filename == inspect.getfile(cls)
 
 
 def test_each_field_is_set_once():
