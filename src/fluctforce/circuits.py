@@ -18,7 +18,6 @@ frequency unit) with units="reduced".  Geometry operations
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 from ._value import Frozen
 from .constants import C_LIGHT, EPSILON_0, HBAR, K_B, ZETA_3
@@ -89,8 +88,9 @@ class SeriesRLC(Frozen):
 
     def __init__(self, resistance: ElementLaw, inductance: ElementLaw,
                  capacitance: ElementLaw, element_size: float | None = None):
-        if element_size is not None:
-            _check_positive("element_size", element_size)
+        if element_size is not None and not 0.0 < element_size < _INF:
+            raise DomainError(f"element_size must be positive, got "
+                              f"{element_size}")
         d = self.__dict__
         d["resistance"] = resistance
         d["inductance"] = inductance
@@ -124,7 +124,8 @@ class PlanarCapacitor(Frozen):
     epsilon: float = 1.0
 
     def __init__(self, area: float, gap: float, epsilon: float = 1.0):
-        if area <= 0.0 or gap <= 0.0 or epsilon <= 0.0:
+        if not (0.0 < area < _INF and 0.0 < gap < _INF
+                and 0.0 < epsilon < _INF):
             raise DomainError("area, gap and epsilon must be positive")
         d = self.__dict__
         d["area"] = area
@@ -149,7 +150,7 @@ class SpherePlate(Frozen):
 
 
 def _check_positive(name: str, x: float) -> float:
-    if x <= 0.0:
+    if not 0.0 < x < _INF:
         raise DomainError(f"{name} must be positive, got {x}")
     return x
 

@@ -22,10 +22,10 @@ Exit codes: 0 success, 2 config error, 3 domain/precondition violation
 Importing this module loads neither numpy nor the Matsubara oracles,
 and neither does `force` or a linear closed-form sweep (linear points
 come from _linspace, which gives np.linspace's bits).  The oracles
-(matsubara, and with them numpy) load on first use in a config with
-the oracle enabled and in `validate`; numpy alone loads for log spacing
-(np.geomspace, whose power and log10 are numpy's own and differ in bits
-from libm's).
+(matsubara) load on first use in a config with the oracle enabled and
+in `validate`.  numpy loads for a Drude oracle (numpy.roots), in
+`validate`, and for log spacing (np.geomspace, whose power and log10
+are numpy's own and differ in bits from libm's).
 """
 
 from __future__ import annotations
@@ -35,14 +35,10 @@ import functools
 import json
 import math
 import sys
-from typing import TYPE_CHECKING, Any
 
 from . import circuits, forces
 from .errors import DivergentSumError, DomainError, PreconditionError
 from .oscillator import ParametricModel, power_law
-
-if TYPE_CHECKING:
-    from .matsubara import SumSpec
 
 SCHEMA = "fluctforce/1"
 

@@ -1,74 +1,62 @@
-"""Truncated Matsubara sums with analytic tail corrections.
+"""Matsubara sums: the independent oracles of the closed forms.
 
-These are the independent oracles of the library: every closed-form
-force or free energy has a counterpart here that sums the defining
-series directly.  Conventions:
+Matsubara frequencies are omega_n = 2 pi n T (hbar = k_B = 1), and a
+"primed" sum takes n = 0 with half weight.  An oracle sums n = 1..N as
+plain floats (math.fsum), N = min(SumSpec.n_max, 32), and the rest by
+Euler-Maclaurin (DLMF 2.10.1):
 
-* Matsubara frequencies omega_n = 2 pi n T (hbar = k_B = 1), n >= 0.
-* A "primed" sum takes the n = 0 term with half weight.
-* Summation is chunked numpy (pairwise within a chunk, math.fsum across
-  chunk totals), always in ascending n with a fixed chunk size, so the
-  result is deterministic.  One sum runs in one thread, serially; the
-  CLI runs its rows the same way.
-* A chunk is not computed as one array.  Its pairwise sum is split
-  exactly where numpy's np.sum would split it, down to leaves of at most
-  _LEAF terms, and each leaf is computed in place and summed by
-  np.add.reduce (the pairwise loop np.sum runs, without its Python
-  wrapper), so the value is bit for bit np.sum of the whole chunk.  The
-  split does not depend on _LEAF, so neither does the value.  Each
-  summand is a leaf function term(w, a, b, c): w holds the leaf's
-  omega_n, a, b and c are scratch of the same length, and it returns the
-  array holding its values.  The leaf buffers (1.25 MiB, within a 2 MiB
-  L2 cache) are allocated once per thread and reused: a fresh temporary
-  of 128 KiB or more is mmapped by the C allocator and page-faulted anew
-  on every call, which used to cost more than the arithmetic.
-* numpy is imported inside the functions that sum, not by this module,
-  so that importing fluctforce (and running the closed forms) does not
-  load it.
+    sum_{n>N} f(n) = int_N^inf f dn - f(N)/2
+                     - sum_{k=1}^{4} B_2k / (2k)! f^(2k-1)(N) + R.
 
-Tail handling: the summands decay like known powers of n, so the leading
-n^-2 (and, where present, n^-3) coefficients are integrated analytically
-from n_max to infinity and added to the partial sum.  The reported
-truncation_estimate is the change of the corrected value when n_max is
-halved; since the residual error falls at least like n^-2, the change on
-the *next* doubling is strictly smaller, making the estimate a usable
-bound.
+Each summand, or for a free energy its derivative, is written as
+P(n) / prod_j (n - r_j) over its poles, which all have Re r_j <= 0.  The
+tail integral is then minus the divided difference of P(r) log(N - r)
+over the poles (by parts for a free energy), and the derivatives are
+Taylor coefficients of P(N + t) / prod_j (N - r_j + t).  Nothing
+divides by the gap between two close poles, so coincident ones, as at
+critical damping, need no special case.  Since |N - r_j| >= N, each
+correction is about (2 pi N)^-2 of the one before at any temperature.
+truncation_estimate is max(|last correction|, |value(N) - value(N/2)|);
+tail="none" is the plain partial sum of min(n_max, hard_cap) terms.
+
+The Ohmic poles are a quadratic's roots, so the Ohmic oracles need no
+numpy; the Drude ones come from numpy.roots, not from the closed forms'
+oscillator.solve_cubic.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
-import threading
-from typing import Callable
 
 from ._value import Frozen
 from .errors import DivergentSumError, DomainError, PreconditionError
 from .oscillator import Drude, Ohmic, OscillatorParams, ParametricModel
 
-_CHUNK = 1 << 19
-#: longest run of terms computed at once: the ramp and four leaf buffers
-#: take 1.25 MiB, within a 2 MiB per-core L2 cache.  Twice as long, the
-#: five-buffer leaves spill L2 and each term costs more.
-_LEAF = 1 << 15
+#: terms summed directly.  With K = 4 corrections the remainder is about
+#: 2 * 9! / (2 pi N)^10 of the tail, 7e-18 at N = 32.
+_N_DIRECT = 32
+#: B_2k for k = 1..K
+_BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0)
+#: a divided difference takes the Taylor series once its poles lie
+#: within this fraction of |N - centre| of their centre.
+_CLUSTER = 0.25
 
-_scratch = threading.local()
-
-#: auto-scaling pushes n_max until omega_n covers this many multiples of
-#: the largest frequency scale, so the analytic tail is in its asymptotic
-#: regime even at low temperatures.
-_AUTO_SCALE_FACTOR = 5.0
+_INF = math.inf
 
 
 class SumSpec(Frozen):
-    """Controls for truncated Matsubara sums."""
+    """Controls for the Matsubara oracles.  n_max bounds the terms summed
+    directly: tail="integral" sums min(n_max, 32) and adds the rest by
+    Euler-Maclaurin, tail="none" sums min(n_max, hard_cap) and no more."""
 
     n_max: int = 100_000
     tail: str = "integral"          # "integral" | "none"
-    auto_scale: bool = True
     hard_cap: int = 16_000_000
 
     def __init__(self, n_max: int = 100_000, tail: str = "integral",
-                 auto_scale: bool = True, hard_cap: int = 16_000_000):
+                 hard_cap: int = 16_000_000):
         if type(n_max) is not int or type(hard_cap) is not int:
             raise DomainError("n_max and hard_cap must be ints")
         if n_max < 1:
@@ -80,13 +68,13 @@ class SumSpec(Frozen):
         d = self.__dict__
         d["n_max"] = n_max
         d["tail"] = tail
-        d["auto_scale"] = auto_scale
         d["hard_cap"] = hard_cap
 
 
 class OracleResult(Frozen):
-    """An oracle value.  capped is true when the requested or auto-scaled
-    term count exceeded SumSpec.hard_cap and n_used was cut to the cap."""
+    """An oracle value.  n_used is the number of terms summed directly;
+    capped is true when tail="none" asked for more than SumSpec.hard_cap
+    terms and n_used was cut to the cap."""
 
     value: float
     truncation_estimate: float
@@ -102,104 +90,160 @@ class OracleResult(Frozen):
         d["capped"] = capped
 
 
-def _requested_n_max(spec: SumSpec, scale: float, temperature: float) -> int:
-    """spec.n_max, raised by auto-scaling, before the hard cap."""
-    n = spec.n_max
-    if spec.auto_scale and temperature > 0.0:
-        need = int(math.ceil(_AUTO_SCALE_FACTOR * scale / temperature))
-        n = max(n, need)
-    return n
+def _shift(p: list, x) -> list:
+    """Coefficients of P(x + t) in t from those of P(n), both ascending."""
+    out = list(p)
+    for i in range(len(out) - 1):
+        for j in range(len(out) - 2, i - 1, -1):
+            out[j] += x * out[j + 1]
+    return out
 
 
-def _leaf_buffers() -> tuple:
-    """This thread's leaf scratch (ramp 0.._LEAF-1, w, a, b, c) and the
-    ufuncs a leaf applies to it (np.add and np.add.reduce), built on its
-    first sum and reused by every later one."""
-    try:
-        return _scratch.buffers
-    except AttributeError:
-        import numpy as np
-        _scratch.buffers = (np.arange(_LEAF, dtype=np.float64),) + tuple(
-            np.empty(_LEAF) for _ in range(4)) + (np.add, np.add.reduce)
-        return _scratch.buffers
+def _divided_difference(p: list, poles: list, n: int, scale: float):
+    """Divided difference of g(r) = P(r) log((n - r) / scale) over poles.
+    Poles within _CLUSTER |n - c| of their centre c take g's Taylor series
+    about c; others the recursion on the farthest pair, whose gap is then
+    at least that large."""
+    k = len(poles) - 1
+    if k == 1:      # Leibniz: P(r0) [r0, r1] log + [r0, r1] P log(u1)
+        r0, r1 = poles
+        m = n - 0.5 * (r0 + r1)
+        z = 0.5 * (r1 - r0) / m     # log(u1 / u0) = -2 atanh(z)
+        slope = (cmath.log((n - r1) / (n - r0)) / (r1 - r0) if abs(z) > 0.5
+                 else -cmath.atanh(z) / (z * m) if z else -1.0 / m)
+        ps = _shift(p, r0)
+        dp = sum(x * (r1 - r0) ** j for j, x in enumerate(ps[1:]))
+        return ps[0] * slope + dp * cmath.log((n - r1) / scale)
+    c = sum(poles) / (k + 1)
+    u = n - c
+    offsets = [(r - c) / u for r in poles]
+    spread = max(map(abs, offsets))
+    if spread > _CLUSTER:
+        _, i, j = max((abs(poles[i] - poles[j]), i, j)
+                      for i in range(k + 1) for j in range(i))
+        return (_divided_difference(p, poles[:i] + poles[i + 1:], n, scale)
+                - _divided_difference(p, poles[:j] + poles[j + 1:], n,
+                                      scale)) / (poles[j] - poles[i])
+    # g(c + u x) = sum_i w_i u^k x^i (log(u / scale) - sum_e x^e / e),
+    # and the divided difference over the offsets of x^(k+d) is h_d,
+    # which is at most (d + k)^k spread^d
+    log_u = cmath.log(u / scale)
+    weights = [w * u ** (i - k) for i, w in enumerate(_shift(p, c))]
+    h = [1.0] * (k + 1)             # h_d of the first j + 1 offsets
+    total = 0.0
+    for d in range(k + 1 + int(40.0 / -math.log(spread)) if spread else 1):
+        total += h[k] * sum(w * log_u if k + d == i else -w / (k + d - i)
+                            for i, w in enumerate(weights) if k + d >= i)
+        acc = 0.0
+        for j, x in enumerate(offsets):
+            acc += x * h[j]
+            h[j] = acc
+    return total
 
 
-def _pairwise_sum(term, two_pi_t: float, n_from: int, count: int) -> float:
-    """np.sum of term over count consecutive n, computed leaf by leaf.
-
-    The split is numpy's own pairwise one, so every partial sum is
-    associated exactly as np.sum of the whole range would associate it.
-    """
-    if count > _LEAF:
-        half = count // 2
-        half -= half % 8
-        return (_pairwise_sum(term, two_pi_t, n_from, half)
-                + _pairwise_sum(term, two_pi_t, n_from + half, count - half))
-    ramp, w, a, b, c, add, reduce = _leaf_buffers()
-    w = w[:count]
-    add(ramp[:count], n_from, out=w)
-    w *= two_pi_t
-    return float(reduce(term(w, a[:count], b[:count], c[:count])))
-
-
-def _chunked_sum(term, two_pi_t: float, n_from: int, n_to: int) -> float:
-    """sum_{n=n_from}^{n_to} of the leaf function term at omega_n,
-    ascending, deterministic."""
-    parts = []
-    n = n_from
-    while n <= n_to:
-        hi = min(n + _CHUNK - 1, n_to)
-        parts.append(_pairwise_sum(term, two_pi_t, n, hi - n + 1))
-        n = hi + 1
-    return math.fsum(parts)
+def _taylor(p: list, poles: list, n: int, count: int) -> list:
+    """Taylor coefficients c_0..c_{count-1} of P(n + t) / prod_j
+    (n - r_j + t), by series division."""
+    q = [1.0]
+    for r in poles:
+        x = n - r
+        q = [x * a + b for a, b in zip(q + [0.0], [0.0] + q)]
+    # the poles come in conjugate pairs, so the product is real
+    inv = 1.0 / q[0].real
+    q = [-x.real * inv for x in q[1:]]
+    c = [x * inv for x in _shift(p, n)] + [0.0] * (count - len(p))
+    for i in range(1, count):
+        s = c[i]
+        for j, x in enumerate(q[:i], 1):
+            s += x * c[i - j]
+        c[i] = s
+    return c
 
 
-def _split_sum(term, two_pi_t: float, n_max: int) -> tuple[float, float]:
-    """(sum to n_max//2, sum to n_max) sharing the same chunking."""
-    n_half = n_max // 2
-    first = _chunked_sum(term, two_pi_t, 1, n_half)
-    second = _chunked_sum(term, two_pi_t, n_half + 1, n_max)
-    return first, math.fsum([first, second])
+def _tail(p: list, poles: list, log: bool = False):
+    """tail(n, f(n)): the integral beyond n of a summand f and its
+    corrections B_2k / (2k)! f^(2k-1)(n), for f = P(n) / prod_j (n - r_j),
+    or with log for f zero at infinity with that derivative.  By parts,
+    int_n^inf f = -n f(n) - int_n^inf m f'(m) dm: P is exact, so the poles
+    of a logarithm's numerator and denominator never cancel in rounding."""
+    def tail(n: int, f_n: float):
+        u = [abs(n - r) for r in poles]
+        scale = math.sqrt(max(u) * min(u))
+        c = _taylor(p, poles, n, 2 * len(_BERNOULLI))
+        if log:     # f^(2k-1) = (2k-2)! c_{2k-2}
+            return (_divided_difference([0.0] + p, poles, n, scale).real
+                    - n * f_n, [b / (2 * k * (2 * k - 1)) * c[2 * k - 2]
+                                for k, b in enumerate(_BERNOULLI, 1)])
+        return (-_divided_difference(p, poles, n, scale).real,
+                [b / (2 * k) * c[2 * k - 1]
+                 for k, b in enumerate(_BERNOULLI, 1)])
+    return tail
 
 
-def _tail_moments(n_max: int) -> tuple[float, float]:
-    """Midpoint-rule integrals of n^-2 and n^-3 beyond n_max."""
-    x = n_max + 0.5
-    return 1.0 / x, 0.5 / (x * x)
+def _with_tail(terms: list, n: int, pref: float, tail) -> tuple:
+    """pref * (terms through n plus the tail), and the last correction."""
+    integral, corrections = tail(n, terms[n])
+    value = pref * math.fsum(terms[:n + 1] + [integral, -0.5 * terms[n]]
+                             + [-x for x in corrections])
+    return value, pref * corrections[-1]
 
 
-class _TailSum:
-    """Assemble value(n) = prefactor * (head + partial(n) + tail(n))."""
-
-    def __init__(self, term, prefactor: float, head: float,
-                 c2: float, c3: float, two_pi_t: float, spec: SumSpec,
-                 n_req: int):
-        n_max = min(n_req, spec.hard_cap)
-        self.capped = n_req > n_max
-        self.partial_half, self.partial_full = _split_sum(term, two_pi_t,
-                                                          n_max)
-        self.prefactor = prefactor
-        self.head = head
-        self.c2 = c2
-        self.c3 = c3
-        self.two_pi_t = two_pi_t
-        self.spec = spec
-        self.n_max = n_max
-
-    def _value(self, n: int, partial: float) -> float:
-        tail = 0.0
-        if self.spec.tail == "integral":
-            s2, s3 = _tail_moments(n)
-            w = self.two_pi_t
-            tail = self.c2 / (w * w) * s2 + self.c3 / (w * w * w) * s3
-        return self.prefactor * (self.head + partial + tail)
-
-    def result(self) -> OracleResult:
-        full = self._value(self.n_max, self.partial_full)
-        half = self._value(self.n_max // 2, self.partial_half)
-        return OracleResult(full, abs(full - half), self.n_max, self.capped)
+def _oracle(term, pref: float, head: float, spec: SumSpec,
+            tail) -> OracleResult:
+    """pref * (head + sum_{n>=1} term(n)), summed as spec says; tail(n,
+    term(n)) is the summand's integral beyond n and its corrections at n."""
+    if spec.tail == "none":
+        n = min(spec.n_max, spec.hard_cap)
+        first = math.fsum(map(term, range(1, n // 2 + 1)))
+        rest = math.fsum(map(term, range(n // 2 + 1, n + 1)))
+        value = pref * math.fsum([head, first, rest])
+        half, last = pref * math.fsum([head, first]), 0.0
+    else:
+        n = min(spec.n_max, _N_DIRECT)
+        terms = [head] + [term(k) for k in range(1, n + 1)]
+        value, last = _with_tail(terms, n, pref, tail)
+        half, _ = _with_tail(terms, max(n // 2, 1), pref, tail)
+    if not abs(value) + abs(half) + abs(last) < _INF:   # NaN fails too
+        raise DomainError("the Matsubara sum is not a finite number")
+    return OracleResult(value, max(abs(last), abs(value - half)), n,
+                        spec.tail == "none" and spec.n_max > spec.hard_cap)
 
 
+def _finite(oracle):
+    """A sum that overflows, divides by an underflowed zero or leaves a
+    math function's domain in floating point raises DomainError."""
+    @functools.wraps(oracle)
+    def checked(*args, **kwargs):
+        try:
+            return oracle(*args, **kwargs)
+        except (DomainError, PreconditionError):
+            raise
+        except (ZeroDivisionError, OverflowError, ValueError) as exc:
+            raise DomainError(f"{oracle.__name__}: the Matsubara sum is "
+                              f"not finite in floating point ({exc})") from exc
+    return checked
+
+
+def _pair_poles(g: float, om: float, a: float) -> list:
+    """Roots in n of (a n)^2 + g a n + om^2, a small real one from the
+    product of the two, not from a difference."""
+    half = 0.5 * g
+    disc = (half - om) * (half + om)
+    if disc < 0.0:
+        root = complex(-half, math.sqrt(-disc))
+        return [root / a, root.conjugate() / a]
+    big = -(half + math.sqrt(disc))
+    return [big / a, om * (om / big) / a]
+
+
+def _cubic_poles(om: float, g0: float, wd: float, a: float) -> list:
+    """Roots in n of w^3 + wd w^2 + (om^2 + g0 wd) w + om^2 wd, w = a n."""
+    import numpy as np
+    return [complex(r) / a
+            for r in np.roots([1.0, wd, om * om + g0 * wd, om * om * wd])]
+
+
+@_finite
 def force_sum_exact(p: OscillatorParams, m: ParametricModel, lam: float,
                     spec: SumSpec = SumSpec()) -> OracleResult:
     """Direct evaluation of the fluctuation force as a Matsubara sum.
@@ -215,54 +259,41 @@ def force_sum_exact(p: OscillatorParams, m: ParametricModel, lam: float,
     t = p.temperature
     if t <= 0.0:
         raise PreconditionError("force_sum_exact requires temperature > 0")
-    import numpy as np
     om = p.omega0
     g0 = p.damping.gamma0
     dom, dg0, dwd = m.derivatives_at(lam)
-
-    two_pi_t = 2.0 * math.pi * t
+    a = 2.0 * math.pi * t
+    cross = 2.0 * om * dom
     if isinstance(p.damping, Ohmic):
         if dg0 != 0.0:
             raise DivergentSumError(
                 "gamma' != 0 with Ohmic damping: the force sum diverges "
                 "logarithmically; use the difference force instead")
-        scale = max(om, g0)
 
-        def term(w, a, *_):
-            np.add(w, g0, out=a)
-            a *= w
-            a += om * om
-            return np.divide(2.0 * om * dom, a, out=a)
+        def term(n):
+            w = n * a
+            return cross / ((w + g0) * w + om * om)
 
-        c2 = 2.0 * om * dom
-        c3 = -2.0 * om * dom * g0
+        tail = _tail([cross / (a * a)], _pair_poles(g0, om, a))
     else:
         wd = p.damping.omega_d
-        scale = max(om, g0, wd)
 
-        def term(w, wpd, a, b):
-            np.add(w, wd, out=wpd)
-            np.multiply(wpd, wpd, out=a)
-            np.multiply(w, g0 * dwd, out=b)
-            b /= a                                  # g0 dwd w / wpd^2
-            np.divide(dg0 * wd, wpd, out=a)
-            a += b
-            a *= w
-            a += 2.0 * om * dom                     # numerator
-            np.divide(g0 * wd, wpd, out=b)
-            b += w
-            b *= w
-            b += om * om                            # denominator
-            return np.divide(a, b, out=a)
+        def term(n):
+            w = n * a
+            wpd = w + wd
+            num = cross + w * (dg0 * wd / wpd + g0 * dwd * w / (wpd * wpd))
+            return num / ((w + g0 * wd / wpd) * w + om * om)
 
-        c2 = 2.0 * om * dom + dg0 * wd + g0 * dwd
-        c3 = -(dg0 * wd * wd + 2.0 * g0 * dwd * wd)
-
-    n_req = _requested_n_max(spec, scale, t)
-    head = 0.5 * 2.0 * dom / om
-    return _TailSum(term, -t, head, c2, c3, two_pi_t, spec, n_req).result()
+        # times (w + wd)^2: a quadratic over (w + wd) times the cubic
+        d = wd / a
+        num = [cross * d * d, (2.0 * cross + dg0 * wd) * d,
+               cross + dg0 * wd + g0 * dwd]
+        tail = _tail([x / (a * a) for x in num],
+                              _cubic_poles(om, g0, wd, a) + [-d])
+    return _oracle(term, -t, dom / om, spec, tail)
 
 
+@_finite
 def free_energy_difference(p1: OscillatorParams, p2: OscillatorParams,
                            spec: SumSpec = SumSpec()) -> OracleResult:
     """F(Omega2) - F(Omega1) for a shared damping function.
@@ -277,43 +308,39 @@ def free_energy_difference(p1: OscillatorParams, p2: OscillatorParams,
     t = p1.temperature
     if t <= 0.0:
         raise PreconditionError("free_energy_difference requires temperature > 0")
-    import numpy as np
     om1, om2 = p1.omega0, p2.omega0
     g0 = p1.damping.gamma0
     delta = om2 * om2 - om1 * om1
-    two_pi_t = 2.0 * math.pi * t
+    a = 2.0 * math.pi * t
 
     if isinstance(p1.damping, Ohmic):
-        scale = max(om1, om2, g0)
+        def term(n):
+            w = n * a
+            return math.log1p(delta / ((w + g0) * w + om1 * om1))
 
-        def term(w, a, *_):
-            np.add(w, g0, out=a)
-            a *= w
-            a += om1 * om1
-            np.divide(delta, a, out=a)
-            return np.log1p(a, out=a)
-
-        c3 = -delta * g0
+        # log(A / B) over the two pairs, A - B = delta / a^2:
+        # f' = -delta / a^2 (2 n + g0 / a) / (A B)
+        slope = [g0 / a, 2.0]
+        poles = _pair_poles(g0, om2, a) + _pair_poles(g0, om1, a)
     else:
         wd = p1.damping.omega_d
-        scale = max(om1, om2, g0, wd)
 
-        def term(w, a, *_):
-            np.add(w, wd, out=a)
-            np.divide(g0 * wd, a, out=a)
-            a += w
-            a *= w
-            a += om1 * om1
-            np.divide(delta, a, out=a)
-            return np.log1p(a, out=a)
+        def term(n):
+            w = n * a
+            return math.log1p(delta / ((w + g0 * wd / (w + wd)) * w
+                                       + om1 * om1))
 
-        c3 = 0.0
-
-    n_req = _requested_n_max(spec, scale, t)
+        # log(A / B) over the two cubics, A - B = delta (n + d) / a^2:
+        # f' = -delta / a^2 (A' (n + d) - A) / (A B)
+        d = wd / a
+        slope = [g0 * d * d / a, 2.0 * d * d, 4.0 * d, 2.0]
+        poles = _cubic_poles(om2, g0, wd, a) + _cubic_poles(om1, g0, wd, a)
     head = 0.5 * math.log1p(delta / (om1 * om1))
-    return _TailSum(term, t, head, delta, c3, two_pi_t, spec, n_req).result()
+    return _oracle(term, t, head, spec, _tail(
+        [-delta / (a * a) * x for x in slope], poles, log=True))
 
 
+@_finite
 def free_energy_drude(p: OscillatorParams, spec: SumSpec = SumSpec(),
                       roots: str = "approx") -> OracleResult:
     """Drude free energy from its convergent infinite product.
@@ -339,39 +366,34 @@ def free_energy_drude(p: OscillatorParams, spec: SumSpec = SumSpec(),
     om, g0, wd = p.omega0, p.damping.gamma0, p.damping.omega_d
     if roots == "approx" and g0 >= wd:
         raise PreconditionError("approximate roots need gamma0 < omega_d")
-    import numpy as np
-    two_pi_t = 2.0 * math.pi * t
+    a = 2.0 * math.pi * t
+    d = wd / a
 
+    w2 = (om / a) ** 2
     if roots == "exact":
-        def term(w, a, b, _):
-            np.add(w, wd, out=a)
-            a *= w
-            np.divide(g0 * wd, a, out=a)
-            np.multiply(w, w, out=b)
-            np.divide(om * om, b, out=b)
-            a += b
-            return np.log1p(a, out=a)
+        def term(n):
+            w = n * a
+            return math.log1p(g0 * wd / (w * (w + wd)) + om * om / (w * w))
 
-        c2 = om * om + g0 * wd
-        c3 = -g0 * wd * wd
+        # log of the cubic over n^2 (n + d):
+        # f' = -(2 b n^2 + d (b + 3 w2) n + 2 w2 d^2) / (cubic n (n + d))
+        b = w2 + g0 * d / a
+        slope = [-2.0 * w2 * d * d, -d * (b + 3.0 * w2), -2.0 * b]
+        poles = _cubic_poles(om, g0, wd, a) + [0.0, -d]
     else:
-        def term(w, a, b, _):
-            np.multiply(w, g0, out=a)
-            a += om * om
-            np.multiply(w, w, out=b)
-            a /= b
-            np.log1p(a, out=a)
-            np.add(w, wd, out=b)
-            np.divide(-g0, b, out=b)
-            a += np.log1p(b, out=b)
-            return a
+        def term(n):
+            w = n * a
+            return (math.log1p((w * g0 + om * om) / (w * w))
+                    + math.log1p(-g0 / (w + wd)))
 
-        c2 = om * om + g0 * wd - g0 * g0
-        c3 = -g0 * (wd * wd - g0 * wd + om * om)
-
-    n_req = _requested_n_max(spec, max(om, g0, wd), t)
-    head = math.log(om / t)
-    return _TailSum(term, t, head, c2, c3, two_pi_t, spec, n_req).result()
+        # log of pair / n^2 plus log (n + d - e) / (n + d), e = g0 / a
+        e = g0 / a
+        dm = (wd - g0) / a
+        slope = [-2.0 * w2 * d * dm, -(e * d * dm + w2 * (4.0 * d - 3.0 * e)),
+                 -2.0 * (e * dm + w2)]
+        poles = _pair_poles(g0, om, a) + [0.0, -dm, -d]
+    return _oracle(term, t, math.log(om / t), spec,
+                   _tail(slope, poles, log=True))
 
 
 def central_difference(energy_of: Callable[[float], float],
@@ -418,6 +440,7 @@ class PerParameterSums(Frozen):
                 + self.f_omega_d_1.value + self.f_omega_d_2.value)
 
 
+@_finite
 def per_parameter_sums_drude(p: OscillatorParams, m: ParametricModel,
                              lam: float,
                              spec: SumSpec = SumSpec()) -> PerParameterSums:
@@ -433,48 +456,28 @@ def per_parameter_sums_drude(p: OscillatorParams, m: ParametricModel,
     t = p.temperature
     if t <= 0.0:
         raise PreconditionError("per_parameter_sums_drude requires temperature > 0")
-    import numpy as np
     om, g0, wd = p.omega0, p.damping.gamma0, p.damping.omega_d
     dom, dg0, dwd = m.derivatives_at(lam)
-    two_pi_t = 2.0 * math.pi * t
-    n_req = _requested_n_max(spec, max(om, g0, wd), t)
+    a = 2.0 * math.pi * t
     b = om * om + g0 * wd
     c = om * om * wd
+    d = wd / a
+    a2 = a * a
+    poles = _cubic_poles(om, g0, wd, a)
 
-    def cubic(w, out):
-        np.add(w, wd, out=out)
-        out *= w
-        out += b
-        out *= w
-        out += c
-        return out
+    def over_cubic(num, other=lambda w: 1.0):
+        def term(n):
+            w = n * a
+            return num(w) / ((((w + wd) * w + b) * w + c) * other(w))
+        return term
 
-    def term_omega(w, den, num, _):
-        np.add(w, wd, out=num)
-        return np.divide(num, cubic(w, den), out=num)
-
-    def term_gamma0(w, den, num, _):
-        np.multiply(w, wd, out=num)
-        return np.divide(num, cubic(w, den), out=num)
-
-    def term_wd1(w, den, num, _):
-        np.multiply(w, g0, out=num)
-        return np.divide(num, cubic(w, den), out=num)
-
-    def term_wd2(w, den, num, _):
-        cubic(w, den)
-        np.add(w, wd, out=num)
-        den *= num
-        np.multiply(w, wd * g0, out=num)
-        return np.divide(num, den, out=num)
-
-    pref_om = -2.0 * t * om * dom
-    f_om = _TailSum(term_omega, pref_om, 0.5 * wd / c,
-                    1.0, 0.0, two_pi_t, spec, n_req).result()
-    f_g0 = _TailSum(term_gamma0, -t * dg0, 0.0,
-                    wd, -wd * wd, two_pi_t, spec, n_req).result()
-    f_w1 = _TailSum(term_wd1, -t * dwd, 0.0,
-                    g0, -g0 * wd, two_pi_t, spec, n_req).result()
-    f_w2 = _TailSum(term_wd2, t * dwd, 0.0,
-                    0.0, wd * g0, two_pi_t, spec, n_req).result()
+    f_om = _oracle(over_cubic(lambda w: w + wd), -2.0 * t * om * dom,
+                   0.5 * wd / c, spec, _tail([d / a2, 1.0 / a2], poles))
+    f_g0 = _oracle(over_cubic(lambda w: w * wd), -t * dg0, 0.0, spec,
+                   _tail([0.0, wd / a2], poles))
+    f_w1 = _oracle(over_cubic(lambda w: w * g0), -t * dwd, 0.0, spec,
+                   _tail([0.0, g0 / a2], poles))
+    f_w2 = _oracle(over_cubic(lambda w: w * (wd * g0), lambda w: w + wd),
+                   t * dwd, 0.0, spec,
+                   _tail([0.0, wd * g0 / (a2 * a)], poles + [-d]))
     return PerParameterSums(f_om, f_g0, f_w1, f_w2)

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Callable
 
 from ._value import Frozen
 from .errors import DomainError, PreconditionError

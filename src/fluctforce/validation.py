@@ -99,7 +99,7 @@ def criterion_ohmic_oracle(n_max: int = 100_000,
         tol = max(1.0e-8, 2.0 * oracle.truncation_estimate)
         worst = max(worst, abs(exact - oracle.value) / tol)
     return CriterionReport("ohmic-oracle-equivalence", worst <= 1.0, worst, 1.0,
-                           f"{count} cases, n_max={n_max}, "
+                           f"{count} cases, {oracle.n_used} terms + tail, "
                            "worst as fraction of max(1e-8, 2*estimate)")
 
 
@@ -136,7 +136,7 @@ def criterion_gamma_vs_product(n_max: int = 1_000_000,
         fp = matsubara.free_energy_drude(p, spec, roots="approx")
         worst = max(worst, abs(fg - fp.value) / abs(fg))
     return CriterionReport("gamma-vs-product", worst <= 1.0e-8, worst, 1.0e-8,
-                           f"{count} cases, n_max={n_max}, relative")
+                           f"{count} cases, {fp.n_used} terms + tail, relative")
 
 
 def criterion_planar_weights() -> CriterionReport:

@@ -331,6 +331,20 @@ def test_element_size_must_be_positive(loop, size):
         loop.of(1e-3, 1e-6, 1e-12, element_size=size)
 
 
+def test_nan_fails_the_positivity_checks():
+    # NaN fails every comparison, so "x <= 0" let it through
+    for loop in (cc.SeriesRLC, cc.ParallelRLC):
+        with pytest.raises(DomainError, match="element_size"):
+            loop.of(1.0, 1e-6, (1e-12, 1.0), element_size=math.nan)
+    for args in ((math.nan, 1e-6), (1e-4, math.nan), (1e-4, 1e-6, math.nan),
+                 (math.inf, 1e-6)):
+        with pytest.raises(DomainError, match="area, gap and epsilon"):
+            cc.PlanarCapacitor(*args)
+    with pytest.raises(DomainError, match="inductance"):
+        cc.planar_rlc_low_t_weak(cc.PlanarCapacitor(1e-4, 1e-6), math.nan,
+                                 1.0)
+
+
 def test_scale_result_passes_unit_scale_through():
     r = cc.ForceResult(-0.25, "exact", ("w",), {"f_omega": -0.25}, 1e-17)
     assert cc.scale_result(r, 1.0) is r

@@ -345,7 +345,7 @@ GOLDEN_CONFIGS = {
         "sweep": {"parameter": "lambda", "start": 0.5, "stop": 1.5,
                   "points": 4, "spacing": "linear"},
         "oracle": {"enabled": True, "n_max": 20_000}},
-    # each half of this sum spans two 2^19-term chunks and many leaves
+    # a Drude oracle whose n_max lies far beyond the 32 direct terms
     "oracle-large": oscillator_cfg(
         parameters={"damping": "drude", "temperature": 0.4,
                     "omega0": {"coeff": 1.2, "power": 0.5},
@@ -367,11 +367,11 @@ GOLDEN_DIGESTS = {
         "8ee77dd11be0ad503e540ffd89a88c027463b376411f5f40fadfee7ec29db4f5",
         "d976cc5dd6718160239893bb283c8f015be89a41f9f25e4f423cdc8fd86b4da4"),
     "oracle": (
-        "20622a31c8a86cf31fa34f25cdaa1d043ed4fe6b79dc861637038d83f7e71db6",
-        "9eddef9fac7891fd6e71cd2611c3f9bb295f052c4b9383f2bf150a1dc7184d12"),
+        "19db034943ee0e53107f5664697a4bb797229c32b6f85ae1c0397836508f51d8",
+        "5309e50a4b65f31303fd207e23cd901c9756dabd5489a0e411213f2770082f08"),
     "oracle-large": (
-        "d334eee11df6b2729c7377f35ed6ec92f052abc8a0afa59673341767ec4647fe",
-        "ebf4fa76cd88fc9b5349cae746846c71556ebfc063245b6d2218e847638bc0a6"),
+        "29e776b6235717644e6c25c7c4a90a52369b3d769f959afc13c0f8e9450d9b61",
+        "3efad1dbe5a46df5fe108e54d80c1041761a880438c70c31b07f8c252485567a"),
     "parallel": (
         "e1cce402403c0f867b570bcb1c26b4be95a4ed2c6af1c16ce399037606fe9e96",
         "aa1ddffc1b13b088aebc8a0713f40d96ce01bb5a91ce103d019bacdfed9d131e"),
@@ -700,11 +700,13 @@ def test_closed_forms_leave_numpy_unloaded(tmp_path):
             == GOLDEN_DIGESTS[name][digest]
 
 
-@pytest.mark.parametrize("name, fmt", [("oracle", "csv"), ("drude", "json")],
+@pytest.mark.parametrize("name, fmt", [("oracle-large", "csv"),
+                                       ("drude", "json")],
                          ids=["oracle-sweep", "log-sweep"])
 def test_numpy_sweeps_load_it_on_first_use(tmp_path, name, fmt):
-    # numpy for both; the Matsubara oracles only for the oracle sweep,
-    # not for a closed-form sweep with log spacing
+    # numpy for both: the Drude oracle takes its poles from numpy.roots;
+    # the Matsubara oracles only for the oracle sweep, not for a
+    # closed-form sweep with log spacing
     out = tmp_path / f"o.{fmt}"
     path = write_config(tmp_path, "c.json", GOLDEN_CONFIGS[name])
     steps = _fresh(["sweep", "--config", path, "--format", fmt,
@@ -712,9 +714,26 @@ def test_numpy_sweeps_load_it_on_first_use(tmp_path, name, fmt):
     assert GOLDEN_CONFIGS["drude"]["sweep"]["spacing"] == "log"
     assert steps == [("import fluctforce", False, False),
                      ("import fluctforce.cli", False, False),
-                     (0, True, name == "oracle")]
+                     (0, True, name == "oracle-large")]
     assert hashlib.sha256(out.read_bytes()).hexdigest() \
         == GOLDEN_DIGESTS[name][("csv", "json").index(fmt)]
+
+
+def test_ohmic_oracle_sweeps_leave_numpy_unloaded(tmp_path):
+    # the Ohmic poles are a quadratic's roots in closed form: an oracle
+    # sweep of the Ohmic family with linear spacing needs no numpy
+    cfg = copy.deepcopy(GOLDEN_CONFIGS["ohmic"])
+    cfg["oracle"] = {"enabled": True, "n_max": 1_000_000}
+    assert cfg["sweep"]["spacing"] == "linear"
+    argvs = [["sweep", "--config", write_config(tmp_path, f"{name}.json", c),
+              "--format", fmt, "--out", str(tmp_path / f"{name}.{fmt}")]
+             for name, c, fmt in (("oracle", GOLDEN_CONFIGS["oracle"], "csv"),
+                                  ("ohmic", cfg, "json"))]
+    assert _fresh(*argvs) == [("import fluctforce", False, False),
+                              ("import fluctforce.cli", False, False),
+                              (0, False, True), (0, False, True)]
+    assert hashlib.sha256((tmp_path / "oracle.csv").read_bytes()).hexdigest() \
+        == GOLDEN_DIGESTS["oracle"][0]
 
 
 def test_validate_loads_numpy_on_first_use():

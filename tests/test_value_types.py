@@ -62,10 +62,10 @@ SAMPLES = [
      "ParametricModel(omega=<built-in function sqrt>, d_omega=<built-in "
      "function cos>, gamma0=<built-in function exp>, d_gamma0=<built-in "
      "function sin>, omega_d=None, d_omega_d=None)", {"omega_d": math.tan}),
-    (SumSpec, (), "SumSpec(n_max=100000, tail='integral', auto_scale=True, "
+    (SumSpec, (), "SumSpec(n_max=100000, tail='integral', "
      "hard_cap=16000000)", {"n_max": 5}),
-    (SumSpec, (20_000, "none", False, 10**6), "SumSpec(n_max=20000, "
-     "tail='none', auto_scale=False, hard_cap=1000000)", {"tail": "integral"}),
+    (SumSpec, (20_000, "none", 10**6), "SumSpec(n_max=20000, "
+     "tail='none', hard_cap=1000000)", {"tail": "integral"}),
     (OracleResult, (-0.5, 1e-9, 4096), _ORACLE_TEXT[0], {"capped": True}),
     (PerParameterSums, _ORACLES + _ORACLES,
      f"PerParameterSums(f_omega={_ORACLE_TEXT[0]}, "
@@ -166,13 +166,13 @@ BAD = [
      "element_size must be positive, got 0.0"),
     (ParallelRLC, _LAWS + (_LAWS[0], -1.0), DomainError,
      "element_size must be positive, got -1.0"),
-    (SumSpec, (100, "integral", True, 0), DomainError,
+    (SumSpec, (100, "integral", 0), DomainError,
      "hard_cap must be >= 1"),
-    (SumSpec, (100, "integral", True, -5), DomainError,
+    (SumSpec, (100, "integral", -5), DomainError,
      "hard_cap must be >= 1"),
     (SumSpec, (100.0,), DomainError, "n_max and hard_cap must be ints"),
     (SumSpec, (True,), DomainError, "n_max and hard_cap must be ints"),
-    (SumSpec, (100, "integral", True, 1e6), DomainError,
+    (SumSpec, (100, "integral", 1e6), DomainError,
      "n_max and hard_cap must be ints"),
 ]
 
