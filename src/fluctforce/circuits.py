@@ -18,6 +18,7 @@ frequency unit) with units="reduced".  Geometry operations
 from __future__ import annotations
 
 import math
+from _collections_abc import Callable   # see oscillator
 
 from ._value import Frozen
 from .constants import C_LIGHT, EPSILON_0, HBAR, K_B, ZETA_3
@@ -62,6 +63,8 @@ class ElementLaw(Frozen):
 
 
 def constant_element(x: float) -> ElementLaw:
+    if not -_INF < x < _INF:
+        raise DomainError(f"an element value must be finite, got {x!r}")
     return ElementLaw(lambda _lam: x, lambda _lam: 0.0, constant=True)
 
 
@@ -159,7 +162,10 @@ def _omega_of(cl: float, cc: float) -> float:
     """Omega = 1/sqrt(LC) for a positive inductance and capacitance."""
     _check_positive("inductance", cl)
     _check_positive("capacitance", cc)
-    return 1.0 / math.sqrt(cl * cc)
+    try:
+        return 1.0 / math.sqrt(cl * cc)
+    except ZeroDivisionError:   # L C underflows to 0
+        raise _not_finite("Omega = 1/sqrt(LC)") from None
 
 
 def _lc_frequency(l_of: ElementLaw, c_of: ElementLaw):
@@ -169,8 +175,11 @@ def _lc_frequency(l_of: ElementLaw, c_of: ElementLaw):
 
     def d_omega(lam: float) -> float:
         cl, cc = l_of.value(lam), c_of.value(lam)
-        return -0.5 * _omega_of(cl, cc) * (l_of.derivative(lam) / cl
-                                          + c_of.derivative(lam) / cc)
+        d = -0.5 * _omega_of(cl, cc) * (l_of.derivative(lam) / cl
+                                       + c_of.derivative(lam) / cc)
+        if -_INF < d < _INF:
+            return d
+        raise _not_finite("dOmega/dlambda")
 
     return omega, d_omega
 
@@ -196,8 +205,11 @@ def map_parallel(c: ParallelRLC) -> ParametricModel:
     r_of, c_of = c.resistance, c.capacitance
 
     def gamma0(lam: float) -> float:
-        return 1.0 / (_check_positive("resistance", r_of.value(lam))
-                      * c_of.value(lam))
+        try:
+            return 1.0 / (_check_positive("resistance", r_of.value(lam))
+                          * c_of.value(lam))
+        except ZeroDivisionError:   # R C underflows to 0, or C is 0
+            raise _not_finite("gamma = 1/(RC)") from None
 
     def d_gamma0(lam: float) -> float:
         rr, cc = r_of.value(lam), c_of.value(lam)
@@ -272,13 +284,19 @@ def units_factors(temperature: float, units: str) -> tuple[float, float]:
 
     In SI mode the oscillator layer runs on frequencies in 1/s with
     T -> k_B T / hbar, and every force term carries exactly one power of
-    hbar, so the reduced-unit result times hbar is newtons.
+    hbar, so the reduced-unit result times hbar is newtons.  A temperature
+    that is negative, or not finite as a frequency, raises DomainError.
     """
     if units == "si":
-        return HBAR, K_B * temperature / HBAR
-    if units == "reduced":
-        return 1.0, temperature
-    raise DomainError("units must be 'si' or 'reduced'")
+        hbar_out, t_freq = HBAR, K_B * temperature / HBAR
+    elif units == "reduced":
+        hbar_out, t_freq = 1.0, temperature
+    else:
+        raise DomainError("units must be 'si' or 'reduced'")
+    if not 0.0 <= t_freq < _INF:    # NaN fails too
+        raise DomainError(f"temperature must be finite and >= 0, got "
+                          f"{temperature!r} ({units})")
+    return hbar_out, t_freq
 
 
 _OHMIC_DISPATCH = {
@@ -304,6 +322,8 @@ def scale_result(res: ForceResult, hbar_out: float,
     extra warnings that is res itself, which is returned unchanged."""
     if hbar_out == 1.0 and not extra_warnings:
         return res
+    if not 0.0 < hbar_out < _INF:
+        raise DomainError(f"hbar_out must be finite and > 0, got {hbar_out!r}")
     components = None
     if res.components is not None:
         components = {k: hbar_out * v for k, v in res.components.items()}

@@ -23,9 +23,9 @@ Importing this module loads neither numpy nor the Matsubara oracles,
 and neither does `force` or a linear closed-form sweep (linear points
 come from _linspace, which gives np.linspace's bits).  The oracles
 (matsubara) load on first use in a config with the oracle enabled and
-in `validate`.  numpy loads for a Drude oracle (numpy.roots), in
-`validate`, and for log spacing (np.geomspace, whose power and log10
-are numpy's own and differ in bits from libm's).
+in `validate`.  numpy loads for a Drude oracle (its companion-matrix
+eigenvalues), in `validate`, and for log spacing (np.geomspace, whose
+power and log10 are numpy's own and differ in bits from libm's).
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ import functools
 import json
 import math
 import sys
+
+import fluctforce    # for annotations: SumSpec resolves there on first use
 
 from . import circuits, forces
 from .errors import DivergentSumError, DomainError, PreconditionError
@@ -97,7 +99,7 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _number(value: Any, name: str, kind=float):
+def _number(value: object, name: str, kind=float):
     """A finite JSON number from a config value, as a float, or with
     kind=int as an int, which the value must equal exactly (1e5 is
     100000).  Anything else, booleans and strings included, is a
@@ -116,7 +118,7 @@ def _number(value: Any, name: str, kind=float):
     raise ConfigError(f"{name!r} must be a finite number")
 
 
-def _law(spec: Any, name: str):
+def _law(spec: object, name: str):
     """A scalar is a constant; {'coeff': c, 'power': p} is c * lam**p."""
     if isinstance(spec, (int, float)):
         return power_law(_number(spec, name), 0.0)
@@ -186,7 +188,7 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
     return values
 
 
-def _oracle_spec(cfg: dict) -> SumSpec | None:
+def _oracle_spec(cfg: dict) -> fluctforce.SumSpec | None:
     oracle = cfg.get("oracle", {})
     if not isinstance(oracle, dict):
         raise ConfigError("'oracle' must be an object")

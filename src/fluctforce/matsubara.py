@@ -20,7 +20,8 @@ truncation_estimate is max(|last correction|, |value(N) - value(N/2)|);
 tail="none" is the plain partial sum of min(n_max, hard_cap) terms.
 
 The Ohmic poles are a quadratic's roots, so the Ohmic oracles need no
-numpy; the Drude ones come from numpy.roots, not from the closed forms'
+numpy; the Drude ones are the eigenvalues of the cubic's companion
+matrix, by the LAPACK call numpy.roots makes, not the closed forms'
 oscillator.solve_cubic.
 """
 
@@ -29,6 +30,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from collections.abc import Callable
+from operator import truediv
 
 from ._value import Frozen
 from .errors import DivergentSumError, DomainError, PreconditionError
@@ -39,6 +42,11 @@ from .oscillator import Drude, Ohmic, OscillatorParams, ParametricModel
 _N_DIRECT = 32
 #: B_2k for k = 1..K
 _BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0)
+#: B_2k / (2k), the factors of the corrections f^(2k-1) = (2k-1)! c_{2k-1},
+#: and B_2k / (2k (2k-1)), those of f^(2k-1) = (2k-2)! c_{2k-2}
+_CORRECTION = tuple([b / (2 * k) for k, b in enumerate(_BERNOULLI, 1)])
+_LOG_CORRECTION = tuple([b / (2 * k * (2 * k - 1))
+                         for k, b in enumerate(_BERNOULLI, 1)])
 #: a divided difference takes the Taylor series once its poles lie
 #: within this fraction of |N - centre| of their centre.
 _CLUSTER = 0.25
@@ -112,7 +120,7 @@ def _divided_difference(p: list, poles: list, n: int, scale: float):
         slope = (cmath.log((n - r1) / (n - r0)) / (r1 - r0) if abs(z) > 0.5
                  else -cmath.atanh(z) / (z * m) if z else -1.0 / m)
         ps = _shift(p, r0)
-        dp = sum(x * (r1 - r0) ** j for j, x in enumerate(ps[1:]))
+        dp = sum([x * (r1 - r0) ** j for j, x in enumerate(ps[1:])])
         return ps[0] * slope + dp * cmath.log((n - r1) / scale)
     c = sum(poles) / (k + 1)
     u = n - c
@@ -129,11 +137,20 @@ def _divided_difference(p: list, poles: list, n: int, scale: float):
     # which is at most (d + k)^k spread^d
     log_u = cmath.log(u / scale)
     weights = [w * u ** (i - k) for i, w in enumerate(_shift(p, c))]
+    neg = [-w for w in weights]
+    size = len(weights)
     h = [1.0] * (k + 1)             # h_d of the first j + 1 offsets
     total = 0.0
     for d in range(k + 1 + int(40.0 / -math.log(spread)) if spread else 1):
-        total += h[k] * sum(w * log_u if k + d == i else -w / (k + d - i)
-                            for i, w in enumerate(weights) if k + d >= i)
+        # x^(k+d) takes -w_i / (k + d - i) for i < k + d, w_i log_u for
+        # i = k + d, and nothing from i > k + d
+        m = k + d
+        if m < size:
+            terms = [*map(truediv, neg[:m], range(m, 0, -1)),
+                     weights[m] * log_u]
+        else:
+            terms = map(truediv, neg, range(m, m - size, -1))
+        total += h[k] * sum(terms)
         acc = 0.0
         for j, x in enumerate(offsets):
             acc += x * h[j]
@@ -145,17 +162,23 @@ def _taylor(p: list, poles: list, n: int, count: int) -> list:
     """Taylor coefficients c_0..c_{count-1} of P(n + t) / prod_j
     (n - r_j + t), by series division."""
     q = [1.0]
-    for r in poles:
+    for r in poles:     # q(t) times (x + t), x = n - r
         x = n - r
-        q = [x * a + b for a, b in zip(q + [0.0], [0.0] + q)]
+        prev = 0.0
+        for i, a in enumerate(q):
+            q[i] = x * a + prev
+            prev = a
+        q.append(x * 0.0 + prev)
     # the poles come in conjugate pairs, so the product is real
     inv = 1.0 / q[0].real
     q = [-x.real * inv for x in q[1:]]
     c = [x * inv for x in _shift(p, n)] + [0.0] * (count - len(p))
     for i in range(1, count):
         s = c[i]
-        for j, x in enumerate(q[:i], 1):
-            s += x * c[i - j]
+        j = i
+        for x in q[:i]:     # s += q_0 c_(i-1) + q_1 c_(i-2) + ...
+            j -= 1
+            s += x * c[j]
         c[i] = s
     return c
 
@@ -166,17 +189,19 @@ def _tail(p: list, poles: list, log: bool = False):
     or with log for f zero at infinity with that derivative.  By parts,
     int_n^inf f = -n f(n) - int_n^inf m f'(m) dm: P is exact, so the poles
     of a logarithm's numerator and denominator never cancel in rounding."""
+    count = 2 * len(_BERNOULLI)
+    p_log = [0.0] + p
+
     def tail(n: int, f_n: float):
         u = [abs(n - r) for r in poles]
         scale = math.sqrt(max(u) * min(u))
-        c = _taylor(p, poles, n, 2 * len(_BERNOULLI))
-        if log:     # f^(2k-1) = (2k-2)! c_{2k-2}
-            return (_divided_difference([0.0] + p, poles, n, scale).real
-                    - n * f_n, [b / (2 * k * (2 * k - 1)) * c[2 * k - 2]
-                                for k, b in enumerate(_BERNOULLI, 1)])
+        c = _taylor(p, poles, n, count)
+        if log:
+            return (_divided_difference(p_log, poles, n, scale).real
+                    - n * f_n, [b * x for b, x in zip(_LOG_CORRECTION,
+                                                      c[0::2])])
         return (-_divided_difference(p, poles, n, scale).real,
-                [b / (2 * k) * c[2 * k - 1]
-                 for k, b in enumerate(_BERNOULLI, 1)])
+                [b * x for b, x in zip(_CORRECTION, c[1::2])])
     return tail
 
 
@@ -200,7 +225,7 @@ def _oracle(term, pref: float, head: float, spec: SumSpec,
         half, last = pref * math.fsum([head, first]), 0.0
     else:
         n = min(spec.n_max, _N_DIRECT)
-        terms = [head] + [term(k) for k in range(1, n + 1)]
+        terms = [head, *map(term, range(1, n + 1))]
         value, last = _with_tail(terms, n, pref, tail)
         half, _ = _with_tail(terms, max(n // 2, 1), pref, tail)
     if not abs(value) + abs(half) + abs(last) < _INF:   # NaN fails too
@@ -237,10 +262,18 @@ def _pair_poles(g: float, om: float, a: float) -> list:
 
 
 def _cubic_poles(om: float, g0: float, wd: float, a: float) -> list:
-    """Roots in n of w^3 + wd w^2 + (om^2 + g0 wd) w + om^2 wd, w = a n."""
+    """Roots in n of w^3 + wd w^2 + (om^2 + g0 wd) w + om^2 wd, w = a n:
+    the eigenvalues of the companion matrix numpy.roots builds, by the
+    same LAPACK call.  numpy.roots itself is left to a0 = 0, where it
+    trims the zero coefficient and appends an exact 0j root."""
     import numpy as np
-    return [complex(r) / a
-            for r in np.roots([1.0, wd, om * om + g0 * wd, om * om * wd])]
+    a1, a0 = om * om + g0 * wd, om * om * wd
+    if a0 == 0.0:
+        roots = np.roots([1.0, wd, a1, a0])
+    else:
+        roots = np.linalg.eigvals(np.array([[-wd, -a1, -a0], [1.0, 0.0, 0.0],
+                                            [0.0, 1.0, 0.0]], dtype=float))
+    return [complex(r) / a for r in roots]
 
 
 @_finite

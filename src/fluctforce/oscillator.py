@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from _collections_abc import Callable   # os loads it, not collections.abc
 
 from ._value import Frozen
 from .errors import DomainError, PreconditionError
@@ -262,67 +263,75 @@ def eigenfrequencies_ohmic(p: OscillatorParams) -> Eigenfrequencies:
     return Eigenfrequencies(-1j * i_w1, -1j * i_w2, None, "ohmic")
 
 
-def _polish_root(s: complex | float, a2: float, a1: float, a0: float,
-                 steps: int = 2):
-    """Newton-polish a root of s^3 + a2 s^2 + a1 s + a0."""
-    for _ in range(steps):
-        f = ((s + a2) * s + a1) * s + a0
-        df = (3.0 * s + 2.0 * a2) * s + a1
-        if df == 0:
-            break
-        step = f / df
-        # near-double roots make Newton overshoot; keep the current value
-        if abs(step) > 0.5 * (1.0 + abs(s)):
-            break
-        s = s - step
-    return s
-
-
 def solve_cubic(a2: float, a1: float, a0: float) -> list[complex]:
     """All roots of s^3 + a2 s^2 + a1 s + a0 = 0 with real coefficients.
 
-    Depressed-cubic branch selection by discriminant sign, then Newton
-    polish of every root on the original cubic.
+    Depressed-cubic branch selection by discriminant sign, then two Newton
+    steps per root on the original cubic; roots that are not finite raise.
     """
     shift = a2 / 3.0
     p = a1 - a2 * a2 / 3.0
     q = a2 * (2.0 * a2 * a2 / 27.0 - a1 / 3.0) + a0
     disc = -4.0 * p * p * p - 27.0 * q * q
 
-    roots: list[complex]
-    if disc >= 0.0 and p < 0.0:
+    cardano = not (disc >= 0.0 and p < 0.0)
+    if not cardano:
         # three real roots, trigonometric form
         m = 2.0 * math.sqrt(-p / 3.0)
-        arg = 3.0 * q / (p * m)
+        try:
+            arg = 3.0 * q / (p * m)
+        except ZeroDivisionError:   # p m underflows to 0
+            raise DomainError(f"the cubic underflows: {a2, a1, a0}") from None
         arg = min(1.0, max(-1.0, arg))
         phi = math.acos(arg)
-        ts = [m * math.cos((phi - 2.0 * math.pi * k) / 3.0) for k in range(3)]
-        real_roots = [_polish_root(t - shift, a2, a1, a0) for t in ts]
-        return [complex(r) for r in real_roots]
-
-    # one real root, numerically stable Cardano
-    rad = math.sqrt(max(q * q / 4.0 + p * p * p / 27.0, 0.0))
-    u3 = -0.5 * q - math.copysign(rad, q)
-    if u3 == 0.0:
-        t0 = 0.0
+        tau = 2.0 * math.pi     # (phi - tau k) / 3 at k = 0, 1, 2
+        todo = [m * math.cos(phi / 3.0) - shift,
+                m * math.cos((phi - tau) / 3.0) - shift,
+                m * math.cos((phi - 2.0 * tau) / 3.0) - shift]
     else:
-        u = math.copysign(abs(u3) ** (1.0 / 3.0), u3)
-        t0 = u - p / (3.0 * u)
-    s0 = _polish_root(t0 - shift, a2, a1, a0)
-    # deflate: remaining pair solves t^2 + b t + c with b from Vieta
-    b = a2 + s0
-    c = -a0 / s0 if s0 != 0.0 else a1
-    disc2 = b * b - 4.0 * c
-    if disc2 >= 0.0:
-        r = -0.5 * (b + math.copysign(math.sqrt(disc2), b)) if b != 0.0 \
-            else math.sqrt(disc2) * 0.5
-        pair = [r, c / r] if r != 0.0 else [0.0, -b]
-        roots = [complex(_polish_root(x, a2, a1, a0)) for x in pair]
-    else:
-        z = complex(-0.5 * b, 0.5 * math.sqrt(-disc2))
-        z = _polish_root(z, a2, a1, a0)
-        roots = [z, z.conjugate()]
-    return roots + [complex(s0)]
+        # one real root, numerically stable Cardano
+        rad = math.sqrt(max(q * q / 4.0 + p * p * p / 27.0, 0.0))
+        u3 = -0.5 * q - math.copysign(rad, q)
+        if u3 == 0.0:
+            t0 = 0.0
+        else:
+            u = math.copysign(abs(u3) ** (1.0 / 3.0), u3)
+            t0 = u - p / (3.0 * u)
+        todo = [t0 - shift]
+    roots: list[complex] = []
+    deflate, pair = cardano, False
+    for s in todo:
+        for _ in (0, 1):
+            f = ((s + a2) * s + a1) * s + a0
+            df = (3.0 * s + 2.0 * a2) * s + a1
+            if df == 0.0:
+                break
+            step = f / df
+            # near-double roots make Newton overshoot; keep the current value
+            if abs(step) > 0.5 * (1.0 + abs(s)):
+                break
+            s = s - step
+        if not deflate:
+            roots.append(complex(s))
+            continue
+        # deflate by Cardano's real root: the pair solves t^2 + b t + c
+        deflate, s0 = False, s
+        b = a2 + s0
+        c = -a0 / s0 if s0 != 0.0 else a1
+        disc2 = b * b - 4.0 * c
+        if disc2 >= 0.0:
+            r = -0.5 * (b + math.copysign(math.sqrt(disc2), b)) if b != 0.0 \
+                else math.sqrt(disc2) * 0.5
+            todo += [r, c / r] if r != 0.0 else [0.0, -b]
+        else:
+            todo.append(complex(-0.5 * b, 0.5 * math.sqrt(-disc2)))
+            pair = True
+    if cardano:
+        roots += [roots[0].conjugate(), complex(s0)] if pair else [complex(s0)]
+    z = roots[0] + roots[1] + roots[2]      # NaN or inf if a root is
+    if not -_INF < z.real + z.imag < _INF:
+        raise DomainError(f"the cubic's roots are not finite: {a2, a1, a0}")
+    return roots
 
 
 def _ordered(omegas: list[complex]) -> tuple[complex, complex, complex]:
@@ -368,10 +377,6 @@ def eigenfrequencies_drude_exact(p: OscillatorParams) -> Eigenfrequencies:
         s1, s2, s3 = solve_cubic(wd, a1, a0)
         product = s1 * s2 * s3
         pair_sum = s1 * s2 + (s1 + s2) * s3
-        if not (abs(product) < _INF and abs(pair_sum) < _INF):
-            raise DomainError("the Drude cubic's roots are not finite at "
-                              f"Omega = {om!r}, gamma0 = {g0!r}, "
-                              f"omega_d = {wd!r}")
         if not (abs(product + a0) <= CUBIC_RESIDUAL_BOUND * a0
                 and abs(pair_sum - a1) <= CUBIC_RESIDUAL_BOUND * a1):
             warnings = (WARN_CUBIC_RESIDUAL,)
@@ -399,8 +404,8 @@ def eigenfrequencies_drude_approx(p: OscillatorParams) -> Eigenfrequencies:
 
 def damping_at_matsubara(p: OscillatorParams, omega_n: float) -> float:
     """gamma(i omega_n): the damping function on the imaginary axis."""
-    if omega_n < 0.0:
-        raise PreconditionError("omega_n must be >= 0")
+    if not 0.0 <= omega_n < _INF:      # NaN fails too
+        raise PreconditionError("omega_n must be finite and >= 0")
     if isinstance(p.damping, Ohmic):
         return p.damping.gamma0
     d = p.damping

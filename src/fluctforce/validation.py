@@ -271,11 +271,11 @@ def criterion_vieta(count: int = 10_000) -> CriterionReport:
     The roots come from the scalar public solver, one set at a time; the
     draws and the residuals are whole-array expressions."""
     om, wd, g0 = _vieta_grid(count, np.random.default_rng(_SEED + 3))
-    w = np.array([
-        eigenfrequencies_drude_exact(
+    flat: list[complex] = []
+    for o, d, g in zip(om.tolist(), wd.tolist(), g0.tolist()):
+        flat += eigenfrequencies_drude_exact(
             OscillatorParams(o, Drude(g, d), 1.0)).as_tuple()
-        for o, d, g in zip(om.tolist(), wd.tolist(), g0.tolist())],
-        dtype=complex).reshape(count, 3)
+    w = np.array(flat, dtype=complex).reshape(count, 3)
     w1, w2, w3 = w.T
     b = om * om + g0 * wd
     c = 1j * om * om * wd

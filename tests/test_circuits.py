@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluctforce import circuits as cc
 from fluctforce.errors import DomainError, PreconditionError
 from fluctforce.forces import force_ohmic_exact
 from fluctforce.matsubara import SumSpec, force_sum_exact
+from fluctforce.oscillator import OscillatorParams
 
 HBAR, KB, C, EPS0 = cc.HBAR, cc.K_B, cc.C_LIGHT, cc.EPSILON_0
 
@@ -413,3 +416,100 @@ def test_circuit_force_raises_where_dc_dd_overflows():
     model = cc.series_model(loop, "high-T")
     with pytest.raises(DomainError, match="dC/dd"):
         cc.rlc_force_at(loop, model, 300.0, 1e-10, "high-T")
+
+
+# Every public function returns finite values or raises a library error,
+# whatever float, NaN or +-inf reaches one of its numeric arguments.
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_SERIES = cc.SeriesRLC.of(1e-3, 1e-6, cc.planar_capacitance_law(1e-4))
+_PARALLEL = cc.ParallelRLC.of(1e3, (1e-6, 1.0), 1e-12)
+_PLATES = cc.PlanarCapacitor(1e-4, 1e-6)
+_SPHERE = cc.SpherePlate(1e-4, 1e-6)
+_RESULT = cc.ForceResult(-0.25, "exact", (), {"f_omega": -0.25}, 1e-17)
+
+
+def _circuit_calls(x):
+    series, parallel = cc.map_series(_SERIES), cc.map_parallel(_PARALLEL)
+    return [
+        lambda: cc.constant_element(x).value(1.0),
+        lambda: cc.power_element(x, 0.5).value(2.0),
+        lambda: cc.power_element(1.0, x).derivative(2.0),
+        lambda: cc.power_element(1.0, 0.5).value(x),
+        lambda: cc.force_series_rlc(cc.SeriesRLC.of(1e-3, 1e-6, (x, 1.0)),
+                                    300.0, 1.0),
+        lambda: cc.force_parallel_rlc(cc.ParallelRLC.of(x, (1e-6, 1.0),
+                                                        1e-12), 300.0, 1.0),
+        lambda: cc.SeriesRLC.of(1.0, 1e-6, 1e-12, x).element_size,
+        lambda: cc.PlanarCapacitor(x, 1e-6).area,
+        lambda: cc.PlanarCapacitor(1e-4, x).gap,
+        lambda: cc.PlanarCapacitor(1e-4, 1e-6, x).epsilon,
+        lambda: cc.capacitance_sphere_plate(cc.SpherePlate(x, 1e-6)),
+        lambda: cc.capacitance_sphere_plate(cc.SpherePlate(1e-4, x)),
+        lambda: cc.planar_capacitance_law(x).value(1e-6),
+        lambda: cc.planar_capacitance_law(1e-4, x).derivative(1e-6),
+        lambda: cc.planar_capacitance_law(1e-4).value(x),
+        lambda: cc.planar_capacitance_law(1e-4).derivative(x),
+        lambda: cc.sphere_plate_capacitance_law(x).value(1e-6),
+        lambda: cc.sphere_plate_capacitance_law(1e-4).derivative(x),
+        lambda: series.params_at(x, 1.0),
+        lambda: series.derivatives_at(x),
+        lambda: parallel.params_at(x, 1.0),
+        lambda: parallel.derivatives_at(x),
+        lambda: cc.units_factors(x, "si"),
+        lambda: cc.units_factors(x, "reduced"),
+        lambda: cc.scale_result(_RESULT, x),
+        lambda: cc.force_series_rlc(_SERIES, x, 1e-6),
+        lambda: cc.force_series_rlc(_SERIES, 300.0, x, "high-T"),
+        lambda: cc.force_parallel_rlc(_PARALLEL, x, 1.0, "low-T"),
+        lambda: cc.force_parallel_rlc(_PARALLEL, 1.0, x, units="reduced"),
+        lambda: cc.planar_rlc_low_t_weak(_PLATES, x, 1.0),
+        lambda: cc.planar_rlc_low_t_weak(_PLATES, 1e-9, x),
+        lambda: cc.planar_rlc_low_t_strong(_PLATES, x, 1.0),
+        lambda: cc.planar_rlc_low_t_strong(_PLATES, 1e-9, x),
+        lambda: cc.casimir_reference(_PLATES, x, "high-T"),
+        lambda: cc.casimir_reference(_SPHERE, x, "low-T"),
+        lambda: cc.sphere_plate_circuit_force(_SPHERE, x, 300.0, "low-T"),
+        lambda: cc.sphere_plate_circuit_force(_SPHERE, 1e-6, x, "high-T"),
+        lambda: cc.relative_weight(_PLATES, _SERIES, x, "low-T"),
+        lambda: cc.relative_weight(_SPHERE, _SERIES, x, "high-T"),
+    ]
+
+
+def _all_finite(value) -> bool:
+    if value is None:
+        return True
+    if isinstance(value, (tuple, list)):
+        return all(map(_all_finite, value))
+    if isinstance(value, dict):
+        return _all_finite(list(value.values()))
+    if isinstance(value, complex):
+        return math.isfinite(value.real) and math.isfinite(value.imag)
+    if isinstance(value, (float, int)):
+        return math.isfinite(value)
+    if isinstance(value, cc.ForceResult):
+        return _all_finite([value.value, value.components, value.im_residual])
+    if isinstance(value, OscillatorParams):
+        return _all_finite([value.omega0, value.temperature,
+                            value.damping.gamma0])
+    raise TypeError(f"unexpected result {value!r}")
+
+
+@given(st.one_of(_NON_FINITE, st.floats()))
+@settings(max_examples=300, deadline=None)
+def test_public_functions_are_finite_or_raise(x):
+    for k, call in enumerate(_circuit_calls(x)):
+        try:
+            result = call()
+        except (DomainError, PreconditionError):
+            continue
+        assert _all_finite(result), (k, x, result)
+
+
+@given(_NON_FINITE)
+@settings(max_examples=20, deadline=None)
+def test_non_finite_temperatures_raise(t):
+    for units in ("si", "reduced"):
+        with pytest.raises(DomainError, match="temperature"):
+            cc.units_factors(t, units)
+    with pytest.raises(DomainError, match="temperature"):
+        cc.force_series_rlc(_SERIES, t, 1e-6)

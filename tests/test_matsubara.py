@@ -609,3 +609,50 @@ def test_oracle_call_allocates_no_arrays():
             finally:
                 tracemalloc.stop()
             assert peak < 64 * 1024
+
+
+def _poles_by_numpy_roots(om, g0, wd, a):
+    return [complex(r) / a
+            for r in np.roots([1.0, wd, om * om + g0 * wd, om * om * wd])]
+
+
+def test_cubic_poles_equal_numpy_roots_bit_for_bit():
+    # the companion-matrix eigenvalues are numpy.roots' own, in its order:
+    # over the Vieta battery's range, omega_d / Omega up to 1e12, and where
+    # a0 = Omega^2 omega_d underflows to 0 (numpy.roots' trimmed root 0j)
+    # or to a subnormal
+    rng = np.random.default_rng(20261018)
+    count = 1500
+    om = rng.uniform(0.1, 10.0, 2 * count)
+    ratio = np.exp(np.concatenate([rng.uniform(0.0, math.log(1e4), count),
+                                   rng.uniform(0.0, math.log(1e12), count)]))
+    g0 = om * rng.uniform(0.0, 10.0, 2 * count)
+    a = 2.0 * math.pi * np.exp(rng.uniform(math.log(0.01), math.log(100.0),
+                                           2 * count))
+    cases = list(zip(om.tolist(), g0.tolist(), (om * ratio).tolist(),
+                     a.tolist()))
+    cases += [(om, g0, wd, 1.0) for om in (1e-170, 1e-162, 1e-160)
+              for g0 in (0.0, 0.3) for wd in (1e-3, 2.0, 1e8)]
+    for om, g0, wd, a in cases:
+        got = matsubara._cubic_poles(om, g0, wd, a)
+        want = _poles_by_numpy_roots(om, g0, wd, a)
+        assert [(z.real.hex(), z.imag.hex()) for z in got] \
+            == [(z.real.hex(), z.imag.hex()) for z in want], (om, g0, wd, a)
+    assert matsubara._cubic_poles(1e-170, 0.3, 2.0, 1.0)[2] == 0j
+
+
+def test_non_finite_cubic_coefficients_raise_domain_error():
+    # Omega^2 overflows: numpy's LinAlgError, a ValueError, becomes the
+    # oracles' DomainError
+    with pytest.raises(np.linalg.LinAlgError):
+        matsubara._cubic_poles(1e160, 0.3, 2.0, 1.0)
+    damping = Drude(0.3, 2.0)
+    p = OscillatorParams(1e160, damping, 1.0)
+    calls = [lambda: free_energy_difference(
+                 p, OscillatorParams(1.0, damping, 1.0)),
+             lambda: per_parameter_sums_drude(
+                 p, linear_model(1e160, 1.0, 0.3, 0.0, 2.0, 0.0), 1.0)]
+    for call in calls:
+        with pytest.raises(DomainError) as info:
+            call()
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)

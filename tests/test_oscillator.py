@@ -235,6 +235,7 @@ _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 _NON_NEGATIVE = st.floats(0.0, allow_nan=False, allow_infinity=False)
 _POSITIVE = st.floats(0.0, exclude_min=True, allow_nan=False,
                       allow_infinity=False)
+_REAL = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @given(_NON_FINITE, _POSITIVE)
@@ -407,3 +408,94 @@ def test_drude_exact_roots_unmoved_by_the_check():
         omegas = [1j * s for s in solve_cubic(d, o * o + g * d, o * o * d)]
         assert _same_roots(eig.as_tuple(), _ordered(omegas))
         assert i >= len(grid) or eig.warnings == ()
+
+
+def _oscillator_calls(x):
+    drude, ohmic = Drude(0.3, 30.0), Ohmic(0.3)
+    model = power_law_model((1.0, 0.5), (0.3, 0.0), (30.0, 0.5))
+    return [
+        lambda: solve_cubic(x, 1.0, 1.0),
+        lambda: solve_cubic(30.0, x, 30.0),
+        lambda: solve_cubic(1.0, 1.0, x),
+        lambda: solve_cubic(x, x, x),
+        lambda: power_law(x, 0.5)[0](2.0),
+        lambda: power_law(1.0, x)[1](2.0),
+        lambda: power_law(1.0, 0.5)[0](x),
+        lambda: power_law(1.0, 0.5)[1](x),
+        lambda: power_law_model((x, 1.0)).params_at(1.0, 0.5),
+        lambda: power_law_model((1.0, 0.5), (0.3, 0.0),
+                                (30.0, x)).derivatives_at(2.0),
+        lambda: model.params_at(x, 0.5),
+        lambda: model.params_at(1.0, x),
+        lambda: model.derivatives_at(x),
+        lambda: damping_at_matsubara(OscillatorParams(1.0, drude, 1.0), x),
+        lambda: damping_at_matsubara(OscillatorParams(1.0, ohmic, 1.0), x),
+        lambda: float(drude.in_approx_regime(x)),
+        lambda: eigenfrequencies_ohmic(OscillatorParams(x, ohmic, 1.0)),
+        lambda: eigenfrequencies_ohmic(OscillatorParams(1.0, Ohmic(x), 1.0)),
+        lambda: eigenfrequencies_drude_exact(OscillatorParams(x, drude, 1.0)),
+        lambda: eigenfrequencies_drude_exact(
+            OscillatorParams(1.0, Drude(x, 30.0), 1.0)),
+        lambda: eigenfrequencies_drude_exact(
+            OscillatorParams(1.0, Drude(0.3, x), 1.0)),
+        lambda: eigenfrequencies_drude_approx(OscillatorParams(x, drude, 1.0)),
+        lambda: eigenfrequencies_drude_approx(
+            OscillatorParams(1.0, Drude(x, 1e300), 1.0)),
+    ]
+
+
+def _all_finite(value) -> bool:
+    if isinstance(value, (tuple, list)):
+        return all(map(_all_finite, value))
+    if isinstance(value, complex):
+        return math.isfinite(value.real) and math.isfinite(value.imag)
+    if isinstance(value, (float, int)):
+        return math.isfinite(value)
+    if isinstance(value, OscillatorParams):
+        return _all_finite([value.omega0, value.temperature,
+                            value.damping.gamma0])
+    return _all_finite(value.as_tuple())     # Eigenfrequencies
+
+
+# Every public function returns finite values or raises a library error
+# when NaN or +-inf reaches one of its numeric arguments.
+@given(_NON_FINITE)
+@settings(max_examples=30, deadline=None)
+def test_public_functions_are_finite_or_raise(x):
+    for k, call in enumerate(_oscillator_calls(x)):
+        try:
+            result = call()
+        except (DomainError, PreconditionError):
+            continue
+        assert _all_finite(result), (k, x, result)
+
+
+@given(_NON_FINITE, st.integers(0, 2),
+       st.tuples(_REAL, _REAL, _REAL))
+@settings(max_examples=200, deadline=None)
+def test_solve_cubic_raises_on_non_finite_coefficients(bad, k, finite):
+    coefficients = list(finite)
+    coefficients[k] = bad
+    with pytest.raises(DomainError, match="not finite"):
+        solve_cubic(*coefficients)
+
+
+@given(_REAL, _REAL, _REAL)
+@settings(max_examples=300, deadline=None)
+def test_solve_cubic_is_finite_or_raises(a2, a1, a0):
+    try:
+        roots = solve_cubic(a2, a1, a0)
+    except DomainError:
+        return
+    assert len(roots) == 3 and _all_finite(roots)
+
+
+@pytest.mark.parametrize("omega0, gamma0, omega_d", [
+    (1e-112, 1e-112, 1e-108), (1e-160, 1e-160, 1e-150)])
+def test_drude_exact_raises_where_the_cubic_underflows(omega0, gamma0,
+                                                       omega_d):
+    # p m of the trigonometric branch underflows to 0: a DomainError, not
+    # a bare ZeroDivisionError
+    with pytest.raises(DomainError, match="underflows"):
+        eigenfrequencies_drude_exact(
+            OscillatorParams(omega0, Drude(gamma0, omega_d), 1.0))

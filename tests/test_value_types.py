@@ -294,3 +294,39 @@ def test_recursive_repr_is_cut():
     law.__dict__["value"] = law            # a cycle no real value holds
     assert repr(law) == ("ElementLaw(value=..., derivative=<built-in "
                          "function abs>, constant=False)")
+
+
+def _annotated():
+    """Every function and class the package's modules define, and the
+    methods of each class."""
+    from fluctforce import cli, specfun
+    for module in (_value, circuits, cli, forces, matsubara, oscillator,
+                   specfun, validation):
+        for name, obj in sorted(vars(module).items()):
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{module.__name__}.{name}", obj
+            elif inspect.isclass(obj):
+                yield f"{module.__name__}.{name}", obj
+                for attr, member in vars(obj).items():
+                    if inspect.isfunction(member):
+                        yield f"{module.__name__}.{name}.{attr}", member
+
+
+def test_type_hints_resolve():
+    # every annotation is a string, so a name it uses must be a global
+    # of its module when typing.get_type_hints evaluates it
+    import typing
+    names = []
+    for name, obj in _annotated():
+        typing.get_type_hints(obj)
+        names.append(name)
+    for name in ("fluctforce.oscillator.ParametricModel",
+                 "fluctforce.circuits.ElementLaw",
+                 "fluctforce.matsubara.finite_difference_force",
+                 "fluctforce.cli._oracle_spec"):
+        assert name in names
+    from collections.abc import Callable
+    assert typing.get_type_hints(oscillator.ParametricModel)["d_omega_d"] \
+        == Callable[[float], float] | None
