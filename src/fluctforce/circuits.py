@@ -189,12 +189,18 @@ def map_series(c: SeriesRLC) -> ParametricModel:
     r_of, l_of = c.resistance, c.inductance
 
     def gamma0(lam: float) -> float:
-        return r_of.value(lam) / l_of.value(lam)
+        try:
+            return r_of.value(lam) / l_of.value(lam)
+        except ZeroDivisionError:   # L is 0
+            raise _not_finite("gamma = R/L") from None
 
     def d_gamma0(lam: float) -> float:
         cl = l_of.value(lam)
-        return (r_of.derivative(lam) / cl
-                - r_of.value(lam) * l_of.derivative(lam) / (cl * cl))
+        try:
+            return (r_of.derivative(lam) / cl
+                    - r_of.value(lam) * l_of.derivative(lam) / (cl * cl))
+        except ZeroDivisionError:   # L is 0, or L L underflows to 0
+            raise _not_finite("dgamma/dlambda") from None
 
     return ParametricModel(*_lc_frequency(l_of, c.capacitance), gamma0,
                            d_gamma0)
@@ -293,7 +299,7 @@ def units_factors(temperature: float, units: str) -> tuple[float, float]:
         hbar_out, t_freq = 1.0, temperature
     else:
         raise DomainError("units must be 'si' or 'reduced'")
-    if not 0.0 <= t_freq < _INF:    # NaN fails too
+    if not (0.0 <= temperature and t_freq < _INF):     # NaN fails too
         raise DomainError(f"temperature must be finite and >= 0, got "
                           f"{temperature!r} ({units})")
     return hbar_out, t_freq
@@ -445,6 +451,9 @@ def casimir_reference(geometry, temperature: float, regime: str) -> ForceResult:
     """
     if regime not in ("low-T", "high-T"):
         raise DomainError("regime must be 'low-T' or 'high-T'")
+    if not 0.0 <= temperature < _INF:      # NaN fails too
+        raise DomainError(f"temperature must be finite and >= 0, got "
+                          f"{temperature!r}")
     warnings: tuple[str, ...] = ()
     x = _thermal_wavelength_ratio(temperature, geometry.gap)
     if 0.1 <= x <= 10.0:
@@ -489,6 +498,9 @@ def sphere_plate_circuit_force(g: SpherePlate, inductance: float,
     """
     if regime not in ("low-T", "high-T"):
         raise DomainError("regime must be 'low-T' or 'high-T'")
+    if not 0.0 <= temperature < _INF:      # NaN fails too
+        raise DomainError(f"temperature must be finite and >= 0, got "
+                          f"{temperature!r}")
     warnings: tuple[str, ...] = ()
     if g.gap > g.radius:
         warnings = (WARN_SPHERE_INTERP,)
@@ -522,13 +534,16 @@ def relative_weight(geometry, circuit: SeriesRLC, temperature: float,
     constants 45/pi^3 = 1.4514... and 2/zeta(3) = 1.6638... are used.
     The circuit supplies the (lambda-independent) inductance; finite
     damping corrections are available through the force routines but
-    not in these closed forms.  temperature is accepted for interface
-    symmetry; the closed-form weights are temperature free because T
-    cancels between the circuit force and the Casimir reference.
+    not in these closed forms.  temperature is checked as the forces
+    check it, and otherwise unused: the closed-form weights are
+    temperature free because T cancels between the circuit force and the
+    Casimir reference.
     """
     if regime not in ("low-T", "high-T"):
         raise DomainError("regime must be 'low-T' or 'high-T'")
-    del temperature
+    if not 0.0 <= temperature < _INF:      # NaN fails too
+        raise DomainError(f"temperature must be finite and >= 0, got "
+                          f"{temperature!r}")
     try:
         if isinstance(geometry, PlanarCapacitor):
             s, d = geometry.area, geometry.gap

@@ -62,14 +62,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, str):
-        return x
-    return repr(float(x))
-
-
 def _reject_constant(name: str):
     raise ConfigError(f"config holds the non-finite number {name}")
 
@@ -367,25 +359,17 @@ def _columns(mode: str) -> tuple[str, ...]:
     return GEOMETRY_COLUMNS if mode in _GEOMETRY_MODES else BASE_COLUMNS
 
 
-def _in_column_order(columns: tuple[str, ...], rows) -> list[dict]:
-    """rows with exactly the columns as keys, in order: each row itself
-    where it already has them, as every row built here has."""
-    return [row if tuple(row) == columns
-            else {c: row.get(c) for c in columns} for row in rows]
-
-
 _repr = float.__repr__
 
 
 def _render_csv(columns, rows) -> str:
-    """One line per row, each cell as _fmt writes it; floats, None and
-    strings, the cells a row holds, are written without calling it."""
-    columns = tuple(columns)
+    """One line per row; each row has exactly the columns as keys, in
+    order, and a float (as its repr), None (empty) or a str in each."""
     lines = [",".join(columns)]
-    for row in _in_column_order(columns, rows):
+    for row in rows:
         lines.append(",".join([
-            _repr(v) if type(v) is float else "" if v is None
-            else v if type(v) is str else _fmt(v) for v in row.values()]))
+            _repr(v) if type(v) is float else "" if v is None else v
+            for v in row.values()]))
     lines.append("")
     return "\n".join(lines)
 
@@ -396,17 +380,17 @@ _ROWS_JSON = json.JSONEncoder(separators=(",\n      ", ": ")).encode
 
 
 def _render_json(columns, rows) -> str:
-    """The bytes of json.dumps(payload, indent=2) + "\\n".
+    """The bytes of json.dumps(payload, indent=2) + "\\n", for rows as
+    _render_csv takes them.
 
     All (flat) rows go through the C encoder in one call, which puts the
     item separator between the rows as well; that separator is the only
     place where "}" meets a raw newline (JSON escapes the newlines in
     strings), so it is replaced there by the indented one."""
-    columns = tuple(columns)
     head = json.dumps({"schema": SCHEMA, "columns": list(columns)}, indent=2)
     body = "[]"
     if rows:
-        text = _ROWS_JSON(_in_column_order(columns, rows))
+        text = _ROWS_JSON(rows)
         body = ("[\n    {\n      "
                 + text[2:-2].replace("},\n      {",
                                      "\n    },\n    {\n      ")

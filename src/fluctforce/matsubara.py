@@ -2,8 +2,8 @@
 
 Matsubara frequencies are omega_n = 2 pi n T (hbar = k_B = 1), and a
 "primed" sum takes n = 0 with half weight.  An oracle sums n = 1..N as
-plain floats (math.fsum), N = min(SumSpec.n_max, 32), and the rest by
-Euler-Maclaurin (DLMF 2.10.1):
+plain floats (math.fsum), N = min(SumSpec.n_max, SumSpec.hard_cap = 32),
+and the rest by Euler-Maclaurin (DLMF 2.10.1):
 
     sum_{n>N} f(n) = int_N^inf f dn - f(N)/2
                      - sum_{k=1}^{4} B_2k / (2k)! f^(2k-1)(N) + R.
@@ -16,8 +16,7 @@ Taylor coefficients of P(N + t) / prod_j (N - r_j + t).  Nothing
 divides by the gap between two close poles, so coincident ones, as at
 critical damping, need no special case.  Since |N - r_j| >= N, each
 correction is about (2 pi N)^-2 of the one before at any temperature.
-truncation_estimate is max(|last correction|, |value(N) - value(N/2)|);
-tail="none" is the plain partial sum of min(n_max, hard_cap) terms.
+truncation_estimate is max(|last correction|, |value(N) - value(N/2)|).
 
 The Ohmic poles are a quadratic's roots, so the Ohmic oracles need no
 numpy; the Drude ones are the eigenvalues of the cubic's companion
@@ -37,9 +36,6 @@ from ._value import Frozen
 from .errors import DivergentSumError, DomainError, PreconditionError
 from .oscillator import Drude, Ohmic, OscillatorParams, ParametricModel
 
-#: terms summed directly.  With K = 4 corrections the remainder is about
-#: 2 * 9! / (2 pi N)^10 of the tail, 7e-18 at N = 32.
-_N_DIRECT = 32
 #: B_2k for k = 1..K
 _BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0)
 #: B_2k / (2k), the factors of the corrections f^(2k-1) = (2k-1)! c_{2k-1},
@@ -55,47 +51,36 @@ _INF = math.inf
 
 
 class SumSpec(Frozen):
-    """Controls for the Matsubara oracles.  n_max bounds the terms summed
-    directly: tail="integral" sums min(n_max, 32) and adds the rest by
-    Euler-Maclaurin, tail="none" sums min(n_max, hard_cap) and no more."""
+    """Controls for the Matsubara oracles: an oracle sums min(n_max,
+    hard_cap) terms directly and adds the rest by Euler-Maclaurin."""
 
     n_max: int = 100_000
-    tail: str = "integral"          # "integral" | "none"
-    hard_cap: int = 16_000_000
+    #: the most terms summed directly, a class constant and not a field.
+    #: With K = 4 corrections the remainder is about 2 * 9! / (2 pi N)^10
+    #: of the tail, 7e-18 at N = 32.
+    hard_cap = 32
 
-    def __init__(self, n_max: int = 100_000, tail: str = "integral",
-                 hard_cap: int = 16_000_000):
-        if type(n_max) is not int or type(hard_cap) is not int:
-            raise DomainError("n_max and hard_cap must be ints")
+    def __init__(self, n_max: int = 100_000):
+        if type(n_max) is not int:
+            raise DomainError("n_max must be an int")
         if n_max < 1:
             raise DomainError("n_max must be >= 1")
-        if hard_cap < 1:
-            raise DomainError("hard_cap must be >= 1")
-        if tail not in ("integral", "none"):
-            raise DomainError("tail must be 'integral' or 'none'")
-        d = self.__dict__
-        d["n_max"] = n_max
-        d["tail"] = tail
-        d["hard_cap"] = hard_cap
+        self.__dict__["n_max"] = n_max
 
 
 class OracleResult(Frozen):
-    """An oracle value.  n_used is the number of terms summed directly;
-    capped is true when tail="none" asked for more than SumSpec.hard_cap
-    terms and n_used was cut to the cap."""
+    """An oracle value; n_used is the number of terms summed directly."""
 
     value: float
     truncation_estimate: float
     n_used: int
-    capped: bool = False
 
     def __init__(self, value: float, truncation_estimate: float,
-                 n_used: int, capped: bool = False):
+                 n_used: int):
         d = self.__dict__
         d["value"] = value
         d["truncation_estimate"] = truncation_estimate
         d["n_used"] = n_used
-        d["capped"] = capped
 
 
 def _shift(p: list, x) -> list:
@@ -215,23 +200,15 @@ def _with_tail(terms: list, n: int, pref: float, tail) -> tuple:
 
 def _oracle(term, pref: float, head: float, spec: SumSpec,
             tail) -> OracleResult:
-    """pref * (head + sum_{n>=1} term(n)), summed as spec says; tail(n,
-    term(n)) is the summand's integral beyond n and its corrections at n."""
-    if spec.tail == "none":
-        n = min(spec.n_max, spec.hard_cap)
-        first = math.fsum(map(term, range(1, n // 2 + 1)))
-        rest = math.fsum(map(term, range(n // 2 + 1, n + 1)))
-        value = pref * math.fsum([head, first, rest])
-        half, last = pref * math.fsum([head, first]), 0.0
-    else:
-        n = min(spec.n_max, _N_DIRECT)
-        terms = [head, *map(term, range(1, n + 1))]
-        value, last = _with_tail(terms, n, pref, tail)
-        half, _ = _with_tail(terms, max(n // 2, 1), pref, tail)
+    """pref * (head + sum_{n>=1} term(n)); tail(n, term(n)) is the
+    summand's integral beyond n and its corrections at n."""
+    n = min(spec.n_max, spec.hard_cap)
+    terms = [head, *map(term, range(1, n + 1))]
+    value, last = _with_tail(terms, n, pref, tail)
+    half, _ = _with_tail(terms, max(n // 2, 1), pref, tail)
     if not abs(value) + abs(half) + abs(last) < _INF:   # NaN fails too
         raise DomainError("the Matsubara sum is not a finite number")
-    return OracleResult(value, max(abs(last), abs(value - half)), n,
-                        spec.tail == "none" and spec.n_max > spec.hard_cap)
+    return OracleResult(value, max(abs(last), abs(value - half)), n)
 
 
 def _finite(oracle):

@@ -86,30 +86,23 @@ DampingModel = Ohmic | Drude
 
 
 class OscillatorParams(Frozen):
-    """Reduced-unit oscillator parameters.
-
-    The mass cancels from every force expression and is kept only for
-    bookkeeping; no force operation reads it.
-    """
+    """Reduced-unit oscillator parameters.  The mass cancels from every
+    force expression, so there is none."""
 
     omega0: float
     damping: DampingModel
     temperature: float
-    mass: float | None = None
 
     def __init__(self, omega0: float, damping: DampingModel,
-                 temperature: float, mass: float | None = None):
+                 temperature: float):
         if not 0.0 < omega0 < _INF:
             raise DomainError("omega0 must be finite and > 0")
         if not 0.0 <= temperature < _INF:
             raise DomainError("temperature must be finite and >= 0")
-        if mass is not None and not 0.0 < mass < _INF:
-            raise DomainError("mass must be finite and > 0")
         d = self.__dict__
         d["omega0"] = omega0
         d["damping"] = damping
         d["temperature"] = temperature
-        d["mass"] = mass
 
 
 def _const_zero(_: float) -> float:
@@ -146,14 +139,13 @@ class ParametricModel(Frozen):
         d["omega_d"] = omega_d
         d["d_omega_d"] = d_omega_d
 
-    def params_at(self, lam: float, temperature: float,
-                  mass: float | None = None) -> OscillatorParams:
+    def params_at(self, lam: float, temperature: float) -> OscillatorParams:
         """Materialize OscillatorParams at a sweep point."""
         if self.omega_d is None:
             damping: DampingModel = Ohmic(self.gamma0(lam))
         else:
             damping = Drude(self.gamma0(lam), self.omega_d(lam))
-        return OscillatorParams(self.omega(lam), damping, temperature, mass)
+        return OscillatorParams(self.omega(lam), damping, temperature)
 
     def derivatives_at(self, lam: float) -> tuple[float, float, float]:
         """(dOmega/dlam, dgamma0/dlam, domega_d/dlam) at lam."""

@@ -395,6 +395,10 @@ _LOOP = cc.SeriesRLC.of(1e-3, 1e-6, 1e-12)
                                   1e-200)),
     (cc.sphere_plate_circuit_force, (cc.SpherePlate(1e-4, 1e-6), -1e-9,
                                      300.0, "low-T")),
+    # gamma = R/L at L = 0, and dgamma/dlambda, where L L underflows to 0
+    (cc.map_series(cc.SeriesRLC.of(1.0, 0.0, 1e-12)).gamma0, (1.0,)),
+    (cc.map_series(cc.SeriesRLC.of(1.0, 1e-200, 1e-12)).derivatives_at,
+     (1.0,)),
 ])
 def test_closed_forms_raise_domain_error_where_not_finite(fn, args):
     with pytest.raises(DomainError):
@@ -505,11 +509,33 @@ def test_public_functions_are_finite_or_raise(x):
         assert _all_finite(result), (k, x, result)
 
 
-@given(_NON_FINITE)
-@settings(max_examples=20, deadline=None)
+@given(st.one_of(_NON_FINITE, st.floats(max_value=-5e-324)))
+@settings(max_examples=40, deadline=None)
 def test_non_finite_temperatures_raise(t):
+    # negative temperatures raise as well
     for units in ("si", "reduced"):
         with pytest.raises(DomainError, match="temperature"):
             cc.units_factors(t, units)
     with pytest.raises(DomainError, match="temperature"):
         cc.force_series_rlc(_SERIES, t, 1e-6)
+    for regime in ("low-T", "high-T"):
+        for call in (lambda: cc.casimir_reference(_PLATES, t, regime),
+                     lambda: cc.casimir_reference(_SPHERE, t, regime),
+                     lambda: cc.sphere_plate_circuit_force(_SPHERE, 1e-6, t,
+                                                           regime),
+                     lambda: cc.relative_weight(_PLATES, _SERIES, t, regime),
+                     lambda: cc.relative_weight(_SPHERE, _SERIES, t,
+                                                regime)):
+            with pytest.raises(DomainError,
+                               match="temperature must be finite and >= 0"):
+                call()
+
+
+def test_geometry_forms_take_zero_temperature():
+    for regime in ("low-T", "high-T"):
+        assert cc.casimir_reference(_PLATES, 0.0, regime).value <= 0.0
+        assert cc.casimir_reference(_SPHERE, 0.0, regime).value <= 0.0
+        assert cc.sphere_plate_circuit_force(_SPHERE, 1e-6, 0.0,
+                                             regime).value <= 0.0
+        assert cc.relative_weight(_PLATES, _SERIES, 0.0, regime) > 0.0
+        assert cc.relative_weight(_SPHERE, _SERIES, 0.0, regime) > 0.0

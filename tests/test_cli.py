@@ -481,9 +481,9 @@ _AWKWARD_ROWS = [
 @pytest.mark.parametrize("columns", [cli.BASE_COLUMNS, cli.GEOMETRY_COLUMNS])
 @pytest.mark.parametrize("count", [0, 1, 2])
 def test_render_json_is_indented_dumps(columns, count):
-    rows = _AWKWARD_ROWS[:count]
-    payload = {"schema": cli.SCHEMA, "columns": list(columns),
-               "rows": [{c: row.get(c) for c in columns} for row in rows]}
+    # rows as the CLI builds them: exactly the columns, in order
+    rows = [{c: row.get(c) for c in columns} for row in _AWKWARD_ROWS[:count]]
+    payload = {"schema": cli.SCHEMA, "columns": list(columns), "rows": rows}
     assert cli._render_json(columns, rows) \
         == json.dumps(payload, indent=2) + "\n"
 
@@ -529,6 +529,31 @@ def test_non_finite_geometry_rows_are_domain_errors(tmp_path, capsys, mode,
                      "points": 3, "spacing": "linear"}}
     out = tmp_path / "o.csv"
     assert main([command, "--config", write_config(tmp_path, "c.json", cfg),
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("domain error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, params", [
+    # a negative temperature made the high-T sphere-plate force repulsive
+    ("sphere-plate", {"radius": 1e-4, "inductance": 1e-6, "gap": 1e-6,
+                      "temperature": -300.0, "regime": "high-T"}),
+    ("sphere-plate", {"radius": 1e-4, "inductance": 1e-6, "gap": 1e-6,
+                      "temperature": -300.0, "regime": "low-T"}),
+    ("planar", {"area": 1e-4, "inductance": 1e-6, "resistance": 1e-3,
+                "temperature": -300.0, "regime": "high-T"}),
+    # gamma = R/L divided by zero
+    ("series-rlc", {"resistance": 1.0, "inductance": 0.0,
+                    "capacitance": 1.0, "temperature": 0.5}),
+], ids=["sphere-plate-high-T", "sphere-plate-low-T", "planar-high-T",
+        "series-rlc-zero-inductance"])
+def test_negative_temperature_and_zero_inductance_exit_3(tmp_path, capsys,
+                                                         mode, params):
+    cfg = {"schema": "fluctforce/1", "mode": mode,
+           "units": "reduced" if mode == "series-rlc" else "si",
+           "parameters": dict(params, **{"lambda": 1e-6})}
+    out = tmp_path / "o.csv"
+    assert main(["force", "--config", write_config(tmp_path, "c.json", cfg),
                  "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith("domain error: ")
     assert not out.exists()
@@ -611,10 +636,10 @@ def test_render_json_strings_that_look_like_row_separators():
              "warnings": text + ";" + text} for i, text in enumerate(tricky)]
     rows.append(dict(zip(cli.BASE_COLUMNS, tricky * 2)))
     columns = cli.BASE_COLUMNS
-    payload = {"schema": cli.SCHEMA, "columns": list(columns),
-               "rows": [{c: row.get(c) for c in columns} for row in rows]}
+    rows = [{c: row.get(c) for c in columns} for row in rows]
+    payload = {"schema": cli.SCHEMA, "columns": list(columns), "rows": rows}
     for count in range(len(rows) + 1):
-        payload_part = dict(payload, rows=payload["rows"][:count])
+        payload_part = dict(payload, rows=rows[:count])
         assert cli._render_json(columns, rows[:count]) \
             == json.dumps(payload_part, indent=2) + "\n"
 
@@ -794,7 +819,7 @@ from test_value_types import SAMPLES
 INVALID = {"Ohmic": {"gamma0": -1.0}, "Drude": {"omega_d": 0.0},
            "OscillatorParams": {"omega0": 0.0},
            "PlanarCapacitor": {"gap": 0.0}, "SpherePlate": {"radius": 0.0},
-           "SumSpec": {"hard_cap": 0}, "SeriesRLC": {"element_size": 0.0},
+           "SumSpec": {"n_max": 0}, "SeriesRLC": {"element_size": 0.0},
            "ParallelRLC": {"element_size": -1.0}}
 def plain(v):
     if isinstance(v, _value.Frozen):

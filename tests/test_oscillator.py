@@ -257,19 +257,15 @@ def test_params_reject_non_finite_fields(bad, positive, non_negative):
         OscillatorParams(bad, damping, non_negative)
     with pytest.raises(DomainError):
         OscillatorParams(positive, damping, bad)
-    with pytest.raises(DomainError):
-        OscillatorParams(positive, damping, non_negative, bad)
 
 
-@given(_POSITIVE, _NON_NEGATIVE, _POSITIVE, _NON_NEGATIVE,
-       st.none() | _POSITIVE)
+@given(_POSITIVE, _NON_NEGATIVE, _POSITIVE, _NON_NEGATIVE)
 @settings(max_examples=200, deadline=None)
 def test_constructors_accept_finite_in_domain_values(omega0, gamma0, omega_d,
-                                                     temperature, mass):
+                                                     temperature):
     for damping in (Ohmic(gamma0), Drude(gamma0, omega_d)):
-        p = OscillatorParams(omega0, damping, temperature, mass)
-        assert (p.omega0, p.temperature, p.mass) == (omega0, temperature,
-                                                     mass)
+        p = OscillatorParams(omega0, damping, temperature)
+        assert (p.omega0, p.temperature) == (omega0, temperature)
 
 
 def test_domain_errors_are_value_errors():

@@ -22,11 +22,10 @@ from fluctforce.oscillator import (Drude, Eigenfrequencies, Ohmic,
 from fluctforce.validation import CriterionReport
 
 # field values of the samples below: picklable, with a stable repr
-_ORACLES = (OracleResult(-0.5, 1e-9, 4096), OracleResult(0.25, 0.0, 8, True))
+_ORACLES = (OracleResult(-0.5, 1e-9, 4096), OracleResult(0.25, 0.0, 8))
 _ORACLE_TEXT = ("OracleResult(value=-0.5, truncation_estimate=1e-09, "
-                "n_used=4096, capped=False)",
-                "OracleResult(value=0.25, truncation_estimate=0.0, n_used=8, "
-                "capped=True)")
+                "n_used=4096)",
+                "OracleResult(value=0.25, truncation_estimate=0.0, n_used=8)")
 _LAWS = (ElementLaw(abs, abs, True), ElementLaw(math.exp, math.exp))
 _LAW_TEXT = ("ElementLaw(value=<built-in function abs>, derivative=<built-in "
              "function abs>, constant=True)",
@@ -40,10 +39,10 @@ SAMPLES = [
      {"omega_d": 50.0}),
     (OscillatorParams, (1.5, Ohmic(0.1), 0.25),
      "OscillatorParams(omega0=1.5, damping=Ohmic(gamma0=0.1), "
-     "temperature=0.25, mass=None)", {"mass": 2.0}),
-    (OscillatorParams, (1.5, Drude(0.1, 30.0), 0.0, 3.0),
+     "temperature=0.25)", {"omega0": 2.0}),
+    (OscillatorParams, (1.5, Drude(0.1, 30.0), 0.0),
      "OscillatorParams(omega0=1.5, damping=Drude(gamma0=0.1, omega_d=30.0), "
-     "temperature=0.0, mass=3.0)", {"temperature": 1.0}),
+     "temperature=0.0)", {"temperature": 1.0}),
     (ForceResult, (-0.25, "exact"),
      "ForceResult(value=-0.25, regime='exact', warnings=(), "
      "components=None, im_residual=0.0)", {"regime": "low-T"}),
@@ -62,11 +61,9 @@ SAMPLES = [
      "ParametricModel(omega=<built-in function sqrt>, d_omega=<built-in "
      "function cos>, gamma0=<built-in function exp>, d_gamma0=<built-in "
      "function sin>, omega_d=None, d_omega_d=None)", {"omega_d": math.tan}),
-    (SumSpec, (), "SumSpec(n_max=100000, tail='integral', "
-     "hard_cap=16000000)", {"n_max": 5}),
-    (SumSpec, (20_000, "none", 10**6), "SumSpec(n_max=20000, "
-     "tail='none', hard_cap=1000000)", {"tail": "integral"}),
-    (OracleResult, (-0.5, 1e-9, 4096), _ORACLE_TEXT[0], {"capped": True}),
+    (SumSpec, (), "SumSpec(n_max=100000)", {"n_max": 5}),
+    (SumSpec, (20_000,), "SumSpec(n_max=20000)", {"n_max": 32}),
+    (OracleResult, (-0.5, 1e-9, 4096), _ORACLE_TEXT[0], {"n_used": 8}),
     (PerParameterSums, _ORACLES + _ORACLES,
      f"PerParameterSums(f_omega={_ORACLE_TEXT[0]}, "
      f"f_gamma0={_ORACLE_TEXT[1]}, f_omega_d_1={_ORACLE_TEXT[0]}, "
@@ -148,9 +145,9 @@ BAD = [
      "omega0 must be finite and > 0"),
     (OscillatorParams, (1.0, Ohmic(0.1), -1.0), DomainError,
      "temperature must be finite and >= 0"),
-    (OscillatorParams, (1.0, Ohmic(0.1), 1.0, math.inf), DomainError,
-     "mass must be finite and > 0"),
-    (OscillatorParams, (-1.0, Ohmic(0.1), -1.0, -1.0), DomainError,
+    (OscillatorParams, (1.0, Ohmic(0.1), math.nan), DomainError,
+     "temperature must be finite and >= 0"),
+    (OscillatorParams, (-1.0, Ohmic(0.1), -1.0), DomainError,
      "omega0 must be finite and > 0"),
     (PlanarCapacitor, (1e-4, 0.0), DomainError,
      "area, gap and epsilon must be positive"),
@@ -160,20 +157,13 @@ BAD = [
      "radius and gap must be positive"),
     (SpherePlate, (1e-4, 1e-320), DomainError, "radius / gap must be finite"),
     (SumSpec, (0,), DomainError, "n_max must be >= 1"),
-    (SumSpec, (10, "midpoint"), DomainError,
-     "tail must be 'integral' or 'none'"),
+    (SumSpec, (-5,), DomainError, "n_max must be >= 1"),
     (SeriesRLC, _LAWS + (_LAWS[0], 0.0), DomainError,
      "element_size must be positive, got 0.0"),
     (ParallelRLC, _LAWS + (_LAWS[0], -1.0), DomainError,
      "element_size must be positive, got -1.0"),
-    (SumSpec, (100, "integral", 0), DomainError,
-     "hard_cap must be >= 1"),
-    (SumSpec, (100, "integral", -5), DomainError,
-     "hard_cap must be >= 1"),
-    (SumSpec, (100.0,), DomainError, "n_max and hard_cap must be ints"),
-    (SumSpec, (True,), DomainError, "n_max and hard_cap must be ints"),
-    (SumSpec, (100, "integral", 1e6), DomainError,
-     "n_max and hard_cap must be ints"),
+    (SumSpec, (100.0,), DomainError, "n_max must be an int"),
+    (SumSpec, (True,), DomainError, "n_max must be an int"),
 ]
 
 
@@ -198,7 +188,7 @@ def test_checks_and_messages(cls, args, exc, message):
      "element_size must be positive"),
     (ParallelRLC(*_LAWS, _LAWS[0]), {"element_size": 0.0},
      "element_size must be positive"),
-    (SumSpec(), {"hard_cap": 0}, "hard_cap must be >= 1"),
+    (SumSpec(), {"n_max": 1.5}, "n_max must be an int"),
 ])
 def test_replace_checks_again(obj, change, message):
     with pytest.raises(ValueError, match=message):
