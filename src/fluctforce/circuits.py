@@ -6,8 +6,9 @@ gamma -> R/L, Omega -> 1/sqrt(LC); a parallel loop as M -> C,
 gamma -> 1/(RC), Omega -> 1/sqrt(LC).  In both cases gamma is
 frequency independent (Ohmic), which is exactly why the circuit force
 is only finite when the damping does not depend on the swept
-parameter: for a series loop only C may vary, for a parallel loop
-only L.
+parameter: rlc_force_at checks dgamma/dlambda = 0 at each point, the
+test force_sum_exact makes, and raises PreconditionError where it
+fails.
 
 Units: circuit element values may be SI (ohm, henry, farad, kelvin,
 metre) with units="si", or reduced (hbar = k_B = 1, any consistent
@@ -36,8 +37,6 @@ WARN_ELEMENT_SIZE = "lumped-element-size"
 #: d^2/S above this flags plate edge effects.
 EDGE_EFFECT_RATIO = 0.1
 
-_REGIMES = ("exact", "weak-dissipation", "high-T", "low-T")
-
 # The closed forms below return finite numbers or raise DomainError.
 # As in oscillator.power_law, a power of a length that overflows or
 # underflows to a zero divisor counts as an infinite result, and results
@@ -51,21 +50,18 @@ class ElementLaw(Frozen):
 
     value: Callable[[float], float]
     derivative: Callable[[float], float]
-    constant: bool = False
 
     def __init__(self, value: Callable[[float], float],
-                 derivative: Callable[[float], float],
-                 constant: bool = False):
+                 derivative: Callable[[float], float]):
         d = self.__dict__
         d["value"] = value
         d["derivative"] = derivative
-        d["constant"] = constant
 
 
 def constant_element(x: float) -> ElementLaw:
     if not -_INF < x < _INF:
         raise DomainError(f"an element value must be finite, got {x!r}")
-    return ElementLaw(lambda _lam: x, lambda _lam: 0.0, constant=True)
+    return ElementLaw(*power_law(x, 0.0))
 
 
 def power_element(coeff: float, exponent: float) -> ElementLaw:
@@ -143,7 +139,7 @@ class SpherePlate(Frozen):
     gap: float
 
     def __init__(self, radius: float, gap: float):
-        if radius <= 0.0 or gap <= 0.0:
+        if not (0.0 < radius < _INF and 0.0 < gap < _INF):
             raise DomainError("radius and gap must be positive")
         if not radius / gap < _INF:
             raise DomainError("radius / gap must be finite")
@@ -338,59 +334,43 @@ def scale_result(res: ForceResult, hbar_out: float,
                        hbar_out * res.im_residual)
 
 
-def series_model(c: SeriesRLC, regime: str = "exact") -> ParametricModel:
-    """Checked oscillator model of a series loop whose capacitance sweeps.
-
-    R and L must be lambda-independent so that gamma stays fixed
-    (otherwise the force is not finite and the difference-force route
-    applies).  Build it once; rlc_force_at evaluates it at each point.
-    """
-    if regime not in _REGIMES:
-        raise DomainError(f"regime must be one of {_REGIMES}")
-    if not (c.resistance.constant and c.inductance.constant):
-        raise PreconditionError(
-            "series RLC force requires lambda-independent R and L")
-    return map_series(c)
-
-
-def parallel_model(c: ParallelRLC, regime: str = "exact") -> ParametricModel:
-    """Checked oscillator model of a parallel loop whose inductance sweeps.
-
-    gamma = 1/(RC) does not involve L, so a swept inductance leaves the
-    damping fixed; R and C must be lambda-independent.
-    """
-    if regime not in _REGIMES:
-        raise DomainError(f"regime must be one of {_REGIMES}")
-    if not (c.resistance.constant and c.capacitance.constant):
-        raise PreconditionError(
-            "parallel RLC force requires lambda-independent R and C")
-    return map_parallel(c)
-
-
 def rlc_force_at(c: SeriesRLC | ParallelRLC, model: ParametricModel,
                  temperature: float, lam: float, regime: str = "exact",
                  units: str = "si") -> ForceResult:
-    """Ohmic force at the chosen regime of loop c at one point, given the
-    model that series_model or parallel_model built from c and regime."""
+    """Ohmic force at the chosen regime of loop c at one point, given
+    model = map_series(c) or map_parallel(c), built once per loop.
+
+    The Ohmic closed forms hold only where the damping does not depend
+    on lambda.  Where dgamma/dlambda != 0 the force is set by the
+    damping's high-frequency dispersion, and diverges for Ohmic
+    damping, so PreconditionError is raised there."""
+    try:
+        force = _OHMIC_DISPATCH[regime]
+    except (KeyError, TypeError):   # TypeError: an unhashable regime
+        raise DomainError(f"regime must be one of {tuple(_OHMIC_DISPATCH)}"
+                          ) from None
     hbar_out, t_freq = units_factors(temperature, units)
     p = model.params_at(lam, t_freq)
-    res = _OHMIC_DISPATCH[regime](p, model.d_omega(lam))
+    dg = model.d_gamma0(lam)
+    if dg != 0.0:
+        raise PreconditionError(f"the Ohmic force requires dgamma/dlambda "
+                                f"= 0, got {dg!r} at lambda = {lam!r}")
+    res = force(p, model.d_omega(lam))
     return scale_result(res, hbar_out,
                         _element_size_warnings(c, p.damping.gamma0, units))
 
 
 def force_series_rlc(c: SeriesRLC, temperature: float, lam: float,
                      regime: str = "exact", units: str = "si") -> ForceResult:
-    """Fluctuation force of a series RLC loop whose capacitance sweeps."""
-    return rlc_force_at(c, series_model(c, regime), temperature, lam, regime,
-                        units)
+    """Fluctuation force of a series RLC loop whose gamma = R/L is fixed."""
+    return rlc_force_at(c, map_series(c), temperature, lam, regime, units)
 
 
 def force_parallel_rlc(c: ParallelRLC, temperature: float, lam: float,
                        regime: str = "exact", units: str = "si") -> ForceResult:
-    """Fluctuation force of a parallel RLC loop whose inductance sweeps."""
-    return rlc_force_at(c, parallel_model(c, regime), temperature, lam,
-                        regime, units)
+    """Fluctuation force of a parallel RLC loop whose gamma = 1/(RC) is
+    fixed."""
+    return rlc_force_at(c, map_parallel(c), temperature, lam, regime, units)
 
 
 def planar_rlc_low_t_weak(g: PlanarCapacitor, inductance: float,

@@ -66,7 +66,9 @@ def _reject_constant(name: str):
     raise ConfigError(f"config holds the non-finite number {name}")
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, units: str | None = None) -> dict:
+    """The checked config at path; units, where given (--units),
+    replaces the config's own before it is checked."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh, parse_constant=_reject_constant)
@@ -81,6 +83,8 @@ def _load_config(path: str) -> dict:
     mode = cfg.get("mode")
     if mode not in _MODES:
         raise ConfigError(f"mode must be one of {_MODES}")
+    if units:
+        cfg["units"] = units
     units = cfg.get("units", "reduced")
     if units not in ("reduced", "si"):
         raise ConfigError("units must be 'reduced' or 'si'")
@@ -230,6 +234,11 @@ def _oscillator(params: dict, units: str):
         hbar_out, t_freq = circuits.units_factors(temperature, units)
         p = model.params_at(lam, t_freq)
         if damping == "ohmic":
+            dg = model.d_gamma0(lam)
+            if dg != 0.0:   # the rule and message of circuits.rlc_force_at
+                raise PreconditionError(f"the Ohmic force requires "
+                                        f"dgamma/dlambda = 0, got {dg!r} "
+                                        f"at lambda = {lam!r}")
             res = forces.force_ohmic_exact(p, model.d_omega(lam))
         else:
             res = forces.force_drude_full(p, model, lam)
@@ -246,9 +255,7 @@ def _element(params: dict, key: str) -> circuits.ElementLaw:
             raise ConfigError(f"{key!r} planar geometry must be an object")
         return circuits.planar_capacitance_law(_param(geom, "area"),
                                                _param(geom, "epsilon", 1.0))
-    value, derivative = _law(spec, key)
-    return circuits.ElementLaw(value, derivative,
-                               constant=isinstance(spec, (int, float)))
+    return circuits.ElementLaw(*_law(spec, key))
 
 
 def _loop(params: dict, units: str, series: bool):
@@ -261,8 +268,7 @@ def _loop(params: dict, units: str, series: bool):
         _element(params, "resistance"), _element(params, "inductance"),
         _element(params, "capacitance"), size)
     regime = params.get("regime", "exact")
-    model = (circuits.series_model if series
-             else circuits.parallel_model)(loop, regime)
+    model = (circuits.map_series if series else circuits.map_parallel)(loop)
 
     def force_at(lam: float, temperature: float) -> forces.ForceResult:
         return circuits.rlc_force_at(loop, model, temperature, lam, regime,
@@ -281,7 +287,7 @@ def _geometry(params: dict, planar: bool):
         loop = circuits.SeriesRLC.of(
             _param(params, "resistance", 0.0), inductance,
             circuits.planar_capacitance_law(area, epsilon))
-        model = circuits.series_model(loop, regime)
+        model = circuits.map_series(loop)
     else:
         radius = _param(params, "radius")
         loop = circuits.SeriesRLC.of(
@@ -311,13 +317,15 @@ def _row_function(cfg: dict):
     """row(lam, temperature) -> dict for the configured mode."""
     params, mode = cfg["parameters"], cfg["mode"]
     units = cfg.get("units", "reduced")
+    spec = _oracle_spec(cfg)
     if mode in _GEOMETRY_MODES:
+        if spec is not None:
+            raise ConfigError(f"mode {mode!r} has no oracle")
         return _geometry(params, mode == "planar")
     if mode == "oscillator":
         model, force_at = _oscillator(params, units)
     else:
         model, force_at = _loop(params, units, mode == "series-rlc")
-    spec = _oracle_spec(cfg)
     if spec is not None:
         from . import matsubara
 
@@ -401,9 +409,7 @@ def _render_json(columns, rows) -> str:
 def _cmd_rows(args) -> int:
     """force (one row) and sweep: the config is read and checked once,
     before any row runs."""
-    cfg = _load_config(args.config)
-    if args.units:
-        cfg["units"] = args.units
+    cfg = _load_config(args.config, args.units)
     out_cfg = cfg.get("output", {})
     if not isinstance(out_cfg, dict):
         raise ConfigError("'output' must be an object")

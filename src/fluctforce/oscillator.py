@@ -48,8 +48,11 @@ WARN_CUBIC_RESIDUAL = "cubic-residual"
 
 # The parameter checks are chained comparisons against _INF: they reject
 # NaN (every comparison with it is false) and +-inf, and call no function,
-# since a sweep builds new parameters for every point.
+# since a sweep builds new parameters for every point.  Omega and gamma0
+# are held below _RATE_MAX instead, so that Omega^2 and gamma0^2/4 (the
+# root pair, the Drude cubic) cannot overflow.
 _INF = math.inf
+_RATE_MAX = 2.0 ** 511
 
 
 class Ohmic(Frozen):
@@ -58,7 +61,7 @@ class Ohmic(Frozen):
     gamma0: float
 
     def __init__(self, gamma0: float):
-        if not 0.0 <= gamma0 < _INF:
+        if not 0.0 <= gamma0 < _RATE_MAX:
             raise DomainError("gamma0 must be finite and >= 0")
         self.__dict__["gamma0"] = gamma0
 
@@ -70,7 +73,7 @@ class Drude(Frozen):
     omega_d: float
 
     def __init__(self, gamma0: float, omega_d: float):
-        if not 0.0 <= gamma0 < _INF:
+        if not 0.0 <= gamma0 < _RATE_MAX:
             raise DomainError("gamma0 must be finite and >= 0")
         if not 0.0 < omega_d < _INF:
             raise DomainError("omega_d must be finite and > 0")
@@ -95,7 +98,7 @@ class OscillatorParams(Frozen):
 
     def __init__(self, omega0: float, damping: DampingModel,
                  temperature: float):
-        if not 0.0 < omega0 < _INF:
+        if not 0.0 < omega0 < _RATE_MAX:
             raise DomainError("omega0 must be finite and > 0")
         if not 0.0 <= temperature < _INF:
             raise DomainError("temperature must be finite and >= 0")
@@ -158,7 +161,12 @@ def power_law(coeff: float, exponent: float):
 
     Both raise DomainError where the result overflows, is not finite, or
     is complex (a fractional power of a negative lam), rather than
-    passing an infinity, NaN or complex number on to the force."""
+    passing an infinity, NaN or complex number on to the force.  A
+    finite float coeff with exponent 0 is the constant law: coeff *
+    lam**0.0 is coeff * 1.0 = coeff at every lam, bit for bit."""
+    if exponent == 0.0 and type(coeff) is float and -_INF < coeff < _INF:
+        return lambda _lam: coeff, _const_zero
+
     def value(lam: float) -> float:
         try:
             v = coeff * lam ** exponent

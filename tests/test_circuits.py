@@ -116,12 +116,28 @@ def test_force_parallel_is_composition():
 
 
 def test_force_series_precondition():
+    # The Ohmic closed forms need dgamma/dlambda = 0 at the point, the
+    # oracle's own test.  A swept R (series) or C (parallel) fails it.
     swept_r = cc.SeriesRLC.of((2.0, 1.0), 1.0, 0.5)
     with pytest.raises(PreconditionError):
         cc.force_series_rlc(swept_r, 1.0, 1.0, units="reduced")
     swept_c_parallel = cc.ParallelRLC.of(2.0, 1.0, (0.5, 1.0))
     with pytest.raises(PreconditionError):
         cc.force_parallel_rlc(swept_c_parallel, 1.0, 1.0, units="reduced")
+    # R = 2 lam**0, and gamma = R/L = 0 under a swept L, pass it.  A loop
+    # with R proportional to L has a constant gamma only by cancellation:
+    # where rounding leaves dgamma/dlambda != 0, it is rejected too.
+    zero_power_r = cc.SeriesRLC.of((2.0, 0.0), 1.0, (0.8, 1.0))
+    zero_r_swept_l = cc.SeriesRLC.of(0.0, (1.0, 1.0), (0.8, 1.0))
+    for loop in (zero_power_r, zero_r_swept_l):
+        m = cc.map_series(loop)
+        res = cc.force_series_rlc(loop, 0.3, 1.0, units="reduced")
+        oracle = force_sum_exact(m.params_at(1.0, 0.3), m, 1.0)
+        assert abs(res.value - oracle.value) \
+            <= max(1e-12, 2.0 * oracle.truncation_estimate)
+    assert cc.force_series_rlc(zero_power_r, 0.3, 1.0, units="reduced") \
+        == cc.force_series_rlc(cc.SeriesRLC.of(2.0, 1.0, (0.8, 1.0)), 0.3,
+                               1.0, units="reduced")
 
 
 def test_series_constant_capacitance_zero_force():
@@ -409,7 +425,7 @@ def test_overdamped_low_t_force_raises_where_a_root_rounds_to_zero():
     # C(d) of a 1e-90 gap: Omega ~ 1e-35 against gamma = 1e3, so
     # i omega2 = gamma/2 - sqrt(gamma^2/4 - Omega^2) rounds to 0
     loop = cc.SeriesRLC.of(1e-3, 1e-6, cc.planar_capacitance_law(2.5e-5))
-    model = cc.series_model(loop, "low-T")
+    model = cc.map_series(loop)
     with pytest.raises(DomainError, match="rounds to 0"):
         cc.rlc_force_at(loop, model, 0.01, 1e-90, "low-T")
     assert cc.rlc_force_at(loop, model, 0.01, 1e-6, "low-T").value < 0.0
@@ -417,7 +433,7 @@ def test_overdamped_low_t_force_raises_where_a_root_rounds_to_zero():
 
 def test_circuit_force_raises_where_dc_dd_overflows():
     loop = cc.SeriesRLC.of(1e-3, 1e-6, cc.planar_capacitance_law(1e300))
-    model = cc.series_model(loop, "high-T")
+    model = cc.map_series(loop)
     with pytest.raises(DomainError, match="dC/dd"):
         cc.rlc_force_at(loop, model, 300.0, 1e-10, "high-T")
 
@@ -449,6 +465,7 @@ def _circuit_calls(x):
         lambda: cc.PlanarCapacitor(1e-4, 1e-6, x).epsilon,
         lambda: cc.capacitance_sphere_plate(cc.SpherePlate(x, 1e-6)),
         lambda: cc.capacitance_sphere_plate(cc.SpherePlate(1e-4, x)),
+        lambda: cc.SpherePlate(1e-4, x).gap,
         lambda: cc.planar_capacitance_law(x).value(1e-6),
         lambda: cc.planar_capacitance_law(1e-4, x).derivative(1e-6),
         lambda: cc.planar_capacitance_law(1e-4).value(x),

@@ -593,6 +593,63 @@ def test_wrongly_typed_config_values_are_config_errors(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode, params", [
+    # gamma0 = 0.3 lam makes the Ohmic force diverge; it wrote the force
+    # of a constant gamma0
+    ("oscillator", {"damping": "ohmic", "temperature": 0.5,
+                    "omega0": {"coeff": 1.0, "power": 0.5},
+                    "gamma0": {"coeff": 0.3, "power": 1.0}}),
+    # an unhashable regime is as unknown as any other
+    ("series-rlc", {"resistance": 0.8, "inductance": 1.1,
+                    "capacitance": {"coeff": 0.9, "power": 1.0},
+                    "temperature": 0.6, "regime": ["exact"]}),
+], ids=["ohmic-gamma0-law", "regime-list"])
+def test_swept_ohmic_damping_and_unknown_regime_exit_3(tmp_path, capsys,
+                                                       mode, params):
+    cfg = {"schema": "fluctforce/1", "mode": mode, "units": "reduced",
+           "parameters": params}
+    out = tmp_path / "o.csv"
+    assert main(["force", "--config", write_config(tmp_path, "c.json", cfg),
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("domain error: ")
+    assert not out.exists()
+
+
+def test_zero_power_resistance_is_the_constant(tmp_path):
+    cfg = {"schema": "fluctforce/1", "mode": "series-rlc", "units": "reduced",
+           "parameters": {"resistance": 2.0, "inductance": 1.0,
+                          "capacitance": {"coeff": 0.8, "power": 1.0},
+                          "temperature": 0.3},
+           "sweep": {"start": 0.5, "stop": 1.5, "points": 5}}
+    outputs = []
+    for resistance in (2.0, {"coeff": 2.0, "power": 0}):
+        cfg["parameters"]["resistance"] = resistance
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config",
+                     write_config(tmp_path, "c.json", cfg),
+                     "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("edit, argv", [
+    # --units replaces the config's units before the SI-only check
+    (lambda cfg: cfg, ["--units", "reduced"]),
+    # geometry modes have no oracle
+    (_set("oracle", {"enabled": "yes"}), []),
+    (_set("oracle", {"enabled": True}), []),
+], ids=["units-reduced", "oracle-enabled-text", "oracle-enabled"])
+@pytest.mark.parametrize("mode", ["planar", "sphere-plate"])
+def test_geometry_modes_check_units_and_oracle(tmp_path, capsys, mode, edit,
+                                                argv):
+    path = write_config(tmp_path, "c.json",
+                        edit(copy.deepcopy(GOLDEN_CONFIGS[mode])))
+    out = tmp_path / "never.csv"
+    assert main(["sweep", "--config", path, "--out", str(out)] + argv) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
 def test_integral_floats_stay_valid(tmp_path):
     outputs = []
     for points, n_max, workers in ((4, 2000, 2), (4.0, 2e3, 2.0)):

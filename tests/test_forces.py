@@ -401,6 +401,9 @@ _POSITIVE = st.floats(0.0, exclude_min=True, allow_nan=False,
                       allow_infinity=False)
 _NON_NEGATIVE = st.floats(0.0, allow_nan=False, allow_infinity=False)
 _REAL = st.floats(allow_nan=False, allow_infinity=False)
+# Omega and gamma0 are valid below 2**511
+_RATE = st.floats(0.0, 2.0 ** 511, exclude_min=True, exclude_max=True)
+_NON_NEGATIVE_RATE = st.floats(0.0, 2.0 ** 511, exclude_max=True)
 
 
 def _finite_or_library_error(fn, *args):
@@ -413,7 +416,7 @@ def _finite_or_library_error(fn, *args):
     assert all(math.isfinite(v) for v in values), (fn.__name__, args, out)
 
 
-@given(om=_POSITIVE, g0=_NON_NEGATIVE, t=_NON_NEGATIVE, dom=_REAL,
+@given(om=_RATE, g0=_NON_NEGATIVE_RATE, t=_NON_NEGATIVE, dom=_REAL,
        dg0=_REAL, omega2=_NON_NEGATIVE)
 @example(om=1e-200, g0=0.0, t=1e200, dom=1.0, dg0=0.0, omega2=1.0)
 @example(om=1.0, g0=0.5, t=1.0, dom=1.0, dg0=0.0, omega2=0.0)
@@ -427,7 +430,7 @@ def test_ohmic_closed_forms_are_finite_or_raise(om, g0, t, dom, dg0, omega2):
     _finite_or_library_error(free_energy_difference_gamma, p, omega2)
 
 
-@given(om=_POSITIVE, g0=_NON_NEGATIVE, wd=_POSITIVE, t=_NON_NEGATIVE,
+@given(om=_RATE, g0=_NON_NEGATIVE_RATE, wd=_POSITIVE, t=_NON_NEGATIVE,
        dom=_REAL, dg0=_REAL, dwd=_REAL)
 @example(om=1.0, g0=0.5, wd=1e300, t=1e-300, dom=1.0, dg0=0.0, dwd=0.0)
 @example(om=1e-300, g0=0.5, wd=10.0, t=1e300, dom=1.0, dg0=0.0, dwd=0.0)

@@ -514,11 +514,13 @@ def test_oracles_at_one_two_and_three_terms():
 # library error, over the whole range of valid parameters.
 _POSITIVE = st.floats(0.0, exclude_min=True, allow_nan=False,
                       allow_infinity=False)
-_NON_NEGATIVE = st.floats(0.0, allow_nan=False, allow_infinity=False)
 _REAL = st.floats(allow_nan=False, allow_infinity=False)
+# Omega and gamma0 are valid below 2**511
+_RATE = st.floats(0.0, 2.0 ** 511, exclude_min=True, exclude_max=True)
+_NON_NEGATIVE_RATE = st.floats(0.0, 2.0 ** 511, exclude_max=True)
 
 
-@given(om=_POSITIVE, om2=_POSITIVE, g0=_NON_NEGATIVE, wd=_POSITIVE,
+@given(om=_RATE, om2=_RATE, g0=_NON_NEGATIVE_RATE, wd=_POSITIVE,
        t=_POSITIVE, dom=_REAL, dg0=_REAL, dwd=_REAL)
 @settings(max_examples=300, deadline=None)
 def test_oracles_are_finite_or_raise(om, om2, g0, wd, t, dom, dg0, dwd):
@@ -622,16 +624,16 @@ def test_cubic_poles_equal_numpy_roots_bit_for_bit():
 
 
 def test_non_finite_cubic_coefficients_raise_domain_error():
-    # Omega^2 overflows: numpy's LinAlgError, a ValueError, becomes the
-    # oracles' DomainError
+    # Omega^2 omega_d overflows: numpy's LinAlgError, a ValueError,
+    # becomes the oracles' DomainError
     with pytest.raises(np.linalg.LinAlgError):
-        matsubara._cubic_poles(1e160, 0.3, 2.0, 1.0)
-    damping = Drude(0.3, 2.0)
-    p = OscillatorParams(1e160, damping, 1.0)
+        matsubara._cubic_poles(1e150, 0.3, 1e300, 1.0)
+    damping = Drude(0.3, 1e300)
+    p = OscillatorParams(1e150, damping, 1.0)
     calls = [lambda: free_energy_difference(
                  p, OscillatorParams(1.0, damping, 1.0)),
              lambda: per_parameter_sums_drude(
-                 p, linear_model(1e160, 1.0, 0.3, 0.0, 2.0, 0.0), 1.0)]
+                 p, linear_model(1e150, 1.0, 0.3, 0.0, 1e300, 0.0), 1.0)]
     for call in calls:
         with pytest.raises(DomainError) as info:
             call()

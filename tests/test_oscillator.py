@@ -236,6 +236,9 @@ _NON_NEGATIVE = st.floats(0.0, allow_nan=False, allow_infinity=False)
 _POSITIVE = st.floats(0.0, exclude_min=True, allow_nan=False,
                       allow_infinity=False)
 _REAL = st.floats(allow_nan=False, allow_infinity=False)
+# Omega and gamma0 are valid below 2**511
+_RATE = st.floats(0.0, 2.0 ** 511, exclude_min=True, exclude_max=True)
+_NON_NEGATIVE_RATE = st.floats(0.0, 2.0 ** 511, exclude_max=True)
 
 
 @given(_NON_FINITE, _POSITIVE)
@@ -249,7 +252,7 @@ def test_damping_rejects_non_finite_fields(bad, good):
         Drude(good, bad)
 
 
-@given(_NON_FINITE, _POSITIVE, _NON_NEGATIVE)
+@given(_NON_FINITE, _POSITIVE, _NON_NEGATIVE_RATE)
 @settings(max_examples=60, deadline=None)
 def test_params_reject_non_finite_fields(bad, positive, non_negative):
     damping = Ohmic(non_negative)
@@ -259,13 +262,27 @@ def test_params_reject_non_finite_fields(bad, positive, non_negative):
         OscillatorParams(positive, damping, bad)
 
 
-@given(_POSITIVE, _NON_NEGATIVE, _POSITIVE, _NON_NEGATIVE)
+@given(_RATE, _NON_NEGATIVE_RATE, _POSITIVE, _NON_NEGATIVE)
 @settings(max_examples=200, deadline=None)
 def test_constructors_accept_finite_in_domain_values(omega0, gamma0, omega_d,
                                                      temperature):
     for damping in (Ohmic(gamma0), Drude(gamma0, omega_d)):
         p = OscillatorParams(omega0, damping, temperature)
         assert (p.omega0, p.temperature) == (omega0, temperature)
+
+
+def test_rates_from_two_to_the_511_raise():
+    # Omega^2 or gamma0^2/4 would overflow: eigenfrequencies_ohmic gave
+    # NaN at Omega = 1e200, force_ohmic_exact -8.05e158 at 1e160
+    for rate in (2.0 ** 511, 1e160, 1e200):
+        for make in (lambda: OscillatorParams(rate, Ohmic(0.3), 1.0),
+                     lambda: Ohmic(rate), lambda: Drude(rate, 1.0)):
+            with pytest.raises(DomainError):
+                make()
+    below = math.nextafter(2.0 ** 511, 0.0)
+    p = OscillatorParams(below, Ohmic(below), 1.0)
+    assert all(cmath.isfinite(w)
+               for w in eigenfrequencies_ohmic(p).as_tuple())
 
 
 def test_domain_errors_are_value_errors():

@@ -26,11 +26,11 @@ _ORACLES = (OracleResult(-0.5, 1e-9, 4096), OracleResult(0.25, 0.0, 8))
 _ORACLE_TEXT = ("OracleResult(value=-0.5, truncation_estimate=1e-09, "
                 "n_used=4096)",
                 "OracleResult(value=0.25, truncation_estimate=0.0, n_used=8)")
-_LAWS = (ElementLaw(abs, abs, True), ElementLaw(math.exp, math.exp))
+_LAWS = (ElementLaw(abs, abs), ElementLaw(math.exp, math.exp))
 _LAW_TEXT = ("ElementLaw(value=<built-in function abs>, derivative=<built-in "
-             "function abs>, constant=True)",
+             "function abs>)",
              "ElementLaw(value=<built-in function exp>, derivative=<built-in "
-             "function exp>, constant=False)")
+             "function exp>)")
 
 # one valid instance per type, its repr, and a valid field change
 SAMPLES = [
@@ -68,7 +68,7 @@ SAMPLES = [
      f"PerParameterSums(f_omega={_ORACLE_TEXT[0]}, "
      f"f_gamma0={_ORACLE_TEXT[1]}, f_omega_d_1={_ORACLE_TEXT[0]}, "
      f"f_omega_d_2={_ORACLE_TEXT[1]})", {"f_omega": _ORACLES[1]}),
-    (ElementLaw, (math.exp, math.exp), _LAW_TEXT[1], {"constant": True}),
+    (ElementLaw, (math.exp, math.exp), _LAW_TEXT[1], {"value": abs}),
     (SeriesRLC, _LAWS + _LAWS[:1],
      f"SeriesRLC(resistance={_LAW_TEXT[0]}, inductance={_LAW_TEXT[1]}, "
      f"capacitance={_LAW_TEXT[0]}, element_size=None)",
@@ -283,7 +283,7 @@ def test_recursive_repr_is_cut():
     law = ElementLaw(abs, abs)
     law.__dict__["value"] = law            # a cycle no real value holds
     assert repr(law) == ("ElementLaw(value=..., derivative=<built-in "
-                         "function abs>, constant=False)")
+                         "function abs>)")
 
 
 def _annotated():
