@@ -191,12 +191,9 @@ def map_series(c: SeriesRLC) -> ParametricModel:
             raise _not_finite("gamma = R/L") from None
 
     def d_gamma0(lam: float) -> float:
-        cl = l_of.value(lam)
-        try:
-            return (r_of.derivative(lam) / cl
-                    - r_of.value(lam) * l_of.derivative(lam) / (cl * cl))
-        except ZeroDivisionError:   # L is 0, or L L underflows to 0
-            raise _not_finite("dgamma/dlambda") from None
+        # (R' - gamma L') / L: no L L, which underflows to 0 for tiny L
+        return ((r_of.derivative(lam) - gamma0(lam) * l_of.derivative(lam))
+                / l_of.value(lam))
 
     return ParametricModel(*_lc_frequency(l_of, c.capacitance), gamma0,
                            d_gamma0)
@@ -334,6 +331,18 @@ def scale_result(res: ForceResult, hbar_out: float,
                        hbar_out * res.im_residual)
 
 
+def _ohmic_force(force, p, model: ParametricModel,
+                 lam: float) -> ForceResult:
+    """force(p, dOmega/dlambda) for an Ohmic closed form and p = model's
+    parameters at lam: the one place that checks dgamma/dlambda = 0,
+    for loops and oscillator rows alike."""
+    dg = model.d_gamma0(lam)
+    if dg != 0.0:
+        raise PreconditionError(f"the Ohmic force requires dgamma/dlambda "
+                                f"= 0, got {dg!r} at lambda = {lam!r}")
+    return force(p, model.d_omega(lam))
+
+
 def rlc_force_at(c: SeriesRLC | ParallelRLC, model: ParametricModel,
                  temperature: float, lam: float, regime: str = "exact",
                  units: str = "si") -> ForceResult:
@@ -351,11 +360,7 @@ def rlc_force_at(c: SeriesRLC | ParallelRLC, model: ParametricModel,
                           ) from None
     hbar_out, t_freq = units_factors(temperature, units)
     p = model.params_at(lam, t_freq)
-    dg = model.d_gamma0(lam)
-    if dg != 0.0:
-        raise PreconditionError(f"the Ohmic force requires dgamma/dlambda "
-                                f"= 0, got {dg!r} at lambda = {lam!r}")
-    res = force(p, model.d_omega(lam))
+    res = _ohmic_force(force, p, model, lam)
     return scale_result(res, hbar_out,
                         _element_size_warnings(c, p.damping.gamma0, units))
 

@@ -11,9 +11,10 @@ fixed column set
 (geometry modes append f_casimir and r_weight).  Floats are written with
 Python's shortest round-trip repr, rows in sweep order, so identical
 configs produce byte-identical files.  Every row runs in one serial
-pass; --workers and the config key "workers" are still accepted and
-checked, for existing configs, but change neither how rows run nor a
-byte of the output.
+pass, and every oracle sums the same 32 terms; --workers and the config
+keys "workers" and "oracle.n_max" are still accepted and checked, for
+existing configs, but change neither how rows run nor a byte of the
+output.
 
 Exit codes: 0 success, 2 config error, 3 domain/precondition violation
 (the library's DomainError, PreconditionError and DivergentSumError),
@@ -35,8 +36,6 @@ import functools
 import json
 import math
 import sys
-
-import fluctforce    # for annotations: SumSpec resolves there on first use
 
 from . import circuits, forces
 from .errors import DivergentSumError, DomainError, PreconditionError
@@ -184,7 +183,8 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
     return values
 
 
-def _oracle_spec(cfg: dict) -> fluctforce.SumSpec | None:
+def _oracle_enabled(cfg: dict) -> bool:
+    """Whether the config asks for the oracle column."""
     oracle = cfg.get("oracle", {})
     if not isinstance(oracle, dict):
         raise ConfigError("'oracle' must be an object")
@@ -192,12 +192,10 @@ def _oracle_spec(cfg: dict) -> fluctforce.SumSpec | None:
     if type(enabled) is not bool:
         raise ConfigError("oracle 'enabled' must be true or false")
     if not enabled:
-        return None
-    n_max = _number(oracle.get("n_max", 100_000), "n_max", int)
-    if n_max < 1:
+        return False
+    if _number(oracle.get("n_max", 100_000), "n_max", int) < 1:
         raise ConfigError("oracle n_max must be >= 1")
-    from .matsubara import SumSpec
-    return SumSpec(n_max=n_max)
+    return True
 
 
 def _force_row(lam: float, res: forces.ForceResult) -> dict:
@@ -234,12 +232,8 @@ def _oscillator(params: dict, units: str):
         hbar_out, t_freq = circuits.units_factors(temperature, units)
         p = model.params_at(lam, t_freq)
         if damping == "ohmic":
-            dg = model.d_gamma0(lam)
-            if dg != 0.0:   # the rule and message of circuits.rlc_force_at
-                raise PreconditionError(f"the Ohmic force requires "
-                                        f"dgamma/dlambda = 0, got {dg!r} "
-                                        f"at lambda = {lam!r}")
-            res = forces.force_ohmic_exact(p, model.d_omega(lam))
+            res = circuits._ohmic_force(forces.force_ohmic_exact, p, model,
+                                        lam)
         else:
             res = forces.force_drude_full(p, model, lam)
         return circuits.scale_result(res, hbar_out)
@@ -317,25 +311,25 @@ def _row_function(cfg: dict):
     """row(lam, temperature) -> dict for the configured mode."""
     params, mode = cfg["parameters"], cfg["mode"]
     units = cfg.get("units", "reduced")
-    spec = _oracle_spec(cfg)
+    oracle_on = _oracle_enabled(cfg)
     if mode in _GEOMETRY_MODES:
-        if spec is not None:
+        if oracle_on:
             raise ConfigError(f"mode {mode!r} has no oracle")
         return _geometry(params, mode == "planar")
     if mode == "oscillator":
         model, force_at = _oscillator(params, units)
     else:
         model, force_at = _loop(params, units, mode == "series-rlc")
-    if spec is not None:
+    if oracle_on:
         from . import matsubara
 
     def row(lam: float, temperature: float) -> dict:
         res = force_at(lam, temperature)
         out = _force_row(lam, res)
-        if spec is not None:
+        if oracle_on:
             hbar_out, t_freq = circuits.units_factors(temperature, units)
             oracle = hbar_out * matsubara.force_sum_exact(
-                model.params_at(lam, t_freq), model, lam, spec).value
+                model.params_at(lam, t_freq), model, lam).value
             out["oracle"] = oracle
             out["discrepancy"] = abs(res.value - oracle)
         return out
@@ -440,9 +434,7 @@ def _cmd_validate(args) -> int:
         print(f"unknown suite {args.suite!r}; choose from "
               f"{validation.SUITE_NAMES}", file=sys.stderr)
         return 2
-    if args.n_max < 1:
-        raise ConfigError("--n-max must be >= 1")
-    reports = validation.run_suite(args.suite, n_max=args.n_max)
+    reports = validation.run_suite(args.suite)
     ok = True
     for report in reports:
         print(report.line())
@@ -470,7 +462,6 @@ def _parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("validate")
     v.add_argument("--suite", required=True)
-    v.add_argument("--n-max", type=int, default=100_000)
     return parser
 
 

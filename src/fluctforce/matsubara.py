@@ -2,7 +2,7 @@
 
 Matsubara frequencies are omega_n = 2 pi n T (hbar = k_B = 1), and a
 "primed" sum takes n = 0 with half weight.  An oracle sums n = 1..N as
-plain floats (math.fsum), N = min(SumSpec.n_max, SumSpec.hard_cap = 32),
+plain floats (math.fsum), N = SumSpec.hard_cap = 32 at any temperature,
 and the rest by Euler-Maclaurin (DLMF 2.10.1):
 
     sum_{n>N} f(n) = int_N^inf f dn - f(N)/2
@@ -17,6 +17,7 @@ divides by the gap between two close poles, so coincident ones, as at
 critical damping, need no special case.  Since |N - r_j| >= N, each
 correction is about (2 pi N)^-2 of the one before at any temperature.
 truncation_estimate is max(|last correction|, |value(N) - value(N/2)|).
+Each oracle still takes a SumSpec argument, which changes nothing.
 
 The Ohmic poles are a quadratic's roots, so the Ohmic oracles need no
 numpy; the Drude ones are the eigenvalues of the cubic's companion
@@ -51,13 +52,15 @@ _INF = math.inf
 
 
 class SumSpec(Frozen):
-    """Controls for the Matsubara oracles: an oracle sums min(n_max,
-    hard_cap) terms directly and adds the rest by Euler-Maclaurin."""
+    """The Matsubara oracles' spec: every oracle sums hard_cap terms
+    directly and adds the rest by Euler-Maclaurin.  n_max is still
+    checked, for existing callers, but changes no result; it goes at
+    config schema fluctforce/2."""
 
     n_max: int = 100_000
-    #: the most terms summed directly, a class constant and not a field.
-    #: With K = 4 corrections the remainder is about 2 * 9! / (2 pi N)^10
-    #: of the tail, 7e-18 at N = 32.
+    #: the terms every oracle sums directly, a class constant and not a
+    #: field.  With K = 4 corrections the remainder is about
+    #: 2 * 9! / (2 pi N)^10 of the tail, 7e-18 at N = 32.
     hard_cap = 32
 
     def __init__(self, n_max: int = 100_000):
@@ -198,11 +201,10 @@ def _with_tail(terms: list, n: int, pref: float, tail) -> tuple:
     return value, pref * corrections[-1]
 
 
-def _oracle(term, pref: float, head: float, spec: SumSpec,
-            tail) -> OracleResult:
+def _oracle(term, pref: float, head: float, tail) -> OracleResult:
     """pref * (head + sum_{n>=1} term(n)); tail(n, term(n)) is the
     summand's integral beyond n and its corrections at n."""
-    n = min(spec.n_max, spec.hard_cap)
+    n = SumSpec.hard_cap
     terms = [head, *map(term, range(1, n + 1))]
     value, last = _with_tail(terms, n, pref, tail)
     half, _ = _with_tail(terms, max(n // 2, 1), pref, tail)
@@ -300,7 +302,7 @@ def force_sum_exact(p: OscillatorParams, m: ParametricModel, lam: float,
                cross + dg0 * wd + g0 * dwd]
         tail = _tail([x / (a * a) for x in num],
                               _cubic_poles(om, g0, wd, a) + [-d])
-    return _oracle(term, -t, dom / om, spec, tail)
+    return _oracle(term, -t, dom / om, tail)
 
 
 @_finite
@@ -346,7 +348,7 @@ def free_energy_difference(p1: OscillatorParams, p2: OscillatorParams,
         slope = [g0 * d * d / a, 2.0 * d * d, 4.0 * d, 2.0]
         poles = _cubic_poles(om2, g0, wd, a) + _cubic_poles(om1, g0, wd, a)
     head = 0.5 * math.log1p(delta / (om1 * om1))
-    return _oracle(term, t, head, spec, _tail(
+    return _oracle(term, t, head, _tail(
         [-delta / (a * a) * x for x in slope], poles, log=True))
 
 
@@ -402,7 +404,7 @@ def free_energy_drude(p: OscillatorParams, spec: SumSpec = SumSpec(),
         slope = [-2.0 * w2 * d * dm, -(e * d * dm + w2 * (4.0 * d - 3.0 * e)),
                  -2.0 * (e * dm + w2)]
         poles = _pair_poles(g0, om, a) + [0.0, -dm, -d]
-    return _oracle(term, t, math.log(om / t), spec,
+    return _oracle(term, t, math.log(om / t),
                    _tail(slope, poles, log=True))
 
 
@@ -482,12 +484,12 @@ def per_parameter_sums_drude(p: OscillatorParams, m: ParametricModel,
         return term
 
     f_om = _oracle(over_cubic(lambda w: w + wd), -2.0 * t * om * dom,
-                   0.5 * wd / c, spec, _tail([d / a2, 1.0 / a2], poles))
-    f_g0 = _oracle(over_cubic(lambda w: w * wd), -t * dg0, 0.0, spec,
+                   0.5 * wd / c, _tail([d / a2, 1.0 / a2], poles))
+    f_g0 = _oracle(over_cubic(lambda w: w * wd), -t * dg0, 0.0,
                    _tail([0.0, wd / a2], poles))
-    f_w1 = _oracle(over_cubic(lambda w: w * g0), -t * dwd, 0.0, spec,
+    f_w1 = _oracle(over_cubic(lambda w: w * g0), -t * dwd, 0.0,
                    _tail([0.0, g0 / a2], poles))
     f_w2 = _oracle(over_cubic(lambda w: w * (wd * g0), lambda w: w + wd),
-                   t * dwd, 0.0, spec,
+                   t * dwd, 0.0,
                    _tail([0.0, wd * g0 / (a2 * a)], poles + [-d]))
     return PerParameterSums(f_om, f_g0, f_w1, f_w2)

@@ -62,7 +62,7 @@ class Ohmic(Frozen):
 
     def __init__(self, gamma0: float):
         if not 0.0 <= gamma0 < _RATE_MAX:
-            raise DomainError("gamma0 must be finite and >= 0")
+            raise DomainError("gamma0 must be finite and >= 0 and < 2**511")
         self.__dict__["gamma0"] = gamma0
 
 
@@ -74,7 +74,7 @@ class Drude(Frozen):
 
     def __init__(self, gamma0: float, omega_d: float):
         if not 0.0 <= gamma0 < _RATE_MAX:
-            raise DomainError("gamma0 must be finite and >= 0")
+            raise DomainError("gamma0 must be finite and >= 0 and < 2**511")
         if not 0.0 < omega_d < _INF:
             raise DomainError("omega_d must be finite and > 0")
         d = self.__dict__
@@ -99,7 +99,7 @@ class OscillatorParams(Frozen):
     def __init__(self, omega0: float, damping: DampingModel,
                  temperature: float):
         if not 0.0 < omega0 < _RATE_MAX:
-            raise DomainError("omega0 must be finite and > 0")
+            raise DomainError("omega0 must be finite and > 0 and < 2**511")
         if not 0.0 <= temperature < _INF:
             raise DomainError("temperature must be finite and >= 0")
         d = self.__dict__

@@ -22,7 +22,7 @@ def _report(number, rep):
 
 def test_criterion_01_ohmic_oracle_equivalence():
     start = time.perf_counter()
-    rep = validation.criterion_ohmic_oracle(n_max=100_000, count=200)
+    rep = validation.criterion_ohmic_oracle(count=200)
     elapsed = time.perf_counter() - start
     _report(1, rep)
     assert elapsed <= 60.0, f"criterion 1 took {elapsed:.1f}s (limit 60s)"
@@ -37,8 +37,7 @@ def test_criterion_02_drude_finite_difference():
 
 
 def test_criterion_03_gamma_vs_product():
-    _report(3, validation.criterion_gamma_vs_product(n_max=1_000_000,
-                                                     count=20))
+    _report(3, validation.criterion_gamma_vs_product(count=20))
 
 
 def test_criterion_04_planar_relative_weights():

@@ -411,14 +411,24 @@ _LOOP = cc.SeriesRLC.of(1e-3, 1e-6, 1e-12)
                                   1e-200)),
     (cc.sphere_plate_circuit_force, (cc.SpherePlate(1e-4, 1e-6), -1e-9,
                                      300.0, "low-T")),
-    # gamma = R/L at L = 0, and dgamma/dlambda, where L L underflows to 0
+    # gamma = R/L at L = 0
     (cc.map_series(cc.SeriesRLC.of(1.0, 0.0, 1e-12)).gamma0, (1.0,)),
-    (cc.map_series(cc.SeriesRLC.of(1.0, 1e-200, 1e-12)).derivatives_at,
-     (1.0,)),
 ])
 def test_closed_forms_raise_domain_error_where_not_finite(fn, args):
     with pytest.raises(DomainError):
         fn(*args)
+
+
+def test_series_loop_with_tiny_inductance():
+    # dgamma/dlambda = (R' - gamma L') / L, with no L L to underflow to 0
+    model = cc.map_series(cc.SeriesRLC.of(1.0, 1e-200, 1e-12))
+    assert model.derivatives_at(1.0)[1] == 0.0
+    res = cc.force_series_rlc(cc.SeriesRLC.of(1e-30, 1e-170, 1.0), 1.0, 1.0,
+                              units="reduced")
+    assert res.value == 0.0
+    res = cc.force_series_rlc(cc.SeriesRLC.of(0.0, 1e-170, (1.0, 1.0)), 1.0,
+                              1.0, units="reduced")
+    assert res.value == 2.4999999999999996e84
 
 
 def test_overdamped_low_t_force_raises_where_a_root_rounds_to_zero():

@@ -279,11 +279,10 @@ def test_validate_criterion_value_error_is_not_a_usage_error(monkeypatch):
         main(["validate", "--suite", "paper-numbers"])
 
 
-@pytest.mark.parametrize("suite", ["ohmic-oracle", "drude-fd", "asymptotics",
-                                   "circuits", "paper-numbers"])
-def test_validate_n_max_below_one_is_config_error(suite, capsys):
-    assert main(["validate", "--suite", suite, "--n-max", "0"]) == 2
-    assert "--n-max must be >= 1" in capsys.readouterr().err
+def test_validate_has_no_n_max_option(capsys):
+    # every oracle sums 32 terms, so there is no term count to set
+    assert main(["validate", "--suite", "circuits", "--n-max", "100000"]) == 2
+    assert "unrecognized arguments: --n-max" in capsys.readouterr().err
 
 
 def test_divergent_sum_exit_code(tmp_path):
@@ -663,6 +662,22 @@ def test_integral_floats_stay_valid(tmp_path):
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
     assert len(outputs[0].decode().strip().split("\n")) == 5
+
+
+@pytest.mark.parametrize("damping", ["ohmic", "drude"])
+def test_oracle_n_max_changes_no_byte(tmp_path, damping):
+    # every oracle sums the same 32 terms; n_max is only checked
+    outputs = []
+    for n_max in (1, 100_000):
+        cfg = oscillator_cfg(oracle={"enabled": True, "n_max": n_max})
+        if damping == "drude":
+            cfg["parameters"].update(damping="drude", omega_d=30.0)
+        out = tmp_path / f"o{n_max}.csv"
+        assert main(["sweep", "--config",
+                     write_config(tmp_path, "c.json", cfg),
+                     "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

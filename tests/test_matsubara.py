@@ -68,25 +68,30 @@ def test_requires_positive_temperature():
 
 
 def test_cap_status():
-    # every oracle sums min(n_max, 32) terms at any temperature; the cap
-    # is a class constant, not a field
+    # every oracle sums 32 terms at any temperature, whatever n_max; the
+    # count is a class constant, not a field
     assert SumSpec().hard_cap == SumSpec.hard_cap == 32
     assert [f.name for f in dataclasses.fields(SumSpec)] == ["n_max"]
     with pytest.raises(TypeError):
         dataclasses.replace(SumSpec(), hard_cap=64)
     m = linear_model(1.0, dom=1.0, g0=0.5)
     drude_m = linear_model(1.0, 1.0, 0.5, 0.0, 2.0)
-    for n_max in (1, 31, 32, 33, 16_000_000):
-        spec = SumSpec(n_max)
-        for t in (1e-9, 1e-3, 0.5, 10.0):
-            res = force_sum_exact(OscillatorParams(1.0, Ohmic(0.5), t), m,
-                                  1.0, spec)
-            assert res.n_used == min(n_max, 32), (n_max, t)
-            sums = per_parameter_sums_drude(
-                OscillatorParams(1.0, Drude(0.5, 2.0), t), drude_m, 1.0, spec)
-            assert {part.n_used for part in (
-                sums.f_omega, sums.f_gamma0, sums.f_omega_d_1,
-                sums.f_omega_d_2)} == {min(n_max, 32)}, (n_max, t)
+
+    def bits(t, *spec):
+        res = force_sum_exact(OscillatorParams(1.0, Ohmic(0.5), t), m,
+                              1.0, *spec)
+        sums = per_parameter_sums_drude(
+            OscillatorParams(1.0, Drude(0.5, 2.0), t), drude_m, 1.0, *spec)
+        return [(part.n_used, part.value.hex(),
+                 part.truncation_estimate.hex())
+                for part in (res, sums.f_omega, sums.f_gamma0,
+                             sums.f_omega_d_1, sums.f_omega_d_2)]
+
+    for t in (1e-9, 1e-3, 0.5, 10.0):
+        want = bits(t)
+        assert {n for n, *_ in want} == {32}, t
+        for n_max in (1, 31, 32, 33, 16_000_000):
+            assert bits(t, SumSpec(n_max)) == want, (n_max, t)
 
 
 # Ohmic force sums (Omega, gamma, T, force at dOmega/dlambda = 1), frozen
@@ -151,11 +156,11 @@ def test_tail_estimate_bounds_doubling():
     # the frozen reference, up to a few ulps of rounding
     for om, g, t, ref in OHMIC_FORCE_REFERENCES:
         p, m = _ohmic_case(om, g, t)
-        for n_max in (1, 2, 3, 4, 8, 16, 32):
-            res = force_sum_exact(p, m, 1.0, SumSpec(n_max=n_max))
-            assert res.n_used == n_max
-            assert abs(res.value - ref) \
-                <= res.truncation_estimate + 4e-16 * abs(ref), (om, g, t, n_max)
+        (recorded,) = oracle_sums(lambda: force_sum_exact(p, m, 1.0))
+        for n in (1, 2, 3, 4, 8, 16, 32):
+            value, estimate = sum_at(n, *recorded)
+            assert abs(value - ref) <= estimate + 4e-16 * abs(ref), \
+                (om, g, t, n)
 
 
 def test_drude_matches_frozen_per_term_ohmic_summand():
@@ -170,7 +175,7 @@ def test_drude_matches_frozen_per_term_ohmic_summand():
         t = float(rng.uniform(0.2, 2.0))
         p = OscillatorParams(om, Drude(g0, wd), t)
         m = linear_model(om, dom=1.0, g0=g0, wd=wd)
-        (term, head, _), = oracle_sums(lambda: force_sum_exact(p, m, 1.0))
+        (term, _, head, _), = oracle_sums(lambda: force_sum_exact(p, m, 1.0))
         assert head == 1.0 / om
         w = 2.0 * math.pi * t * n
         gam_n = g0 * wd / (wd + w)
@@ -408,11 +413,12 @@ REFERENCE_TERMS = _reference_terms()
 
 
 def oracle_sums(call):
-    """(term, head, tail) of each sum an oracle call hands to _oracle."""
+    """(term, pref, head, tail) of each sum an oracle call hands to
+    _oracle."""
     sums = []
 
-    def record(term, pref, head, spec, tail):
-        sums.append((term, head, tail))
+    def record(term, pref, head, tail):
+        sums.append((term, pref, head, tail))
         return matsubara.OracleResult(0.0, 0.0, 1)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -421,10 +427,20 @@ def oracle_sums(call):
     return sums
 
 
+def sum_at(n, term, pref, head, tail):
+    """(value, truncation_estimate) of a sum oracle_sums recorded, from n
+    direct terms and the tail: _oracle's arithmetic, at n other than its
+    SumSpec.hard_cap."""
+    terms = [head, *map(term, range(1, n + 1))]
+    value, last = matsubara._with_tail(terms, n, pref, tail)
+    half, _ = matsubara._with_tail(terms, max(n // 2, 1), pref, tail)
+    return value, max(abs(last), abs(value - half))
+
+
 @pytest.mark.parametrize("name", sorted(REFERENCE_TERMS))
 def test_summands_match_reference_terms(name):
     call, index, reference = REFERENCE_TERMS[name]
-    term, head, tail = oracle_sums(call)[index]
+    term, _, head, tail = oracle_sums(call)[index]
     n = np.arange(1, 257)
     want = reference(TWO_PI_T * n.astype(float))
     got = np.array([term(k) for k in range(1, 257)])
@@ -479,19 +495,19 @@ def test_drude_force_sum_with_nearly_coincident_roots():
         assert abs(fd.value - direct) <= 1e-11 * abs(direct)
 
 
-def _oracle_calls(p, m, p2, spec=SumSpec()):
+def _oracle_calls(p, m, p2):
     """Each oracle at p (and p2 for the difference), as a call that
     returns its OracleResults."""
-    calls = [lambda: [force_sum_exact(p, m, 1.0, spec)],
-             lambda: [free_energy_difference(p, p2, spec)]]
+    calls = [lambda: [force_sum_exact(p, m, 1.0)],
+             lambda: [free_energy_difference(p, p2)]]
     if isinstance(p.damping, Drude):
         def components():
-            sums = per_parameter_sums_drude(p, m, 1.0, spec)
+            sums = per_parameter_sums_drude(p, m, 1.0)
             return [sums.f_omega, sums.f_gamma0, sums.f_omega_d_1,
                     sums.f_omega_d_2]
         calls += [components,
-                  lambda: [free_energy_drude(p, spec, roots="exact")],
-                  lambda: [free_energy_drude(p, spec, roots="approx")]]
+                  lambda: [free_energy_drude(p, roots="exact")],
+                  lambda: [free_energy_drude(p, roots="approx")]]
     return calls
 
 
@@ -501,13 +517,15 @@ def test_oracles_at_one_two_and_three_terms():
         m = linear_model(1.0, 1.0, 0.3, dg0, 30.0, 0.6)
         p2 = OscillatorParams(1.7, damping, 0.5)
         best = [res for call in _oracle_calls(p, m, p2) for res in call()]
-        for n_max in (1, 2, 3):
-            few = [res for call in _oracle_calls(p, m, p2, SumSpec(n_max))
-                   for res in call()]
-            for got, want in zip(few, best, strict=True):
-                assert got.n_used == n_max
-                assert abs(got.value - want.value) \
-                    <= got.truncation_estimate + 1e-15 * abs(want.value)
+        recorded = [s for call in _oracle_calls(p, m, p2)
+                    for s in oracle_sums(call)]
+        for got, want in zip(recorded, best, strict=True):
+            # sum_at is the oracle's own arithmetic, bit for bit
+            assert sum_at(32, *got) == (want.value, want.truncation_estimate)
+            for n in (1, 2, 3):
+                value, estimate = sum_at(n, *got)
+                assert abs(value - want.value) \
+                    <= estimate + 1e-15 * abs(want.value)
 
 
 # Every oracle returns a finite value and a finite estimate, or raises a

@@ -136,19 +136,23 @@ def test_pickle_and_copy_round_trip(cls, args, text, change):
 
 # constructor, arguments, exception type and message
 BAD = [
-    (Ohmic, (-0.1,), DomainError, "gamma0 must be finite and >= 0"),
-    (Ohmic, (math.nan,), DomainError, "gamma0 must be finite and >= 0"),
-    (Drude, (math.inf, 1.0), DomainError, "gamma0 must be finite and >= 0"),
+    (Ohmic, (-0.1,), DomainError,
+     "gamma0 must be finite and >= 0 and < 2**511"),
+    (Ohmic, (math.nan,), DomainError,
+     "gamma0 must be finite and >= 0 and < 2**511"),
+    (Drude, (math.inf, 1.0), DomainError,
+     "gamma0 must be finite and >= 0 and < 2**511"),
     (Drude, (0.1, 0.0), DomainError, "omega_d must be finite and > 0"),
-    (Drude, (-1.0, -1.0), DomainError, "gamma0 must be finite and >= 0"),
+    (Drude, (-1.0, -1.0), DomainError,
+     "gamma0 must be finite and >= 0 and < 2**511"),
     (OscillatorParams, (0.0, Ohmic(0.1), 1.0), DomainError,
-     "omega0 must be finite and > 0"),
+     "omega0 must be finite and > 0 and < 2**511"),
     (OscillatorParams, (1.0, Ohmic(0.1), -1.0), DomainError,
      "temperature must be finite and >= 0"),
     (OscillatorParams, (1.0, Ohmic(0.1), math.nan), DomainError,
      "temperature must be finite and >= 0"),
     (OscillatorParams, (-1.0, Ohmic(0.1), -1.0), DomainError,
-     "omega0 must be finite and > 0"),
+     "omega0 must be finite and > 0 and < 2**511"),
     (PlanarCapacitor, (1e-4, 0.0), DomainError,
      "area, gap and epsilon must be positive"),
     (PlanarCapacitor, (1e-4, 1e-6, -2.0), DomainError,
@@ -164,6 +168,10 @@ BAD = [
      "element_size must be positive, got -1.0"),
     (SumSpec, (100.0,), DomainError, "n_max must be an int"),
     (SumSpec, (True,), DomainError, "n_max must be an int"),
+    (Ohmic, (2.0 ** 511,), DomainError,
+     "gamma0 must be finite and >= 0 and < 2**511"),
+    (OscillatorParams, (1e200, Ohmic(0.3), 1.0), DomainError,
+     "omega0 must be finite and > 0 and < 2**511"),
 ]
 
 
@@ -314,8 +322,7 @@ def test_type_hints_resolve():
         names.append(name)
     for name in ("fluctforce.oscillator.ParametricModel",
                  "fluctforce.circuits.ElementLaw",
-                 "fluctforce.matsubara.finite_difference_force",
-                 "fluctforce.cli._oracle_spec"):
+                 "fluctforce.matsubara.finite_difference_force"):
         assert name in names
     from collections.abc import Callable
     assert typing.get_type_hints(oscillator.ParametricModel)["d_omega_d"] \
