@@ -23,10 +23,9 @@ from _collections_abc import Callable   # see oscillator
 
 from ._value import Frozen
 from .constants import C_LIGHT, EPSILON_0, HBAR, K_B, ZETA_3
-from .errors import DomainError, PreconditionError
-from .forces import (ForceResult, _not_finite, force_ohmic_exact,
-                     force_ohmic_high_t, force_ohmic_low_t,
-                     force_ohmic_weak_dissipation)
+from .errors import _INF, DomainError, PreconditionError, finite, not_finite
+from .forces import (ForceResult, force_ohmic_exact, force_ohmic_high_t,
+                     force_ohmic_low_t, force_ohmic_weak_dissipation)
 from .oscillator import ParametricModel, power_law
 
 WARN_EDGE_EFFECTS = "edge-effects"
@@ -36,13 +35,6 @@ WARN_ELEMENT_SIZE = "lumped-element-size"
 
 #: d^2/S above this flags plate edge effects.
 EDGE_EFFECT_RATIO = 0.1
-
-# The closed forms below return finite numbers or raise DomainError.
-# As in oscillator.power_law, a power of a length that overflows or
-# underflows to a zero divisor counts as an infinite result, and results
-# are checked by chained comparisons against _INF, which NaN also fails
-# and which, unlike a function call, costs next to nothing per row.
-_INF = math.inf
 
 
 class ElementLaw(Frozen):
@@ -161,7 +153,7 @@ def _omega_of(cl: float, cc: float) -> float:
     try:
         return 1.0 / math.sqrt(cl * cc)
     except ZeroDivisionError:   # L C underflows to 0
-        raise _not_finite("Omega = 1/sqrt(LC)") from None
+        raise not_finite("Omega = 1/sqrt(LC)") from None
 
 
 def _lc_frequency(l_of: ElementLaw, c_of: ElementLaw):
@@ -171,11 +163,9 @@ def _lc_frequency(l_of: ElementLaw, c_of: ElementLaw):
 
     def d_omega(lam: float) -> float:
         cl, cc = l_of.value(lam), c_of.value(lam)
-        d = -0.5 * _omega_of(cl, cc) * (l_of.derivative(lam) / cl
-                                       + c_of.derivative(lam) / cc)
-        if -_INF < d < _INF:
-            return d
-        raise _not_finite("dOmega/dlambda")
+        return finite(-0.5 * _omega_of(cl, cc) * (l_of.derivative(lam) / cl
+                                                  + c_of.derivative(lam) / cc),
+                      "dOmega/dlambda")
 
     return omega, d_omega
 
@@ -185,10 +175,7 @@ def map_series(c: SeriesRLC) -> ParametricModel:
     r_of, l_of = c.resistance, c.inductance
 
     def gamma0(lam: float) -> float:
-        try:
-            return r_of.value(lam) / l_of.value(lam)
-        except ZeroDivisionError:   # L is 0
-            raise _not_finite("gamma = R/L") from None
+        return r_of.value(lam) / _check_positive("inductance", l_of.value(lam))
 
     def d_gamma0(lam: float) -> float:
         # (R' - gamma L') / L: no L L, which underflows to 0 for tiny L
@@ -208,7 +195,7 @@ def map_parallel(c: ParallelRLC) -> ParametricModel:
             return 1.0 / (_check_positive("resistance", r_of.value(lam))
                           * c_of.value(lam))
         except ZeroDivisionError:   # R C underflows to 0, or C is 0
-            raise _not_finite("gamma = 1/(RC)") from None
+            raise not_finite("gamma = 1/(RC)") from None
 
     def d_gamma0(lam: float) -> float:
         rr, cc = r_of.value(lam), c_of.value(lam)
@@ -222,10 +209,7 @@ def map_parallel(c: ParallelRLC) -> ParametricModel:
 def capacitance_planar(g: PlanarCapacitor) -> tuple[float, float]:
     """(C, dC/dd) of an ideal parallel-plate capacitor, SI."""
     cap = EPSILON_0 * g.epsilon * g.area / g.gap
-    dcap = -cap / g.gap
-    if -_INF < dcap < _INF:     # and so is C = -d dC/dd
-        return cap, dcap
-    raise _not_finite("dC/dd")
+    return cap, finite(-cap / g.gap, "dC/dd")   # and so is C = -d dC/dd
 
 
 def capacitance_sphere_plate(g: SpherePlate) -> tuple[float, float]:
@@ -242,9 +226,7 @@ def capacitance_sphere_plate(g: SpherePlate) -> tuple[float, float]:
             g.gap ** 2 * (1.0 + ratio))
     except (OverflowError, ZeroDivisionError):
         dcap = -_INF
-    if -_INF < dcap < _INF:     # C is finite: SpherePlate bounds R/d
-        return cap, dcap
-    raise _not_finite("dC/dd")
+    return cap, finite(dcap, "dC/dd")   # C is finite: SpherePlate bounds R/d
 
 
 def planar_capacitance_law(area: float, epsilon: float = 1.0) -> ElementLaw:
@@ -252,17 +234,11 @@ def planar_capacitance_law(area: float, epsilon: float = 1.0) -> ElementLaw:
     coeff = EPSILON_0 * epsilon * area
 
     def value(d: float) -> float:
-        cap = coeff / d if d else _INF
-        if -_INF < cap < _INF:
-            return cap
-        raise _not_finite("C")
+        return finite(coeff / d if d else _INF, "C")
 
     def derivative(d: float) -> float:
         d2 = d * d
-        dcap = -coeff / d2 if d2 else -_INF
-        if -_INF < dcap < _INF:
-            return dcap
-        raise _not_finite("dC/dd")
+        return finite(-coeff / d2 if d2 else -_INF, "dC/dd")
 
     return ElementLaw(value, derivative)
 
@@ -383,18 +359,20 @@ def planar_rlc_low_t_weak(g: PlanarCapacitor, inductance: float,
     """Low-temperature series-loop force estimate at weak dissipation, SI.
 
     f = -hbar / (4 sqrt(eps0 eps L S d)) + hbar R / (4 pi L d), valid for
-    R^2 << 4 L d / (eps0 eps S) and T << hbar Omega / (2 pi k_B).
+    R^2 << 4 L d / (eps0 eps S) and T << hbar Omega / (2 pi k_B); R = 0
+    is the dissipationless force.
     """
     _check_positive("inductance", inductance)
+    if not 0.0 <= resistance < _INF:
+        raise DomainError(f"resistance must be finite and >= 0, got "
+                          f"{resistance}")
     s, d, eps = g.area, g.gap, g.epsilon
     try:
         value = (-HBAR / (4.0 * math.sqrt(EPSILON_0 * eps * inductance * s * d))
                  + HBAR * resistance / (4.0 * math.pi * inductance * d))
     except ZeroDivisionError:
         value = -_INF
-    if -_INF < value < _INF:
-        return value
-    raise _not_finite("the low-temperature weak-dissipation force")
+    return finite(value, "the low-temperature weak-dissipation force")
 
 
 def planar_rlc_low_t_strong(g: PlanarCapacitor, inductance: float,
@@ -413,13 +391,16 @@ def planar_rlc_low_t_strong(g: PlanarCapacitor, inductance: float,
     except (OverflowError, ZeroDivisionError, ValueError):
         # ValueError: the logarithm's argument underflowed to 0
         value = -_INF
-    if -_INF < value < _INF:
-        return value
-    raise _not_finite("the low-temperature strong-dissipation force")
+    return finite(value, "the low-temperature strong-dissipation force")
 
 
-def _thermal_wavelength_ratio(temperature: float, gap: float) -> float:
-    return K_B * temperature * gap / (HBAR * C_LIGHT)
+def _check_regime(regime: str, temperature: float) -> None:
+    """The geometry forms' regime and temperature check."""
+    if regime not in ("low-T", "high-T"):
+        raise DomainError("regime must be 'low-T' or 'high-T'")
+    if not 0.0 <= temperature < _INF:      # NaN fails too
+        raise DomainError(f"temperature must be finite and >= 0, got "
+                          f"{temperature!r}")
 
 
 def casimir_reference(geometry, temperature: float, regime: str) -> ForceResult:
@@ -434,13 +415,9 @@ def casimir_reference(geometry, temperature: float, regime: str) -> ForceResult:
     half of the plasma-model prediction because the TM polarization
     contribution is fully suppressed at high temperatures.
     """
-    if regime not in ("low-T", "high-T"):
-        raise DomainError("regime must be 'low-T' or 'high-T'")
-    if not 0.0 <= temperature < _INF:      # NaN fails too
-        raise DomainError(f"temperature must be finite and >= 0, got "
-                          f"{temperature!r}")
+    _check_regime(regime, temperature)
     warnings: tuple[str, ...] = ()
-    x = _thermal_wavelength_ratio(temperature, geometry.gap)
+    x = K_B * temperature * geometry.gap / (HBAR * C_LIGHT)
     if 0.1 <= x <= 10.0:
         warnings = (WARN_REGIME_AMBIGUOUS,)
     try:
@@ -466,9 +443,8 @@ def casimir_reference(geometry, temperature: float, regime: str) -> ForceResult:
                 "geometry must be PlanarCapacitor or SpherePlate")
     except (OverflowError, ZeroDivisionError):
         value = -_INF
-    if -_INF < value < _INF:
-        return ForceResult(value, regime, warnings)
-    raise _not_finite("the Casimir reference force")
+    return ForceResult(finite(value, "the Casimir reference force"), regime,
+                       warnings)
 
 
 def sphere_plate_circuit_force(g: SpherePlate, inductance: float,
@@ -481,11 +457,8 @@ def sphere_plate_circuit_force(g: SpherePlate, inductance: float,
     limits of -(hbar/2) dOmega/dd and -(k_B T/Omega) dOmega/dd under the
     interpolated sphere-plate capacitance.
     """
-    if regime not in ("low-T", "high-T"):
-        raise DomainError("regime must be 'low-T' or 'high-T'")
-    if not 0.0 <= temperature < _INF:      # NaN fails too
-        raise DomainError(f"temperature must be finite and >= 0, got "
-                          f"{temperature!r}")
+    _check_regime(regime, temperature)
+    _check_positive("inductance", inductance)
     warnings: tuple[str, ...] = ()
     if g.gap > g.radius:
         warnings = (WARN_SPHERE_INTERP,)
@@ -494,7 +467,6 @@ def sphere_plate_circuit_force(g: SpherePlate, inductance: float,
     geom = d * (1.0 + d / r) * bracket
     try:
         if regime == "low-T":
-            _check_positive("inductance", inductance)
             cap, _ = capacitance_sphere_plate(g)
             omega_lc = 1.0 / math.sqrt(inductance * cap)
             value = -HBAR * omega_lc / (8.0 * geom)
@@ -502,9 +474,8 @@ def sphere_plate_circuit_force(g: SpherePlate, inductance: float,
             value = -K_B * temperature / (4.0 * geom)
     except ZeroDivisionError:
         value = -_INF
-    if -_INF < value < _INF:
-        return ForceResult(value, regime, warnings)
-    raise _not_finite("the sphere-plate circuit force")
+    return ForceResult(finite(value, "the sphere-plate circuit force"),
+                       regime, warnings)
 
 
 def relative_weight(geometry, circuit: SeriesRLC, temperature: float,
@@ -524,11 +495,7 @@ def relative_weight(geometry, circuit: SeriesRLC, temperature: float,
     temperature free because T cancels between the circuit force and the
     Casimir reference.
     """
-    if regime not in ("low-T", "high-T"):
-        raise DomainError("regime must be 'low-T' or 'high-T'")
-    if not 0.0 <= temperature < _INF:      # NaN fails too
-        raise DomainError(f"temperature must be finite and >= 0, got "
-                          f"{temperature!r}")
+    _check_regime(regime, temperature)
     try:
         if isinstance(geometry, PlanarCapacitor):
             s, d = geometry.area, geometry.gap
@@ -558,6 +525,4 @@ def relative_weight(geometry, circuit: SeriesRLC, temperature: float,
                 "geometry must be PlanarCapacitor or SpherePlate")
     except ZeroDivisionError:
         weight = _INF
-    if -_INF < weight < _INF:
-        return weight
-    raise _not_finite("the relative weight")
+    return finite(weight, "the relative weight")

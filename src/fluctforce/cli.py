@@ -34,11 +34,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 
 from . import circuits, forces
-from .errors import DivergentSumError, DomainError, PreconditionError
+from .errors import _INF, DivergentSumError, DomainError, PreconditionError
 from .oscillator import ParametricModel, power_law
 
 SCHEMA = "fluctforce/1"
@@ -53,8 +52,6 @@ _MODES = ("oscillator", "series-rlc", "parallel-rlc") + _GEOMETRY_MODES
 #: the most sweep points a config may ask for; checked before any
 #: array is allocated.
 MAX_POINTS = 10**6
-
-_INF = math.inf
 
 
 class ConfigError(ValueError):

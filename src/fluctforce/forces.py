@@ -19,10 +19,8 @@ Conventions shared by every function here:
 * Exact variants combine conjugate digammas and must come out real; the
   discarded imaginary part is recorded as im_residual and flagged if it
   exceeds 1e-10 of the value.
-* Every function returns finite numbers or raises DomainError: as in
-  circuits, results are checked by chained comparisons against _INF,
-  which NaN also fails, and a quotient that overflows, or underflows to
-  a zero divisor or a zero under a logarithm, counts as infinite.
+* Every function returns finite numbers or raises DomainError, by the
+  rule that errors states.
 """
 
 from __future__ import annotations
@@ -31,9 +29,9 @@ import cmath
 import math
 
 from ._value import Frozen
-from .errors import DomainError, PreconditionError
+from .errors import _INF, DomainError, PreconditionError, finite, not_finite
 from .oscillator import Drude, Ohmic, OscillatorParams, ParametricModel, \
-    WARN_DRUDE_APPROX, _INF, _pair_data
+    WARN_DRUDE_APPROX, _pair_data
 from .specfun import digamma, log_gamma, trigamma
 
 #: |Omega^2 - gamma^2/4| below this multiple of Omega^2 switches the
@@ -84,10 +82,6 @@ class ForceResult(Frozen):
         d["im_residual"] = im_residual
 
 
-def _not_finite(what: str) -> DomainError:
-    return DomainError(f"{what} is not a finite number for these inputs")
-
-
 def _psi_quotient(om: float, g: float, t: float) -> complex:
     """[psi(a1) - psi(a2)] / sqrt(Omega^2 - gamma^2/4)."""
     i_w1, i_w2, sq, d = _pair_data(om, g)
@@ -105,7 +99,7 @@ def _log_quotient(om: float, g: float) -> complex:
     if abs(d) <= CRITICAL_DAMPING_CUT * om * om:
         c = 0.5 * g
         if c * c == 0.0:                # gamma^2 (and Omega^2) underflow
-            raise _not_finite("the low-temperature force")
+            raise not_finite("the low-temperature force")
         return 1j * (2.0 / c) * (1.0 - d / (3.0 * c * c))
     try:
         return (cmath.log(i_w1) - cmath.log(i_w2)) / sq
@@ -122,7 +116,7 @@ def _realize(value_c: complex, regime: str, warnings: tuple[str, ...],
     residual = abs(value_c.imag)
     # the components sum to value_c, so they are finite when it is
     if not (-_INF < value < _INF and residual < _INF):
-        raise _not_finite(f"the {regime} force")
+        raise not_finite(f"the {regime} force")
     if residual > IM_RESIDUAL_BOUND * max(abs(value), 1e-300):
         warnings = warnings + (WARN_IM_RESIDUAL,)
     components = None
@@ -176,9 +170,8 @@ def force_ohmic_weak_dissipation(p: OscillatorParams,
         trig_term = (g / (4.0 * math.pi ** 2 * t)
                      * trigamma(1.0 + 1j * om / (2.0 * math.pi * t)).imag)
     value = -(coth_half + trig_term) * d_omega
-    if -_INF < value < _INF:
-        return ForceResult(value, "weak-dissipation", warnings)
-    raise _not_finite("the weak-dissipation force")
+    return ForceResult(finite(value, "the weak-dissipation force"),
+                       "weak-dissipation", warnings)
 
 
 def force_ohmic_high_t(p: OscillatorParams, d_omega: float) -> ForceResult:
@@ -194,9 +187,7 @@ def force_ohmic_high_t(p: OscillatorParams, d_omega: float) -> ForceResult:
     if t < HIGH_T_GUARD * max(om, g):
         warnings = (WARN_HIGH_T,)
     value = -(t / om + om / (12.0 * t)) * d_omega
-    if -_INF < value < _INF:
-        return ForceResult(value, "high-T", warnings)
-    raise _not_finite("the high-T force")
+    return ForceResult(finite(value, "the high-T force"), "high-T", warnings)
 
 
 def force_ohmic_low_t(p: OscillatorParams, d_omega: float) -> ForceResult:
@@ -298,13 +289,12 @@ def force_drude_very_high_t(p: OscillatorParams, m: ParametricModel,
         raise PreconditionError("very-high-temperature form requires T > 0")
     if t < VERY_HIGH_T_GUARD * wd:
         warnings = warnings + (WARN_VERY_HIGH_T,)
-    value = -(t / om) * dom - wd / (24.0 * t) * dg0 - g0 / (24.0 * t) * dwd
-    if not -_INF < value < _INF:
-        raise _not_finite("the very-high-T force")
-    return ForceResult(value, "very-high-T", warnings,
-                       {"f_omega": -(t / om) * dom,
-                        "f_gamma0": -wd / (24.0 * t) * dg0,
-                        "f_omegaD": -g0 / (24.0 * t) * dwd})
+    f_om = -(t / om) * dom
+    f_g = -wd / (24.0 * t) * dg0
+    f_wd = -g0 / (24.0 * t) * dwd
+    return ForceResult(finite(f_om + f_g + f_wd, "the very-high-T force"),
+                       "very-high-T", warnings,
+                       {"f_omega": f_om, "f_gamma0": f_g, "f_omegaD": f_wd})
 
 
 def force_drude_high_t(p: OscillatorParams, m: ParametricModel,
@@ -326,10 +316,8 @@ def force_drude_high_t(p: OscillatorParams, m: ParametricModel,
     f_om = -(t / om) * dom
     f_g = -(math.log(ratio) if ratio else -_INF) / (2.0 * math.pi) * dg0
     f_wd = -g0 / (2.0 * math.pi * wd) * dwd
-    value = f_om + f_g + f_wd
-    if not -_INF < value < _INF:
-        raise _not_finite("the high-T force")
-    return ForceResult(value, "high-T", warnings,
+    return ForceResult(finite(f_om + f_g + f_wd, "the high-T force"),
+                       "high-T", warnings,
                        {"f_omega": f_om, "f_gamma0": f_g, "f_omegaD": f_wd})
 
 
@@ -383,10 +371,7 @@ def free_energy_drude_gamma(p: OscillatorParams) -> float:
     with the first-order eigenfrequencies; real because a1, a2 are a
     conjugate pair (or both real when overdamped).
     """
-    value = _free_energy_drude_gamma_c(p).real
-    if -_INF < value < _INF:
-        return value
-    raise _not_finite("the Drude free energy")
+    return finite(_free_energy_drude_gamma_c(p).real, "the Drude free energy")
 
 
 def free_energy_difference_gamma(p: OscillatorParams, omega2: float) -> float:
@@ -419,8 +404,6 @@ def free_energy_difference_gamma(p: OscillatorParams, omega2: float) -> float:
                 + log_gamma(1.0 + i_w2 / two_pi_t))
 
     ratio = omega2 / om1
-    value = t * ((math.log(ratio) if ratio else -_INF)
-                 + (pair_log_gamma(om1) - pair_log_gamma(omega2)).real)
-    if -_INF < value < _INF:
-        return value
-    raise _not_finite("the free-energy difference")
+    return finite(t * ((math.log(ratio) if ratio else -_INF)
+                       + (pair_log_gamma(om1) - pair_log_gamma(omega2)).real),
+                  "the free-energy difference")

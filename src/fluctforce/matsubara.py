@@ -34,7 +34,7 @@ from collections.abc import Callable
 from operator import truediv
 
 from ._value import Frozen
-from .errors import DivergentSumError, DomainError, PreconditionError
+from .errors import _INF, DivergentSumError, DomainError, PreconditionError
 from .oscillator import Drude, Ohmic, OscillatorParams, ParametricModel
 
 #: B_2k for k = 1..K
@@ -47,8 +47,6 @@ _LOG_CORRECTION = tuple([b / (2 * k * (2 * k - 1))
 #: a divided difference takes the Taylor series once its poles lie
 #: within this fraction of |N - centre| of their centre.
 _CLUSTER = 0.25
-
-_INF = math.inf
 
 
 class SumSpec(Frozen):

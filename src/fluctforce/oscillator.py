@@ -32,7 +32,7 @@ import math
 from _collections_abc import Callable   # os loads it, not collections.abc
 
 from ._value import Frozen
-from .errors import DomainError, PreconditionError
+from .errors import _INF, DomainError, PreconditionError
 
 #: omega_d below this multiple of max(Omega, gamma0) flags the
 #: approximate-root regime as unreliable (first order in Omega/omega_d).
@@ -46,12 +46,8 @@ CUBIC_RESIDUAL_BOUND = 1e-9
 
 WARN_CUBIC_RESIDUAL = "cubic-residual"
 
-# The parameter checks are chained comparisons against _INF: they reject
-# NaN (every comparison with it is false) and +-inf, and call no function,
-# since a sweep builds new parameters for every point.  Omega and gamma0
-# are held below _RATE_MAX instead, so that Omega^2 and gamma0^2/4 (the
-# root pair, the Drude cubic) cannot overflow.
-_INF = math.inf
+# Omega and gamma0 are held below _RATE_MAX, not _INF, so that Omega^2
+# and gamma0^2/4 (the root pair, the Drude cubic) cannot overflow.
 _RATE_MAX = 2.0 ** 511
 
 
@@ -167,29 +163,26 @@ def power_law(coeff: float, exponent: float):
     if exponent == 0.0 and type(coeff) is float and -_INF < coeff < _INF:
         return lambda _lam: coeff, _const_zero
 
-    def value(lam: float) -> float:
-        try:
-            v = coeff * lam ** exponent
-        except (OverflowError, ZeroDivisionError):
-            v = _INF
-        if type(v) is not complex and -_INF < v < _INF:
-            return v
-        raise DomainError(f"{coeff!r} * lam**{exponent!r} is not a finite "
-                          f"real number at lam = {lam!r}")
+    def power(c, e: float, what: str) -> Callable[[float], float]:
+        def f(lam: float) -> float:
+            try:
+                v = c * lam ** e
+            except (OverflowError, ZeroDivisionError):
+                v = _INF
+            if type(v) is not complex and -_INF < v < _INF:
+                return v
+            raise DomainError(f"{what}{coeff!r} * lam**{exponent!r} is not a "
+                              f"finite real number at lam = {lam!r}")
+        return f
 
-    def derivative(lam: float) -> float:
-        if exponent == 0.0:
-            return 0.0
-        try:
-            v = coeff * exponent * lam ** (exponent - 1.0)
-        except (OverflowError, ZeroDivisionError):
-            v = _INF
-        if type(v) is not complex and -_INF < v < _INF:
-            return v
-        raise DomainError(f"the derivative of {coeff!r} * lam**{exponent!r} "
-                          f"is not a finite real number at lam = {lam!r}")
-
-    return value, derivative
+    if exponent == 0.0:
+        return power(coeff, exponent, ""), _const_zero
+    try:
+        dc = coeff * exponent
+    except OverflowError:   # an int coeff beyond the float range
+        dc = _INF
+    return (power(coeff, exponent, ""),
+            power(dc, exponent - 1.0, "the derivative of "))
 
 
 def power_law_model(omega0: tuple[float, float],

@@ -24,7 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import DomainError
+from .errors import _INF, DomainError
 
 _SHIFT_THRESHOLD = 12.0
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
@@ -62,8 +62,6 @@ _TRIGAMMA_COEFFS = (
     7.0 / 6.0,
 )
 
-
-_INF = math.inf
 #: the |z| below which digamma and trigamma raise DomainError, and the
 #: |Im z| from which trigamma does.
 _DIGAMMA_FLOOR = 1e-300

@@ -10,9 +10,14 @@ from hypothesis import strategies as st
 
 from fluctforce import circuits as cc
 from fluctforce.errors import DomainError, PreconditionError
-from fluctforce.forces import force_ohmic_exact
+from fluctforce.forces import (force_drude_high_t, force_drude_very_high_t,
+                               force_ohmic_exact, force_ohmic_high_t,
+                               force_ohmic_weak_dissipation,
+                               free_energy_difference_gamma,
+                               free_energy_drude_gamma)
 from fluctforce.matsubara import SumSpec, force_sum_exact
-from fluctforce.oscillator import OscillatorParams
+from fluctforce.oscillator import (Drude, Ohmic, OscillatorParams,
+                                   power_law_model)
 
 HBAR, KB, C, EPS0 = cc.HBAR, cc.K_B, cc.C_LIGHT, cc.EPSILON_0
 
@@ -381,41 +386,81 @@ def test_scale_result_passes_unit_scale_through():
 _LOOP = cc.SeriesRLC.of(1e-3, 1e-6, 1e-12)
 
 
+_TINY = OscillatorParams(1e-200, Ohmic(0.0), 1e200)
+_TINY_DRUDE = OscillatorParams(1e-200, Drude(0.3, 30.0), 1e200)
+_DRUDE_MODEL = power_law_model((1.0, 0.5), (0.3, 1.0), (30.0, 0.5))
+
+
+def _nf(what: str) -> str:
+    return f"{what} is not a finite number for these inputs"
+
+
 # closed forms whose result overflows, or divides by a power of the gap
 # that underflows to zero: a DomainError, never inf, NaN or a bare
-# ZeroDivisionError
+# ZeroDivisionError.  Each case is (fn, (args, the error's text)).
 @pytest.mark.parametrize("fn, args", [
-    (cc.casimir_reference, (cc.PlanarCapacitor(1e300, 1e-10), 300.0,
-                            "low-T")),
-    (cc.casimir_reference, (cc.PlanarCapacitor(1e300, 1e-10), 300.0,
-                            "high-T")),
-    (cc.casimir_reference, (cc.PlanarCapacitor(1e-4, 1e-90), 300.0,
-                            "low-T")),
-    (cc.casimir_reference, (cc.PlanarCapacitor(1e-4, 1e200), 300.0,
-                            "low-T")),
-    (cc.casimir_reference, (cc.SpherePlate(1e-4, 1e-110), 300.0, "low-T")),
-    (cc.casimir_reference, (cc.SpherePlate(1e-4, 1e-170), 300.0, "high-T")),
-    (cc.relative_weight, (cc.PlanarCapacitor(1e-300, 1e300), None, 300.0,
-                          "high-T")),
-    (cc.relative_weight, (cc.PlanarCapacitor(1e-300, 1e-5), _LOOP, 300.0,
-                          "low-T")),
-    (cc.capacitance_planar, (cc.PlanarCapacitor(1e300, 1e-90),)),
-    (cc.capacitance_sphere_plate, (cc.SpherePlate(1e-4, 1e-170),)),
-    (cc.planar_capacitance_law(1e-4).derivative, (1e-170,)),
-    (cc.planar_capacitance_law(1e300).value, (1e-90,)),
-    (cc.planar_rlc_low_t_weak, (cc.PlanarCapacitor(1e-200, 1e-200), 1e-9,
-                                1.0)),
-    (cc.planar_rlc_low_t_strong, (cc.PlanarCapacitor(1e-4, 1e-6), 1e-9,
-                                  0.0)),
-    (cc.planar_rlc_low_t_strong, (cc.PlanarCapacitor(1e-4, 1e-6), 1e-9,
-                                  1e-200)),
-    (cc.sphere_plate_circuit_force, (cc.SpherePlate(1e-4, 1e-6), -1e-9,
-                                     300.0, "low-T")),
+    (cc.casimir_reference, ((cc.PlanarCapacitor(1e300, 1e-10), 300.0,
+                             "low-T"), _nf("the Casimir reference force"))),
+    (cc.casimir_reference, ((cc.PlanarCapacitor(1e300, 1e-10), 300.0,
+                             "high-T"), _nf("the Casimir reference force"))),
+    (cc.casimir_reference, ((cc.PlanarCapacitor(1e-4, 1e-90), 300.0,
+                             "low-T"), _nf("the Casimir reference force"))),
+    (cc.casimir_reference, ((cc.PlanarCapacitor(1e-4, 1e200), 300.0,
+                             "low-T"), _nf("the Casimir reference force"))),
+    (cc.casimir_reference, ((cc.SpherePlate(1e-4, 1e-110), 300.0, "low-T"),
+                            _nf("the Casimir reference force"))),
+    (cc.casimir_reference, ((cc.SpherePlate(1e-4, 1e-170), 300.0, "high-T"),
+                            _nf("the Casimir reference force"))),
+    (cc.relative_weight, ((cc.PlanarCapacitor(1e-300, 1e300), None, 300.0,
+                           "high-T"), _nf("the relative weight"))),
+    (cc.relative_weight, ((cc.PlanarCapacitor(1e-300, 1e-5), _LOOP, 300.0,
+                           "low-T"), _nf("the relative weight"))),
+    (cc.capacitance_planar, ((cc.PlanarCapacitor(1e300, 1e-90),),
+                             _nf("dC/dd"))),
+    (cc.capacitance_sphere_plate, ((cc.SpherePlate(1e-4, 1e-170),),
+                                   _nf("dC/dd"))),
+    (cc.planar_capacitance_law(1e-4).derivative, ((1e-170,), _nf("dC/dd"))),
+    (cc.planar_capacitance_law(1e300).value, ((1e-90,), _nf("^C"))),
+    (cc.planar_rlc_low_t_weak, ((cc.PlanarCapacitor(1e-200, 1e-200), 1e-9,
+                                 1.0),
+                                _nf("the low-temperature weak-dissipation "
+                                    "force"))),
+    (cc.planar_rlc_low_t_strong, ((cc.PlanarCapacitor(1e-4, 1e-6), 1e-9,
+                                   0.0), "resistance must be positive")),
+    (cc.planar_rlc_low_t_strong, ((cc.PlanarCapacitor(1e-4, 1e-6), 1e-9,
+                                   1e-200),
+                                  _nf("the low-temperature strong-dissipation "
+                                      "force"))),
+    (cc.sphere_plate_circuit_force, ((cc.SpherePlate(1e-4, 1e-6), -1e-9,
+                                      300.0, "low-T"),
+                                     "inductance must be positive")),
     # gamma = R/L at L = 0
-    (cc.map_series(cc.SeriesRLC.of(1.0, 0.0, 1e-12)).gamma0, (1.0,)),
+    (cc.map_series(cc.SeriesRLC.of(1.0, 0.0, 1e-12)).gamma0,
+     ((1.0,), "inductance must be positive")),
+    # T / Omega overflows, or Omega / T underflows to a zero divisor
+    (force_ohmic_high_t, ((_TINY, 1.0), _nf("the high-T force"))),
+    (force_ohmic_weak_dissipation, ((_TINY, 1.0),
+                                    _nf("the weak-dissipation force"))),
+    (force_drude_very_high_t, ((_TINY_DRUDE, _DRUDE_MODEL, 1.0),
+                               _nf("the very-high-T force"))),
+    (force_drude_high_t, ((_TINY_DRUDE, _DRUDE_MODEL, 1.0),
+                          _nf("the high-T force"))),
+    (free_energy_drude_gamma, ((_TINY_DRUDE,), _nf("the Drude free energy"))),
+    (free_energy_difference_gamma, ((OscillatorParams(1e-200, Ohmic(0.3),
+                                                      1.0), 1e150),
+                                    _nf("the free-energy difference"))),
+    # inputs that no regime may take
+    (cc.sphere_plate_circuit_force, ((cc.SpherePlate(1e-4, 1e-6), -1e-6,
+                                      300.0, "high-T"),
+                                     "inductance must be positive")),
+    (cc.planar_rlc_low_t_weak, ((cc.PlanarCapacitor(1e-4, 1e-6), 1e-6, -1.0),
+                                "resistance must be finite and >= 0")),
+    (cc.map_series(cc.SeriesRLC.of(1e-3, -1e-6, 1e-12)).gamma0,
+     ((1.0,), "inductance must be positive")),
 ])
 def test_closed_forms_raise_domain_error_where_not_finite(fn, args):
-    with pytest.raises(DomainError):
+    args, text = args
+    with pytest.raises(DomainError, match=text):
         fn(*args)
 
 

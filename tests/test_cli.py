@@ -558,6 +558,24 @@ def test_negative_temperature_and_zero_inductance_exit_3(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode, regime", [
+    ("sphere-plate", "high-T"), ("sphere-plate", "low-T"),
+    ("planar", "high-T"), ("planar", "low-T")])
+def test_negative_inductance_is_named_in_every_regime(tmp_path, capsys, mode,
+                                                      regime):
+    params = {"radius": 1e-4} if mode == "sphere-plate" else \
+        {"area": 1e-4, "resistance": 1e-3}
+    cfg = {"schema": "fluctforce/1", "mode": mode, "units": "si",
+           "parameters": dict(params, inductance=-1e-6, temperature=300.0,
+                              regime=regime, **{"lambda": 1e-6})}
+    out = tmp_path / "o.csv"
+    assert main(["force", "--config", write_config(tmp_path, "c.json", cfg),
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "domain error: inductance must be positive")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("edit", [
     _set("oracle", {"enabled": "no"}),
     _set("oracle", {"enabled": 1}),

@@ -300,6 +300,8 @@ def test_domain_errors_are_value_errors():
     ((1e308, 2.0), 1.0, "derivative"),      # coeff * exponent overflows
     ((1.0, 0.5), -1.0, "value"),            # complex: (-1.0) ** 0.5
     ((1.0, 0.5), -1.0, "derivative"),
+    ((10**400, 0.5), 1.0, "value"),         # an int beyond the float range
+    ((10**400, 0.5), 1.0, "derivative"),
 ])
 def test_power_law_raises_where_not_finite(law, lam, which):
     value, derivative = power_law(*law)

@@ -3,8 +3,9 @@
 import math
 
 import numpy as np
+import pytest
 
-from fluctforce import validation
+from fluctforce import cli, validation
 
 
 def _scalar_draws(count, rng):
@@ -49,3 +50,53 @@ def test_vieta_nan_residual_fails(monkeypatch):
     rep = validation.criterion_vieta(3)
     assert not rep.passed
     assert math.isnan(rep.worst)
+
+
+#: the lines `fluctforce validate --suite <suite>` prints, one per
+#: criterion.  A change that moves a criterion's worst case or tolerance
+#: on purpose updates its line here, and says why.
+VALIDATE_LINES = {
+    "ohmic-oracle": (
+        "PASS ohmic-oracle-equivalence: worst=1.421e-06 tol=1.000e+00 "
+        "(200 cases, 32 terms + tail, worst as fraction of "
+        "max(1e-8, 2*estimate))",
+        "PASS sign-laws: worst=0.000e+00 tol=0.000e+00 (750 sign checks)",
+    ),
+    "drude-fd": (
+        "PASS drude-finite-difference: worst=3.264e-08 tol=1.000e-05 "
+        "(50 cases, relative)",
+        "PASS gamma-vs-product: worst=2.311e-13 tol=1.000e-08 "
+        "(20 cases, 32 terms + tail, relative)",
+        "PASS vieta-and-cubic-residuals: worst=6.070e-03 tol=1.000e+00 "
+        "(10000 parameter sets, residuals as fraction of their stated "
+        "bounds)",
+    ),
+    "asymptotics": (
+        "PASS zero-point-limit: worst=3.183e-07 tol=1.000e-03 "
+        "(relative to -(hbar/2) dOmega)",
+        "PASS asymptotic-slopes: worst=-1.096e+00 tol=0.000e+00 "
+        "(high-T slope -3.00 (<= -1.8 required); low-T error slope 2.00 "
+        "vs T (>= 0.9 required, i.e. at least first-order decay as "
+        "T -> 0))",
+        "PASS critical-damping-continuity: worst=6.171e-07 tol=1.000e-06 "
+        "(20 (Omega, T) pairs)",
+    ),
+    "circuits": (
+        "PASS circuit-composition: worst=3.322e-13 tol=1.000e+00 "
+        "(composition residual and weight quotients, as fractions of "
+        "their tolerances)",
+    ),
+    "paper-numbers": (
+        "PASS planar-relative-weights: worst=3.865e-01 tol=1.000e+00 "
+        "(r_T at d^2/S = 0.04 and 2.5e-3 vs 0.42+-0.02, 0.03+-0.01)",
+        "PASS sphere-plate-relative-weights: worst=1.779e-01 "
+        "tol=1.000e+00 (r_T at d/R = 0.75 and 0.035 vs 0.50+-0.02, "
+        "0.02+-0.005)",
+    ),
+}
+
+
+@pytest.mark.parametrize("suite", validation.SUITE_NAMES)
+def test_validate_transcript(suite, capsys):
+    assert cli.main(["validate", "--suite", suite]) == 0
+    assert capsys.readouterr().out.splitlines() == list(VALIDATE_LINES[suite])
