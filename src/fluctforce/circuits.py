@@ -6,9 +6,10 @@ gamma -> R/L, Omega -> 1/sqrt(LC); a parallel loop as M -> C,
 gamma -> 1/(RC), Omega -> 1/sqrt(LC).  In both cases gamma is
 frequency independent (Ohmic), which is exactly why the circuit force
 is only finite when the damping does not depend on the swept
-parameter: rlc_force_at checks dgamma/dlambda = 0 at each point, the
-test force_sum_exact makes, and raises PreconditionError where it
-fails.
+parameter.  rlc_force_at is the one point path, for loops and bare
+oscillator models alike: it checks dgamma/dlambda = 0 at each Ohmic
+point, the test force_sum_exact makes, raises PreconditionError where
+it fails, and flags loops that break the lumped-element condition.
 
 Units: circuit element values may be SI (ohm, henry, farad, kelvin,
 metre) with units="si", or reduced (hbar = k_B = 1, any consistent
@@ -24,8 +25,9 @@ from _collections_abc import Callable   # see oscillator
 from ._value import Frozen
 from .constants import C_LIGHT, EPSILON_0, HBAR, K_B, ZETA_3
 from .errors import _INF, DomainError, PreconditionError, finite, not_finite
-from .forces import (ForceResult, force_ohmic_exact, force_ohmic_high_t,
-                     force_ohmic_low_t, force_ohmic_weak_dissipation)
+from .forces import (ForceResult, force_drude_full, force_ohmic_exact,
+                     force_ohmic_high_t, force_ohmic_low_t,
+                     force_ohmic_weak_dissipation)
 from .oscillator import ParametricModel, power_law
 
 WARN_EDGE_EFFECTS = "edge-effects"
@@ -193,8 +195,8 @@ def map_parallel(c: ParallelRLC) -> ParametricModel:
     def gamma0(lam: float) -> float:
         try:
             return 1.0 / (_check_positive("resistance", r_of.value(lam))
-                          * c_of.value(lam))
-        except ZeroDivisionError:   # R C underflows to 0, or C is 0
+                          * _check_positive("capacitance", c_of.value(lam)))
+        except ZeroDivisionError:   # R C underflows to 0
             raise not_finite("gamma = 1/(RC)") from None
 
     def d_gamma0(lam: float) -> float:
@@ -282,14 +284,6 @@ _OHMIC_DISPATCH = {
 }
 
 
-def _element_size_warnings(circuit, gamma: float, units: str) -> tuple[str, ...]:
-    if units != "si" or circuit.element_size is None:
-        return ()
-    if gamma >= 0.1 * C_LIGHT / circuit.element_size:
-        return (WARN_ELEMENT_SIZE,)
-    return ()
-
-
 def scale_result(res: ForceResult, hbar_out: float,
                  extra_warnings: tuple[str, ...] = ()) -> ForceResult:
     """res in output units: every force field times hbar_out, and
@@ -307,38 +301,42 @@ def scale_result(res: ForceResult, hbar_out: float,
                        hbar_out * res.im_residual)
 
 
-def _ohmic_force(force, p, model: ParametricModel,
-                 lam: float) -> ForceResult:
-    """force(p, dOmega/dlambda) for an Ohmic closed form and p = model's
-    parameters at lam: the one place that checks dgamma/dlambda = 0,
-    for loops and oscillator rows alike."""
-    dg = model.d_gamma0(lam)
-    if dg != 0.0:
-        raise PreconditionError(f"the Ohmic force requires dgamma/dlambda "
-                                f"= 0, got {dg!r} at lambda = {lam!r}")
-    return force(p, model.d_omega(lam))
-
-
-def rlc_force_at(c: SeriesRLC | ParallelRLC, model: ParametricModel,
+def rlc_force_at(c: SeriesRLC | ParallelRLC | None, model: ParametricModel,
                  temperature: float, lam: float, regime: str = "exact",
                  units: str = "si") -> ForceResult:
-    """Ohmic force at the chosen regime of loop c at one point, given
-    model = map_series(c) or map_parallel(c), built once per loop.
+    """The one point path: the force at one sweep point of model, which
+    is map_series(c) or map_parallel(c), built once per loop c, or a bare
+    oscillator model with c = None.
 
-    The Ohmic closed forms hold only where the damping does not depend
-    on lambda.  Where dgamma/dlambda != 0 the force is set by the
-    damping's high-frequency dispersion, and diverges for Ohmic
-    damping, so PreconditionError is raised there."""
-    try:
-        force = _OHMIC_DISPATCH[regime]
-    except (KeyError, TypeError):   # TypeError: an unhashable regime
-        raise DomainError(f"regime must be one of {tuple(_OHMIC_DISPATCH)}"
-                          ) from None
+    A Drude model runs force_drude_full, at regime "exact" only; an
+    Ohmic model the closed form of the regime, which holds only where
+    dgamma/dlambda = 0: elsewhere the force is set by the damping's
+    high-frequency dispersion, and diverges for Ohmic damping, so
+    PreconditionError is raised.  In SI units a loop whose gamma reaches
+    0.1 c / element_size is flagged lumped-element-size."""
+    if model.omega_d is None:
+        try:
+            force = _OHMIC_DISPATCH[regime]
+        except (KeyError, TypeError):   # TypeError: an unhashable regime
+            raise DomainError(f"regime must be one of "
+                              f"{tuple(_OHMIC_DISPATCH)}") from None
+    elif regime != "exact":
+        raise DomainError("a Drude model has only the regime 'exact'")
     hbar_out, t_freq = units_factors(temperature, units)
     p = model.params_at(lam, t_freq)
-    res = _ohmic_force(force, p, model, lam)
-    return scale_result(res, hbar_out,
-                        _element_size_warnings(c, p.damping.gamma0, units))
+    if model.omega_d is not None:
+        res = force_drude_full(p, model, lam)
+    else:
+        dg = model.d_gamma0(lam)
+        if dg != 0.0:
+            raise PreconditionError(f"the Ohmic force requires dgamma/dlambda "
+                                    f"= 0, got {dg!r} at lambda = {lam!r}")
+        res = force(p, model.d_omega(lam))
+    warnings: tuple[str, ...] = ()
+    if (units == "si" and c is not None and c.element_size is not None
+            and p.damping.gamma0 >= 0.1 * C_LIGHT / c.element_size):
+        warnings = (WARN_ELEMENT_SIZE,)
+    return scale_result(res, hbar_out, warnings)
 
 
 def force_series_rlc(c: SeriesRLC, temperature: float, lam: float,
@@ -416,6 +414,9 @@ def casimir_reference(geometry, temperature: float, regime: str) -> ForceResult:
     contribution is fully suppressed at high temperatures.
     """
     _check_regime(regime, temperature)
+    if not isinstance(geometry, (PlanarCapacitor, SpherePlate)):
+        raise PreconditionError(
+            "geometry must be PlanarCapacitor or SpherePlate")
     warnings: tuple[str, ...] = ()
     x = K_B * temperature * geometry.gap / (HBAR * C_LIGHT)
     if 0.1 <= x <= 10.0:
@@ -430,7 +431,7 @@ def casimir_reference(geometry, temperature: float, regime: str) -> ForceResult:
             else:
                 value = -ZETA_3 * K_B * temperature * s / (
                     8.0 * math.pi * d ** 3)
-        elif isinstance(geometry, SpherePlate):
+        else:
             r, d = geometry.radius, geometry.gap
             if d > r:
                 warnings = warnings + (WARN_SPHERE_INTERP,)
@@ -438,9 +439,6 @@ def casimir_reference(geometry, temperature: float, regime: str) -> ForceResult:
                 value = -math.pi ** 3 * HBAR * C_LIGHT * r / (360.0 * d ** 3)
             else:
                 value = -ZETA_3 * K_B * temperature * r / (8.0 * d ** 2)
-        else:
-            raise PreconditionError(
-                "geometry must be PlanarCapacitor or SpherePlate")
     except (OverflowError, ZeroDivisionError):
         value = -_INF
     return ForceResult(finite(value, "the Casimir reference force"), regime,

@@ -214,8 +214,9 @@ def _force_row(lam: float, res: forces.ForceResult) -> dict:
 
 # Per-sweep builders: each reads and checks its parameters once, so that
 # a row evaluates only what depends on its own lambda and temperature.
+# _oscillator and _loop give the (loop, model, regime) of rlc_force_at.
 
-def _oscillator(params: dict, units: str):
+def _oscillator(params: dict):
     damping = _require_key(params, "damping")
     if damping not in ("ohmic", "drude"):
         raise ConfigError("damping must be 'ohmic' or 'drude'")
@@ -223,19 +224,7 @@ def _oscillator(params: dict, units: str):
         + _law(params.get("gamma0", 0.0), "gamma0")
     if damping == "drude":
         laws += _law(_require_key(params, "omega_d"), "omega_d")
-    model = ParametricModel(*laws)
-
-    def force_at(lam: float, temperature: float) -> forces.ForceResult:
-        hbar_out, t_freq = circuits.units_factors(temperature, units)
-        p = model.params_at(lam, t_freq)
-        if damping == "ohmic":
-            res = circuits._ohmic_force(forces.force_ohmic_exact, p, model,
-                                        lam)
-        else:
-            res = forces.force_drude_full(p, model, lam)
-        return circuits.scale_result(res, hbar_out)
-
-    return model, force_at
+    return None, ParametricModel(*laws), "exact"
 
 
 def _element(params: dict, key: str) -> circuits.ElementLaw:
@@ -249,7 +238,7 @@ def _element(params: dict, key: str) -> circuits.ElementLaw:
     return circuits.ElementLaw(*_law(spec, key))
 
 
-def _loop(params: dict, units: str, series: bool):
+def _loop(params: dict, series: bool):
     size = params.get("element_size")
     if size is not None:
         size = _number(size, "element_size")
@@ -258,14 +247,8 @@ def _loop(params: dict, units: str, series: bool):
     loop = (circuits.SeriesRLC if series else circuits.ParallelRLC).of(
         _element(params, "resistance"), _element(params, "inductance"),
         _element(params, "capacitance"), size)
-    regime = params.get("regime", "exact")
     model = (circuits.map_series if series else circuits.map_parallel)(loop)
-
-    def force_at(lam: float, temperature: float) -> forces.ForceResult:
-        return circuits.rlc_force_at(loop, model, temperature, lam, regime,
-                                     units)
-
-    return model, force_at
+    return loop, model, params.get("regime", "exact")
 
 
 def _geometry(params: dict, planar: bool):
@@ -313,15 +296,14 @@ def _row_function(cfg: dict):
         if oracle_on:
             raise ConfigError(f"mode {mode!r} has no oracle")
         return _geometry(params, mode == "planar")
-    if mode == "oscillator":
-        model, force_at = _oscillator(params, units)
-    else:
-        model, force_at = _loop(params, units, mode == "series-rlc")
+    loop, model, regime = _oscillator(params) if mode == "oscillator" \
+        else _loop(params, mode == "series-rlc")
     if oracle_on:
         from . import matsubara
 
     def row(lam: float, temperature: float) -> dict:
-        res = force_at(lam, temperature)
+        res = circuits.rlc_force_at(loop, model, temperature, lam, regime,
+                                    units)
         out = _force_row(lam, res)
         if oracle_on:
             hbar_out, t_freq = circuits.units_factors(temperature, units)

@@ -159,7 +159,7 @@ def force_ohmic_weak_dissipation(p: OscillatorParams,
     warnings: tuple[str, ...] = ()
     if t == 0.0:
         coth_half = 0.5
-        trig_term = 0.0
+        trig_term = -g / (2.0 * math.pi * om)   # its limit as T -> 0+
         if g > 0.0:
             warnings = (WARN_WEAK_DISSIPATION,)
     else:

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from fluctforce import circuits as cc
 from fluctforce.errors import DomainError, PreconditionError
-from fluctforce.forces import (force_drude_high_t, force_drude_very_high_t,
+from fluctforce.forces import (force_drude_full, force_drude_high_t,
+                               force_drude_very_high_t,
                                force_ohmic_exact, force_ohmic_high_t,
                                force_ohmic_weak_dissipation,
                                free_energy_difference_gamma,
@@ -166,6 +167,16 @@ def test_planar_weak_dissipation_low_t_estimate():
                                t, d, regime="exact").value
     r_term = HBAR * r / (4.0 * math.pi * L * d)
     assert exact - base == pytest.approx(r_term, rel=2e-2)
+
+
+def test_weak_dissipation_loop_force_at_zero_temperature():
+    # T = 0 keeps the first-order term, -gamma / (2 pi Omega) as T -> 0+,
+    # and so gives the low-T weak-dissipation estimate of a planar loop
+    L, S, d, r = 1e-6, 1e-4, 1e-6, 1e-3
+    loop = cc.SeriesRLC.of(r, L, cc.planar_capacitance_law(S))
+    res = cc.force_series_rlc(loop, 0.0, d, "weak-dissipation")
+    estimate = cc.planar_rlc_low_t_weak(cc.PlanarCapacitor(S, d), L, r)
+    assert res.value == pytest.approx(estimate, rel=1e-12, abs=0.0)
 
 
 def test_planar_strong_dissipation_low_t_estimate():
@@ -346,6 +357,48 @@ def test_element_size_advisory():
     fine = cc.SeriesRLC.of(1e-3, 1e-6, 1e-12, element_size=1e-3)
     res2 = cc.force_series_rlc(fine, 300.0, 1.0, units="si")
     assert cc.WARN_ELEMENT_SIZE not in res2.warnings
+
+
+def test_bare_oscillator_model_has_no_element_size():
+    # c = None: even a gamma far above 0.1 c / r0 for any r0 is not flagged
+    model = power_law_model((1e9, 0.0), (1e12, 0.0))
+    for regime in ("exact", "high-T"):
+        res = cc.rlc_force_at(None, model, 300.0, 1.0, regime, "si")
+        assert cc.WARN_ELEMENT_SIZE not in res.warnings
+
+
+def test_rlc_force_at_runs_a_bare_drude_model():
+    # the oscillator rows' path: force_drude_full, times hbar in SI
+    lam, t_red = 1.3, 0.7
+    for units, t, scale in (("reduced", t_red, 1.0),
+                            ("si", t_red * HBAR / KB, HBAR)):
+        t_freq = t if units == "reduced" else KB * t / HBAR
+        direct = force_drude_full(_DRUDE_MODEL.params_at(lam, t_freq),
+                                  _DRUDE_MODEL, lam)
+        res = cc.rlc_force_at(None, _DRUDE_MODEL, t, lam, units=units)
+        assert res.value == scale * direct.value
+        assert res.components == {k: scale * v
+                                  for k, v in direct.components.items()}
+        assert (res.regime, res.warnings) == (direct.regime, direct.warnings)
+
+
+@pytest.mark.parametrize("regime", ["high-T", "low-T", "weak-dissipation"])
+def test_rlc_force_at_drude_model_has_only_the_exact_regime(regime):
+    with pytest.raises(DomainError, match="regime 'exact'"):
+        cc.rlc_force_at(None, _DRUDE_MODEL, 0.7, 1.3, regime, "reduced")
+
+
+@pytest.mark.parametrize("cap", [-1e-12, 0.0])
+def test_parallel_loop_names_a_non_positive_capacitance(cap):
+    loop = cc.ParallelRLC.of(1e3, 1e-6, cap)
+    with pytest.raises(DomainError, match="capacitance must be positive"):
+        cc.force_parallel_rlc(loop, 300.0, 1.0, "high-T")
+
+
+def test_parallel_loop_gamma_raises_where_rc_underflows():
+    loop = cc.ParallelRLC.of(1e-200, 1e-6, 1e-200)
+    with pytest.raises(DomainError, match=r"gamma = 1/\(RC\)"):
+        cc.force_parallel_rlc(loop, 300.0, 1.0, "high-T")
 
 
 @pytest.mark.parametrize("loop", [cc.SeriesRLC, cc.ParallelRLC])
@@ -601,6 +654,13 @@ def test_non_finite_temperatures_raise(t):
             with pytest.raises(DomainError,
                                match="temperature must be finite and >= 0"):
                 call()
+
+
+def test_geometry_forms_reject_other_geometries():
+    with pytest.raises(PreconditionError, match="PlanarCapacitor"):
+        cc.casimir_reference(object(), 300.0, "high-T")
+    with pytest.raises(PreconditionError, match="PlanarCapacitor"):
+        cc.relative_weight(object(), _SERIES, 300.0, "high-T")
 
 
 def test_geometry_forms_take_zero_temperature():
