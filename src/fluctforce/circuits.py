@@ -24,7 +24,8 @@ from _collections_abc import Callable   # see oscillator
 
 from ._value import Frozen
 from .constants import C_LIGHT, EPSILON_0, HBAR, K_B, ZETA_3
-from .errors import _INF, DomainError, PreconditionError, finite, not_finite
+from .errors import _INF, DomainError, PreconditionError, finite, \
+    not_finite, warm
 from .forces import (ForceResult, force_drude_full, force_ohmic_exact,
                      force_ohmic_high_t, force_ohmic_low_t,
                      force_ohmic_weak_dissipation)
@@ -392,13 +393,15 @@ def planar_rlc_low_t_strong(g: PlanarCapacitor, inductance: float,
     return finite(value, "the low-temperature strong-dissipation force")
 
 
-def _check_regime(regime: str, temperature: float) -> None:
+def _check_regime(regime: str, temperature: float, what: str) -> None:
     """The geometry forms' regime and temperature check."""
     if regime not in ("low-T", "high-T"):
         raise DomainError("regime must be 'low-T' or 'high-T'")
     if not 0.0 <= temperature < _INF:      # NaN fails too
         raise DomainError(f"temperature must be finite and >= 0, got "
                           f"{temperature!r}")
+    if regime == "high-T":
+        warm(temperature, what)
 
 
 def casimir_reference(geometry, temperature: float, regime: str) -> ForceResult:
@@ -413,7 +416,7 @@ def casimir_reference(geometry, temperature: float, regime: str) -> ForceResult:
     half of the plasma-model prediction because the TM polarization
     contribution is fully suppressed at high temperatures.
     """
-    _check_regime(regime, temperature)
+    _check_regime(regime, temperature, "casimir_reference")
     if not isinstance(geometry, (PlanarCapacitor, SpherePlate)):
         raise PreconditionError(
             "geometry must be PlanarCapacitor or SpherePlate")
@@ -455,7 +458,7 @@ def sphere_plate_circuit_force(g: SpherePlate, inductance: float,
     limits of -(hbar/2) dOmega/dd and -(k_B T/Omega) dOmega/dd under the
     interpolated sphere-plate capacitance.
     """
-    _check_regime(regime, temperature)
+    _check_regime(regime, temperature, "sphere_plate_circuit_force")
     _check_positive("inductance", inductance)
     warnings: tuple[str, ...] = ()
     if g.gap > g.radius:
@@ -493,7 +496,7 @@ def relative_weight(geometry, circuit: SeriesRLC, temperature: float,
     temperature free because T cancels between the circuit force and the
     Casimir reference.
     """
-    _check_regime(regime, temperature)
+    _check_regime(regime, temperature, "relative_weight")
     try:
         if isinstance(geometry, PlanarCapacitor):
             s, d = geometry.area, geometry.gap

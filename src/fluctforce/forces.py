@@ -29,7 +29,8 @@ import cmath
 import math
 
 from ._value import Frozen
-from .errors import _INF, DomainError, PreconditionError, finite, not_finite
+from .errors import _INF, DomainError, PreconditionError, finite, \
+    not_finite, require, warm
 from .oscillator import Drude, Ohmic, OscillatorParams, ParametricModel, \
     WARN_DRUDE_APPROX, _pair_data
 from .specfun import digamma, log_gamma, trigamma
@@ -125,11 +126,6 @@ def _realize(value_c: complex, regime: str, warnings: tuple[str, ...],
     return ForceResult(value, regime, warnings, components, residual)
 
 
-def _require(p: OscillatorParams, kind) -> None:
-    if not isinstance(p.damping, kind):
-        raise PreconditionError(f"operation requires {kind.__name__} damping")
-
-
 def force_ohmic_exact(p: OscillatorParams, d_omega: float) -> ForceResult:
     """Exact Ohmic force for a lambda-dependent resonance frequency.
 
@@ -138,8 +134,8 @@ def force_ohmic_exact(p: OscillatorParams, d_omega: float) -> ForceResult:
     are routed to the closed low-temperature limit, where the Matsubara
     representation itself is undefined.
     """
-    _require(p, Ohmic)
-    om, g, t = p.omega0, p.damping.gamma0, p.temperature
+    g = require(p.damping, Ohmic, "force_ohmic_exact").gamma0
+    om, t = p.omega0, p.temperature
     if t == 0.0:
         return force_ohmic_low_t(p, d_omega)
     quot = _psi_quotient(om, g, t)
@@ -154,8 +150,8 @@ def force_ohmic_weak_dissipation(p: OscillatorParams,
     f = -[coth(Omega/2T)/2 + (gamma/4 pi^2 T) Im psi'(1 + i Omega/2 pi T)]
         * dOmega, valid for gamma << Omega, T.
     """
-    _require(p, Ohmic)
-    om, g, t = p.omega0, p.damping.gamma0, p.temperature
+    g = require(p.damping, Ohmic, "force_ohmic_weak_dissipation").gamma0
+    om, t = p.omega0, p.temperature
     warnings: tuple[str, ...] = ()
     if t == 0.0:
         coth_half = 0.5
@@ -179,10 +175,8 @@ def force_ohmic_high_t(p: OscillatorParams, d_omega: float) -> ForceResult:
 
     f = -(T/Omega + Omega/12T) dOmega for T >> Omega, gamma.
     """
-    _require(p, Ohmic)
-    om, g, t = p.omega0, p.damping.gamma0, p.temperature
-    if t <= 0.0:
-        raise PreconditionError("high-temperature form requires T > 0")
+    g = require(p.damping, Ohmic, "force_ohmic_high_t").gamma0
+    om, t = p.omega0, warm(p.temperature, "force_ohmic_high_t")
     warnings: tuple[str, ...] = ()
     if t < HIGH_T_GUARD * max(om, g):
         warnings = (WARN_HIGH_T,)
@@ -198,8 +192,8 @@ def force_ohmic_low_t(p: OscillatorParams, d_omega: float) -> ForceResult:
     for gamma < 2 Omega the arctan form, and at gamma = 2 Omega the
     removable limit -(1/pi) dOmega (for Omega = 1).
     """
-    _require(p, Ohmic)
-    om, g, t = p.omega0, p.damping.gamma0, p.temperature
+    g = require(p.damping, Ohmic, "force_ohmic_low_t").gamma0
+    om, t = p.omega0, p.temperature
     warnings: tuple[str, ...] = ()
     if t > 0.0:
         i_w1, i_w2, _, _ = _pair_data(om, g)
@@ -219,10 +213,8 @@ def force_tilde(p: OscillatorParams, d_omega: float,
     the physical force difference, while the individual values carry a
     log(omega_c)-sized offset and are not observable on their own.
     """
-    _require(p, Ohmic)
-    om, g, t = p.omega0, p.damping.gamma0, p.temperature
-    if t <= 0.0:
-        raise PreconditionError("force_tilde requires temperature > 0")
+    g = require(p.damping, Ohmic, "force_tilde").gamma0
+    om, t = p.omega0, warm(p.temperature, "force_tilde")
     two_pi_t = 2.0 * math.pi * t
     i_w1, i_w2, _, _ = _pair_data(om, g)
     psi_sum = (digamma(1.0 + i_w1 / two_pi_t)
@@ -235,16 +227,14 @@ def force_tilde(p: OscillatorParams, d_omega: float,
                     {"f_omega": c_om, "f_gamma0": c_g})
 
 
-def _drude_values(p: OscillatorParams, m: ParametricModel, lam: float):
-    _require(p, Drude)
-    om, g0, wd = p.omega0, p.damping.gamma0, p.damping.omega_d
+def _drude_values(p: OscillatorParams, what: str):
+    """Omega, gamma0, omega_d and warnings where first-order roots exist."""
+    d = require(p.damping, Drude, what)
+    om, g0, wd = p.omega0, d.gamma0, d.omega_d
     if wd <= g0:
-        raise PreconditionError("Drude forms require omega_d > gamma0")
-    dom, dg0, dwd = m.derivatives_at(lam)
-    warnings: tuple[str, ...] = ()
-    if not p.damping.in_approx_regime(om):
-        warnings = (WARN_DRUDE_APPROX,)
-    return om, g0, wd, dom, dg0, dwd, warnings
+        raise PreconditionError(f"{what} requires omega_d > gamma0")
+    warnings = () if d.in_approx_regime(om) else (WARN_DRUDE_APPROX,)
+    return om, g0, wd, warnings
 
 
 def force_drude_full(p: OscillatorParams, m: ParametricModel,
@@ -261,7 +251,8 @@ def force_drude_full(p: OscillatorParams, m: ParametricModel,
     t = p.temperature
     if t == 0.0:
         return force_drude_low_t(p, m, lam)
-    om, g0, wd, dom, dg0, dwd, warnings = _drude_values(p, m, lam)
+    om, g0, wd, warnings = _drude_values(p, "force_drude_full")
+    dom, dg0, dwd = m.derivatives_at(lam)
     two_pi_t = 2.0 * math.pi * t
     i_w1, i_w2, _, _ = _pair_data(om, g0)
     psi_sum = (digamma(1.0 + i_w1 / two_pi_t)
@@ -283,10 +274,9 @@ def force_drude_very_high_t(p: OscillatorParams, m: ParametricModel,
 
     f = -(T/Omega) Omega' - (omega_d/24T) gamma0' - (gamma0/24T) omega_d'.
     """
-    om, g0, wd, dom, dg0, dwd, warnings = _drude_values(p, m, lam)
-    t = p.temperature
-    if t <= 0.0:
-        raise PreconditionError("very-high-temperature form requires T > 0")
+    om, g0, wd, warnings = _drude_values(p, "force_drude_very_high_t")
+    dom, dg0, dwd = m.derivatives_at(lam)
+    t = warm(p.temperature, "force_drude_very_high_t")
     if t < VERY_HIGH_T_GUARD * wd:
         warnings = warnings + (WARN_VERY_HIGH_T,)
     f_om = -(t / om) * dom
@@ -306,10 +296,9 @@ def force_drude_high_t(p: OscillatorParams, m: ParametricModel,
     footprint of the Ohmic divergence: it grows without bound as the
     cutoff is removed, which is why gamma' forces need the dispersion.
     """
-    om, g0, wd, dom, dg0, dwd, warnings = _drude_values(p, m, lam)
-    t = p.temperature
-    if t <= 0.0:
-        raise PreconditionError("high-temperature form requires T > 0")
+    om, g0, wd, warnings = _drude_values(p, "force_drude_high_t")
+    dom, dg0, dwd = m.derivatives_at(lam)
+    t = warm(p.temperature, "force_drude_high_t")
     if not (wd >= HIGH_T_GUARD * t and t >= HIGH_T_GUARD * max(om, g0)):
         warnings = warnings + (WARN_DRUDE_HIGH_T,)
     ratio = wd / (2.0 * math.pi * t)
@@ -330,7 +319,8 @@ def force_drude_low_t(p: OscillatorParams, m: ParametricModel,
     -(1/2 pi) log(omega_d/Omega), and the omega_d' group reduces to
     -(gamma0 / 2 pi omega_d) omega_d'.
     """
-    om, g0, wd, dom, dg0, dwd, warnings = _drude_values(p, m, lam)
+    om, g0, wd, warnings = _drude_values(p, "force_drude_low_t")
+    dom, dg0, dwd = m.derivatives_at(lam)
     t = p.temperature
     if t > 0.0:
         i_w1, i_w2, _, _ = _pair_data(om, g0)
@@ -347,13 +337,8 @@ def force_drude_low_t(p: OscillatorParams, m: ParametricModel,
 
 
 def _free_energy_drude_gamma_c(p: OscillatorParams) -> complex:
-    _require(p, Drude)
-    om, g0, wd = p.omega0, p.damping.gamma0, p.damping.omega_d
-    t = p.temperature
-    if t <= 0.0:
-        raise PreconditionError("free_energy_drude_gamma requires T > 0")
-    if wd <= g0:
-        raise PreconditionError("free_energy_drude_gamma requires omega_d > gamma0")
+    om, g0, wd, _ = _drude_values(p, "free_energy_drude_gamma")
+    t = warm(p.temperature, "free_energy_drude_gamma")
     two_pi_t = 2.0 * math.pi * t
     i_w1, i_w2, _, _ = _pair_data(om, g0)
     lg = (log_gamma(1.0 + i_w1 / two_pi_t)
@@ -389,10 +374,8 @@ def free_energy_difference_gamma(p: OscillatorParams, omega2: float) -> float:
     T log[sinh(Omega2/2T) / sinh(Omega1/2T)], the textbook oscillator
     result.
     """
-    _require(p, Ohmic)
-    t = p.temperature
-    if t <= 0.0:
-        raise PreconditionError("free_energy_difference_gamma requires T > 0")
+    require(p.damping, Ohmic, "free_energy_difference_gamma")
+    t = warm(p.temperature, "free_energy_difference_gamma")
     if not 0.0 < omega2 < _INF:
         raise DomainError("omega2 must be finite and > 0")
     om1, g = p.omega0, p.damping.gamma0

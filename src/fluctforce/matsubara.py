@@ -34,7 +34,8 @@ from collections.abc import Callable
 from operator import truediv
 
 from ._value import Frozen
-from .errors import _INF, DivergentSumError, DomainError, PreconditionError
+from .errors import DivergentSumError, DomainError, PreconditionError, \
+    finite, require, warm
 from .oscillator import Drude, Ohmic, OscillatorParams, ParametricModel
 
 #: B_2k for k = 1..K
@@ -206,8 +207,7 @@ def _oracle(term, pref: float, head: float, tail) -> OracleResult:
     terms = [head, *map(term, range(1, n + 1))]
     value, last = _with_tail(terms, n, pref, tail)
     half, _ = _with_tail(terms, max(n // 2, 1), pref, tail)
-    if not abs(value) + abs(half) + abs(last) < _INF:   # NaN fails too
-        raise DomainError("the Matsubara sum is not a finite number")
+    finite(abs(value) + abs(half) + abs(last), "the Matsubara sum")
     return OracleResult(value, max(abs(last), abs(value - half)), n)
 
 
@@ -266,9 +266,7 @@ def force_sum_exact(p: OscillatorParams, m: ParametricModel, lam: float,
     raises DivergentSumError; the difference-force route handles that
     situation instead.
     """
-    t = p.temperature
-    if t <= 0.0:
-        raise PreconditionError("force_sum_exact requires temperature > 0")
+    t = warm(p.temperature, "force_sum_exact")
     om = p.omega0
     g0 = p.damping.gamma0
     dom, dg0, dwd = m.derivatives_at(lam)
@@ -315,9 +313,7 @@ def free_energy_difference(p1: OscillatorParams, p2: OscillatorParams,
         raise PreconditionError("free energy difference requires identical damping")
     if p1.temperature != p2.temperature:
         raise PreconditionError("free energy difference requires equal temperatures")
-    t = p1.temperature
-    if t <= 0.0:
-        raise PreconditionError("free_energy_difference requires temperature > 0")
+    t = warm(p1.temperature, "free_energy_difference")
     om1, om2 = p1.omega0, p2.omega0
     g0 = p1.damping.gamma0
     delta = om2 * om2 - om1 * om1
@@ -366,11 +362,8 @@ def free_energy_drude(p: OscillatorParams, spec: SumSpec = SumSpec(),
     omega_d)).  Both products converge because the root sum equals
     -i omega_d.
     """
-    if not isinstance(p.damping, Drude):
-        raise PreconditionError("free_energy_drude requires Drude damping")
-    t = p.temperature
-    if t <= 0.0:
-        raise PreconditionError("free_energy_drude requires temperature > 0")
+    require(p.damping, Drude, "free_energy_drude")
+    t = warm(p.temperature, "free_energy_drude")
     if roots not in ("approx", "exact"):
         raise DomainError("roots must be 'approx' or 'exact'")
     om, g0, wd = p.omega0, p.damping.gamma0, p.damping.omega_d
@@ -461,11 +454,8 @@ def per_parameter_sums_drude(p: OscillatorParams, m: ParametricModel,
     factors by Vieta), so the four components add up to force_sum_exact
     to rounding accuracy.
     """
-    if not isinstance(p.damping, Drude):
-        raise PreconditionError("per_parameter_sums_drude requires Drude damping")
-    t = p.temperature
-    if t <= 0.0:
-        raise PreconditionError("per_parameter_sums_drude requires temperature > 0")
+    require(p.damping, Drude, "per_parameter_sums_drude")
+    t = warm(p.temperature, "per_parameter_sums_drude")
     om, g0, wd = p.omega0, p.damping.gamma0, p.damping.omega_d
     dom, dg0, dwd = m.derivatives_at(lam)
     a = 2.0 * math.pi * t

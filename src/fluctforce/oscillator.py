@@ -32,7 +32,7 @@ import math
 from _collections_abc import Callable   # os loads it, not collections.abc
 
 from ._value import Frozen
-from .errors import _INF, DomainError, PreconditionError
+from .errors import _INF, DomainError, PreconditionError, require
 
 #: omega_d below this multiple of max(Omega, gamma0) flags the
 #: approximate-root regime as unreliable (first order in Omega/omega_d).
@@ -250,9 +250,8 @@ def eigenfrequencies_ohmic(p: OscillatorParams) -> Eigenfrequencies:
     over-damped cases are one code path: i omega_{1,2} =
     gamma/2 +- i sqrt(Omega^2 - gamma^2/4).
     """
-    if not isinstance(p.damping, Ohmic):
-        raise PreconditionError("eigenfrequencies_ohmic requires Ohmic damping")
-    i_w1, i_w2, _, _ = _pair_data(p.omega0, p.damping.gamma0)
+    g = require(p.damping, Ohmic, "eigenfrequencies_ohmic").gamma0
+    i_w1, i_w2, _, _ = _pair_data(p.omega0, g)
     return Eigenfrequencies(-1j * i_w1, -1j * i_w2, None, "ohmic")
 
 
@@ -359,9 +358,8 @@ def eigenfrequencies_drude_exact(p: OscillatorParams) -> Eigenfrequencies:
     CUBIC_RESIDUAL_BOUND, relative, carry WARN_CUBIC_RESIDUAL: the solver
     has lost accuracy there (see the module docstring).
     """
-    if not isinstance(p.damping, Drude):
-        raise PreconditionError("eigenfrequencies_drude_exact requires Drude damping")
-    om, g0, wd = p.omega0, p.damping.gamma0, p.damping.omega_d
+    d = require(p.damping, Drude, "eigenfrequencies_drude_exact")
+    om, g0, wd = p.omega0, d.gamma0, d.omega_d
     warnings: tuple[str, ...] = ()
     if g0 == 0.0:
         omegas = [complex(om), complex(-om), complex(0.0, -wd)]
@@ -386,10 +384,9 @@ def eigenfrequencies_drude_approx(p: OscillatorParams) -> Eigenfrequencies:
     omega1 + omega2 + omega3 = -i omega_d exactly, which is what makes
     the Gamma-function free energy well defined.
     """
-    if not isinstance(p.damping, Drude):
-        raise PreconditionError("eigenfrequencies_drude_approx requires Drude damping")
-    g0, wd = p.damping.gamma0, p.damping.omega_d
-    warnings = () if p.damping.in_approx_regime(p.omega0) else (WARN_DRUDE_APPROX,)
+    d = require(p.damping, Drude, "eigenfrequencies_drude_approx")
+    g0, wd = d.gamma0, d.omega_d
+    warnings = () if d.in_approx_regime(p.omega0) else (WARN_DRUDE_APPROX,)
     i_w1, i_w2, _, _ = _pair_data(p.omega0, g0)
     return Eigenfrequencies(-1j * i_w1, -1j * i_w2, complex(0.0, -(wd - g0)),
                             "approx", warnings)

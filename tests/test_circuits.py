@@ -42,19 +42,19 @@ def test_series_power_law_capacitance_chain_rule():
     m = cc.map_series(loop)
     for lam in (0.5, 1.0, 2.0):
         assert m.d_omega(lam) == pytest.approx(-m.omega(lam) / (2.0 * lam),
-                                               rel=1e-13)
+                                               rel=1e-13, abs=0.0)
 
 
 def test_parallel_mapping():
     loop = cc.ParallelRLC.of(1e9, (1.0, 1.0), 1.0)
     m = cc.map_parallel(loop)
-    assert m.gamma0(1.0) == pytest.approx(1e-9)
+    assert m.gamma0(1.0) == pytest.approx(1e-9, abs=0.0)
     # gamma is independent of the swept inductance
     assert m.d_gamma0(1.0) == 0.0
     # L linear in lam: dOmega/dlam = -Omega/(2L) dL/dlam
     for lam in (0.5, 2.0):
         assert m.d_omega(lam) == pytest.approx(
-            -m.omega(lam) / (2.0 * lam), rel=1e-13)
+            -m.omega(lam) / (2.0 * lam), rel=1e-13, abs=0.0)
 
 
 def test_mapping_derivatives_match_finite_differences():
@@ -71,23 +71,25 @@ def test_mapping_derivatives_match_finite_differences():
 def test_capacitance_planar():
     g = cc.PlanarCapacitor(area=1e-4, gap=1e-6)
     cap, dcap = cc.capacitance_planar(g)
-    assert cap == pytest.approx(EPS0 * 1e-4 / 1e-6, rel=1e-15)
-    assert dcap == pytest.approx(-cap / 1e-6, rel=1e-15)
+    assert cap == pytest.approx(EPS0 * 1e-4 / 1e-6, rel=1e-15, abs=0.0)
+    assert dcap == pytest.approx(-cap / 1e-6, rel=1e-15, abs=0.0)
     # doubling the gap halves C
     g2 = cc.PlanarCapacitor(area=1e-4, gap=2e-6)
-    assert cc.capacitance_planar(g2)[0] == pytest.approx(cap / 2.0, rel=1e-15)
+    assert cc.capacitance_planar(g2)[0] == pytest.approx(cap / 2.0, rel=1e-15,
+                                                         abs=0.0)
     # mapped resonance reproduces sqrt(d / (eps0 L S))
     loop = cc.SeriesRLC.of(0.0, 1e-6, cc.planar_capacitance_law(1e-4))
     m = cc.map_series(loop)
     assert m.omega(1e-6) == pytest.approx(
-        math.sqrt(1e-6 / (EPS0 * 1e-6 * 1e-4)), rel=1e-13)
+        math.sqrt(1e-6 / (EPS0 * 1e-6 * 1e-4)), rel=1e-13, abs=0.0)
 
 
 def test_capacitance_sphere_plate():
     radius = 1e-4
     # isolated-sphere limit
     far = cc.capacitance_sphere_plate(cc.SpherePlate(radius, 1e4 * radius))
-    assert far[0] == pytest.approx(4.0 * math.pi * EPS0 * radius, rel=1e-4)
+    assert far[0] == pytest.approx(4.0 * math.pi * EPS0 * radius, rel=1e-4,
+                                   abs=0.0)
     # analytic derivative vs finite differences
     d = 0.2 * radius
     h = 1e-7 * d
@@ -100,7 +102,7 @@ def test_capacitance_sphere_plate():
     near = cc.capacitance_sphere_plate(cc.SpherePlate(radius, 0.035 * radius))
     bracket = near[0] / (4.0 * math.pi * EPS0 * radius)
     assert bracket == pytest.approx(1.0 + 0.5 * math.log(1.0 + 1.0 / 0.035),
-                                    rel=1e-12)
+                                    rel=1e-12, abs=0.0)
 
 
 def test_force_series_is_composition():
@@ -166,7 +168,7 @@ def test_planar_weak_dissipation_low_t_estimate():
     base = cc.force_series_rlc(cc.SeriesRLC.of(0.0, L, cc.planar_capacitance_law(S)),
                                t, d, regime="exact").value
     r_term = HBAR * r / (4.0 * math.pi * L * d)
-    assert exact - base == pytest.approx(r_term, rel=2e-2)
+    assert exact - base == pytest.approx(r_term, rel=2e-2, abs=0.0)
 
 
 def test_weak_dissipation_loop_force_at_zero_temperature():
@@ -225,24 +227,25 @@ def test_casimir_reference_plates():
     g = cc.PlanarCapacitor(1e-4, 1e-6)
     low = cc.casimir_reference(g, 1.0, "low-T")
     assert low.value == pytest.approx(
-        -math.pi ** 2 * HBAR * C * 1e-4 / (240.0 * 1e-24), rel=1e-12)
+        -math.pi ** 2 * HBAR * C * 1e-4 / (240.0 * 1e-24), rel=1e-12, abs=0.0)
     # doubling the gap at low T divides the force by 16
     g2 = cc.PlanarCapacitor(1e-4, 2e-6)
     assert cc.casimir_reference(g2, 1.0, "low-T").value \
-        == pytest.approx(low.value / 16.0, rel=1e-12)
+        == pytest.approx(low.value / 16.0, rel=1e-12, abs=0.0)
     high = cc.casimir_reference(g, 300.0, "high-T")
     assert high.value == pytest.approx(
-        -cc.ZETA_3 * KB * 300.0 * 1e-4 / (8.0 * math.pi * 1e-18), rel=1e-12)
+        -cc.ZETA_3 * KB * 300.0 * 1e-4 / (8.0 * math.pi * 1e-18), rel=1e-12,
+        abs=0.0)
 
 
 def test_casimir_reference_sphere_plate():
     g = cc.SpherePlate(1e-4, 1e-6)
     high = cc.casimir_reference(g, 300.0, "high-T")
     assert high.value == pytest.approx(
-        -cc.ZETA_3 * KB * 300.0 * 1e-4 / (8.0 * 1e-12), rel=1e-12)
+        -cc.ZETA_3 * KB * 300.0 * 1e-4 / (8.0 * 1e-12), rel=1e-12, abs=0.0)
     low = cc.casimir_reference(g, 1.0, "low-T")
     assert low.value == pytest.approx(
-        -math.pi ** 3 * HBAR * C * 1e-4 / (360.0 * 1e-18), rel=1e-12)
+        -math.pi ** 3 * HBAR * C * 1e-4 / (360.0 * 1e-18), rel=1e-12, abs=0.0)
 
 
 def test_casimir_regime_ambiguity_warning():
@@ -325,10 +328,11 @@ def test_sphere_plate_force_matches_chain_rule():
         omega_lc = 1.0 / math.sqrt(L * cap)
         d_omega = -0.5 * omega_lc * dcap / cap
         low = cc.sphere_plate_circuit_force(geom, L, 1e-3, "low-T").value
-        assert low == pytest.approx(-0.5 * HBAR * d_omega, rel=1e-12)
+        assert low == pytest.approx(-0.5 * HBAR * d_omega, rel=1e-12, abs=0.0)
         t = 300.0
         high = cc.sphere_plate_circuit_force(geom, L, t, "high-T").value
-        assert high == pytest.approx(-(KB * t / omega_lc) * d_omega, rel=1e-12)
+        assert high == pytest.approx(-(KB * t / omega_lc) * d_omega, rel=1e-12,
+                                     abs=0.0)
 
 
 def test_sphere_plate_force_monotonic_in_gap():
@@ -664,10 +668,26 @@ def test_geometry_forms_reject_other_geometries():
 
 
 def test_geometry_forms_take_zero_temperature():
-    for regime in ("low-T", "high-T"):
-        assert cc.casimir_reference(_PLATES, 0.0, regime).value <= 0.0
-        assert cc.casimir_reference(_SPHERE, 0.0, regime).value <= 0.0
-        assert cc.sphere_plate_circuit_force(_SPHERE, 1e-6, 0.0,
-                                             regime).value <= 0.0
-        assert cc.relative_weight(_PLATES, _SERIES, 0.0, regime) > 0.0
-        assert cc.relative_weight(_SPHERE, _SERIES, 0.0, regime) > 0.0
+    regime = "low-T"
+    assert cc.casimir_reference(_PLATES, 0.0, regime).value <= 0.0
+    assert cc.casimir_reference(_SPHERE, 0.0, regime).value <= 0.0
+    assert cc.sphere_plate_circuit_force(_SPHERE, 1e-6, 0.0,
+                                         regime).value <= 0.0
+    assert cc.relative_weight(_PLATES, _SERIES, 0.0, regime) > 0.0
+    assert cc.relative_weight(_SPHERE, _SERIES, 0.0, regime) > 0.0
+    # the high-T forms, like the oscillator's, need T > 0
+    for name, call in (
+            ("casimir_reference",
+             lambda: cc.casimir_reference(_PLATES, 0.0, "high-T")),
+            ("casimir_reference",
+             lambda: cc.casimir_reference(_SPHERE, 0.0, "high-T")),
+            ("sphere_plate_circuit_force",
+             lambda: cc.sphere_plate_circuit_force(_SPHERE, 1e-6, 0.0,
+                                                   "high-T")),
+            ("relative_weight",
+             lambda: cc.relative_weight(_PLATES, _SERIES, 0.0, "high-T")),
+            ("relative_weight",
+             lambda: cc.relative_weight(_SPHERE, _SERIES, 0.0, "high-T"))):
+        with pytest.raises(PreconditionError) as exc:
+            call()
+        assert str(exc.value) == f"{name} requires temperature > 0"

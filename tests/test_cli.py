@@ -170,6 +170,24 @@ def test_sphere_plate_sweep_weight_span(tmp_path):
     assert all(a < b for a, b in zip(weights, weights[1:]))
 
 
+def test_sphere_plate_high_t_at_zero_temperature_exit_code(capsys,
+                                                          tmp_path):
+    # the high-T geometry forms need T > 0, as the planar mode's do
+    cfg = {
+        "schema": "fluctforce/1", "mode": "sphere-plate", "units": "si",
+        "parameters": {"radius": 1e-4, "inductance": 1e-6,
+                       "temperature": 0.0, "regime": "high-T"},
+        "sweep": {"parameter": "lambda", "start": 1e-6, "stop": 2e-6,
+                  "points": 3},
+    }
+    out = tmp_path / "sp.csv"
+    assert main(["sweep", "--config", write_config(tmp_path, "c.json", cfg),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == ("domain error: sphere_plate_circuit_force requires "
+                   "temperature > 0\n")
+
+
 def test_planar_mode_columns(tmp_path):
     cfg = {
         "schema": "fluctforce/1", "mode": "planar", "units": "si",
