@@ -248,10 +248,10 @@ def force_drude_full(p: OscillatorParams, m: ParametricModel,
     gamma0/omega_d; outside omega_d >= 10 max(Omega, gamma0) the result
     carries a warning flag but is still evaluated.
     """
+    om, g0, wd, warnings = _drude_values(p, "force_drude_full")
     t = p.temperature
     if t == 0.0:
         return force_drude_low_t(p, m, lam)
-    om, g0, wd, warnings = _drude_values(p, "force_drude_full")
     dom, dg0, dwd = m.derivatives_at(lam)
     two_pi_t = 2.0 * math.pi * t
     i_w1, i_w2, _, _ = _pair_data(om, g0)

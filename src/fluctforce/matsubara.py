@@ -16,8 +16,12 @@ Taylor coefficients of P(N + t) / prod_j (N - r_j + t).  Nothing
 divides by the gap between two close poles, so coincident ones, as at
 critical damping, need no special case.  Since |N - r_j| >= N, each
 correction is about (2 pi N)^-2 of the one before at any temperature.
-truncation_estimate is max(|last correction|, |value(N) - value(N/2)|).
-Each oracle still takes a SumSpec argument, which changes nothing.
+truncation_estimate is max(|last correction|, |value(N) - value(N/2)|),
+and the N/2 sum it needs is taken on the estimate's first read, so a
+caller that reads only the value pays for one tail.  A value or last
+correction that is not finite raises DomainError at the call, an N/2
+sum or estimate that is not finite at that first read.  Each oracle
+still takes a SumSpec argument, which changes nothing.
 
 The Ohmic poles are a quadratic's roots, so the Ohmic oracles need no
 numpy; the Drude ones are the eigenvalues of the cubic's companion
@@ -70,12 +74,50 @@ class SumSpec(Frozen):
         self.__dict__["n_max"] = n_max
 
 
+class _Pending(tuple):
+    """(terms, pref, tail, last correction) of an oracle's sum, which an
+    OracleResult holds as its truncation_estimate until the first read."""
+
+
+class _Estimate:
+    """OracleResult.truncation_estimate: the field in the instance dict,
+    computed there on first read if it is still _Pending.  Two threads
+    that read it first compute the same bits, and one that took the
+    _Pending holds its own reference."""
+
+    def __get__(self, obj, cls):
+        if obj is None:
+            # like a field without a default, to dataclasses too
+            raise AttributeError("truncation_estimate")
+        d = obj.__dict__
+        try:
+            estimate = d["truncation_estimate"]
+        except KeyError:    # an instance that __init__ has not filled
+            raise AttributeError("truncation_estimate") from None
+        if estimate.__class__ is _Pending:
+            estimate = d["truncation_estimate"] = _estimate(
+                d["value"], d["n_used"], *estimate)
+        return estimate
+
+    def __set__(self, obj, value):
+        # makes this a data descriptor, which a read reaches before the
+        # instance dict; it does what object.__setattr__ does to a field
+        obj.__dict__["truncation_estimate"] = value
+
+
 class OracleResult(Frozen):
-    """An oracle value; n_used is the number of terms summed directly."""
+    """An oracle value; n_used is the number of terms summed directly.
+
+    A Matsubara oracle's result computes truncation_estimate, from the
+    N/2 sum, on first read, and raises DomainError there if either is
+    not finite.  ==, hash, repr, pickling, copies and
+    dataclasses.replace/asdict read it, so they see only numbers."""
 
     value: float
     truncation_estimate: float
     n_used: int
+
+    truncation_estimate = _Estimate()
 
     def __init__(self, value: float, truncation_estimate: float,
                  n_used: int):
@@ -83,6 +125,10 @@ class OracleResult(Frozen):
         d["value"] = value
         d["truncation_estimate"] = truncation_estimate
         d["n_used"] = n_used
+
+    def __getstate__(self):
+        # the fields, read: a _Pending's closures do not pickle
+        return {name: getattr(self, name) for name in self.__match_args__}
 
 
 def _shift(p: list, x) -> list:
@@ -202,27 +248,48 @@ def _with_tail(terms: list, n: int, pref: float, tail) -> tuple:
 
 def _oracle(term, pref: float, head: float, tail) -> OracleResult:
     """pref * (head + sum_{n>=1} term(n)); tail(n, term(n)) is the
-    summand's integral beyond n and its corrections at n."""
+    summand's integral beyond n and its corrections at n.  The result's
+    truncation_estimate waits for its first read."""
     n = SumSpec.hard_cap
     terms = [head, *map(term, range(1, n + 1))]
     value, last = _with_tail(terms, n, pref, tail)
-    half, _ = _with_tail(terms, max(n // 2, 1), pref, tail)
-    finite(abs(value) + abs(half) + abs(last), "the Matsubara sum")
-    return OracleResult(value, max(abs(last), abs(value - half)), n)
+    finite(value, "the Matsubara sum")
+    finite(last, "the Matsubara sum's last correction")
+    return OracleResult(value, _Pending((terms, pref, tail, last)), n)
+
+
+#: what a sum that floating point cannot carry out raises: it overflows,
+#: divides by an underflowed zero or leaves a math function's domain
+_ARITHMETIC = (ZeroDivisionError, OverflowError, ValueError)
+
+
+def _domain_error(what: str, exc: Exception) -> DomainError:
+    return DomainError(f"{what}: the Matsubara sum is not finite in "
+                       f"floating point ({exc})")
+
+
+def _estimate(value: float, n: int, terms: list, pref: float, tail,
+              last: float) -> float:
+    """max(|last|, |value - value(n/2)|), value(n/2) from the same terms."""
+    try:
+        half, _ = _with_tail(terms, max(n // 2, 1), pref, tail)
+    except _ARITHMETIC as exc:
+        raise _domain_error("truncation_estimate", exc) from exc
+    finite(half, "the Matsubara sum at N/2")
+    return finite(max(abs(last), abs(value - half)),
+                  "the truncation estimate")
 
 
 def _finite(oracle):
-    """A sum that overflows, divides by an underflowed zero or leaves a
-    math function's domain in floating point raises DomainError."""
+    """An _ARITHMETIC error of the sum raises DomainError."""
     @functools.wraps(oracle)
     def checked(*args, **kwargs):
         try:
             return oracle(*args, **kwargs)
         except (DomainError, PreconditionError):
             raise
-        except (ZeroDivisionError, OverflowError, ValueError) as exc:
-            raise DomainError(f"{oracle.__name__}: the Matsubara sum is "
-                              f"not finite in floating point ({exc})") from exc
+        except _ARITHMETIC as exc:
+            raise _domain_error(oracle.__name__, exc) from exc
     return checked
 
 

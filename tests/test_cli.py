@@ -13,6 +13,7 @@ import pytest
 
 from fluctforce import cli
 from fluctforce.cli import main
+from test_matsubara import counted_tails
 
 
 def write_config(tmp_path, name, cfg):
@@ -121,6 +122,24 @@ def test_oscillator_oracle_discrepancy_column(tmp_path):
     for row in rows:
         assert row["oracle"] != ""
         assert float(row["discrepancy"]) <= 1e-8
+
+
+def test_oracle_sweep_takes_one_tail_per_row(tmp_path, monkeypatch):
+    # a row reads the oracle's value, never its estimate, so the N/2 tail
+    # behind the estimate is never taken
+    calls = counted_tails(monkeypatch)
+    drude = oscillator_cfg(oracle={"enabled": True, "n_max": 20_000})
+    drude["parameters"].update(damping="drude", omega_d=50.0)
+    for cfg in (oscillator_cfg(oracle={"enabled": True, "n_max": 20_000}),
+                drude):
+        calls.clear()
+        out = tmp_path / "tails.csv"
+        assert main(["sweep", "--config", write_config(tmp_path, "c.json",
+                                                       cfg),
+                     "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert len(rows) == 8 and all(row["oracle"] for row in rows)
+        assert calls == [32] * 8
 
 
 def test_drude_mode_components(tmp_path):

@@ -83,3 +83,15 @@ def test_precondition_names_the_form(form, args, needs):
     with pytest.raises(PreconditionError) as exc:
         form(*args)
     assert str(exc.value) == f"{form.__name__} requires {needs}"
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5])
+@pytest.mark.parametrize("damping, needs", [
+    (Ohmic(0.5), "Drude damping"), (Drude(3.0, 2.0), "omega_d > gamma0"),
+    (Drude(2.0, 2.0), "omega_d > gamma0")])
+def test_drude_full_names_itself_at_any_temperature(t, damping, needs):
+    # T = 0 goes on to force_drude_low_t only after the damping checks
+    with pytest.raises(PreconditionError) as exc:
+        ff.force_drude_full(OscillatorParams(1.0, damping, t), _DRUDE_MODEL,
+                            1.0)
+    assert str(exc.value) == f"force_drude_full requires {needs}"

@@ -1,14 +1,16 @@
 """Oracle-side tests: truncated sums, tails, finite differences."""
 
+import copy
 import dataclasses
 import math
+import pickle
 import sys
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fluctforce import matsubara
@@ -540,6 +542,8 @@ _NON_NEGATIVE_RATE = st.floats(0.0, 2.0 ** 511, exclude_max=True)
 
 @given(om=_RATE, om2=_RATE, g0=_NON_NEGATIVE_RATE, wd=_POSITIVE,
        t=_POSITIVE, dom=_REAL, dg0=_REAL, dwd=_REAL)
+@example(om=1.0, om2=1.0, g0=0.0, wd=1.0, t=8.98846567431158e+307, dom=1.0,
+         dg0=0.0, dwd=0.0)
 @settings(max_examples=300, deadline=None)
 def test_oracles_are_finite_or_raise(om, om2, g0, wd, t, dom, dg0, dwd):
     for damping, dg in ((Ohmic(g0), 0.0), (Drude(g0, wd), dg0)):
@@ -556,6 +560,15 @@ def test_oracles_are_finite_or_raise(om, om2, g0, wd, t, dom, dg0, dwd):
                 assert math.isfinite(res.truncation_estimate), (damping, res)
 
 
+def test_a_sum_next_to_overflow_is_returned():
+    # the value, the N/2 sum and the last correction are checked one by
+    # one, so a value of -2**1023 is no error even though their absolute
+    # values add up to more than the largest float
+    p = OscillatorParams(1.0, Ohmic(0.0), 2.0 ** 1023)
+    res = force_sum_exact(p, linear_model(1.0, 1.0), 1.0)
+    assert (res.value, res.truncation_estimate) == (-2.0 ** 1023, 0.0)
+
+
 def _force_cases():
     return [(OscillatorParams(OM, Ohmic(G0), T), linear_model(OM, DOM, G0)),
             (OscillatorParams(OM, Drude(G0, WD), T),
@@ -564,7 +577,9 @@ def _force_cases():
 
 def test_concurrent_oracle_calls_match_serial():
     # more threads than cores, each alternating the Ohmic and the Drude
-    # oracle, so that state shared between calls would mix their values
+    # oracle, so that state shared between calls would mix their values;
+    # then all the threads read the estimate of each shared result that
+    # no one has read yet at once
     cases = _force_cases()
     spec = SumSpec(n_max=300_000)
 
@@ -574,12 +589,22 @@ def test_concurrent_oracle_calls_match_serial():
 
     orders = [(0, 1, 0, 1), (1, 0, 1, 0)] * 2
     serial = [values(order) for order in orders]
+    shared = [force_sum_exact(*cases[k], 1.0, spec) for k in (0, 1) * 4]
+    assert all(vars(res)["truncation_estimate"].__class__
+               is matsubara._Pending for res in shared)
+    serial_estimates = [force_sum_exact(*cases[k], 1.0, spec)
+                        .truncation_estimate.hex() for k in (0, 1) * 4]
     results = [None] * len(orders)
+    estimates = [None] * len(orders)
     barrier = threading.Barrier(len(orders))
 
     def worker(k):
         barrier.wait(timeout=30)
         results[k] = values(orders[k])
+        estimates[k] = []
+        for res in shared:      # every thread makes the first read
+            barrier.wait(timeout=30)
+            estimates[k].append(res.truncation_estimate.hex())
 
     threads = [threading.Thread(target=worker, args=(k,))
                for k in range(len(orders))]
@@ -594,6 +619,76 @@ def test_concurrent_oracle_calls_match_serial():
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert results == serial
+    assert estimates == [serial_estimates] * len(orders)
+
+
+def _unread(call):
+    """call()'s OracleResult, checked to hold its estimate unread."""
+    res = call()
+    assert vars(res)["truncation_estimate"].__class__ is matsubara._Pending
+    return res
+
+
+def test_an_unread_estimate_behaves_as_a_field():
+    # an oracle's result computes its estimate on first read; before that
+    # it compares, hashes, prints, pickles, copies and is replaced as one
+    # whose estimate has been read
+    for p, m in _force_cases():
+        def call():
+            return force_sum_exact(p, m, 1.0)
+        read = call()
+        fields = (read.value, read.truncation_estimate, read.n_used)
+        assert vars(read) == dict(zip(("value", "truncation_estimate",
+                                       "n_used"), fields))
+        assert _unread(call) == read == matsubara.OracleResult(*fields)
+        assert read == _unread(call)
+        assert hash(_unread(call)) == hash(read) == hash(fields)
+        assert repr(_unread(call)) == repr(read)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            data = pickle.dumps(_unread(call), protocol)
+            assert data == pickle.dumps(read, protocol)
+            assert vars(pickle.loads(data)) == vars(read)
+        for copier in (copy.copy, copy.deepcopy):
+            assert vars(copier(_unread(call))) == vars(read)
+        assert dataclasses.replace(_unread(call), n_used=8) \
+            == dataclasses.replace(read, n_used=8)
+        assert dataclasses.asdict(_unread(call)) == dataclasses.asdict(read)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            _unread(call).truncation_estimate = 0.0
+        res = _unread(call)
+        assert res.truncation_estimate.hex() \
+            == read.truncation_estimate.hex()
+        assert vars(res) == vars(read)
+    # a field __init__ has not set is missing, as on a dataclass
+    assert not hasattr(object.__new__(matsubara.OracleResult),
+                       "truncation_estimate")
+
+
+def counted_tails(monkeypatch) -> list:
+    """The n of each _with_tail call from now on."""
+    calls = []
+    with_tail = matsubara._with_tail
+
+    def counted(terms, n, pref, tail):
+        calls.append(n)
+        return with_tail(terms, n, pref, tail)
+
+    monkeypatch.setattr(matsubara, "_with_tail", counted)
+    return calls
+
+
+def test_the_estimate_takes_its_tail_on_first_read(monkeypatch):
+    calls = counted_tails(monkeypatch)
+    for p, m in _force_cases():
+        calls.clear()
+        res = force_sum_exact(p, m, 1.0)
+        assert res.value and calls == [32]
+        assert res.truncation_estimate and calls == [32, 16]
+        assert res.truncation_estimate and calls == [32, 16]
+    calls.clear()
+    p, m = _force_cases()[1]
+    sums = per_parameter_sums_drude(p, m, 1.0)
+    assert sums.total() and calls == [32] * 4
 
 
 def test_oracle_call_allocates_no_arrays():
