@@ -37,8 +37,8 @@ __all__ = [
 ]
 
 # The Matsubara oracles load on first use (PEP 562), so that importing
-# the package, and running the closed forms, neither builds them nor
-# imports numpy.
+# the package, and running the closed forms, does not build them; they
+# import no numpy, which only validate and log spacing load.
 _MATSUBARA = frozenset({
     "OracleResult", "SumSpec", "finite_difference_force", "force_sum_exact",
     "free_energy_difference", "free_energy_drude", "per_parameter_sums_drude",

@@ -24,9 +24,9 @@ Importing this module loads neither numpy nor the Matsubara oracles,
 and neither does `force` or a linear closed-form sweep (linear points
 come from _linspace, which gives np.linspace's bits).  The oracles
 (matsubara) load on first use in a config with the oracle enabled and
-in `validate`.  numpy loads for a Drude oracle (its companion-matrix
-eigenvalues), in `validate`, and for log spacing (np.geomspace, whose
-power and log10 are numpy's own and differ in bits from libm's).
+in `validate`.  numpy loads only in `validate` and for log spacing
+(np.geomspace, whose power and log10 are numpy's own and differ in bits
+from libm's); no oracle loads it.
 """
 
 from __future__ import annotations

@@ -12,7 +12,9 @@ Each summand, or for a free energy its derivative, is written as
 P(n) / prod_j (n - r_j) over its poles, which all have Re r_j <= 0.  The
 tail integral is then minus the divided difference of P(r) log(N - r)
 over the poles (by parts for a free energy), and the derivatives are
-Taylor coefficients of P(N + t) / prod_j (N - r_j + t).  Nothing
+Taylor coefficients of P(N + t) / prod_j (N - r_j + t).  The divided
+difference takes Gauss-Legendre quadrature where the poles cluster and
+partial fractions over groups of close poles where they spread; nothing
 divides by the gap between two close poles, so coincident ones, as at
 critical damping, need no special case.  Since |N - r_j| >= N, each
 correction is about (2 pi N)^-2 of the one before at any temperature.
@@ -23,10 +25,10 @@ correction that is not finite raises DomainError at the call, an N/2
 sum or estimate that is not finite at that first read.  Each oracle
 still takes a SumSpec argument, which changes nothing.
 
-The Ohmic poles are a quadratic's roots, so the Ohmic oracles need no
-numpy; the Drude ones are the eigenvalues of the cubic's companion
-matrix, by the LAPACK call numpy.roots makes, not the closed forms'
-oscillator.solve_cubic.
+The Ohmic poles are a quadratic's roots; the Drude ones come from a
+Newton iteration on the dispersion cubic that shares no code with the
+closed forms' cubic solver in oscillator.  The oracles are plain Python
+and load no array library.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import cmath
 import functools
 import math
 from collections.abc import Callable
-from operator import truediv
 
 from ._value import Frozen
 from .errors import DivergentSumError, DomainError, PreconditionError, \
@@ -49,9 +50,57 @@ _BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0)
 _CORRECTION = tuple([b / (2 * k) for k, b in enumerate(_BERNOULLI, 1)])
 _LOG_CORRECTION = tuple([b / (2 * k * (2 * k - 1))
                          for k, b in enumerate(_BERNOULLI, 1)])
-#: a divided difference takes the Taylor series once its poles lie
-#: within this fraction of |N - centre| of their centre.
-_CLUSTER = 0.25
+#: poles closer than this fraction of their distance to N share a group
+#: of a divided difference
+_LINK = 0.25
+#: Gauss-Legendre rules on [0, 1] (DLMF 3.5.15), from mpmath at 40
+#: digits: (largest spread, the (node, weight) pairs up to t = 1/2; the
+#: rest by symmetry).  Each integrates t^(m-1) / prod_j (1 - t x_j) to
+#: within 5e-16 for up to six x_j with |x_j| <= its spread, the worst
+#: direction x_j = spread included (checked against mpmath quadrature).
+#: Poles within the last spread, a fraction of |N - centre| of their
+#: centre, take the quadrature.
+_GAUSS = (
+    (0.125, (
+        (0.019855071751231884, 0.05061426814518813),
+        (0.10166676129318664, 0.11119051722668724),
+        (0.2372337950418355, 0.15685332293894363),
+        (0.4082826787521751, 0.181341891689181))),
+    (0.175, (
+        (0.015919880246186954, 0.040637194180787206),
+        (0.0819844463366821, 0.0903240803474287),
+        (0.1933142836497048, 0.13030534820146772),
+        (0.33787328829809554, 0.15617353852000143),
+        (0.5, 0.1651196775006299))),
+    (0.3, (
+        (0.010885670926971503, 0.02783428355808683),
+        (0.05646870011595235, 0.0627901847324523),
+        (0.13492399721297535, 0.09314510546386713),
+        (0.2404519353965941, 0.11659688229599524),
+        (0.3652284220238275, 0.13140227225512333),
+        (0.5, 0.1364625433889503))),
+    (0.4, (
+        (0.007908472640705926, 0.02024200238265794),
+        (0.04120080038851102, 0.046060749918864226),
+        (0.09921095463334505, 0.06943675510989362),
+        (0.17882533027982989, 0.08907299038097287),
+        (0.2757536244817766, 0.10390802376844425),
+        (0.3847708420224326, 0.11314159013144862),
+        (0.5, 0.11627577661543695))),
+    (0.5, (
+        (0.005299532504175033, 0.013576229705877048),
+        (0.02771248846338371, 0.031126761969323947),
+        (0.06718439880608412, 0.04757925584124639),
+        (0.12229779582249849, 0.06231448562776694),
+        (0.19106187779867811, 0.07479799440828837),
+        (0.2709916111713863, 0.08457825969750127),
+        (0.35919822461037054, 0.09130170752246179),
+        (0.4524937450811813, 0.09472530522753425))),
+)
+_RULES = tuple([(spread, half + tuple([(1.0 - t, w) for t, w in half[::-1]
+                                       if t < 0.5]))
+                for spread, half in _GAUSS])
+_CLUSTER = _RULES[-1][0]
 
 
 class SumSpec(Frozen):
@@ -140,54 +189,230 @@ def _shift(p: list, x) -> list:
     return out
 
 
-def _divided_difference(p: list, poles: list, n: int, scale: float):
-    """Divided difference of g(r) = P(r) log((n - r) / scale) over poles.
-    Poles within _CLUSTER |n - c| of their centre c take g's Taylor series
-    about c; others the recursion on the farthest pair, whose gap is then
-    at least that large."""
+def _slope(r0: complex, r1: complex, n: int) -> complex:
+    """[r0, r1] log(n - r), without a difference of two close logarithms."""
+    m = n - 0.5 * (r0 + r1)
+    z = 0.5 * (r1 - r0) / m     # log(u1 / u0) = -2 atanh(z)
+    return (cmath.log((n - r1) / (n - r0)) / (r1 - r0) if abs(z) > 0.5
+            else -cmath.atanh(z) / (z * m) if z else -1.0 / m)
+
+
+def _newton(p: list, points: list) -> list:
+    """P[x_0], P[x_0, x_1], ..., P[x_0..x_deg] of P (ascending) over the
+    leading points, by synthetic division: no point divides by another."""
+    out = []
+    q = p[::-1]
+    for x in points[:len(p)]:
+        h = 0.0
+        rest = []
+        for a in q:
+            h = h * x + a
+            rest.append(h)
+        out.append(rest.pop())
+        q = rest
+    return out
+
+
+def _gauss(spread: float) -> tuple:
+    """((node, weight), ...) of the first rule that holds to this spread;
+    a NaN spread, of poles that overflowed, takes the first."""
+    for bound, rule in _RULES:
+        if not spread > bound:
+            return rule
+    raise AssertionError(f"no quadrature for spread {spread}")
+
+
+def _clustered(p: list, poles: list, n: int, u: float, c: float,
+               gaps: list, spread: float) -> float:
+    """Divided difference of P(r) log((n - r) / scale) over conjugate
+    poles r within _CLUSTER |n - c| of their centre c, deg P <= k, given
+    u = n - c and their gaps c - r.
+
+    With x = (r - c) / u and P(c + u x) = u^k sum_i W_i x^i,
+    log(1 - x) = -int_0^1 x / (1 - t x) dt turns the divided difference
+    over the x_j into W_k log(u / scale) - int_0^1 R(t) / D(t) dt, with
+    D(t) = prod_j (1 - t x_j) and R(t) = (sum_i W_i t^(k-i) - W_k D(t)) / t
+    (DLMF 3.5.15 on [0, 1]).  D's zeros lie at 1 / x_j, at least
+    1 / spread from 0; the poles come in conjugate pairs, so D and R are
+    real."""
+    k = len(gaps) - 1
+    weights = [w * u ** (i - k) for i, w in enumerate(_shift(p, c))]
+    top = weights[k] if len(weights) > k else 0.0
+    d = [1.0]                       # D, ascending, in real factors
+    for x in gaps:
+        if x.imag > 0.0:            # its conjugate's factor holds it
+            continue
+        x /= u
+        if x.imag:                  # (1 + x t) (1 + conj(x) t)
+            lin = 2.0 * x.real
+            quad = x.real * x.real + x.imag * x.imag
+            d += [0.0, 0.0]
+            for i in range(len(d) - 1, 1, -1):
+                d[i] += lin * d[i - 1] + quad * d[i - 2]
+            d[1] += lin
+        else:
+            x = x.real
+            d.append(0.0)
+            for i in range(len(d) - 1, 0, -1):
+                d[i] += x * d[i - 1]
+    d.reverse()
+    coeffs = [((weights[k - m] if 0 <= k - m < len(weights) else 0.0)
+               - top * d[k + 1 - m], d[k + 2 - m])
+              for m in range(k + 1, 0, -1)]
+    lead = d[0]
+    total = 0.0
+    for t, w in _gauss(spread):
+        num = 0.0
+        den = lead
+        for x, y in coeffs:         # R and D by Horner
+            num = num * t + x
+            den = den * t + y
+        total += w * num / den
+    return (top * math.log(u / _scale(poles, n)) if top else 0.0) - total
+
+
+def _log_dd(rs: list, xs: list, u: complex, n: int,
+            scale: float) -> complex:
+    """Divided difference of log((n - r) / scale) over rs, the offsets xs
+    = (r - c) / u of a centre c with u = n - c, |xs| <= _CLUSTER: for
+    m + 1 >= 3 poles, -u^-m int_0^1 t^(m-1) / prod_j (1 - t x_j) dt."""
+    if len(rs) < 3:
+        return (_slope(rs[0], rs[1], n) if rs[1:]
+                else cmath.log((n - rs[0]) / scale))
+    m = len(rs) - 1
+    total = 0.0
+    for t, w in _gauss(max(map(abs, xs))):
+        den = 1.0
+        for x in xs:
+            den *= 1.0 - t * x
+        total += w * t ** (m - 1) / den
+    return -total / u ** m
+
+
+def _groups(poles: list, n: int) -> list:
+    """Disjoint groups of pole indices: two poles closer than _LINK of
+    their distance to n share a group (single linkage), and a group of
+    three or more that spreads beyond _CLUSTER is split again at half the
+    distance, which ends once the links are shorter than its spread.
+    Poles of different groups are never closer than the link."""
+    dist = [abs(n - r) for r in poles]
+    done = []
+    todo = [(range(len(poles)), _LINK)]
+    while todo:
+        idx, link = todo.pop()
+        groups = []
+        for i in idx:
+            r = poles[i]
+            near = link * dist[i]
+            joined = [i]
+            apart = []
+            for g in groups:
+                for j in g:
+                    if abs(r - poles[j]) <= min(near, link * dist[j]):
+                        joined += g
+                        break
+                else:
+                    apart.append(g)
+            groups = apart + [joined]
+        for g in groups:
+            if len(g) > 2:
+                c = sum([poles[i] for i in g]) / len(g)
+                if max([abs(poles[i] - c) for i in g]) \
+                        > _CLUSTER * abs(n - c):
+                    todo.append((g, 0.5 * link))
+                    continue
+            done.append(g)
+    return done
+
+
+def _group(p: list, poles: list, group: list, n: int, scale: float):
+    """Divided difference over the poles of group of g(r) / Q(r), g = P
+    log((n - r) / scale) and Q = prod (r - o) over the other poles, by
+    Leibniz: sum_m g[r_0..r_m] (1/Q)[r_m..r_s], where Q's [r_i..r_m] come
+    from synthetic division and 1 / Q's from sum_m Q[r_i..r_m]
+    (1/Q)[r_m..r_s] = 0 (i < s)."""
+    if len(group) == 1:     # g(r0) / Q(r0)
+        j = group[0]
+        r0 = poles[j]
+        q0 = 1.0
+        for i, o in enumerate(poles):
+            if i != j:
+                q0 *= r0 - o
+        p0 = 0.0
+        for x in reversed(p):
+            p0 = p0 * r0 + x
+        return p0 / q0 * cmath.log((n - r0) / scale)
+    if len(group) == 2:     # h(r1) (g[r0, r1] - g(r0) Q[r0, r1] / Q(r0)),
+        j0, j1 = group      # h = 1 / Q, Q's [r0, r1] by its product rule
+        r0 = poles[j0]
+        r1 = poles[j1]
+        q0 = q1 = 1.0
+        dq = 0.0
+        for i, o in enumerate(poles):
+            if i != j0 and i != j1:
+                dq = q0 + dq * (r1 - o)
+                q0 *= r0 - o
+                q1 *= r1 - o
+        p0 = dp = 0.0   # P(r0) and P[r0, r1], by synthetic division
+        for x in reversed(p):
+            dp = dp * r1 + p0
+            p0 = p0 * r0 + x
+        g0 = p0 * cmath.log((n - r0) / scale)
+        g01 = p0 * _slope(r0, r1, n) + dp * cmath.log((n - r1) / scale)
+        return (g01 - g0 * (dq / q0)) / q1
+    rs = [poles[i] for i in group]
+    s = len(rs) - 1
+    q = [1.0]                       # Q, ascending
+    for i, o in enumerate(poles):
+        if i not in group:
+            q = [b - o * a for a, b in zip(q + [0.0], [0.0] + q)]
+    inv = [0.0] * s + [1.0 / _newton(q, rs[s:])[0]]
+    for i in range(s - 1, -1, -1):
+        qd = _newton(q, rs[i:])
+        inv[i] = -sum([x * y for x, y in zip(qd[1:], inv[i + 1:])]) / qd[0]
+    pd = _newton(p, rs)
+    c = sum(rs) / len(rs)
+    u = n - c
+    xs = [(r - c) / u for r in rs]
+    return sum([inv[m] * sum([pd[j] * _log_dd(rs[j:m + 1], xs[j:m + 1], u,
+                                              n, scale)
+                              for j in range(min(m + 1, len(pd)))])
+                for m in range(s + 1)])
+
+
+def _scale(poles: list, n: int) -> float:
+    """The geometric mean of the poles' least and greatest distance to n,
+    which keeps the logarithms of a divided difference small."""
+    u = [abs(n - r) for r in poles]
+    return math.sqrt(max(u) * min(u))
+
+
+def _divided_difference(p: list, poles: list, n: int):
+    """Divided difference of g(r) = P(r) log((n - r) / scale) over poles,
+    scale = _scale(poles, n).
+
+    Two poles take Leibniz's rule.  Poles within _CLUSTER |n - c| of
+    their centre c take the quadrature of _clustered; others split into
+    groups of close poles (_groups) and add up by partial fractions over
+    the groups, sum_G [G] (g / prod_(r not in G) (z - r)), so no
+    difference is ever divided by the gap between two close poles."""
     k = len(poles) - 1
     if k == 1:      # Leibniz: P(r0) [r0, r1] log + [r0, r1] P log(u1)
         r0, r1 = poles
-        m = n - 0.5 * (r0 + r1)
-        z = 0.5 * (r1 - r0) / m     # log(u1 / u0) = -2 atanh(z)
-        slope = (cmath.log((n - r1) / (n - r0)) / (r1 - r0) if abs(z) > 0.5
-                 else -cmath.atanh(z) / (z * m) if z else -1.0 / m)
         ps = _shift(p, r0)
         dp = sum([x * (r1 - r0) ** j for j, x in enumerate(ps[1:])])
-        return ps[0] * slope + dp * cmath.log((n - r1) / scale)
-    c = sum(poles) / (k + 1)
+        scale = _scale(poles, n)
+        return ps[0] * _slope(r0, r1, n) + dp * cmath.log((n - r1) / scale)
+    c = (sum(poles) / (k + 1)).real
     u = n - c
-    offsets = [(r - c) / u for r in poles]
-    spread = max(map(abs, offsets))
-    if spread > _CLUSTER:
-        _, i, j = max((abs(poles[i] - poles[j]), i, j)
-                      for i in range(k + 1) for j in range(i))
-        return (_divided_difference(p, poles[:i] + poles[i + 1:], n, scale)
-                - _divided_difference(p, poles[:j] + poles[j + 1:], n,
-                                      scale)) / (poles[j] - poles[i])
-    # g(c + u x) = sum_i w_i u^k x^i (log(u / scale) - sum_e x^e / e),
-    # and the divided difference over the offsets of x^(k+d) is h_d,
-    # which is at most (d + k)^k spread^d
-    log_u = cmath.log(u / scale)
-    weights = [w * u ** (i - k) for i, w in enumerate(_shift(p, c))]
-    neg = [-w for w in weights]
-    size = len(weights)
-    h = [1.0] * (k + 1)             # h_d of the first j + 1 offsets
+    gaps = [c - r for r in poles]
+    spread = max(map(abs, gaps)) / u
+    if spread <= _CLUSTER:
+        return _clustered(p, poles, n, u, c, gaps, spread)
+    scale = _scale(poles, n)
     total = 0.0
-    for d in range(k + 1 + int(40.0 / -math.log(spread)) if spread else 1):
-        # x^(k+d) takes -w_i / (k + d - i) for i < k + d, w_i log_u for
-        # i = k + d, and nothing from i > k + d
-        m = k + d
-        if m < size:
-            terms = [*map(truediv, neg[:m], range(m, 0, -1)),
-                     weights[m] * log_u]
-        else:
-            terms = map(truediv, neg, range(m, m - size, -1))
-        total += h[k] * sum(terms)
-        acc = 0.0
-        for j, x in enumerate(offsets):
-            acc += x * h[j]
-            h[j] = acc
+    for group in _groups(poles, n):
+        total += _group(p, poles, group, n, scale)
     return total
 
 
@@ -226,14 +451,12 @@ def _tail(p: list, poles: list, log: bool = False):
     p_log = [0.0] + p
 
     def tail(n: int, f_n: float):
-        u = [abs(n - r) for r in poles]
-        scale = math.sqrt(max(u) * min(u))
         c = _taylor(p, poles, n, count)
         if log:
-            return (_divided_difference(p_log, poles, n, scale).real
+            return (_divided_difference(p_log, poles, n).real
                     - n * f_n, [b * x for b, x in zip(_LOG_CORRECTION,
                                                       c[0::2])])
-        return (-_divided_difference(p, poles, n, scale).real,
+        return (-_divided_difference(p, poles, n).real,
                 [b * x for b, x in zip(_CORRECTION, c[1::2])])
     return tail
 
@@ -307,17 +530,66 @@ def _pair_poles(g: float, om: float, a: float) -> list:
 
 def _cubic_poles(om: float, g0: float, wd: float, a: float) -> list:
     """Roots in n of w^3 + wd w^2 + (om^2 + g0 wd) w + om^2 wd, w = a n:
-    the eigenvalues of the companion matrix numpy.roots builds, by the
-    same LAPACK call.  numpy.roots itself is left to a0 = 0, where it
-    trims the zero coefficient and appends an exact 0j root."""
-    import numpy as np
-    a1, a0 = om * om + g0 * wd, om * om * wd
-    if a0 == 0.0:
-        roots = np.roots([1.0, wd, a1, a0])
+    [s, conj(s) or the other real one, the real root r].
+
+    The cubic is negative below -wd and positive above 0 (at a0 > 0), so
+    its real roots lie in [-wd, 0].  Newton finds r from beyond it (Kahan,
+    "To Solve a Real Cubic Equation", 1986): past the inflection -wd / 3,
+    on the side p(-wd / 3) points to, but no further left than -wd, where
+    the cubic is concave and rising up to r, so every step moves towards
+    r until rounding stops it.  The other two are the roots of w^2 + b w
+    + c, c = a0 / |r| from the product and b from a sum that does not
+    cancel, each polished by Newton on the full cubic; a0 = 0 gives r = 0
+    exactly.  The loops take at most 100 and 4 steps.  Shares no code
+    with the closed forms' cubic solver in oscillator; a coefficient or
+    root that is not finite raises DomainError."""
+    b, c, d = wd, om * om + g0 * wd, om * om * wd
+    finite(c + d, "a coefficient of the Drude cubic")
+    x = 0.0
+    if d:
+        x = -b / 3.0
+        q = ((x + b) * x + c) * x + d
+        dq = (3.0 * x + 2.0 * b) * x + c
+        s = 1.0 if q > 0.0 else -1.0
+        step = abs(q) ** (1.0 / 3.0)
+        if dq < 0.0:    # Kahan's factor, the plastic number
+            step = 1.324718 * max(step, math.sqrt(-dq))
+        y = max(x - step, -b) if q > 0.0 else x + step
+        for _ in range(100 if y != x else 0):
+            x = y
+            q = ((x + b) * x + c) * x + d
+            dq = (3.0 * x + 2.0 * b) * x + c
+            # a step an ulp short, so rounding cannot carry it past r
+            y = x - q / dq / 1.000000000000001 if dq else x
+            if not s * y > s * x:   # rounding has stopped the approach
+                break
+    qb, qc = b, c
+    if x:           # else a0 or r has underflowed: w (w^2 + wd w + a1)
+        qc = -d / x
+        qb = (qc - c) / x if x * x > qc else x + b
+    h = -0.5 * qb
+    disc = (h - math.sqrt(qc)) * (h + math.sqrt(qc))
+    if disc < 0.0:
+        pair = (complex(h, math.sqrt(-disc)),)
     else:
-        roots = np.linalg.eigvals(np.array([[-wd, -a1, -a0], [1.0, 0.0, 0.0],
-                                            [0.0, 1.0, 0.0]], dtype=float))
-    return [complex(r) / a for r in roots]
+        big = h + math.copysign(math.sqrt(disc), h)
+        pair = (big, qc / big) if big else (0.0, 0.0)
+    out = []
+    for z in pair:
+        for _ in range(4):
+            dp = (3.0 * z + 2.0 * b) * z + c
+            if not dp:
+                break
+            step = (((z + b) * z + c) * z + d) / dp
+            z -= step
+            if abs(step) <= 2.3e-16 * abs(z):
+                break
+        out.append(complex(z) / a)
+    if len(out) == 1:
+        out.append(out[0].conjugate())
+    out.append(complex(x / a))
+    finite(sum(out).real + out[0].imag, "a root of the Drude cubic")
+    return out
 
 
 @_finite
@@ -353,11 +625,13 @@ def force_sum_exact(p: OscillatorParams, m: ParametricModel, lam: float,
     else:
         wd = p.damping.omega_d
 
+        g0wd, dg0wd, g0dwd, om2 = g0 * wd, dg0 * wd, g0 * dwd, om * om
+
         def term(n):
             w = n * a
             wpd = w + wd
-            num = cross + w * (dg0 * wd / wpd + g0 * dwd * w / (wpd * wpd))
-            return num / ((w + g0 * wd / wpd) * w + om * om)
+            num = cross + w * (dg0wd / wpd + g0dwd * w / (wpd * wpd))
+            return num / ((w + g0wd / wpd) * w + om2)
 
         # times (w + wd)^2: a quadratic over (w + wd) times the cubic
         d = wd / a
@@ -532,19 +806,35 @@ def per_parameter_sums_drude(p: OscillatorParams, m: ParametricModel,
     a2 = a * a
     poles = _cubic_poles(om, g0, wd, a)
 
-    def over_cubic(num, other=lambda w: 1.0):
-        def term(n):
-            w = n * a
-            return num(w) / ((((w + wd) * w + b) * w + c) * other(w))
-        return term
+    wdg0 = wd * g0
 
-    f_om = _oracle(over_cubic(lambda w: w + wd), -2.0 * t * om * dom,
+    # each over the dispersion cubic at w = omega_n
+    def term_om(n):
+        w = n * a
+        return (w + wd) / (((w + wd) * w + b) * w + c)
+
+    def term_w(n):
+        w = n * a
+        return w / (((w + wd) * w + b) * w + c)
+
+    def term_w2(n):
+        w = n * a
+        return w * wdg0 / ((((w + wd) * w + b) * w + c) * (w + wd))
+
+    # f_gamma0 and f_omega_d_1 sum one summand, w / cubic, times their own
+    # prefactors, and share the tail of each n
+    tail_w = _tail([0.0, 1.0 / a2], poles)
+    shared = {}
+
+    def tail_once(n, f_n):
+        if n not in shared:
+            shared[n] = tail_w(n, f_n)
+        return shared[n]
+
+    f_om = _oracle(term_om, -2.0 * t * om * dom,
                    0.5 * wd / c, _tail([d / a2, 1.0 / a2], poles))
-    f_g0 = _oracle(over_cubic(lambda w: w * wd), -t * dg0, 0.0,
-                   _tail([0.0, wd / a2], poles))
-    f_w1 = _oracle(over_cubic(lambda w: w * g0), -t * dwd, 0.0,
-                   _tail([0.0, g0 / a2], poles))
-    f_w2 = _oracle(over_cubic(lambda w: w * (wd * g0), lambda w: w + wd),
-                   t * dwd, 0.0,
-                   _tail([0.0, wd * g0 / (a2 * a)], poles + [-d]))
+    f_g0 = _oracle(term_w, -t * dg0 * wd, 0.0, tail_once)
+    f_w1 = _oracle(term_w, -t * dwd * g0, 0.0, tail_once)
+    f_w2 = _oracle(term_w2, t * dwd, 0.0,
+                   _tail([0.0, wdg0 / (a2 * a)], poles + [-d]))
     return PerParameterSums(f_om, f_g0, f_w1, f_w2)

@@ -10,8 +10,9 @@ CLI digests alone would see only the few oracle values they print.
 The oracle cases reach every branch of matsubara._divided_difference:
 the two-pole closed form at z = 0 (critical damping, the coincident
 pair poles of gamma0 = 2 Omega), at |z| <= 0.5 and at |z| > 0.5 (high
-and low temperature), the recursion on the farthest pair, and the
-Taylor series of clustered poles; and every oracle at n_max = 100000.
+and low temperature), the Gauss-Legendre quadrature of clustered poles
+at each rule, and the partial fractions over groups of one to four
+spread poles; and every oracle at n_max = 100000.
 Every oracle sums its 32 direct terms whatever n_max is, so the pins at
 n_max = 1, 2, 3, 5, 16 and 31 hold the bits of n_max = 100000; five of
 them repeat a pin at the same point.
@@ -60,9 +61,9 @@ ORACLE_PINS = [
     ('force', (1.0, 0.3, 30.0, 0.5, 1.0, 0.5, 2.0), 100000,
      [('-0x1.bb689fe6105bbp-1', '0x1.0000000000000p-50')]),
     ('force', (1.0, 0.3, 30.0, 0.01, 1.0, 0.5, 2.0), 100000,
-     [('-0x1.723f2dc7547ecp-1', '0x1.0000000000000p-52')]),
+     [('-0x1.723f2dc7547ecp-1', '0x1.8588868fa4d12p-53')]),
     ('force', (1.0, 2.0, 1000.0, 0.5, 0.3, -1.0, 0.7), 100000,
-     [('0x1.6855c5f05c81fp-1', '0x1.c000000000000p-51')]),
+     [('0x1.6855c5f05c81fp-1', '0x1.8000000000000p-51')]),
     ('force', (1.0, 0.3, 30.0, 0.5, 1.0, 0.5, 2.0), 3,
      [('-0x1.bb689fe6105bbp-1', '0x1.0000000000000p-50')]),
     ('force', (1.0, 0.3, None, 0.5, 1.0, 0.0, 0.0), 1,
@@ -72,13 +73,13 @@ ORACLE_PINS = [
     ('difference', (1.0, 1.7, 0.3, None, 0.5), 100000,
      [('0x1.97af0b0e7f577p-2', '0x1.c000000000000p-52')]),
     ('difference', (1.0, 1.7, 0.3, None, 0.01), 100000,
-     [('0x1.4e9f3b097e424p-2', '0x1.e1011dc63fa7ap-54')]),
+     [('0x1.4e9f3b097e425p-2', '0x1.e1011dc63fa7ap-54')]),
     ('difference', (1.0, 1.7, 2.0, None, 0.5), 100000,
      [('0x1.796ee899f125dp-2', '0x1.8000000000000p-52')]),
     ('difference', (1.0, 1.7, 0.3, 30.0, 0.5), 100000,
      [('0x1.989acd8dd07d5p-2', '0x1.c000000000000p-52')]),
     ('difference', (1.0, 1.7, 0.3, 30.0, 0.01), 100000,
-     [('0x1.4feffe2d4c823p-2', '0x1.0000000000000p-53')]),
+     [('0x1.4feffe2d4c824p-2', '0x1.dfeeef47871d7p-54')]),
     ('difference', (1.0, 1.7, 2.0, 1000.0, 0.5), 100000,
      [('0x1.79937efdbc908p-2', '0x1.8000000000000p-52')]),
     ('difference', (1.0, 1.7, 0.3, 30.0, 0.5), 31,
@@ -88,39 +89,41 @@ ORACLE_PINS = [
     ('drude-approx', (1.0, 0.3, 30.0, 0.01), 100000,
      [('0x1.50547bedadf36p-1', '0x1.053074f55c715p-51')]),
     ('drude-approx', (1.0, 2.0, 1000.0, 0.5), 100000,
-     [('0x1.2569017d868d4p+1', '0x1.4000000000000p-49')]),
+     [('0x1.2569017d868d2p+1', '0x1.8000000000000p-50')]),
     ('drude-approx', (1.0, 0.3, 3.0, 2.0), 100000,
      [('-0x1.59f7595ffbc98p+0', '0x1.0000000000000p-52')]),
     ('drude-exact', (1.0, 0.3, 30.0, 0.5), 100000,
      [('0x1.1dc8b8521f3f9p-1', '0x1.4000000000000p-51')]),
     ('drude-exact', (1.0, 0.3, 30.0, 0.01), 100000,
-     [('0x1.523234b844f43p-1', '0x1.04b0980609c9fp-51')]),
+     [('0x1.523234b844f45p-1', '0x1.04b0980609c8fp-51')]),
     ('drude-exact', (1.0, 2.0, 1000.0, 0.5), 100000,
-     [('0x1.25e108abc9052p+1', '0x1.0000000000000p-49')]),
+     [('0x1.25e108abc9054p+1', '0x1.0000000000000p-49')]),
     ('drude-exact', (1.0, 0.3, 3.0, 2.0), 100000,
      [('-0x1.597b608f337fcp+0', '0x1.0000000000000p-52')]),
     ('drude-exact', (1.0, 0.3, 30.0, 0.5), 5,
      [('0x1.1dc8b8521f3f9p-1', '0x1.4000000000000p-51')]),
     ('per-parameter', (1.0, 0.3, 30.0, 0.5, 1.0, 0.5, 2.0), 100000,
      [('-0x1.4bfca5e8a43d1p-1', '0x1.0000000000000p-51'),
-      ('-0x1.b7a76c14cb38ep-3', '0x1.3000000000000p-51'),
-      ('-0x1.1960e903116c1p-7', '0x1.8000000000000p-56'),
+      ('-0x1.b7a76c14cb38ep-3', '0x1.2000000000000p-51'),
+      ('-0x1.1960e903116c1p-7', '0x1.6000000000000p-56'),
       ('0x1.71b255e97aa65p-8', '0x1.7000000000000p-56')]),
     ('per-parameter', (1.0, 0.3, 30.0, 0.01, 1.0, 0.5, 2.0), 100000,
-     [('-0x1.d61d097041053p-2', '0x1.b8cd08b19194ap-54'),
-      ('-0x1.0b519fe8c375cp-2', '0x1.0000000000000p-53'),
-      ('-0x1.562b0a1fb2823p-7', '0x1.0000000000000p-58'),
-      ('0x1.e86986d644603p-8', '0x1.0000000000000p-58')]),
+     [('-0x1.d61d097041055p-2', '0x1.0000000000000p-53'),
+      ('-0x1.0b519fe8c375bp-2', '0x1.5285cd662878ap-54'),
+      ('-0x1.562b0a1fb2823p-7', '0x1.b14f1b640ad7ep-59'),
+      ('0x1.e86986d644603p-8', '0x1.b9883a72186fep-59')]),
     ('per-parameter', (1.0, 2.0, 1000.0, 0.5, 0.3, -1.0, 0.7), 100000,
      [('-0x1.7890433c9fdcdp-3', '0x1.0000000000000p-53'),
-      ('0x1.c696bfa7c4d0fp-1', '0x1.0000000000000p-50'),
-      ('-0x1.45d96b7a4dffdp-10', '0x1.4000000000000p-60'),
-      ('0x1.0c079af99e69dp-10', '0x1.4000000000000p-60')]),
+      ('0x1.c696bfa7c4d0fp-1', '0x1.8000000000000p-51'),
+      ('-0x1.45d96b7a4dffdp-10', '0x1.0000000000000p-60'),
+      ('0x1.0c079af99e69cp-10', '0x1.4000000000000p-60')]),
     ('per-parameter', (1.0, 0.3, 30.0, 0.5, 1.0, 0.5, 2.0), 2,
      [('-0x1.4bfca5e8a43d1p-1', '0x1.0000000000000p-51'),
-      ('-0x1.b7a76c14cb38ep-3', '0x1.3000000000000p-51'),
-      ('-0x1.1960e903116c1p-7', '0x1.8000000000000p-56'),
+      ('-0x1.b7a76c14cb38ep-3', '0x1.2000000000000p-51'),
+      ('-0x1.1960e903116c1p-7', '0x1.6000000000000p-56'),
       ('0x1.71b255e97aa65p-8', '0x1.7000000000000p-56')]),
+    ('force', (1.0, 0.3, 30.0, 0.1, 1.0, 0.5, 2.0), 100000,
+     [('-0x1.72a22d38408c9p-1', '0x1.e000000000000p-50')]),
 ]
 
 # (a2, a1, a0) of s^3 + a2 s^2 + a1 s + a0: hand-picked branch cases,
@@ -256,34 +259,34 @@ TAIL_PINS = [
     ('ohmic difference T=0.5', 16, '0x1.00318e327bf42p-7',
      ['-0x1.02bd2dd3fac4ep-17', '0x1.9a9716f868a85p-28',
       '-0x1.2294ff10a99e3p-36', '0x1.92aa9647e636bp-44']),
-    ('ohmic difference T=0.01', 32, '0x1.59a9caae5b12bp+4',
+    ('ohmic difference T=0.01', 32, '0x1.59a9caae5b12dp+4',
      ['-0x1.077c5505ef787p-10', '0x1.e1d32e55d8ebcp-25',
       '0x1.7d48833698c7cp-40', '-0x1.77c8df42e1bafp-47']),
-    ('ohmic difference T=0.01', 16, '0x1.cad9f2c37ffb4p+4',
+    ('ohmic difference T=0.01', 16, '0x1.cad9f2c37ffb6p+4',
      ['-0x1.347337da4debap-9', '-0x1.ac200f22e4c72p-25',
       '0x1.9191e9c6d6504p-33', '0x1.252eb0adef876p-45']),
-    ('drude force T=0.5', 32, '0x1.943ca79c1347bp-5',
+    ('drude force T=0.5', 32, '0x1.943ca79c1347cp-5',
      ['-0x1.af9806530e770p-18', '0x1.1c13929d8254ap-30',
       '-0x1.566d140571e2bp-41', '0x1.9dd2fabcd6ff1p-51']),
     ('drude force T=0.5', 16, '0x1.6e684b0eb75cap-4',
-     ['-0x1.50a756c7f50eap-15', '0x1.92e369fffa2aap-26',
-      '-0x1.cc783c061be9cp-35', '0x1.0f7204f9f927ap-42']),
-    ('drude force T=0.01', 32, '0x1.16677efd3682bp+5',
-     ['-0x1.baa069c6fac70p-10', '0x1.03534b0ecee1dp-23',
-      '-0x1.cbf4dec6bdb0ap-37', '-0x1.3052a92038c23p-46']),
-    ('drude force T=0.01', 16, '0x1.774671bbae87ap+5',
-     ['-0x1.2aef3a51e4340p-8', '0x1.501ca221604d3p-25',
-      '0x1.5330c1210389cp-31', '-0x1.b4f7bc4fae64ep-42']),
+     ['-0x1.50a756c7f50eep-15', '0x1.92e369fffa2b6p-26',
+      '-0x1.cc783c061becap-35', '0x1.0f7204f9f92c4p-42']),
+    ('drude force T=0.01', 32, '0x1.16677efd3682cp+5',
+     ['-0x1.baa069c6fac72p-10', '0x1.03534b0ecee1cp-23',
+      '-0x1.cbf4dec6bdaf4p-37', '-0x1.3052a92038c36p-46']),
+    ('drude force T=0.01', 16, '0x1.774671bbae87cp+5',
+     ['-0x1.2aef3a51e433cp-8', '0x1.501ca221603c2p-25',
+      '0x1.5330c1210389ap-31', '-0x1.b4f7bc4fae5f0p-42']),
     ('drude difference T=0.5', 32, '-0x1.484fa9b1f0fa1p-6',
-     ['-0x1.0504e98edaf1ep-20', '0x1.a0b948717236ap-33',
-      '-0x1.28d3527bdef6ep-43', '0x1.9e2d0e472f7e9p-53']),
+     ['-0x1.0504e98edaf1ep-20', '0x1.a0b948717236cp-33',
+      '-0x1.28d3527bdef8cp-43', '0x1.9e2d0e472f8ccp-53']),
     ('drude difference T=0.5', 16, '0x1.027ca3e8f2204p-7',
-     ['-0x1.0400f1aa6d60ep-17', '0x1.9d3865ad50f4dp-28',
-      '-0x1.24b2719f4b2a8p-36', '0x1.95cdf755fd215p-44']),
-    ('drude-approx critical T=0.5', 32, '0x1.0810eca8f702ep+1',
+     ['-0x1.0400f1aa6d60fp-17', '0x1.9d3865ad50f47p-28',
+      '-0x1.24b2719f4b29ap-36', '0x1.95cdf755fd1f7p-44']),
+    ('drude-approx critical T=0.5', 32, '0x1.0810eca8f702ap+1',
      ['-0x1.aaaf815d9141ap-15', '0x1.54d9e220d58ecp-28',
       '-0x1.417770ab0bd21p-39', '0x1.4e3f92a9909d4p-49']),
-    ('drude-approx critical T=0.5', 16, '0x1.418828966143fp+1',
+    ('drude-approx critical T=0.5', 16, '0x1.418828966143ep+1',
      ['-0x1.a91fd24646b08p-13', '0x1.4e4a02781a047p-24',
       '-0x1.383e285d07ee2p-33', '0x1.41959e5ec9128p-41']),
 ]
@@ -371,7 +374,22 @@ def _tail_case(label):
     return slope, _pair_poles(g0, 1.0, a) + [0.0, -dm, -d], True
 
 
-@pytest.mark.parametrize("label, n, integral, corrections", TAIL_PINS)
+# a tail pin's test id keeps the integral it had when first frozen, so a
+# change that moves the pin keeps the test's name; these pins have moved
+_FIRST_INTEGRAL = {
+    ("ohmic difference T=0.01", 32): "0x1.59a9caae5b12bp+4",
+    ("ohmic difference T=0.01", 16): "0x1.cad9f2c37ffb4p+4",
+    ("drude force T=0.5", 32): "0x1.943ca79c1347bp-5",
+    ("drude force T=0.01", 32): "0x1.16677efd3682bp+5",
+    ("drude force T=0.01", 16): "0x1.774671bbae87ap+5",
+    ("drude-approx critical T=0.5", 32): "0x1.0810eca8f702ep+1",
+    ("drude-approx critical T=0.5", 16): "0x1.418828966143fp+1",
+}
+
+
+@pytest.mark.parametrize("label, n, integral, corrections", TAIL_PINS, ids=[
+    f"{label}-{n}-{_FIRST_INTEGRAL.get((label, n), integral)}-corrections{i}"
+    for i, (label, n, integral, _) in enumerate(TAIL_PINS)])
 def test_tail_bits(label, n, integral, corrections):
     # the tail integral and all four corrections, whose last bits mostly
     # fall below the oracle value's

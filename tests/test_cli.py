@@ -856,17 +856,18 @@ def test_closed_forms_leave_numpy_unloaded(tmp_path):
                                        ("drude", "json")],
                          ids=["oracle-sweep", "log-sweep"])
 def test_numpy_sweeps_load_it_on_first_use(tmp_path, name, fmt):
-    # numpy for both: the Drude oracle takes its poles from numpy.roots;
-    # the Matsubara oracles only for the oracle sweep, not for a
-    # closed-form sweep with log spacing
+    # numpy only for the log spacing of the closed-form sweep: the linear
+    # Drude oracle sweep loads the Matsubara oracles, whose pole finder
+    # is plain Python, and no numpy
     out = tmp_path / f"o.{fmt}"
     path = write_config(tmp_path, "c.json", GOLDEN_CONFIGS[name])
     steps = _fresh(["sweep", "--config", path, "--format", fmt,
                     "--out", str(out)])
     assert GOLDEN_CONFIGS["drude"]["sweep"]["spacing"] == "log"
+    assert GOLDEN_CONFIGS["oracle-large"]["sweep"]["spacing"] == "linear"
     assert steps == [("import fluctforce", False, False),
                      ("import fluctforce.cli", False, False),
-                     (0, True, name == "oracle-large")]
+                     (0, name == "drude", name == "oracle-large")]
     assert hashlib.sha256(out.read_bytes()).hexdigest() \
         == GOLDEN_DIGESTS[name][("csv", "json").index(fmt)]
 
@@ -886,6 +887,37 @@ def test_ohmic_oracle_sweeps_leave_numpy_unloaded(tmp_path):
                               (0, False, True), (0, False, True)]
     assert hashlib.sha256((tmp_path / "oracle.csv").read_bytes()).hexdigest() \
         == GOLDEN_DIGESTS["oracle"][0]
+
+
+# one call of each Drude oracle in a fresh interpreter, noting after the
+# import and after each call whether numpy has been loaded
+_FRESH_DRUDE = """
+import json, sys
+from fluctforce import matsubara
+from fluctforce.oscillator import Drude, OscillatorParams, ParametricModel
+steps = [["import fluctforce.matsubara", "numpy" in sys.modules]]
+p = OscillatorParams(1.0, Drude(0.3, 30.0), 0.5)
+m = ParametricModel(lambda lam: 1.0, lambda lam: 1.0, lambda lam: 0.3,
+                    lambda lam: 0.5, lambda lam: 30.0, lambda lam: 2.0)
+calls = [("force_sum_exact", lambda: matsubara.force_sum_exact(p, m, 1.0)),
+         ("free_energy_difference", lambda: matsubara.free_energy_difference(
+             p, OscillatorParams(1.7, Drude(0.3, 30.0), 0.5))),
+         ("free_energy_drude", lambda: matsubara.free_energy_drude(
+             p, roots="exact")),
+         ("per_parameter_sums_drude",
+          lambda: matsubara.per_parameter_sums_drude(p, m, 1.0))]
+for name, call in calls:
+    call()
+    steps.append([name, "numpy" in sys.modules])
+print(json.dumps(steps))
+"""
+
+
+def test_drude_oracles_leave_numpy_unloaded():
+    assert [tuple(step) for step in _run_fresh(_FRESH_DRUDE)] == [
+        ("import fluctforce.matsubara", False),
+        ("force_sum_exact", False), ("free_energy_difference", False),
+        ("free_energy_drude", False), ("per_parameter_sums_drude", False)]
 
 
 def test_validate_loads_numpy_on_first_use():
