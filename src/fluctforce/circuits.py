@@ -7,9 +7,9 @@ gamma -> 1/(RC), Omega -> 1/sqrt(LC).  In both cases gamma is
 frequency independent (Ohmic), which is exactly why the circuit force
 is only finite when the damping does not depend on the swept
 parameter.  rlc_force_at is the one point path, for loops and bare
-oscillator models alike: it checks dgamma/dlambda = 0 at each Ohmic
-point, the test force_sum_exact makes, raises PreconditionError where
-it fails, and flags loops that break the lumped-element condition.
+oscillator models alike: it checks dgamma/dlambda = 0 (errors.flat)
+at each Ohmic point, the test force_sum_exact makes, raises
+PreconditionError where it fails, and flags lumped-element breaches.
 
 Units: circuit element values may be SI (ohm, henry, farad, kelvin,
 metre) with units="si", or reduced (hbar = k_B = 1, any consistent
@@ -24,7 +24,7 @@ from _collections_abc import Callable   # see oscillator
 
 from ._value import Frozen
 from .constants import C_LIGHT, EPSILON_0, HBAR, K_B, ZETA_3
-from .errors import _INF, DomainError, PreconditionError, finite, \
+from .errors import _INF, DomainError, PreconditionError, finite, flat, \
     not_finite, warm
 from .forces import (ForceResult, force_drude_full, force_ohmic_exact,
                      force_ohmic_high_t, force_ohmic_low_t,
@@ -311,9 +311,9 @@ def rlc_force_at(c: SeriesRLC | ParallelRLC | None, model: ParametricModel,
 
     A Drude model runs force_drude_full, at regime "exact" only; an
     Ohmic model the closed form of the regime, which holds only where
-    dgamma/dlambda = 0: elsewhere the force is set by the damping's
-    high-frequency dispersion, and diverges for Ohmic damping, so
-    PreconditionError is raised.  In SI units a loop whose gamma reaches
+    dgamma/dlambda = 0 (errors.flat): elsewhere the force is set by the
+    damping's high-frequency dispersion, and diverges for Ohmic damping,
+    so PreconditionError is raised.  In SI units a loop whose gamma reaches
     0.1 c / element_size is flagged lumped-element-size."""
     if model.omega_d is None:
         try:
@@ -329,7 +329,7 @@ def rlc_force_at(c: SeriesRLC | ParallelRLC | None, model: ParametricModel,
         res = force_drude_full(p, model, lam)
     else:
         dg = model.d_gamma0(lam)
-        if dg != 0.0:
+        if not flat(dg, p.damping.gamma0, lam):
             raise PreconditionError(f"the Ohmic force requires dgamma/dlambda "
                                     f"= 0, got {dg!r} at lambda = {lam!r}")
         res = force(p, model.d_omega(lam))

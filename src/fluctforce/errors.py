@@ -10,11 +10,15 @@ call per check costs about 5 %.
 
 The precondition rule, require() and warm(): a form given the wrong
 damping, or T = 0 where it needs T > 0, raises PreconditionError naming it.
+flat() is the test of the forms that need dgamma/dlambda = 0.
 """
 
 import math
 
 _INF = math.inf
+#: R = a lambda^k over L = b lambda^k rounds dgamma/dlambda to about k
+#: units of roundoff of |gamma / lambda|
+_FLAT = 16 * 2.0 ** -52
 
 
 class DomainError(ValueError):
@@ -52,3 +56,10 @@ def warm(t: float, what: str) -> float:
     if t > 0.0:
         return t
     raise PreconditionError(f"{what} requires temperature > 0")
+
+
+def flat(derivative: float, value: float, lam: float) -> bool:
+    """Whether derivative, of value at lam, is 0 up to the rounding of a
+    value constant by construction: within _FLAT |value / lam| (lam != 0)."""
+    return derivative == 0.0 or (lam != 0.0 and abs(derivative * lam)
+                                 <= _FLAT * abs(value))

@@ -16,15 +16,18 @@ Taylor coefficients of P(N + t) / prod_j (N - r_j + t).  The divided
 difference takes Gauss-Legendre quadrature where the poles cluster and
 partial fractions over groups of close poles where they spread; nothing
 divides by the gap between two close poles, so coincident ones, as at
-critical damping, need no special case.  Since |N - r_j| >= N, each
-correction is about (2 pi N)^-2 of the one before at any temperature.
-truncation_estimate is max(|last correction|, |value(N) - value(N/2)|),
-and the N/2 sum it needs is taken on the estimate's first read, so a
-caller that reads only the value pays for one tail.  A value or last
-correction that is not finite raises DomainError at the call, an N/2
-sum or estimate that is not finite at that first read.  Each oracle
-still takes a SumSpec argument, which changes nothing.
+critical damping, need no special case.
 
+truncation_estimate bounds |value - exact sum|, formed at the call from
+the same sum.  Truncation: f^(j)(N) ~ j! / (N - r_j)^(j+1) over the
+partial fractions of f, |N - r_j| >= N, and |B_2k| ~ 2 (2k)! / (2 pi)^2k,
+so each correction is at most rho = ((2K + 2) / (2 pi N))^2 of the one
+before, and the remainder rho / (1 - rho) of sum_k |c_k| rho^(K-k), at
+least the last one's envelope, which a cancelling c_K does not hide; rho is
+2.5e-3 at N = 32.  Rounding: math.fsum rounds once, but each part
+carries its own rounding, and the tail that of its poles and of its
+divided difference, whose pieces may cancel.  A value or estimate that
+is not finite raises DomainError.  The SumSpec argument changes nothing.
 The Ohmic poles are a quadratic's roots; the Drude ones come from a
 Newton iteration on the dispersion cubic that shares no code with the
 closed forms' cubic solver in oscillator.  The oracles are plain Python
@@ -40,7 +43,7 @@ from collections.abc import Callable
 
 from ._value import Frozen
 from .errors import DivergentSumError, DomainError, PreconditionError, \
-    finite, require, warm
+    finite, flat, require, warm
 from .oscillator import Drude, Ohmic, OscillatorParams, ParametricModel
 
 #: B_2k for k = 1..K
@@ -50,16 +53,23 @@ _BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0)
 _CORRECTION = tuple([b / (2 * k) for k, b in enumerate(_BERNOULLI, 1)])
 _LOG_CORRECTION = tuple([b / (2 * k * (2 * k - 1))
                          for k, b in enumerate(_BERNOULLI, 1)])
+#: the unit roundoff, and the rounding bound per unit of sum |parts| and
+#: of the tail's sum |pieces|, calibrated against mpmath references of
+#: the four oracles (the tests' frozen ones, and 900 random cases each
+#: over Omega, gamma0 / Omega 1e-3..1e3, omega_d / Omega 1..1e6 and
+#: T / Omega 1e-6..1e2): the error reached 8 u sum |parts| plus 2.5 u
+#: sum |pieces|, so each has a margin of two or more.
+_U = 2.0 ** -53
+_ROUND_PARTS = 16.0 * _U
+_ROUND_TAIL = 8.0 * _U
 #: poles closer than this fraction of their distance to N share a group
 #: of a divided difference
 _LINK = 0.25
 #: Gauss-Legendre rules on [0, 1] (DLMF 3.5.15), from mpmath at 40
-#: digits: (largest spread, the (node, weight) pairs up to t = 1/2; the
+#: digits: (largest spread, the (node, weight) pairs up to t = 1/2, the
 #: rest by symmetry).  Each integrates t^(m-1) / prod_j (1 - t x_j) to
-#: within 5e-16 for up to six x_j with |x_j| <= its spread, the worst
-#: direction x_j = spread included (checked against mpmath quadrature).
-#: Poles within the last spread, a fraction of |N - centre| of their
-#: centre, take the quadrature.
+#: 5e-16 for up to six |x_j| <= its spread (checked against mpmath).
+#: Poles within the last spread of |N - centre| take the quadrature.
 _GAUSS = (
     (0.125, (
         (0.019855071751231884, 0.05061426814518813),
@@ -105,9 +115,9 @@ _CLUSTER = _RULES[-1][0]
 
 class SumSpec(Frozen):
     """The Matsubara oracles' spec: every oracle sums hard_cap terms
-    directly and adds the rest by Euler-Maclaurin.  n_max is still
-    checked, for existing callers, but changes no result; it goes at
-    config schema fluctforce/2."""
+    directly and the rest by Euler-Maclaurin, once.  n_max is checked,
+    for existing callers, but changes no result; it goes at config
+    schema fluctforce/2."""
 
     n_max: int = 100_000
     #: the terms every oracle sums directly, a class constant and not a
@@ -123,50 +133,13 @@ class SumSpec(Frozen):
         self.__dict__["n_max"] = n_max
 
 
-class _Pending(tuple):
-    """(terms, pref, tail, last correction) of an oracle's sum, which an
-    OracleResult holds as its truncation_estimate until the first read."""
-
-
-class _Estimate:
-    """OracleResult.truncation_estimate: the field in the instance dict,
-    computed there on first read if it is still _Pending.  Two threads
-    that read it first compute the same bits, and one that took the
-    _Pending holds its own reference."""
-
-    def __get__(self, obj, cls):
-        if obj is None:
-            # like a field without a default, to dataclasses too
-            raise AttributeError("truncation_estimate")
-        d = obj.__dict__
-        try:
-            estimate = d["truncation_estimate"]
-        except KeyError:    # an instance that __init__ has not filled
-            raise AttributeError("truncation_estimate") from None
-        if estimate.__class__ is _Pending:
-            estimate = d["truncation_estimate"] = _estimate(
-                d["value"], d["n_used"], *estimate)
-        return estimate
-
-    def __set__(self, obj, value):
-        # makes this a data descriptor, which a read reaches before the
-        # instance dict; it does what object.__setattr__ does to a field
-        obj.__dict__["truncation_estimate"] = value
-
-
 class OracleResult(Frozen):
-    """An oracle value; n_used is the number of terms summed directly.
-
-    A Matsubara oracle's result computes truncation_estimate, from the
-    N/2 sum, on first read, and raises DomainError there if either is
-    not finite.  ==, hash, repr, pickling, copies and
-    dataclasses.replace/asdict read it, so they see only numbers."""
+    """An oracle value, a bound on its error formed at the call from the
+    same sum (module docstring), and the number of terms summed."""
 
     value: float
     truncation_estimate: float
     n_used: int
-
-    truncation_estimate = _Estimate()
 
     def __init__(self, value: float, truncation_estimate: float,
                  n_used: int):
@@ -174,10 +147,6 @@ class OracleResult(Frozen):
         d["value"] = value
         d["truncation_estimate"] = truncation_estimate
         d["n_used"] = n_used
-
-    def __getstate__(self):
-        # the fields, read: a _Pending's closures do not pickle
-        return {name: getattr(self, name) for name in self.__match_args__}
 
 
 def _shift(p: list, x) -> list:
@@ -226,15 +195,14 @@ def _clustered(p: list, poles: list, n: int, u: float, c: float,
                gaps: list, spread: float) -> float:
     """Divided difference of P(r) log((n - r) / scale) over conjugate
     poles r within _CLUSTER |n - c| of their centre c, deg P <= k, given
-    u = n - c and their gaps c - r.
+    u = n - c and their gaps c - r, and the size of its pieces.
 
     With x = (r - c) / u and P(c + u x) = u^k sum_i W_i x^i,
     log(1 - x) = -int_0^1 x / (1 - t x) dt turns the divided difference
     over the x_j into W_k log(u / scale) - int_0^1 R(t) / D(t) dt, with
     D(t) = prod_j (1 - t x_j) and R(t) = (sum_i W_i t^(k-i) - W_k D(t)) / t
     (DLMF 3.5.15 on [0, 1]).  D's zeros lie at 1 / x_j, at least
-    1 / spread from 0; the poles come in conjugate pairs, so D and R are
-    real."""
+    1 / spread from 0; the poles are conjugate pairs: D and R are real."""
     k = len(gaps) - 1
     weights = [w * u ** (i - k) for i, w in enumerate(_shift(p, c))]
     top = weights[k] if len(weights) > k else 0.0
@@ -242,8 +210,8 @@ def _clustered(p: list, poles: list, n: int, u: float, c: float,
     for x in gaps:
         if x.imag > 0.0:            # its conjugate's factor holds it
             continue
-        x /= u
-        if x.imag:                  # (1 + x t) (1 + conj(x) t)
+        pair, x = x.imag, x / u     # x.imag may underflow; the pair stays
+        if pair:                    # (1 + x t) (1 + conj(x) t)
             lin = 2.0 * x.real
             quad = x.real * x.real + x.imag * x.imag
             d += [0.0, 0.0]
@@ -260,15 +228,18 @@ def _clustered(p: list, poles: list, n: int, u: float, c: float,
                - top * d[k + 1 - m], d[k + 2 - m])
               for m in range(k + 1, 0, -1)]
     lead = d[0]
-    total = 0.0
+    total = mass = 0.0
     for t, w in _gauss(spread):
         num = 0.0
         den = lead
         for x, y in coeffs:         # R and D by Horner
             num = num * t + x
             den = den * t + y
-        total += w * num / den
-    return (top * math.log(u / _scale(poles, n)) if top else 0.0) - total
+        x = w * num / den
+        total += x
+        mass += abs(x)
+    log = top * math.log(u / _scale(poles, n)) if top else 0.0
+    return log - total, abs(log) + mass
 
 
 def _log_dd(rs: list, xs: list, u: complex, n: int,
@@ -327,39 +298,42 @@ def _groups(poles: list, n: int) -> list:
 
 def _group(p: list, poles: list, group: list, n: int, scale: float):
     """Divided difference over the poles of group of g(r) / Q(r), g = P
-    log((n - r) / scale) and Q = prod (r - o) over the other poles, by
-    Leibniz: sum_m g[r_0..r_m] (1/Q)[r_m..r_s], where Q's [r_i..r_m] come
-    from synthetic division and 1 / Q's from sum_m Q[r_i..r_m]
-    (1/Q)[r_m..r_s] = 0 (i < s)."""
-    if len(group) == 1:     # g(r0) / Q(r0)
-        j = group[0]
-        r0 = poles[j]
-        q0 = 1.0
-        for i, o in enumerate(poles):
-            if i != j:
-                q0 *= r0 - o
-        p0 = 0.0
-        for x in reversed(p):
-            p0 = p0 * r0 + x
-        return p0 / q0 * cmath.log((n - r0) / scale)
-    if len(group) == 2:     # h(r1) (g[r0, r1] - g(r0) Q[r0, r1] / Q(r0)),
-        j0, j1 = group      # h = 1 / Q, Q's [r0, r1] by its product rule
-        r0 = poles[j0]
-        r1 = poles[j1]
+    log((n - r) / scale) and Q = prod (r - o) over the other poles, and
+    the size of its pieces, by Leibniz: sum_m g[r_0..r_m] (1/Q)[r_m..r_s],
+    Q's [r_i..r_m] from synthetic division and 1 / Q's from sum_m
+    Q[r_i..r_m] (1/Q)[r_m..r_s] = 0 (i < s)."""
+    if len(group) < 3:
+        # in units of a power of two 2^e near |n - c|, which is exact, so
+        # that no product overflows where the quotient does not
+        j0, j1 = group[0], group[-1]
+        r0, r1 = poles[j0], poles[j1]
+        e = math.frexp(abs(n - 0.5 * (r0 + r1)))[1]
+        inv, deg = math.ldexp(1.0, -e), len(p) - 1
+        x0, x1 = r0 * inv, r1 * inv
         q0 = q1 = 1.0
         dq = 0.0
         for i, o in enumerate(poles):
             if i != j0 and i != j1:
-                dq = q0 + dq * (r1 - o)
-                q0 *= r0 - o
-                q1 *= r1 - o
+                o *= inv
+                if j1 != j0:
+                    dq = q0 + dq * (x1 - o)
+                    q1 *= x1 - o
+                q0 *= x0 - o
         p0 = dp = 0.0   # P(r0) and P[r0, r1], by synthetic division
-        for x in reversed(p):
-            dp = dp * r1 + p0
-            p0 = p0 * r0 + x
-        g0 = p0 * cmath.log((n - r0) / scale)
-        g01 = p0 * _slope(r0, r1, n) + dp * cmath.log((n - r1) / scale)
-        return (g01 - g0 * (dq / q0)) / q1
+        for i in range(deg, -1, -1):
+            dp = dp * x1 + p0
+            p0 = p0 * x0 + math.ldexp(p[i], e * (i - deg))
+        log0 = cmath.log((n - r0) / scale)
+        e *= deg + 1 - len(poles)
+        if j0 == j1:    # g(r0) / Q(r0)
+            x = _ldexp(p0 / q0 * log0, e)
+            return x, abs(x)
+        # h(r1) (g[r0, r1] - g(r0) Q[r0, r1] / Q(r0)), h = 1 / Q, dq = Q[..]
+        x = p0 * (_slope(r0, r1, n) / inv)
+        y = dp * cmath.log((n - r1) / scale)
+        z = p0 * log0 * (dq / q0)
+        return (_ldexp((x + y - z) / q1, e),
+                math.ldexp((abs(x) + abs(y) + abs(z)) / abs(q1), e))
     rs = [poles[i] for i in group]
     s = len(rs) - 1
     q = [1.0]                       # Q, ascending
@@ -374,10 +348,15 @@ def _group(p: list, poles: list, group: list, n: int, scale: float):
     c = sum(rs) / len(rs)
     u = n - c
     xs = [(r - c) / u for r in rs]
-    return sum([inv[m] * sum([pd[j] * _log_dd(rs[j:m + 1], xs[j:m + 1], u,
-                                              n, scale)
-                              for j in range(min(m + 1, len(pd)))])
-                for m in range(s + 1)])
+    rows = [[pd[j] * _log_dd(rs[j:m + 1], xs[j:m + 1], u, n, scale)
+             for j in range(min(m + 1, len(pd)))] for m in range(s + 1)]
+    return (sum([x * sum(row) for x, row in zip(inv, rows)]),
+            sum([abs(x) * sum(map(abs, row)) for x, row in zip(inv, rows)]))
+
+
+def _ldexp(z: complex, e: int) -> complex:
+    """z 2^e, rounded once where it leaves the normal range."""
+    return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e)) if e else z
 
 
 def _scale(poles: list, n: int) -> float:
@@ -387,9 +366,9 @@ def _scale(poles: list, n: int) -> float:
     return math.sqrt(max(u) * min(u))
 
 
-def _divided_difference(p: list, poles: list, n: int):
+def _divided_difference(p: list, poles: list, n: int) -> tuple:
     """Divided difference of g(r) = P(r) log((n - r) / scale) over poles,
-    scale = _scale(poles, n).
+    scale = _scale(poles, n), and sum |pieces| of the pieces it adds up.
 
     Two poles take Leibniz's rule.  Poles within _CLUSTER |n - c| of
     their centre c take the quadrature of _clustered; others split into
@@ -402,7 +381,9 @@ def _divided_difference(p: list, poles: list, n: int):
         ps = _shift(p, r0)
         dp = sum([x * (r1 - r0) ** j for j, x in enumerate(ps[1:])])
         scale = _scale(poles, n)
-        return ps[0] * _slope(r0, r1, n) + dp * cmath.log((n - r1) / scale)
+        x = ps[0] * _slope(r0, r1, n)
+        y = dp * cmath.log((n - r1) / scale)
+        return x + y, abs(x) + abs(y)
     c = (sum(poles) / (k + 1)).real
     u = n - c
     gaps = [c - r for r in poles]
@@ -410,10 +391,12 @@ def _divided_difference(p: list, poles: list, n: int):
     if spread <= _CLUSTER:
         return _clustered(p, poles, n, u, c, gaps, spread)
     scale = _scale(poles, n)
-    total = 0.0
+    total = mass = 0.0
     for group in _groups(poles, n):
-        total += _group(p, poles, group, n, scale)
-    return total
+        x, size = _group(p, poles, group, n, scale)
+        total += x
+        mass += size
+    return total, mass
 
 
 def _taylor(p: list, poles: list, n: int, count: int) -> list:
@@ -441,66 +424,60 @@ def _taylor(p: list, poles: list, n: int, count: int) -> list:
     return c
 
 
-def _tail(p: list, poles: list, log: bool = False):
-    """tail(n, f(n)): the integral beyond n of a summand f and its
-    corrections B_2k / (2k)! f^(2k-1)(n), for f = P(n) / prod_j (n - r_j),
-    or with log for f zero at infinity with that derivative.  By parts,
-    int_n^inf f = -n f(n) - int_n^inf m f'(m) dm: P is exact, so the poles
-    of a logarithm's numerator and denominator never cancel in rounding."""
+def _tail(p: list, poles: list, log: bool = False, eta: float = 0.0):
+    """tail(n, f(n)): the integral beyond n of f = P(n) / prod_j (n -
+    r_j), or with log of f zero at infinity with that derivative, its
+    corrections B_2k / (2k)! f^(2k-1)(n) and the integral's error bound
+    (_ROUND_TAIL + 2 eta) sum |pieces|, for poles exact within eta
+    (_cubic_poles).  By parts, int_n^inf f = -n f(n) - int_n^inf m f'(m)
+    dm: P is exact, so a logarithm's poles never cancel in rounding."""
     count = 2 * len(_BERNOULLI)
     p_log = [0.0] + p
+    factor = _ROUND_TAIL + 2.0 * eta
 
     def tail(n: int, f_n: float):
         c = _taylor(p, poles, n, count)
+        dd, mass = _divided_difference(p_log if log else p, poles, n)
         if log:
-            return (_divided_difference(p_log, poles, n).real
-                    - n * f_n, [b * x for b, x in zip(_LOG_CORRECTION,
-                                                      c[0::2])])
-        return (-_divided_difference(p, poles, n).real,
-                [b * x for b, x in zip(_CORRECTION, c[1::2])])
+            edge = n * f_n
+            return (dd.real - edge,
+                    [b * x for b, x in zip(_LOG_CORRECTION, c[0::2])],
+                    factor * (mass + abs(edge)))
+        return (-dd.real, [b * x for b, x in zip(_CORRECTION, c[1::2])],
+                factor * mass)
     return tail
 
 
-def _with_tail(terms: list, n: int, pref: float, tail) -> tuple:
-    """pref * (terms through n plus the tail), and the last correction."""
-    integral, corrections = tail(n, terms[n])
-    value = pref * math.fsum(terms[:n + 1] + [integral, -0.5 * terms[n]]
-                             + [-x for x in corrections])
-    return value, pref * corrections[-1]
+def _with_tail(terms: list, n: int, tail, rel: float = 0.0) -> tuple:
+    """The terms through n plus the tail, and its error bound, without the
+    prefactor; every part inherits a relative error rel from its inputs."""
+    integral, corrections, error = tail(n, terms[n])
+    parts = terms[:n + 1] + [integral, -0.5 * terms[n]] \
+        + [-x for x in corrections]
+    rho = ((2 * len(_BERNOULLI) + 2) / (2.0 * math.pi * n)) ** 2
+    c1, c2, c3, c4 = map(abs, corrections)
+    last = ((c1 * rho + c2) * rho + c3) * rho + c4  # >= their envelope
+    error += last * rho / (1.0 - rho) if rho < 1.0 else math.inf
+    error += (_ROUND_PARTS + rel) * sum(map(abs, parts))
+    return math.fsum(parts), error
 
 
-def _oracle(term, pref: float, head: float, tail) -> OracleResult:
-    """pref * (head + sum_{n>=1} term(n)); tail(n, term(n)) is the
-    summand's integral beyond n and its corrections at n.  The result's
-    truncation_estimate waits for its first read."""
+def _oracle(term, head: float, tail, *prefs: float, rel: float = 0.0,
+            head_error: float = 0.0) -> list:
+    """An OracleResult of pref * (head + sum_{n>=1} term(n)) per pref;
+    head_error is the head's error beyond its own rounding."""
     n = SumSpec.hard_cap
     terms = [head, *map(term, range(1, n + 1))]
-    value, last = _with_tail(terms, n, pref, tail)
-    finite(value, "the Matsubara sum")
-    finite(last, "the Matsubara sum's last correction")
-    return OracleResult(value, _Pending((terms, pref, tail, last)), n)
+    total, error = _with_tail(terms, n, tail, rel)
+    return [OracleResult(finite(pref * total, "the Matsubara sum"),
+                         finite(abs(pref) * (error + head_error),
+                                "the Matsubara sum's error bound"), n)
+            for pref in prefs]
 
 
 #: what a sum that floating point cannot carry out raises: it overflows,
 #: divides by an underflowed zero or leaves a math function's domain
 _ARITHMETIC = (ZeroDivisionError, OverflowError, ValueError)
-
-
-def _domain_error(what: str, exc: Exception) -> DomainError:
-    return DomainError(f"{what}: the Matsubara sum is not finite in "
-                       f"floating point ({exc})")
-
-
-def _estimate(value: float, n: int, terms: list, pref: float, tail,
-              last: float) -> float:
-    """max(|last|, |value - value(n/2)|), value(n/2) from the same terms."""
-    try:
-        half, _ = _with_tail(terms, max(n // 2, 1), pref, tail)
-    except _ARITHMETIC as exc:
-        raise _domain_error("truncation_estimate", exc) from exc
-    finite(half, "the Matsubara sum at N/2")
-    return finite(max(abs(last), abs(value - half)),
-                  "the truncation estimate")
 
 
 def _finite(oracle):
@@ -512,7 +489,8 @@ def _finite(oracle):
         except (DomainError, PreconditionError):
             raise
         except _ARITHMETIC as exc:
-            raise _domain_error(oracle.__name__, exc) from exc
+            raise DomainError(f"{oracle.__name__}: the Matsubara sum is not "
+                              f"finite in floating point ({exc})") from exc
     return checked
 
 
@@ -528,23 +506,33 @@ def _pair_poles(g: float, om: float, a: float) -> list:
     return [big / a, om * (om / big) / a]
 
 
-def _cubic_poles(om: float, g0: float, wd: float, a: float) -> list:
-    """Roots in n of w^3 + wd w^2 + (om^2 + g0 wd) w + om^2 wd, w = a n:
-    [s, conj(s) or the other real one, the real root r].
+def _cubic_poles(om: float, g0: float, wd: float, a: float) -> tuple:
+    """Roots in n of w^3 + wd w^2 + (om^2 + g0 wd) w + om^2 wd, w = a n,
+    [s, conj(s) or the other real one, the real root r], and eta.
 
-    The cubic is negative below -wd and positive above 0 (at a0 > 0), so
-    its real roots lie in [-wd, 0].  Newton finds r from beyond it (Kahan,
-    "To Solve a Real Cubic Equation", 1986): past the inflection -wd / 3,
-    on the side p(-wd / 3) points to, but no further left than -wd, where
-    the cubic is concave and rising up to r, so every step moves towards
-    r until rounding stops it.  The other two are the roots of w^2 + b w
-    + c, c = a0 / |r| from the product and b from a sum that does not
-    cancel, each polished by Newton on the full cubic; a0 = 0 gives r = 0
-    exactly.  The loops take at most 100 and 4 steps.  Shares no code
-    with the closed forms' cubic solver in oscillator; a coefficient or
-    root that is not finite raises DomainError."""
+    The real roots lie in [-wd, 0].  Newton finds r from beyond it
+    (Kahan, "To Solve a Real Cubic Equation", 1986): past the inflection
+    -wd / 3 on the side p(-wd / 3) points to, but not left of -wd, where
+    the cubic is concave and rising up to r, so each step approaches r.
+    The other two solve w^2 + b w + c, c = a0 / |r| and b from a sum
+    that does not cancel, each polished by Newton on the cubic; a0 = 0
+    gives r = 0.  The loops take at most 100 and 4 steps; roots beyond
+    2^256 are found in w 2^-e.  Shares no code with oscillator's cubic
+    solver; a coefficient or root that is not finite raises DomainError.
+
+    eta = sum_k |e_k - c_k| / max(c_k, 1), over the cubic's coefficients
+    c_k in n and e_k from the roots by Vieta, bounds a summand over these
+    roots relative to the exact one on n >= 1, where every term of the
+    cubic is positive.  Near critical damping at omega_d >> Omega the
+    deflation leaves the pair's sum an error of about u omega_d, which
+    the polish cannot remove from a near-double root."""
     b, c, d = wd, om * om + g0 * wd, om * om * wd
     finite(c + d, "a coefficient of the Drude cubic")
+    e = 0
+    if b > 2.0 ** 256 or c > 2.0 ** 512 or d > 2.0 ** 768:
+        e = math.frexp(max(b, math.sqrt(c), d ** (1.0 / 3.0)))[1]
+        b, c, d = (math.ldexp(b, -e), math.ldexp(c, -2 * e),
+                   math.ldexp(d, -3 * e))
     x = 0.0
     if d:
         x = -b / 3.0
@@ -574,7 +562,7 @@ def _cubic_poles(om: float, g0: float, wd: float, a: float) -> list:
     else:
         big = h + math.copysign(math.sqrt(disc), h)
         pair = (big, qc / big) if big else (0.0, 0.0)
-    out = []
+    ws = []
     for z in pair:
         for _ in range(4):
             dp = (3.0 * z + 2.0 * b) * z + c
@@ -584,12 +572,18 @@ def _cubic_poles(om: float, g0: float, wd: float, a: float) -> list:
             z -= step
             if abs(step) <= 2.3e-16 * abs(z):
                 break
-        out.append(complex(z) / a)
+        ws.append(complex(z))
+    out = [_ldexp(z, e) / a for z in ws]
     if len(out) == 1:
         out.append(out[0].conjugate())
-    out.append(complex(x / a))
+        ws.append(ws[0].conjugate())
+    out.append(complex(math.ldexp(x, e) / a))
     finite(sum(out).real + out[0].imag, "a root of the Drude cubic")
-    return out
+    s, q = (ws[0] + ws[1]).real, (ws[0] * ws[1]).real   # real, by symmetry
+    h = math.ldexp(a, -e)       # n = 1
+    return out, (abs(s + x + b) / max(b, h) + abs(q + s * x - c)
+                 / (max(c, h * h) or 1.0)
+                 + abs(q * x + d) / (max(d, h * h * h) or 1.0))
 
 
 @_finite
@@ -600,32 +594,30 @@ def force_sum_exact(p: OscillatorParams, m: ParametricModel, lam: float,
     f = -T sum'_n [2 Omega Omega' + omega_n gamma'(i omega_n)]
                   / [omega_n^2 + gamma(i omega_n) omega_n + Omega^2]
 
-    For Ohmic damping a lambda-dependent gamma0 makes the gamma' part
-    decay like 1/n, so the sum diverges logarithmically and the call
-    raises DivergentSumError; the difference-force route handles that
-    situation instead.
-    """
+    For Ohmic damping a lambda-dependent gamma0 (errors.flat fails) makes
+    the gamma' part decay like 1/n, so the sum diverges logarithmically:
+    DivergentSumError, and the difference-force route instead."""
     t = warm(p.temperature, "force_sum_exact")
     om = p.omega0
     g0 = p.damping.gamma0
     dom, dg0, dwd = m.derivatives_at(lam)
     a = 2.0 * math.pi * t
-    cross = 2.0 * om * dom
+    cross, om2 = 2.0 * om * dom, om * om
     if isinstance(p.damping, Ohmic):
-        if dg0 != 0.0:
+        if not flat(dg0, g0, lam):
             raise DivergentSumError(
                 "gamma' != 0 with Ohmic damping: the force sum diverges "
                 "logarithmically; use the difference force instead")
 
         def term(n):
             w = n * a
-            return cross / ((w + g0) * w + om * om)
+            return cross / ((w + g0) * w + om2)
 
         tail = _tail([cross / (a * a)], _pair_poles(g0, om, a))
     else:
         wd = p.damping.omega_d
 
-        g0wd, dg0wd, g0dwd, om2 = g0 * wd, dg0 * wd, g0 * dwd, om * om
+        g0wd, dg0wd, g0dwd = g0 * wd, dg0 * wd, g0 * dwd
 
         def term(n):
             w = n * a
@@ -637,9 +629,9 @@ def force_sum_exact(p: OscillatorParams, m: ParametricModel, lam: float,
         d = wd / a
         num = [cross * d * d, (2.0 * cross + dg0 * wd) * d,
                cross + dg0 * wd + g0 * dwd]
-        tail = _tail([x / (a * a) for x in num],
-                              _cubic_poles(om, g0, wd, a) + [-d])
-    return _oracle(term, -t, dom / om, tail)
+        poles, eta = _cubic_poles(om, g0, wd, a)
+        tail = _tail([x / (a * a) for x in num], poles + [-d], eta=eta)
+    return _oracle(term, dom / om, tail, -t)[0]
 
 
 @_finite
@@ -669,6 +661,7 @@ def free_energy_difference(p1: OscillatorParams, p2: OscillatorParams,
         # f' = -delta / a^2 (2 n + g0 / a) / (A B)
         slope = [g0 / a, 2.0]
         poles = _pair_poles(g0, om2, a) + _pair_poles(g0, om1, a)
+        eta = 0.0
     else:
         wd = p1.damping.omega_d
 
@@ -681,28 +674,28 @@ def free_energy_difference(p1: OscillatorParams, p2: OscillatorParams,
         # f' = -delta / a^2 (A' (n + d) - A) / (A B)
         d = wd / a
         slope = [g0 * d * d / a, 2.0 * d * d, 4.0 * d, 2.0]
-        poles = _cubic_poles(om2, g0, wd, a) + _cubic_poles(om1, g0, wd, a)
+        (r2, e2), (r1, e1) = [_cubic_poles(o, g0, wd, a) for o in (om2, om1)]
+        poles, eta = r2 + r1, max(e2, e1)
     head = 0.5 * math.log1p(delta / (om1 * om1))
-    return _oracle(term, t, head, _tail(
-        [-delta / (a * a) * x for x in slope], poles, log=True))
+    # every part is proportional to delta, which rounding moves by up to
+    # u (Omega1^2 + Omega2^2)
+    rel = _U * (om1 * om1 + om2 * om2) / abs(delta) if delta else 0.0
+    return _oracle(term, head, _tail(
+        [-delta / (a * a) * x for x in slope], poles, log=True, eta=eta),
+        t, rel=rel)[0]
 
 
 @_finite
 def free_energy_drude(p: OscillatorParams, spec: SumSpec = SumSpec(),
                       roots: str = "approx") -> OracleResult:
-    """Drude free energy from its convergent infinite product.
+    """Drude free energy F = T [log(Omega/T) + sum_{n>=1} log term_n].
 
-    F = T [ log(Omega/T) + sum_{n>=1} log term_n ]
-
-    roots="exact" evaluates the product of the true dispersion factors,
-    term_n = 1 + gamma0 omega_d / (omega_n (omega_n + omega_d))
-    + Omega^2/omega_n^2.  roots="approx" uses the first-order
-    eigenfrequencies instead (the variant whose closed form is the
-    Gamma-function free energy), term_n = (omega_n^2 + gamma0 omega_n +
-    Omega^2)(omega_n + omega_d - gamma0) / (omega_n^2 (omega_n +
-    omega_d)).  Both products converge because the root sum equals
-    -i omega_d.
-    """
+    roots="exact" takes the true dispersion factors, term_n = 1 + gamma0
+    omega_d / (omega_n (omega_n + omega_d)) + Omega^2/omega_n^2;
+    roots="approx" the first-order eigenfrequencies of the Gamma-function
+    closed form, term_n = (omega_n^2 + gamma0 omega_n + Omega^2)(omega_n
+    + omega_d - gamma0) / (omega_n^2 (omega_n + omega_d)).  Both products
+    converge because the root sum equals -i omega_d."""
     require(p.damping, Drude, "free_energy_drude")
     t = warm(p.temperature, "free_energy_drude")
     if roots not in ("approx", "exact"):
@@ -723,7 +716,8 @@ def free_energy_drude(p: OscillatorParams, spec: SumSpec = SumSpec(),
         # f' = -(2 b n^2 + d (b + 3 w2) n + 2 w2 d^2) / (cubic n (n + d))
         b = w2 + g0 * d / a
         slope = [-2.0 * w2 * d * d, -d * (b + 3.0 * w2), -2.0 * b]
-        poles = _cubic_poles(om, g0, wd, a) + [0.0, -d]
+        poles, eta = _cubic_poles(om, g0, wd, a)
+        poles += [0.0, -d]
     else:
         def term(n):
             w = n * a
@@ -736,8 +730,11 @@ def free_energy_drude(p: OscillatorParams, spec: SumSpec = SumSpec(),
         slope = [-2.0 * w2 * d * dm, -(e * d * dm + w2 * (4.0 * d - 3.0 * e)),
                  -2.0 * (e * dm + w2)]
         poles = _pair_poles(g0, om, a) + [0.0, -dm, -d]
-    return _oracle(term, t, math.log(om / t),
-                   _tail(slope, poles, log=True))
+        eta = 0.0
+    # log(Omega / T) takes the rounding of Omega / T as an absolute error
+    return _oracle(term, math.log(om / t),
+                   _tail(slope, poles, log=True, eta=eta), t,
+                   head_error=_U)[0]
 
 
 def central_difference(energy_of: Callable[[float], float],
@@ -750,11 +747,10 @@ def finite_difference_force(energy_of: Callable[[float], float], lam: float,
                             h: float | None = None) -> OracleResult:
     """force = -dF/dlambda by Richardson-extrapolated central differences.
 
-    energy_of maps a sweep-parameter value to a free energy.  The default
+    energy_of maps a sweep-parameter value to a free energy; the default
     step is 1e-5 * max(|lam|, 1).  The value combines steps h and h/2 to
-    fourth order; the reported truncation_estimate is the disagreement of
-    the two underlying second-order estimates, divided by 3.
-    """
+    fourth order; truncation_estimate is the disagreement of the two
+    second-order estimates, divided by 3."""
     if h is None:
         h = 1e-5 * max(abs(lam), 1.0)
     d1 = central_difference(energy_of, lam, h)
@@ -788,13 +784,10 @@ class PerParameterSums(Frozen):
 def per_parameter_sums_drude(p: OscillatorParams, m: ParametricModel,
                              lam: float,
                              spec: SumSpec = SumSpec()) -> PerParameterSums:
-    """Split the Drude force sum by parameter derivative.
-
-    The denominators are the exact dispersion cubic evaluated at
-    omega_n (identical to the product of the exact eigenfrequency
-    factors by Vieta), so the four components add up to force_sum_exact
-    to rounding accuracy.
-    """
+    """Split the Drude force sum by parameter derivative.  Each is over
+    the dispersion cubic at omega_n (the product of the exact
+    eigenfrequency factors, by Vieta), so the four components add up to
+    force_sum_exact to rounding accuracy."""
     require(p.damping, Drude, "per_parameter_sums_drude")
     t = warm(p.temperature, "per_parameter_sums_drude")
     om, g0, wd = p.omega0, p.damping.gamma0, p.damping.omega_d
@@ -804,7 +797,7 @@ def per_parameter_sums_drude(p: OscillatorParams, m: ParametricModel,
     c = om * om * wd
     d = wd / a
     a2 = a * a
-    poles = _cubic_poles(om, g0, wd, a)
+    poles, eta = _cubic_poles(om, g0, wd, a)
 
     wdg0 = wd * g0
 
@@ -822,19 +815,13 @@ def per_parameter_sums_drude(p: OscillatorParams, m: ParametricModel,
         return w * wdg0 / ((((w + wd) * w + b) * w + c) * (w + wd))
 
     # f_gamma0 and f_omega_d_1 sum one summand, w / cubic, times their own
-    # prefactors, and share the tail of each n
-    tail_w = _tail([0.0, 1.0 / a2], poles)
-    shared = {}
-
-    def tail_once(n, f_n):
-        if n not in shared:
-            shared[n] = tail_w(n, f_n)
-        return shared[n]
-
-    f_om = _oracle(term_om, -2.0 * t * om * dom,
-                   0.5 * wd / c, _tail([d / a2, 1.0 / a2], poles))
-    f_g0 = _oracle(term_w, -t * dg0 * wd, 0.0, tail_once)
-    f_w1 = _oracle(term_w, -t * dwd * g0, 0.0, tail_once)
-    f_w2 = _oracle(term_w2, t * dwd, 0.0,
-                   _tail([0.0, wdg0 / (a2 * a)], poles + [-d]))
+    # prefactors
+    f_om, = _oracle(term_om, 0.5 * wd / c,
+                    _tail([d / a2, 1.0 / a2], poles, eta=eta),
+                    -2.0 * t * om * dom)
+    f_g0, f_w1 = _oracle(term_w, 0.0, _tail([0.0, 1.0 / a2], poles, eta=eta),
+                         -t * dg0 * wd, -t * dwd * g0)
+    f_w2, = _oracle(term_w2, 0.0,
+                    _tail([0.0, wdg0 / (a2 * a)], poles + [-d], eta=eta),
+                    t * dwd)
     return PerParameterSums(f_om, f_g0, f_w1, f_w2)

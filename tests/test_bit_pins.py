@@ -6,6 +6,8 @@ kernels, before they were rewritten to do the same floating-point
 operations with less interpreter work.  A rewrite that changes one
 operation, or the order of two, moves a last bit here, and the golden
 CLI digests alone would see only the few oracle values they print.
+The estimate hexes were frozen again when the estimate became the
+bound formed at the call; no value hex moved.
 
 The oracle cases reach every branch of matsubara._divided_difference:
 the two-pole closed form at z = 0 (critical damping, the coincident
@@ -51,79 +53,79 @@ pytestmark = pytest.mark.skipif(
 # per-parameter as force.
 ORACLE_PINS = [
     ('force', (1.0, 2.0, None, 0.5, 1.0, 0.0, 0.0), 100000,
-     [('-0x1.39b9232a43804p-1', '0x1.8000000000000p-52')]),
+     [('-0x1.39b9232a43804p-1', '0x1.4095d40fcd6a0p-50')]),
     ('force', (1.0, 0.3, None, 5.0, 1.0, 0.0, 0.0), 100000,
-     [('-0x1.410effafde0dbp+2', '0x1.61a9b14f2b60dp-57')]),
+     [('-0x1.410effafde0dbp+2', '0x1.41259c79553fep-47')]),
     ('force', (1.0, 0.3, None, 0.01, 1.0, 0.0, 0.0), 100000,
-     [('-0x1.d440839aadbf5p-2', '0x1.a93a52de61863p-54')]),
+     [('-0x1.d440839aadbf5p-2', '0x1.af0efcd46d52ap-50')]),
     ('force', (0.7, 5.0, None, 0.3, -0.4, 0.0, 0.0), 100000,
-     [('0x1.9d0548e6bcc75p-3', '0x1.0000000000000p-53')]),
+     [('0x1.9d0548e6bcc75p-3', '0x1.a8bed0039e1a1p-52')]),
     ('force', (1.0, 0.3, 30.0, 0.5, 1.0, 0.5, 2.0), 100000,
-     [('-0x1.bb689fe6105bbp-1', '0x1.0000000000000p-50')]),
+     [('-0x1.bb689fe6105bbp-1', '0x1.e7eb8ffe9c64cp-50')]),
     ('force', (1.0, 0.3, 30.0, 0.01, 1.0, 0.5, 2.0), 100000,
-     [('-0x1.723f2dc7547ecp-1', '0x1.8588868fa4d12p-53')]),
+     [('-0x1.723f2dc7547ecp-1', '0x1.61617cc9667dap-49')]),
     ('force', (1.0, 2.0, 1000.0, 0.5, 0.3, -1.0, 0.7), 100000,
-     [('0x1.6855c5f05c81fp-1', '0x1.8000000000000p-51')]),
+     [('0x1.6855c5f05c81fp-1', '0x1.85021a2fcd5cfp-49')]),
     ('force', (1.0, 0.3, 30.0, 0.5, 1.0, 0.5, 2.0), 3,
-     [('-0x1.bb689fe6105bbp-1', '0x1.0000000000000p-50')]),
+     [('-0x1.bb689fe6105bbp-1', '0x1.e7eb8ffe9c64cp-50')]),
     ('force', (1.0, 0.3, None, 0.5, 1.0, 0.0, 0.0), 1,
-     [('-0x1.4b72d9b5c44a4p-1', '0x1.0000000000000p-51')]),
+     [('-0x1.4b72d9b5c44a4p-1', '0x1.527c281bd3474p-50')]),
     ('force', (1.0, 0.3, 30.0, 0.5, 1.0, 0.5, 2.0), 16,
-     [('-0x1.bb689fe6105bbp-1', '0x1.0000000000000p-50')]),
+     [('-0x1.bb689fe6105bbp-1', '0x1.e7eb8ffe9c64cp-50')]),
     ('difference', (1.0, 1.7, 0.3, None, 0.5), 100000,
-     [('0x1.97af0b0e7f577p-2', '0x1.c000000000000p-52')]),
+     [('0x1.97af0b0e7f577p-2', '0x1.dc7d5adc411c1p-51')]),
     ('difference', (1.0, 1.7, 0.3, None, 0.01), 100000,
-     [('0x1.4e9f3b097e425p-2', '0x1.e1011dc63fa7ap-54')]),
+     [('0x1.4e9f3b097e425p-2', '0x1.c58a1254cc7f6p-50')]),
     ('difference', (1.0, 1.7, 2.0, None, 0.5), 100000,
-     [('0x1.796ee899f125dp-2', '0x1.8000000000000p-52')]),
+     [('0x1.796ee899f125dp-2', '0x1.b9f7bb3b6cd68p-51')]),
     ('difference', (1.0, 1.7, 0.3, 30.0, 0.5), 100000,
-     [('0x1.989acd8dd07d5p-2', '0x1.c000000000000p-52')]),
+     [('0x1.989acd8dd07d5p-2', '0x1.dd93d39877473p-51')]),
     ('difference', (1.0, 1.7, 0.3, 30.0, 0.01), 100000,
-     [('0x1.4feffe2d4c824p-2', '0x1.dfeeef47871d7p-54')]),
+     [('0x1.4feffe2d4c824p-2', '0x1.37ec05cac7da6p-49')]),
     ('difference', (1.0, 1.7, 2.0, 1000.0, 0.5), 100000,
-     [('0x1.79937efdbc908p-2', '0x1.8000000000000p-52')]),
+     [('0x1.79937efdbc908p-2', '0x1.bdcdd71cba5b8p-51')]),
     ('difference', (1.0, 1.7, 0.3, 30.0, 0.5), 31,
-     [('0x1.989acd8dd07d5p-2', '0x1.c000000000000p-52')]),
+     [('0x1.989acd8dd07d5p-2', '0x1.dd93d39877473p-51')]),
     ('drude-approx', (1.0, 0.3, 30.0, 0.5), 100000,
-     [('0x1.1cd14c0933a1bp-1', '0x1.4000000000000p-51')]),
+     [('0x1.1cd14c0933a1bp-1', '0x1.4c60643414a22p-50')]),
     ('drude-approx', (1.0, 0.3, 30.0, 0.01), 100000,
-     [('0x1.50547bedadf36p-1', '0x1.053074f55c715p-51')]),
+     [('0x1.50547bedadf36p-1', '0x1.71b7889dcfbc5p-49')]),
     ('drude-approx', (1.0, 2.0, 1000.0, 0.5), 100000,
-     [('0x1.2569017d868d2p+1', '0x1.8000000000000p-50')]),
+     [('0x1.2569017d868d2p+1', '0x1.2d947a2bdbcd4p-47')]),
     ('drude-approx', (1.0, 0.3, 3.0, 2.0), 100000,
-     [('-0x1.59f7595ffbc98p+0', '0x1.0000000000000p-52')]),
+     [('-0x1.59f7595ffbc98p+0', '0x1.8ccb62bc18d4ap-49')]),
     ('drude-exact', (1.0, 0.3, 30.0, 0.5), 100000,
-     [('0x1.1dc8b8521f3f9p-1', '0x1.4000000000000p-51')]),
+     [('0x1.1dc8b8521f3f9p-1', '0x1.4da17725a0204p-50')]),
     ('drude-exact', (1.0, 0.3, 30.0, 0.01), 100000,
-     [('0x1.523234b844f45p-1', '0x1.04b0980609c8fp-51')]),
+     [('0x1.523234b844f45p-1', '0x1.741675abe9733p-49')]),
     ('drude-exact', (1.0, 2.0, 1000.0, 0.5), 100000,
-     [('0x1.25e108abc9054p+1', '0x1.0000000000000p-49')]),
+     [('0x1.25e108abc9054p+1', '0x1.4bed89ceb7ef9p-47')]),
     ('drude-exact', (1.0, 0.3, 3.0, 2.0), 100000,
-     [('-0x1.597b608f337fcp+0', '0x1.0000000000000p-52')]),
+     [('-0x1.597b608f337fcp+0', '0x1.8d53ec72ddf05p-49')]),
     ('drude-exact', (1.0, 0.3, 30.0, 0.5), 5,
-     [('0x1.1dc8b8521f3f9p-1', '0x1.4000000000000p-51')]),
+     [('0x1.1dc8b8521f3f9p-1', '0x1.4da17725a0204p-50')]),
     ('per-parameter', (1.0, 0.3, 30.0, 0.5, 1.0, 0.5, 2.0), 100000,
-     [('-0x1.4bfca5e8a43d1p-1', '0x1.0000000000000p-51'),
-      ('-0x1.b7a76c14cb38ep-3', '0x1.2000000000000p-51'),
-      ('-0x1.1960e903116c1p-7', '0x1.6000000000000p-56'),
-      ('0x1.71b255e97aa65p-8', '0x1.7000000000000p-56')]),
+     [('-0x1.4bfca5e8a43d1p-1', '0x1.530b8e2d76e5fp-50'),
+      ('-0x1.b7a76c14cb38ep-3', '0x1.24ba7e116bbb2p-51'),
+      ('-0x1.1960e903116c1p-7', '0x1.76b1453504c69p-56'),
+      ('0x1.71b255e97aa65p-8', '0x1.ac01263238b7bp-57')]),
     ('per-parameter', (1.0, 0.3, 30.0, 0.01, 1.0, 0.5, 2.0), 100000,
-     [('-0x1.d61d097041055p-2', '0x1.0000000000000p-53'),
-      ('-0x1.0b519fe8c375bp-2', '0x1.5285cd662878ap-54'),
-      ('-0x1.562b0a1fb2823p-7', '0x1.b14f1b640ad7ep-59'),
-      ('0x1.e86986d644603p-8', '0x1.b9883a72186fep-59')]),
+     [('-0x1.d61d097041055p-2', '0x1.fe7bab6207752p-50'),
+      ('-0x1.0b519fe8c375bp-2', '0x1.b5d56a6f5b1e5p-51'),
+      ('-0x1.562b0a1fb2823p-7', '0x1.1836aa84b5322p-55'),
+      ('0x1.e86986d644603p-8', '0x1.47e7dc6fd8433p-55')]),
     ('per-parameter', (1.0, 2.0, 1000.0, 0.5, 0.3, -1.0, 0.7), 100000,
-     [('-0x1.7890433c9fdcdp-3', '0x1.0000000000000p-53'),
-      ('0x1.c696bfa7c4d0fp-1', '0x1.8000000000000p-51'),
-      ('-0x1.45d96b7a4dffdp-10', '0x1.0000000000000p-60'),
-      ('0x1.0c079af99e69cp-10', '0x1.4000000000000p-60')]),
+     [('-0x1.7890433c9fdcdp-3', '0x1.815abc26738afp-52'),
+      ('0x1.c696bfa7c4d0fp-1', '0x1.680ff9ad5c1aap-49'),
+      ('-0x1.45d96b7a4dffdp-10', '0x1.0217bd35674b3p-58'),
+      ('0x1.0c079af99e69cp-10', '0x1.214bab6844f19p-58')]),
     ('per-parameter', (1.0, 0.3, 30.0, 0.5, 1.0, 0.5, 2.0), 2,
-     [('-0x1.4bfca5e8a43d1p-1', '0x1.0000000000000p-51'),
-      ('-0x1.b7a76c14cb38ep-3', '0x1.2000000000000p-51'),
-      ('-0x1.1960e903116c1p-7', '0x1.6000000000000p-56'),
-      ('0x1.71b255e97aa65p-8', '0x1.7000000000000p-56')]),
+     [('-0x1.4bfca5e8a43d1p-1', '0x1.530b8e2d76e5fp-50'),
+      ('-0x1.b7a76c14cb38ep-3', '0x1.24ba7e116bbb2p-51'),
+      ('-0x1.1960e903116c1p-7', '0x1.76b1453504c69p-56'),
+      ('0x1.71b255e97aa65p-8', '0x1.ac01263238b7bp-57')]),
     ('force', (1.0, 0.3, 30.0, 0.1, 1.0, 0.5, 2.0), 100000,
-     [('-0x1.72a22d38408c9p-1', '0x1.e000000000000p-50')]),
+     [('-0x1.72a22d38408c9p-1', '0x1.e624d0f08920cp-50')]),
 ]
 
 # (a2, a1, a0) of s^3 + a2 s^2 + a1 s + a0: hand-picked branch cases,
@@ -360,13 +362,13 @@ def _tail_case(label):
         d = wd / a
         num = [2.0 * d * d, (4.0 + 0.5 * wd) * d, 2.0 + 0.5 * wd + 0.3 * 2.0]
         return ([x / (a * a) for x in num],
-                _cubic_poles(1.0, 0.3, wd, a) + [-d], False)
+                _cubic_poles(1.0, 0.3, wd, a)[0] + [-d], False)
     if kind == "drude":
         d = 30.0 / a
         slope = (0.3 * d * d / a, 2.0 * d * d, 4.0 * d, 2.0)
         return ([-(1.7 ** 2 - 1.0) / (a * a) * x for x in slope],
-                _cubic_poles(1.7, 0.3, 30.0, a)
-                + _cubic_poles(1.0, 0.3, 30.0, a), True)
+                _cubic_poles(1.7, 0.3, 30.0, a)[0]
+                + _cubic_poles(1.0, 0.3, 30.0, a)[0], True)
     wd, g0 = 1e3, 2.0       # drude-approx, a coincident (critical) pair
     d, e, dm, w2 = wd / a, g0 / a, (wd - g0) / a, (1.0 / a) ** 2
     slope = [-2.0 * w2 * d * dm, -(e * d * dm + w2 * (4.0 * d - 3.0 * e)),
@@ -393,6 +395,6 @@ _FIRST_INTEGRAL = {
 def test_tail_bits(label, n, integral, corrections):
     # the tail integral and all four corrections, whose last bits mostly
     # fall below the oracle value's
-    got_integral, got_corrections = _tail(*_tail_case(label))(n, 0.001)
+    got_integral, got_corrections, _ = _tail(*_tail_case(label))(n, 0.001)
     assert got_integral.hex() == integral
     assert [c.hex() for c in got_corrections] == corrections

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluctforce import circuits as cc
-from fluctforce.errors import DomainError, PreconditionError
+from fluctforce.errors import DivergentSumError, DomainError, \
+    PreconditionError
 from fluctforce.forces import (force_drude_full, force_drude_high_t,
                                force_drude_very_high_t,
                                force_ohmic_exact, force_ohmic_high_t,
@@ -691,3 +692,34 @@ def test_geometry_forms_take_zero_temperature():
         with pytest.raises(PreconditionError) as exc:
             call()
         assert str(exc.value) == f"{name} requires temperature > 0"
+
+
+def test_power_law_loops_whose_gamma_is_constant_by_construction():
+    # dgamma/dlambda of R = 3 lambda over L = 0.7 lambda, and of R C =
+    # 3 lambda x 0.7 / lambda, rounds to a few 1e-16, not 0; both loops
+    # take the closed form at every point, and the oracle agrees
+    lams = np.linspace(0.1, 3.0, 300).tolist()
+    loops = [(cc.force_series_rlc, cc.map_series,
+              cc.SeriesRLC.of((3.0, 1.0), (0.7, 1.0), 1.0)),
+             (cc.force_parallel_rlc, cc.map_parallel,
+              cc.ParallelRLC.of((3.0, 1.0), 1.0, (0.7, -1.0)))]
+    for force, mapping, loop in loops:
+        model = mapping(loop)
+        assert any(model.d_gamma0(lam) != 0.0 for lam in lams)
+        for lam in lams:
+            res = force(loop, 0.5, lam, units="reduced")
+            oracle = force_sum_exact(model.params_at(lam, 0.5), model, lam)
+            assert abs(res.value - oracle.value) \
+                <= max(1e-12, 2.0 * oracle.truncation_estimate), lam
+
+
+def test_a_power_law_gamma_still_raises():
+    # gamma = 3 lambda^0.5 / 0.7 changes with lambda: no closed form, and
+    # the oracle's sum diverges
+    loop = cc.SeriesRLC.of((3.0, 0.5), 0.7, 1.0)
+    model = cc.map_series(loop)
+    for lam in (0.1, 1.0, 3.0):
+        with pytest.raises(PreconditionError):
+            cc.force_series_rlc(loop, 0.5, lam, units="reduced")
+        with pytest.raises(DivergentSumError):
+            force_sum_exact(model.params_at(lam, 0.5), model, lam)

@@ -88,6 +88,26 @@ def test_precondition_violation_exit_code(tmp_path):
     assert main(["force", "--config", write_config(tmp_path, "c.json", cfg)]) == 3
 
 
+def test_loop_with_gamma_constant_by_construction_sweeps(tmp_path):
+    # R = 3 lambda over L = 0.7 lambda: dgamma/dlambda rounds to about
+    # 1e-16, not 0, at most points; the loop sweeps, oracle included
+    cfg = {
+        "schema": "fluctforce/1", "mode": "series-rlc", "units": "reduced",
+        "parameters": {"resistance": {"coeff": 3.0, "power": 1.0},
+                       "inductance": {"coeff": 0.7, "power": 1.0},
+                       "capacitance": 1.0, "temperature": 0.5},
+        "sweep": {"parameter": "lambda", "start": 0.1, "stop": 3.0,
+                  "points": 300, "spacing": "linear"},
+        "oracle": {"enabled": True},
+    }
+    out = tmp_path / "loop.csv"
+    assert main(["sweep", "--config", write_config(tmp_path, "c.json", cfg),
+                 "--out", str(out)]) == 0
+    _, rows = read_rows(out)
+    assert len(rows) == 300
+    assert all(float(row["discrepancy"]) <= 1e-12 for row in rows)
+
+
 def test_force_single_row_stdout(capsys, tmp_path):
     cfg = oscillator_cfg()
     del cfg["sweep"]
@@ -125,8 +145,7 @@ def test_oscillator_oracle_discrepancy_column(tmp_path):
 
 
 def test_oracle_sweep_takes_one_tail_per_row(tmp_path, monkeypatch):
-    # a row reads the oracle's value, never its estimate, so the N/2 tail
-    # behind the estimate is never taken
+    # a row's oracle sums once, and its estimate comes from that sum
     calls = counted_tails(monkeypatch)
     drude = oscillator_cfg(oracle={"enabled": True, "n_max": 20_000})
     drude["parameters"].update(damping="drude", omega_d=50.0)

@@ -10,7 +10,7 @@ import pytest
 from fluctforce import forces as ff
 from fluctforce import matsubara as ms
 from fluctforce import oscillator as osc
-from fluctforce.errors import DomainError, PreconditionError, finite
+from fluctforce.errors import DomainError, PreconditionError, finite, flat
 from fluctforce.oscillator import Drude, Ohmic, OscillatorParams, \
     power_law_model
 
@@ -26,6 +26,17 @@ def test_finite_raises_for_nan_and_infinities(x):
     with pytest.raises(DomainError, match="^the force is not a finite "
                                           "number for these inputs$"):
         finite(x, "the force")
+
+
+@pytest.mark.parametrize("derivative, value, lam, want", [
+    (0.0, 1.0, 0.0, True), (-0.0, 0.0, 2.0, True),
+    # R = 3 lambda over L = 0.7 lambda at lambda = 0.1 rounds to this
+    (-2.1e-16 / 0.1, 3.0 / 0.7, 0.1, True),
+    (1e-15, 4.0, 1.0, True), (1e-13, 4.0, 1.0, False),
+    (1e-300, 1.0, 0.0, False), (0.5, 1.0, 1.0, False),
+    (math.inf, 1.0, 1.0, False), (math.nan, 1.0, 1.0, False)])
+def test_flat_is_zero_up_to_rounding(derivative, value, lam, want):
+    assert flat(derivative, value, lam) is want
 
 
 _OHMIC = OscillatorParams(1.0, Ohmic(0.5), 0.5)
