@@ -16,7 +16,11 @@ Taylor coefficients of P(N + t) / prod_j (N - r_j + t).  The divided
 difference takes Gauss-Legendre quadrature where the poles cluster and
 partial fractions over groups of close poles where they spread; nothing
 divides by the gap between two close poles, so coincident ones, as at
-critical damping, need no special case.
+critical damping, need no special case.  The Taylor coefficients of two
+poles (the Ohmic force) and of four (the Drude force, the Ohmic
+difference) take straight-line code that does the loops' operations in
+the same order, so their bits are the loops' bits; over two poles a
+constant P, whose [r0, r1] P is 0, takes only the first Leibniz term.
 
 truncation_estimate bounds |value - exact sum|, formed at the call from
 the same sum.  Truncation: f^(j)(N) ~ j! / (N - r_j)^(j+1) over the
@@ -53,6 +57,8 @@ _BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0)
 _CORRECTION = tuple([b / (2 * k) for k, b in enumerate(_BERNOULLI, 1)])
 _LOG_CORRECTION = tuple([b / (2 * k * (2 * k - 1))
                          for k, b in enumerate(_BERNOULLI, 1)])
+#: the zeros that pad P(n + t)'s coefficients to the 2K Taylor coefficients
+_ZEROS = [0.0] * (2 * len(_BERNOULLI))
 #: the unit roundoff, and the rounding bound per unit of sum |parts| and
 #: of the tail's sum |pieces|, calibrated against mpmath references of
 #: the four oracles (the tests' frozen ones, and 900 random cases each
@@ -378,6 +384,10 @@ def _divided_difference(p: list, poles: list, n: int) -> tuple:
     k = len(poles) - 1
     if k == 1:      # Leibniz: P(r0) [r0, r1] log + [r0, r1] P log(u1)
         r0, r1 = poles
+        if len(p) == 1:     # constant P: [r0, r1] P = 0, whose term can
+            x = p[0] * _slope(r0, r1, n)    # move only the sign of a zero
+            if x.real:
+                return x, abs(x)
         ps = _shift(p, r0)
         dp = sum([x * (r1 - r0) ** j for j, x in enumerate(ps[1:])])
         scale = _scale(poles, n)
@@ -399,9 +409,53 @@ def _divided_difference(p: list, poles: list, n: int) -> tuple:
     return total, mass
 
 
-def _taylor(p: list, poles: list, n: int, count: int) -> list:
-    """Taylor coefficients c_0..c_{count-1} of P(n + t) / prod_j
-    (n - r_j + t), by series division."""
+def _taylor(p: list, poles: list, n: int) -> list:
+    """Taylor coefficients c_0..c_{2K-1} of P(n + t) / prod_j
+    (n - r_j + t), deg P < 2K, by series division.  Two poles (the Ohmic
+    force) and four (the Drude force) take the loops' operations in the
+    same order, written out."""
+    if len(poles) == 2:     # the loops below, for q = (x0 + t) (x1 + t)
+        x = n - poles[0]
+        a0, a1 = x * 1.0 + 0.0, x * 0.0 + 1.0
+        x = n - poles[1]
+        inv = 1.0 / (x * a0 + 0.0).real
+        qa, qb = -(x * a1 + a0).real * inv, -(x * 0.0 + a1).real * inv
+        if len(p) == 1:     # P constant, the Ohmic force's
+            c0 = p[0] * inv
+            c1 = c2 = c3 = c4 = c5 = c6 = c7 = 0.0
+        else:
+            c0, c1, c2, c3, c4, c5, c6, c7 = \
+                [v * inv for v in _shift(p, n)] + _ZEROS[len(p):]
+        c1 += qa * c0
+        c2 = c2 + qa * c1 + qb * c0
+        c3 = c3 + qa * c2 + qb * c1
+        c4 = c4 + qa * c3 + qb * c2
+        c5 = c5 + qa * c4 + qb * c3
+        c6 = c6 + qa * c5 + qb * c4
+        c7 = c7 + qa * c6 + qb * c5
+        return [c0, c1, c2, c3, c4, c5, c6, c7]
+    if len(poles) == 4:     # and for q = (x0 + t) ... (x3 + t)
+        x = n - poles[0]
+        a0, a1 = x * 1.0 + 0.0, x * 0.0 + 1.0
+        x = n - poles[1]
+        a0, a1, a2 = x * a0 + 0.0, x * a1 + a0, x * 0.0 + a1
+        x = n - poles[2]
+        a0, a1, a2, a3 = (x * a0 + 0.0, x * a1 + a0, x * a2 + a1,
+                          x * 0.0 + a2)
+        x = n - poles[3]
+        inv = 1.0 / (x * a0 + 0.0).real
+        qa, qb = -(x * a1 + a0).real * inv, -(x * a2 + a1).real * inv
+        qc, qd = -(x * a3 + a2).real * inv, -(x * 0.0 + a3).real * inv
+        c0, c1, c2, c3, c4, c5, c6, c7 = \
+            [v * inv for v in _shift(p, n)] + _ZEROS[len(p):]
+        c1 += qa * c0
+        c2 = c2 + qa * c1 + qb * c0
+        c3 = c3 + qa * c2 + qb * c1 + qc * c0
+        c4 = c4 + qa * c3 + qb * c2 + qc * c1 + qd * c0
+        c5 = c5 + qa * c4 + qb * c3 + qc * c2 + qd * c1
+        c6 = c6 + qa * c5 + qb * c4 + qc * c3 + qd * c2
+        c7 = c7 + qa * c6 + qb * c5 + qc * c4 + qd * c3
+        return [c0, c1, c2, c3, c4, c5, c6, c7]
     q = [1.0]
     for r in poles:     # q(t) times (x + t), x = n - r
         x = n - r
@@ -413,8 +467,8 @@ def _taylor(p: list, poles: list, n: int, count: int) -> list:
     # the poles come in conjugate pairs, so the product is real
     inv = 1.0 / q[0].real
     q = [-x.real * inv for x in q[1:]]
-    c = [x * inv for x in _shift(p, n)] + [0.0] * (count - len(p))
-    for i in range(1, count):
+    c = [x * inv for x in _shift(p, n)] + _ZEROS[len(p):]
+    for i in range(1, len(c)):
         s = c[i]
         j = i
         for x in q[:i]:     # s += q_0 c_(i-1) + q_1 c_(i-2) + ...
@@ -431,32 +485,39 @@ def _tail(p: list, poles: list, log: bool = False, eta: float = 0.0):
     (_ROUND_TAIL + 2 eta) sum |pieces|, for poles exact within eta
     (_cubic_poles).  By parts, int_n^inf f = -n f(n) - int_n^inf m f'(m)
     dm: P is exact, so a logarithm's poles never cancel in rounding."""
-    count = 2 * len(_BERNOULLI)
-    p_log = [0.0] + p
     factor = _ROUND_TAIL + 2.0 * eta
+    p_dd = [0.0] + p if log else p      # n P(n) for a log, by parts
+    b1, b2, b3, b4 = _LOG_CORRECTION if log else _CORRECTION
 
     def tail(n: int, f_n: float):
-        c = _taylor(p, poles, n, count)
-        dd, mass = _divided_difference(p_log if log else p, poles, n)
+        c = _taylor(p, poles, n)
+        dd, mass = _divided_difference(p_dd, poles, n)
         if log:
             edge = n * f_n
-            return (dd.real - edge,
-                    [b * x for b, x in zip(_LOG_CORRECTION, c[0::2])],
-                    factor * (mass + abs(edge)))
-        return (-dd.real, [b * x for b, x in zip(_CORRECTION, c[1::2])],
+            return (dd.real - edge, [b1 * c[0], b2 * c[2], b3 * c[4],
+                                     b4 * c[6]], factor * (mass + abs(edge)))
+        return (-dd.real, [b1 * c[1], b2 * c[3], b3 * c[5], b4 * c[7]],
                 factor * mass)
     return tail
+
+
+@functools.lru_cache(maxsize=8)
+def _ratio(n: int) -> float:
+    """rho = ((2K + 2) / (2 pi n))^2, each correction's bound on the next
+    (module docstring)."""
+    return ((2 * len(_BERNOULLI) + 2) / (2.0 * math.pi * n)) ** 2
 
 
 def _with_tail(terms: list, n: int, tail, rel: float = 0.0) -> tuple:
     """The terms through n plus the tail, and its error bound, without the
     prefactor; every part inherits a relative error rel from its inputs."""
-    integral, corrections, error = tail(n, terms[n])
-    parts = terms[:n + 1] + [integral, -0.5 * terms[n]] \
-        + [-x for x in corrections]
-    rho = ((2 * len(_BERNOULLI) + 2) / (2.0 * math.pi * n)) ** 2
-    c1, c2, c3, c4 = map(abs, corrections)
-    last = ((c1 * rho + c2) * rho + c3) * rho + c4  # >= their envelope
+    f_n = terms[n]
+    integral, (c1, c2, c3, c4), error = tail(n, f_n)
+    parts = terms[:n + 1]
+    parts += integral, -0.5 * f_n, -c1, -c2, -c3, -c4
+    rho = _ratio(n)
+    # >= the corrections' envelope
+    last = ((abs(c1) * rho + abs(c2)) * rho + abs(c3)) * rho + abs(c4)
     error += last * rho / (1.0 - rho) if rho < 1.0 else math.inf
     error += (_ROUND_PARTS + rel) * sum(map(abs, parts))
     return math.fsum(parts), error
@@ -467,12 +528,15 @@ def _oracle(term, head: float, tail, *prefs: float, rel: float = 0.0,
     """An OracleResult of pref * (head + sum_{n>=1} term(n)) per pref;
     head_error is the head's error beyond its own rounding."""
     n = SumSpec.hard_cap
-    terms = [head, *map(term, range(1, n + 1))]
-    total, error = _with_tail(terms, n, tail, rel)
-    return [OracleResult(finite(pref * total, "the Matsubara sum"),
-                         finite(abs(pref) * (error + head_error),
-                                "the Matsubara sum's error bound"), n)
-            for pref in prefs]
+    total, error = _with_tail([head, *map(term, range(1, n + 1))], n, tail,
+                              rel)
+    error += head_error
+    results = []
+    for pref in prefs:
+        results.append(OracleResult(
+            finite(pref * total, "the Matsubara sum"),
+            finite(abs(pref) * error, "the Matsubara sum's error bound"), n))
+    return results
 
 
 #: what a sum that floating point cannot carry out raises: it overflows,
@@ -649,7 +713,7 @@ def free_energy_difference(p1: OscillatorParams, p2: OscillatorParams,
     t = warm(p1.temperature, "free_energy_difference")
     om1, om2 = p1.omega0, p2.omega0
     g0 = p1.damping.gamma0
-    delta = om2 * om2 - om1 * om1
+    delta = (om2 - om1) * (om2 + om1)     # not a difference of two squares
     a = 2.0 * math.pi * t
 
     if isinstance(p1.damping, Ohmic):
@@ -677,9 +741,9 @@ def free_energy_difference(p1: OscillatorParams, p2: OscillatorParams,
         (r2, e2), (r1, e1) = [_cubic_poles(o, g0, wd, a) for o in (om2, om1)]
         poles, eta = r2 + r1, max(e2, e1)
     head = 0.5 * math.log1p(delta / (om1 * om1))
-    # every part is proportional to delta, which rounding moves by up to
-    # u (Omega1^2 + Omega2^2)
-    rel = _U * (om1 * om1 + om2 * om2) / abs(delta) if delta else 0.0
+    # every part is proportional to delta, which its roundings move by up
+    # to 3 u, or 2 u where Omega2 - Omega1 is exact (Sterbenz)
+    rel = (2.0 if 0.5 * om1 <= om2 <= 2.0 * om1 else 3.0) * _U
     return _oracle(term, head, _tail(
         [-delta / (a * a) * x for x in slope], poles, log=True, eta=eta),
         t, rel=rel)[0]

@@ -65,9 +65,11 @@ def _linear_model(om, dom=0.0, g0=0.0, dg0=0.0, wd=None, dwd=0.0,
 
 
 def _ohmic_grid(count: int, rng) -> list[tuple[float, float, float]]:
-    oms = rng.uniform(0.1, 10.0, count)
-    gs = rng.uniform(0.0, 20.0, count)
-    ts = np.exp(rng.uniform(math.log(0.01), math.log(100.0), count))
+    """(Omega, gamma, T) as Python floats: the library's own arithmetic,
+    not numpy's scalar one."""
+    oms = rng.uniform(0.1, 10.0, count).tolist()
+    gs = rng.uniform(0.0, 20.0, count).tolist()
+    ts = np.exp(rng.uniform(math.log(0.01), math.log(100.0), count)).tolist()
     return list(zip(oms, gs, ts))
 
 
@@ -186,10 +188,10 @@ def _fit_slope(xs, ys) -> float:
 def criterion_asymptotic_slopes() -> CriterionReport:
     """Error decay of the Ohmic high-T and low-T limits vs the exact form."""
     om, g = 1.0, 0.5
-    ts = np.logspace(1.0, 4.0, 13)
+    ts = np.logspace(1.0, 4.0, 13).tolist()
     errs = []
     for t in ts:
-        p = OscillatorParams(om, Ohmic(g), float(t))
+        p = OscillatorParams(om, Ohmic(g), t)
         exact = forces.force_ohmic_exact(p, 1.0).value
         approx = forces.force_ohmic_high_t(p, 1.0).value
         errs.append(abs(approx - exact) / abs(exact))
@@ -197,10 +199,10 @@ def criterion_asymptotic_slopes() -> CriterionReport:
 
     g_strong = 3.0
     i_w_small = 0.5 * g_strong - math.sqrt(0.25 * g_strong ** 2 - om ** 2)
-    ts = np.logspace(-4.0, -1.0, 13) * i_w_small
+    ts = (np.logspace(-4.0, -1.0, 13) * i_w_small).tolist()
     errs = []
     for t in ts:
-        p = OscillatorParams(om, Ohmic(g_strong), float(t))
+        p = OscillatorParams(om, Ohmic(g_strong), t)
         exact = forces.force_ohmic_exact(p, 1.0).value
         approx = forces.force_ohmic_low_t(p, 1.0).value
         errs.append(abs(approx - exact) / abs(exact))

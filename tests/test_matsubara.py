@@ -1,7 +1,9 @@
 """Oracle-side tests: truncated sums, tails, finite differences."""
 
+import cmath
 import dataclasses
 import math
+import random
 import sys
 import threading
 import time
@@ -536,6 +538,28 @@ DIFFERENCE_REFERENCES = (
     (0.7, 1.1, 3.0, 300.0, 0.0001, 0.10483120033634429597),
 )
 
+# the same where Omega2 is close to Omega1, frozen the same way: delta =
+# Omega2^2 - Omega1^2 from two rounded squares was off by up to u
+# (Omega1^2 + Omega2^2) / |delta| relative, 5e-10 in the last two
+CLOSE_DIFFERENCE_REFERENCES = (
+    (2.11, 2.1117, 0.3, None, 2.45, 0.0020920560548687460464),
+    (1.0, 1.000001, 0.5, None, 0.3, 5.0693539139780556646e-7),
+    (1.5, 1.5015, 2.0, 300.0, 1.0, 0.0011498120440981056207),
+    (1.0, 0.999999999, 0.2, 80.0, 0.05, -4.7152627993832406819e-10),
+    (0.7, 0.7000000007, 3.0, None, 0.01, 1.6473100593592722084e-10),
+)
+
+
+@pytest.mark.parametrize("om1, om2, g0, wd, t, ref",
+                         CLOSE_DIFFERENCE_REFERENCES)
+def test_free_energy_difference_of_close_frequencies(om1, om2, g0, wd, t,
+                                                     ref):
+    damping = Ohmic(g0) if wd is None else Drude(g0, wd)
+    res = free_energy_difference(OscillatorParams(om1, damping, t),
+                                 OscillatorParams(om2, damping, t))
+    assert abs(res.value - ref) <= 1e-14 * abs(ref)
+
+
 # Drude free energies (Omega, gamma0, omega_d, T, roots, F), frozen the
 # same way; the last at 40 digits, where P of the divided difference
 # reaches 1e370 at the pair |s| ~ 1.7e74
@@ -600,6 +624,12 @@ def _bound_cases():
             OscillatorParams(om1, _damping(g0, wd), t),
             OscillatorParams(om2, _damping(g0, wd), t)), [ref],
             id=f"difference-{i}"))
+    for i, (om1, om2, g0, wd, t, ref) in enumerate(
+            CLOSE_DIFFERENCE_REFERENCES):
+        cases.append(pytest.param(free_energy_difference, (
+            OscillatorParams(om1, _damping(g0, wd), t),
+            OscillatorParams(om2, _damping(g0, wd), t)), [ref],
+            id=f"close-difference-{i}"))
     for i, (om, g0, wd, t, roots, ref) in enumerate(
             DRUDE_FREE_ENERGY_REFERENCES):
         cases.append(pytest.param(
@@ -952,3 +982,107 @@ def test_non_finite_cubic_coefficients_raise_domain_error():
         with pytest.raises(DomainError):
             call()
         assert time.perf_counter() - start < 1.0
+
+
+# -- the written-out tail of two and four poles -------------------------------
+#
+# _taylor writes its loops out for two poles (the Ohmic force) and four
+# (the Drude force and the Ohmic difference), and _divided_difference
+# skips the zero [r0, r1] P of a constant P over two poles.  Each must
+# give the bits of the loops and of Leibniz's rule in full, kept here as
+# the plain implementation they replaced.
+
+def _plain_taylor(p, poles, n):
+    q = [1.0]
+    for r in poles:
+        x = n - r
+        prev = 0.0
+        for i, a in enumerate(q):
+            q[i] = x * a + prev
+            prev = a
+        q.append(x * 0.0 + prev)
+    inv = 1.0 / q[0].real
+    q = [-x.real * inv for x in q[1:]]
+    c = [x * inv for x in matsubara._shift(p, n)] + [0.0] * (8 - len(p))
+    for i in range(1, 8):
+        s = c[i]
+        j = i
+        for x in q[:i]:
+            j -= 1
+            s += x * c[j]
+        c[i] = s
+    return c
+
+
+def _plain_leibniz(p, poles, n):
+    r0, r1 = poles
+    ps = matsubara._shift(p, r0)
+    dp = sum([x * (r1 - r0) ** j for j, x in enumerate(ps[1:])])
+    scale = matsubara._scale(poles, n)
+    x = ps[0] * matsubara._slope(r0, r1, n)
+    y = dp * cmath.log((n - r1) / scale)
+    return x + y, abs(x) + abs(y)
+
+
+def _plain_tail(p, poles, n):
+    c = _plain_taylor(p, poles, n)
+    if len(poles) == 2:
+        dd, mass = _plain_leibniz(p, poles, n)
+    else:
+        dd, mass = matsubara._divided_difference(p, poles, n)
+    return (-dd.real, [b * x for b, x in zip(matsubara._CORRECTION, c[1::2])],
+            matsubara._ROUND_TAIL * mass)
+
+
+def _hexes(values):
+    return [(z.real.hex(), z.imag.hex()) if isinstance(z, complex)
+            else z.hex() for z in values]
+
+
+def _random_pole_cases(count, seed):
+    """(P, poles, n): Ohmic pairs under-, over- and critically damped,
+    Ohmic difference and Drude force quadruples, T from 1e-9 to 1e3."""
+    rng = random.Random(seed)
+    for i in range(count):
+        om = 10.0 ** rng.uniform(-3.0, 3.0)
+        kind = i % 4
+        if kind == 0:
+            g = om * 10.0 ** rng.uniform(-4.0, 0.3)     # under, some over
+        elif kind == 1:
+            g = om * 10.0 ** rng.uniform(0.3, 4.0)      # over
+        elif kind == 2:                                 # at and near critical
+            g = 2.0 * om * (1.0 + rng.choice([0.0, 1e-12, -1e-12, 1e-6,
+                                              -1e-6]))
+        else:
+            g = om * 10.0 ** rng.uniform(-4.0, 4.0)
+        a = 2.0 * math.pi * 10.0 ** rng.uniform(-9.0, 3.0)
+        n = rng.choice([1, 2, 3, 16, 32])
+        p = [rng.choice([1.0, -1.0, 0.0]) * 10.0 ** rng.uniform(-5.0, 5.0)]
+        poles = matsubara._pair_poles(g, om, a)
+        yield p, poles, n
+        yield p + [rng.uniform(-2.0, 2.0) for _ in range(1 + i % 3)], \
+            poles, n
+        if i % 10 == 0:
+            om2 = om * rng.uniform(1.01, 3.0)
+            yield ([rng.uniform(-2.0, 2.0), 2.0],
+                   matsubara._pair_poles(g, om2, a) + poles, n)
+            wd = om * 10.0 ** rng.uniform(0.0, 4.0)
+            cubic, _ = matsubara._cubic_poles(om, g, wd, a)
+            yield ([rng.uniform(0.5, 2.0) for _ in range(3)],
+                   cubic + [-wd / a], n)
+
+
+def test_written_out_tail_keeps_the_bits_of_the_loops():
+    cases = 0
+    for p, poles, n in _random_pole_cases(10_000, 2024):
+        got = matsubara._tail(p, poles)(n, 0.0)
+        want = _plain_tail(p, poles, n)
+        assert _hexes([got[0], *got[1], got[2]]) \
+            == _hexes([want[0], *want[1], want[2]]), (p, poles, n)
+        if len(poles) == 2:     # the tail reads the real part only
+            got_dd, got_mass = matsubara._divided_difference(p, poles, n)
+            want_dd, want_mass = _plain_leibniz(p, poles, n)
+            assert _hexes([got_dd.real, got_mass]) \
+                == _hexes([want_dd.real, want_mass]), (p, poles, n)
+        cases += 1
+    assert cases >= 20_000

@@ -100,3 +100,34 @@ VALIDATE_LINES = {
 def test_validate_transcript(suite, capsys):
     assert cli.main(["validate", "--suite", suite]) == 0
     assert capsys.readouterr().out.splitlines() == list(VALIDATE_LINES[suite])
+
+
+def test_validation_hands_the_library_python_floats(monkeypatch):
+    # a numpy scalar argument runs numpy's scalar arithmetic, not the
+    # float path the CLI takes, and comes back as a numpy scalar
+    grid = validation._ohmic_grid(50, np.random.default_rng(validation._SEED))
+    assert all(type(x) is float for row in grid for x in row)
+    seen = []
+
+    def recording(module, name):
+        original = getattr(module, name)
+
+        def call(p, *args):
+            result = original(p, *args)
+            seen.append((name, type(p.omega0), type(p.damping.gamma0),
+                         type(p.temperature), type(result.value)))
+            return result
+        monkeypatch.setattr(module, name, call)
+
+    for name in ("force_ohmic_exact", "force_ohmic_high_t",
+                 "force_ohmic_low_t"):
+        recording(validation.forces, name)
+    recording(validation.matsubara, "force_sum_exact")
+    for criterion in (lambda: validation.criterion_ohmic_oracle(20),
+                      validation.criterion_sign_laws,
+                      validation.criterion_asymptotic_slopes):
+        assert criterion().passed
+    assert {name for name, *_ in seen} == {
+        "force_ohmic_exact", "force_ohmic_high_t", "force_ohmic_low_t",
+        "force_sum_exact"}
+    assert all(t is float for _, *types in seen for t in types)
