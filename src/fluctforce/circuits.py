@@ -24,8 +24,7 @@ from _collections_abc import Callable   # see oscillator
 
 from ._value import Frozen
 from .constants import C_LIGHT, EPSILON_0, HBAR, K_B, ZETA_3
-from .errors import _INF, DomainError, PreconditionError, finite, flat, \
-    not_finite, warm
+from .errors import _INF, DomainError, PreconditionError, finite, flat, warm
 from .forces import (ForceResult, force_drude_full, force_ohmic_exact,
                      force_ohmic_high_t, force_ohmic_low_t,
                      force_ohmic_weak_dissipation)
@@ -149,64 +148,31 @@ def _check_positive(name: str, x: float) -> float:
     return x
 
 
-def _omega_of(cl: float, cc: float) -> float:
-    """Omega = 1/sqrt(LC) for a positive inductance and capacitance."""
-    _check_positive("inductance", cl)
-    _check_positive("capacitance", cc)
-    try:
-        return 1.0 / math.sqrt(cl * cc)
-    except ZeroDivisionError:   # L C underflows to 0
-        raise not_finite("Omega = 1/sqrt(LC)") from None
+#: the loop models (._loop_models), imported on the first map_series or
+#: map_parallel, so that import fluctforce.cli does not compile them
+_LOOPS = None
 
 
-def _lc_frequency(l_of: ElementLaw, c_of: ElementLaw):
-    """Omega = 1/sqrt(LC) and its derivative, shared by both loops."""
-    def omega(lam: float) -> float:
-        return _omega_of(l_of.value(lam), c_of.value(lam))
-
-    def d_omega(lam: float) -> float:
-        cl, cc = l_of.value(lam), c_of.value(lam)
-        return finite(-0.5 * _omega_of(cl, cc) * (l_of.derivative(lam) / cl
-                                                  + c_of.derivative(lam) / cc),
-                      "dOmega/dlambda")
-
-    return omega, d_omega
+def _loops():
+    """_LOOPS, imported now."""
+    global _LOOPS
+    from . import _loop_models
+    _LOOPS = _loop_models
+    return _LOOPS
 
 
 def map_series(c: SeriesRLC) -> ParametricModel:
-    """Oscillator model of a series loop: Omega = 1/sqrt(LC), gamma = R/L."""
-    r_of, l_of = c.resistance, c.inductance
-
-    def gamma0(lam: float) -> float:
-        return r_of.value(lam) / _check_positive("inductance", l_of.value(lam))
-
-    def d_gamma0(lam: float) -> float:
-        # (R' - gamma L') / L: no L L, which underflows to 0 for tiny L
-        return ((r_of.derivative(lam) - gamma0(lam) * l_of.derivative(lam))
-                / l_of.value(lam))
-
-    return ParametricModel(*_lc_frequency(l_of, c.capacitance), gamma0,
-                           d_gamma0)
+    """Oscillator model of a series loop: Omega = 1/sqrt(LC), gamma = R/L.
+    It evaluates each element law and derivative at most once per
+    lambda."""
+    return (_LOOPS or _loops()).series(c)
 
 
 def map_parallel(c: ParallelRLC) -> ParametricModel:
-    """Oscillator model of a parallel loop: Omega = 1/sqrt(LC), gamma = 1/RC."""
-    r_of, c_of = c.resistance, c.capacitance
-
-    def gamma0(lam: float) -> float:
-        try:
-            return 1.0 / (_check_positive("resistance", r_of.value(lam))
-                          * _check_positive("capacitance", c_of.value(lam)))
-        except ZeroDivisionError:   # R C underflows to 0
-            raise not_finite("gamma = 1/(RC)") from None
-
-    def d_gamma0(lam: float) -> float:
-        rr, cc = r_of.value(lam), c_of.value(lam)
-        return -gamma0(lam) * (r_of.derivative(lam) / rr
-                               + c_of.derivative(lam) / cc)
-
-    return ParametricModel(*_lc_frequency(c.inductance, c_of), gamma0,
-                           d_gamma0)
+    """Oscillator model of a parallel loop: Omega = 1/sqrt(LC), gamma = 1/RC.
+    It evaluates each element law and derivative at most once per
+    lambda."""
+    return (_LOOPS or _loops()).parallel(c)
 
 
 def capacitance_planar(g: PlanarCapacitor) -> tuple[float, float]:

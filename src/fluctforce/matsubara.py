@@ -501,6 +501,17 @@ def _tail(p: list, poles: list, log: bool = False, eta: float = 0.0):
     return tail
 
 
+def _scaled(tail, e: int):
+    """The tail of 2^e times the summand that tail sums: its outputs times
+    2^e, for a summand whose P overflows where the tail does not."""
+    def scaled(n: int, f_n: float):
+        integral, corrections, error = tail(n, math.ldexp(f_n, -e))
+        return (math.ldexp(integral, e),
+                [math.ldexp(x, e) for x in corrections],
+                math.ldexp(error, e))
+    return scaled
+
+
 @functools.lru_cache(maxsize=8)
 def _ratio(n: int) -> float:
     """rho = ((2K + 2) / (2 pi n))^2, each correction's bound on the next
@@ -523,13 +534,18 @@ def _with_tail(terms: list, n: int, tail, rel: float = 0.0) -> tuple:
     return math.fsum(parts), error
 
 
-def _oracle(term, head: float, tail, *prefs: float, rel: float = 0.0,
+def _each(term):
+    """terms(stop) = [term(1), ..., term(stop)] of a summand term(n)."""
+    return lambda stop: list(map(term, range(1, stop + 1)))
+
+
+def _oracle(terms, head: float, tail, *prefs: float, rel: float = 0.0,
             head_error: float = 0.0) -> list:
-    """An OracleResult of pref * (head + sum_{n>=1} term(n)) per pref;
-    head_error is the head's error beyond its own rounding."""
+    """An OracleResult of pref * (head + sum_{n>=1} term(n)) per pref,
+    for terms(stop) = [term(1), ..., term(stop)]; head_error is the
+    head's error beyond its own rounding."""
     n = SumSpec.hard_cap
-    total, error = _with_tail([head, *map(term, range(1, n + 1))], n, tail,
-                              rel)
+    total, error = _with_tail([head, *terms(n)], n, tail, rel)
     error += head_error
     results = []
     for pref in prefs:
@@ -673,11 +689,24 @@ def force_sum_exact(p: OscillatorParams, m: ParametricModel, lam: float,
                 "gamma' != 0 with Ohmic damping: the force sum diverges "
                 "logarithmically; use the difference force instead")
 
-        def term(n):
-            w = n * a
-            return cross / ((w + g0) * w + om2)
+        def terms(stop):    # one loop, not a call per term
+            out = []
+            for n in range(1, stop + 1):
+                w = n * a
+                out.append(cross / ((w + g0) * w + om2))
+            return out
 
-        tail = _tail([cross / (a * a)], _pair_poles(g0, om, a))
+        poles = _pair_poles(g0, om, a)
+        try:
+            pn = cross / (a * a)
+        except ZeroDivisionError:   # a^2 underflows to 0
+            pn = math.inf
+        if abs(pn) < math.inf:
+            tail = _tail([pn], poles)
+        else:   # P in units of 2^e, where it overflows and the tail not
+            mc, ec = math.frexp(cross)
+            ma, ea = math.frexp(a)
+            tail = _scaled(_tail([mc / ma / ma], poles), ec - 2 * ea)
     else:
         wd = p.damping.omega_d
 
@@ -695,7 +724,8 @@ def force_sum_exact(p: OscillatorParams, m: ParametricModel, lam: float,
                cross + dg0 * wd + g0 * dwd]
         poles, eta = _cubic_poles(om, g0, wd, a)
         tail = _tail([x / (a * a) for x in num], poles + [-d], eta=eta)
-    return _oracle(term, dom / om, tail, -t)[0]
+        terms = _each(term)
+    return _oracle(terms, dom / om, tail, -t)[0]
 
 
 @_finite
@@ -744,7 +774,7 @@ def free_energy_difference(p1: OscillatorParams, p2: OscillatorParams,
     # every part is proportional to delta, which its roundings move by up
     # to 3 u, or 2 u where Omega2 - Omega1 is exact (Sterbenz)
     rel = (2.0 if 0.5 * om1 <= om2 <= 2.0 * om1 else 3.0) * _U
-    return _oracle(term, head, _tail(
+    return _oracle(_each(term), head, _tail(
         [-delta / (a * a) * x for x in slope], poles, log=True, eta=eta),
         t, rel=rel)[0]
 
@@ -796,7 +826,7 @@ def free_energy_drude(p: OscillatorParams, spec: SumSpec = SumSpec(),
         poles = _pair_poles(g0, om, a) + [0.0, -dm, -d]
         eta = 0.0
     # log(Omega / T) takes the rounding of Omega / T as an absolute error
-    return _oracle(term, math.log(om / t),
+    return _oracle(_each(term), math.log(om / t),
                    _tail(slope, poles, log=True, eta=eta), t,
                    head_error=_U)[0]
 
@@ -880,12 +910,13 @@ def per_parameter_sums_drude(p: OscillatorParams, m: ParametricModel,
 
     # f_gamma0 and f_omega_d_1 sum one summand, w / cubic, times their own
     # prefactors
-    f_om, = _oracle(term_om, 0.5 * wd / c,
+    f_om, = _oracle(_each(term_om), 0.5 * wd / c,
                     _tail([d / a2, 1.0 / a2], poles, eta=eta),
                     -2.0 * t * om * dom)
-    f_g0, f_w1 = _oracle(term_w, 0.0, _tail([0.0, 1.0 / a2], poles, eta=eta),
+    f_g0, f_w1 = _oracle(_each(term_w), 0.0,
+                         _tail([0.0, 1.0 / a2], poles, eta=eta),
                          -t * dg0 * wd, -t * dwd * g0)
-    f_w2, = _oracle(term_w2, 0.0,
+    f_w2, = _oracle(_each(term_w2), 0.0,
                     _tail([0.0, wdg0 / (a2 * a)], poles + [-d], eta=eta),
                     t * dwd)
     return PerParameterSums(f_om, f_g0, f_w1, f_w2)

@@ -723,3 +723,29 @@ def test_a_power_law_gamma_still_raises():
             cc.force_series_rlc(loop, 0.5, lam, units="reduced")
         with pytest.raises(DivergentSumError):
             force_sum_exact(model.params_at(lam, 0.5), model, lam)
+
+
+def test_loop_model_shares_evaluations_by_value_and_sign_of_lambda():
+    # a float of the same value shares the evaluations at lambda, one of
+    # the other sign of zero does not: R(-0) = -0, so gamma(-0) = -0
+    calls = []
+
+    def counted(coeff, exponent):
+        law = cc.power_element(coeff, exponent)
+        return cc.ElementLaw(lambda lam: calls.append(lam) or law.value(lam),
+                             law.derivative)
+
+    for mapper, loop_of in ((cc.map_series, cc.SeriesRLC),
+                            (cc.map_parallel, cc.ParallelRLC)):
+        model = mapper(loop_of(counted(2.0, 1.0), counted(1.0, 0.0),
+                               counted(0.5, 0.0)))
+        calls.clear()
+        first, again = 1.5, float("1.5")
+        assert first is not again
+        assert model.omega(first) == model.omega(again)
+        assert model.d_omega(again) == model.d_omega(first)
+        assert calls == [first, first]          # L and C, once each
+    series = cc.map_series(cc.SeriesRLC.of((2.0, 1.0), 1.0, 0.5))
+    assert math.copysign(1.0, series.gamma0(0.0)) == 1.0
+    assert math.copysign(1.0, series.gamma0(-0.0)) == -1.0
+    assert math.copysign(1.0, series.gamma0(0.0)) == 1.0

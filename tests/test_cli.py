@@ -1072,3 +1072,108 @@ def test_linspace_is_numpy_linspace_bit_for_bit():
         got = np.array(cli._linspace(start, stop, num))
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), \
             (start, stop, num)
+
+
+def test_log_spacing_is_geomspace_bit_for_bit():
+    # np.geomspace's own steps: log10 of the ends, linspace over the
+    # exponents, one power of ten and the ends set back; one point is
+    # [start].  Run alone on the oldest supported numpy too.
+    import numpy as np
+    rng = np.random.default_rng(20261019)
+    cases = [(1e-300, 1e300, 10**4), (1e-300, 1e300, 1), (1e-300, 1e300, 2),
+             (5e-324, 1.7976931348623157e308, 9), (0.5, 2.0, 1),
+             (2.0, 2.0, 1), (2.0, 2.0, 5), (1.0, math.nextafter(1.0, 2.0), 3)]
+    count = 20_000
+    lo = rng.uniform(-300.0, 300.0, count)
+    hi = rng.uniform(lo, 300.0)
+    ends = np.sort(10.0 ** np.stack([lo, hi], axis=1), axis=1).tolist()
+    for i, (start, stop) in enumerate(ends):
+        kind = i % 20
+        if kind < 2:
+            num = 1
+        elif kind < 4:
+            num = 2
+        elif kind < 6:
+            stop, num = start, int(rng.integers(1, 64))
+        elif kind == 19:
+            num = int(10.0 ** rng.uniform(0.0, 4.0))
+        else:
+            num = int(rng.integers(3, 65))
+        cases.append((start, stop, num))
+    for start, stop, num in cases:
+        sweep = {"start": start, "stop": stop, "points": num,
+                 "spacing": "log"}
+        with np.errstate(over="ignore"):    # 10^log10(stop) may overflow
+            _, got = cli._sweep_values({"sweep": sweep})
+            want = np.geomspace(start, stop, num)
+        assert type(got) is list and len(got) == num
+        assert np.array_equal(np.array(got).view(np.uint64),
+                              want.view(np.uint64)), (start, stop, num)
+
+
+def _counted_laws(monkeypatch) -> list:
+    """Every call of a config law from now on, as (law, part, lambda)."""
+    calls, laws = [], []
+
+    def counted(coeff, exponent):
+        law = len(laws)
+        laws.append((coeff, exponent))
+        value, derivative = power_law(coeff, exponent)
+
+        def count(part, fn):
+            def f(lam):
+                calls.append((law, part, lam))
+                return fn(lam)
+            return f
+
+        return count("value", value), count("derivative", derivative)
+
+    from fluctforce.oscillator import power_law
+    monkeypatch.setattr(cli, "power_law", counted)
+    return calls
+
+
+@pytest.mark.parametrize("oracle", [False, True])
+@pytest.mark.parametrize("mode, params", [
+    ("series-rlc", {"resistance": {"coeff": 2.0, "power": 1.0},
+                    "inductance": {"coeff": 1.0, "power": 1.0},
+                    "capacitance": {"coeff": 0.5, "power": -0.5}}),
+    ("parallel-rlc", {"resistance": 50.0, "capacitance": 1.0,
+                      "inductance": {"coeff": 1.0, "power": 1.5}}),
+])
+def test_loop_rows_evaluate_each_law_once_per_lambda(tmp_path, monkeypatch,
+                                                     mode, params, oracle):
+    # a row's force, its oracle and the oracle's derivatives share one
+    # evaluation of each element value and derivative at the row's lambda
+    calls = _counted_laws(monkeypatch)
+    cfg = {"schema": "fluctforce/1", "mode": mode, "units": "reduced",
+           "parameters": dict(params, temperature=0.5),
+           "sweep": {"parameter": "lambda", "start": 0.5, "stop": 2.0,
+                     "points": 4, "spacing": "linear"},
+           "oracle": {"enabled": oracle}}
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--config", write_config(tmp_path, "c.json", cfg),
+                 "--out", str(out)]) == 0
+    laws = {law for law, _, _ in calls}
+    lams = {lam for _, _, lam in calls}
+    assert len(laws) == 3 and len(lams) == 4
+    assert sorted(calls, key=repr) == sorted(
+        [(law, part, lam) for law in laws for lam in lams
+         for part in ("value", "derivative")], key=repr)
+    _, rows = read_rows(out)
+    assert all((row["oracle"] != "") == oracle for row in rows)
+
+
+def test_config_with_byte_order_mark_is_json_loads_error(tmp_path, capsys):
+    # the decoder built once keeps json.loads's check and its message
+    cfg = json.dumps(oscillator_cfg())
+    path = tmp_path / "bom.json"
+    path.write_text("\ufeff" + cfg, encoding="utf-8")
+    try:
+        json.loads("\ufeff" + cfg)
+    except json.JSONDecodeError as exc:
+        want = f"config error: config is not valid JSON: {exc}\n"
+    assert main(["force", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == want
+    path.write_text(cfg, encoding="utf-8")
+    assert main(["force", "--config", str(path)]) == 0

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fluctforce import matsubara
+from fluctforce import circuits, forces, matsubara
 from fluctforce.errors import DivergentSumError, DomainError, \
     PreconditionError
 from fluctforce.forces import free_energy_difference_gamma, \
@@ -178,12 +178,12 @@ def test_drude_matches_frozen_per_term_ohmic_summand():
         t = float(rng.uniform(0.2, 2.0))
         p = OscillatorParams(om, Drude(g0, wd), t)
         m = linear_model(om, dom=1.0, g0=g0, wd=wd)
-        (term, _, head, *_), = oracle_sums(lambda: force_sum_exact(p, m, 1.0))
+        (terms, _, head, *_), = oracle_sums(lambda: force_sum_exact(p, m, 1.0))
         assert head == 1.0 / om
         w = 2.0 * math.pi * t * n
         gam_n = g0 * wd / (wd + w)
         manual = 2.0 * om / ((w + gam_n) * w + om * om)
-        got = np.array([term(k) for k in range(1, 5_001)])
+        got = np.array(terms(5_000))
         assert np.all(np.abs(got - manual) <= 1e-13 * np.abs(manual))
 
 
@@ -341,12 +341,13 @@ def test_per_parameter_cutoff_components_cancel():
 
 # -- the summands and their tails ---------------------------------------------
 #
-# Each oracle hands _oracle its summand, a function of n, and a tail built
-# from the summand's poles.  The reference below writes each summand out
-# of place as a numpy expression of omega_n = 2 pi T n.  The direct terms
-# must equal it, and the sum must not depend on where the
-# direct terms stop and the tail takes over, which fails if the poles or
-# the numerator of a tail do not belong to its summand.
+# Each oracle hands _oracle its summand, as terms(stop) = [term(1), ...,
+# term(stop)], and a tail built from the summand's poles.  The reference
+# below writes each summand out of place as a numpy expression of
+# omega_n = 2 pi T n.  The direct terms must equal it, and the sum must
+# not depend on where the direct terms stop and the tail takes over,
+# which fails if the poles or the numerator of a tail do not belong to
+# its summand.
 
 OM, DOM, G0, DG0, WD, DWD, T = 1.3, 0.7, 0.45, 0.3, 3.0, 1.1, 0.37
 OM2 = 1.9
@@ -422,8 +423,8 @@ def oracle_sums(call):
     call asks _oracle for, one per prefactor."""
     sums = []
 
-    def record(term, head, tail, *prefs, rel=0.0, head_error=0.0):
-        sums.extend((term, pref, head, tail, rel, head_error)
+    def record(terms, head, tail, *prefs, rel=0.0, head_error=0.0):
+        sums.extend((terms, pref, head, tail, rel, head_error)
                     for pref in prefs)
         return [matsubara.OracleResult(0.0, 0.0, 1)] * len(prefs)
 
@@ -433,22 +434,21 @@ def oracle_sums(call):
     return sums
 
 
-def sum_at(n, term, pref, head, tail, rel, head_error):
+def sum_at(n, terms, pref, head, tail, rel, head_error):
     """(value, truncation_estimate) of a sum oracle_sums recorded, from n
     direct terms and the tail: _oracle's arithmetic, at n other than its
     SumSpec.hard_cap."""
-    terms = [head, *map(term, range(1, n + 1))]
-    total, error = matsubara._with_tail(terms, n, tail, rel)
+    total, error = matsubara._with_tail([head, *terms(n)], n, tail, rel)
     return pref * total, abs(pref) * (error + head_error)
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_TERMS))
 def test_summands_match_reference_terms(name):
     call, index, reference = REFERENCE_TERMS[name]
-    term, _, head, tail, *_ = oracle_sums(call)[index]
+    terms, _, head, tail, *_ = oracle_sums(call)[index]
     n = np.arange(1, 257)
     want = reference(TWO_PI_T * n.astype(float))
-    got = np.array([term(k) for k in range(1, 257)])
+    got = np.array(terms(256))
     if name.startswith("free-energy"):
         # numpy's log1p and libm's differ in the last bit now and then,
         # and the approximate-root summand adds two that partly cancel
@@ -677,6 +677,20 @@ def test_drude_oracles_where_the_cubic_overflowed():
                and math.isfinite(res.truncation_estimate) for res in results)
 
 
+@pytest.mark.parametrize("om", [1e110, 1e150])
+def test_ohmic_force_sum_where_p_overflows(om):
+    # P = 2 Omega Omega' / (2 pi T)^2 overflows while the force, the
+    # zero-point -Omega' / 2, is finite: the tail runs in units of 2^e
+    p = OscillatorParams(om, Ohmic(0.0), 1e-101)
+    m = linear_model(om, om)
+    assert not math.isfinite(2.0 * om * om / (2.0 * math.pi * 1e-101) ** 2)
+    res = force_sum_exact(p, m, 1.0)
+    closed = forces.force_ohmic_exact(p, om).value
+    assert closed == -0.5 * om
+    assert 0.0 < res.truncation_estimate < 1e-12 * abs(closed)
+    assert abs(res.value - closed) <= res.truncation_estimate
+
+
 def test_a_pair_whose_scaled_gap_underflows_stays_a_pair():
     # at T = 1.4e239 the Drude pair lies 2e-323 off the real axis, in n,
     # and that gap over |N - c| underflows to 0; the quadrature still
@@ -787,23 +801,48 @@ def _force_cases():
 def test_concurrent_oracle_calls_match_serial():
     # more threads than cores, each alternating the Ohmic and the Drude
     # oracle, so that state shared between calls would mix their values
-    # or estimates
+    # or estimates; and each running rows on one shared series and one
+    # shared parallel loop model, at lambdas in its own order, so that a
+    # loop model's cache of one lambda would leak into a row at another
     cases = _force_cases()
     spec = SumSpec(n_max=300_000)
+    series = circuits.SeriesRLC.of((0.6, 1.0), (1.5, 1.0), (0.8, -0.5))
+    parallel = circuits.ParallelRLC.of(2.0, (1.2, 1.5), 0.4)
+    loops = [(series, circuits.map_series, circuits.map_series(series)),
+             (parallel, circuits.map_parallel,
+              circuits.map_parallel(parallel))]
+    lams = (0.7, 1.3, 2.1, 0.9)
 
-    def results(order):
+    def rows(k, fresh=False):
+        out = []
+        for i in range(len(lams)):
+            lam = lams[(i + k) % len(lams)]
+            for loop, mapper, shared in loops:
+                model = mapper(loop) if fresh else shared
+                res = circuits.rlc_force_at(loop, model, T, lam, "exact",
+                                            "reduced")
+                oracle = force_sum_exact(model.params_at(lam, T), model,
+                                         lam, spec)
+                out.append((lam, res.value.hex(), oracle.value.hex(),
+                            oracle.truncation_estimate.hex()))
+        return out
+
+    def results(k):
         return [(res.value.hex(), res.truncation_estimate.hex())
-                for res in (force_sum_exact(*cases[k], 1.0, spec)
-                            for k in order)]
+                for res in (force_sum_exact(*cases[j], 1.0, spec)
+                            for j in orders[k])] + rows(k)
 
     orders = [(0, 1, 0, 1), (1, 0, 1, 0)] * 2
-    serial = [results(order) for order in orders]
+    serial = [results(k) for k in range(len(orders))]
+    # a model built for each row has nothing to share
+    assert [got[-len(lams) * len(loops):] for got in serial] \
+        == [rows(k, fresh=True) for k in range(len(orders))]
     got = [None] * len(orders)
     barrier = threading.Barrier(len(orders))
 
     def worker(k):
         barrier.wait(timeout=30)
-        got[k] = results(orders[k])
+        got[k] = results(k)
 
     threads = [threading.Thread(target=worker, args=(k,))
                for k in range(len(orders))]
