@@ -11,8 +11,9 @@ itself or of a float of the same value and sign.  The slots hold the
 element laws' values and derivatives and the model's outputs, each
 evaluated on its first read and in the order of an evaluation without
 the cache: each law runs at most once per lambda, and the same law
-raises first, with the same message.  A _fill function takes the slots
-it fills, so one reads what another filled from the same list.
+raises first, with the same message.  A _fill function, called where
+its slot is empty, takes the slots it fills, so one reads what another
+filled from the same list.
 """
 
 from __future__ import annotations
@@ -53,48 +54,42 @@ def _slots(slots: list, lam) -> list:
 
 def _fill_omega(s: list, lam, l_of: ElementLaw, c_of: ElementLaw) -> float:
     """Omega = 1/sqrt(LC), after L and C."""
-    x = s[_OMEGA]
-    if x is None:
-        cl = s[_L]
-        if cl is None:
-            cl = s[_L] = l_of.value(lam)
-        cc = s[_C]
-        if cc is None:
-            cc = s[_C] = c_of.value(lam)
-        x = s[_OMEGA] = _omega_of(cl, cc)
+    cl = s[_L]
+    if cl is None:
+        cl = s[_L] = l_of.value(lam)
+    cc = s[_C]
+    if cc is None:
+        cc = s[_C] = c_of.value(lam)
+    x = s[_OMEGA] = _omega_of(cl, cc)
     return x
 
 
 def _fill_d_omega(s: list, lam, l_of: ElementLaw, c_of: ElementLaw) -> float:
     """dOmega/dlambda, after Omega, L' and C'."""
-    x = s[_DOMEGA]
-    if x is None:
-        om = s[_OMEGA]
-        if om is None:
-            om = _fill_omega(s, lam, l_of, c_of)
-        dl = s[_DL]
-        if dl is None:
-            dl = s[_DL] = l_of.derivative(lam)
-        dc = s[_DC]
-        if dc is None:
-            dc = s[_DC] = c_of.derivative(lam)
-        x = s[_DOMEGA] = finite(-0.5 * om * (dl / s[_L] + dc / s[_C]),
-                                "dOmega/dlambda")
+    om = s[_OMEGA]
+    if om is None:
+        om = _fill_omega(s, lam, l_of, c_of)
+    dl = s[_DL]
+    if dl is None:
+        dl = s[_DL] = l_of.derivative(lam)
+    dc = s[_DC]
+    if dc is None:
+        dc = s[_DC] = c_of.derivative(lam)
+    x = s[_DOMEGA] = finite(-0.5 * om * (dl / s[_L] + dc / s[_C]),
+                            "dOmega/dlambda")
     return x
 
 
 def _fill_series_gamma(s: list, lam, r_of: ElementLaw,
                        l_of: ElementLaw) -> float:
     """gamma = R/L, after R and L."""
-    x = s[_GAMMA]
-    if x is None:
-        r = s[_R]
-        if r is None:
-            r = s[_R] = r_of.value(lam)
-        cl = s[_L]
-        if cl is None:
-            cl = s[_L] = l_of.value(lam)
-        x = s[_GAMMA] = r / _check_positive("inductance", cl)
+    r = s[_R]
+    if r is None:
+        r = s[_R] = r_of.value(lam)
+    cl = s[_L]
+    if cl is None:
+        cl = s[_L] = l_of.value(lam)
+    x = s[_GAMMA] = r / _check_positive("inductance", cl)
     return x
 
 
@@ -102,61 +97,55 @@ def _fill_series_d_gamma(s: list, lam, r_of: ElementLaw,
                          l_of: ElementLaw) -> float:
     """dgamma/dlambda = (R' - gamma L') / L, after R', gamma and L': no
     L L, which underflows to 0 for tiny L."""
-    x = s[_DGAMMA]
-    if x is None:
-        dr = s[_DR]
-        if dr is None:
-            dr = s[_DR] = r_of.derivative(lam)
-        g = s[_GAMMA]
-        if g is None:
-            g = _fill_series_gamma(s, lam, r_of, l_of)
-        dl = s[_DL]
-        if dl is None:
-            dl = s[_DL] = l_of.derivative(lam)
-        x = s[_DGAMMA] = (dr - g * dl) / s[_L]
+    dr = s[_DR]
+    if dr is None:
+        dr = s[_DR] = r_of.derivative(lam)
+    g = s[_GAMMA]
+    if g is None:
+        g = _fill_series_gamma(s, lam, r_of, l_of)
+    dl = s[_DL]
+    if dl is None:
+        dl = s[_DL] = l_of.derivative(lam)
+    x = s[_DGAMMA] = (dr - g * dl) / s[_L]
     return x
 
 
 def _fill_parallel_gamma(s: list, lam, r_of: ElementLaw,
                          c_of: ElementLaw) -> float:
     """gamma = 1/(RC), after R and C."""
-    x = s[_GAMMA]
-    if x is None:
-        try:
-            rr = s[_R]
-            if rr is None:
-                rr = s[_R] = r_of.value(lam)
-            _check_positive("resistance", rr)
-            cc = s[_C]
-            if cc is None:
-                cc = s[_C] = c_of.value(lam)
-            x = s[_GAMMA] = 1.0 / (rr * _check_positive("capacitance", cc))
-        except ZeroDivisionError:   # R C underflows to 0
-            raise not_finite("gamma = 1/(RC)") from None
+    try:
+        rr = s[_R]
+        if rr is None:
+            rr = s[_R] = r_of.value(lam)
+        _check_positive("resistance", rr)
+        cc = s[_C]
+        if cc is None:
+            cc = s[_C] = c_of.value(lam)
+        x = s[_GAMMA] = 1.0 / (rr * _check_positive("capacitance", cc))
+    except ZeroDivisionError:   # R C underflows to 0
+        raise not_finite("gamma = 1/(RC)") from None
     return x
 
 
 def _fill_parallel_d_gamma(s: list, lam, r_of: ElementLaw,
                            c_of: ElementLaw) -> float:
     """dgamma/dlambda = -gamma (R'/R + C'/C), after R, C, gamma, R', C'."""
-    x = s[_DGAMMA]
-    if x is None:
-        rr = s[_R]
-        if rr is None:
-            rr = s[_R] = r_of.value(lam)
-        cc = s[_C]
-        if cc is None:
-            cc = s[_C] = c_of.value(lam)
-        g = s[_GAMMA]
-        if g is None:
-            g = _fill_parallel_gamma(s, lam, r_of, c_of)
-        dr = s[_DR]
-        if dr is None:
-            dr = s[_DR] = r_of.derivative(lam)
-        dc = s[_DC]
-        if dc is None:
-            dc = s[_DC] = c_of.derivative(lam)
-        x = s[_DGAMMA] = -g * (dr / rr + dc / cc)
+    rr = s[_R]
+    if rr is None:
+        rr = s[_R] = r_of.value(lam)
+    cc = s[_C]
+    if cc is None:
+        cc = s[_C] = c_of.value(lam)
+    g = s[_GAMMA]
+    if g is None:
+        g = _fill_parallel_gamma(s, lam, r_of, c_of)
+    dr = s[_DR]
+    if dr is None:
+        dr = s[_DR] = r_of.derivative(lam)
+    dc = s[_DC]
+    if dc is None:
+        dc = s[_DC] = c_of.derivative(lam)
+    x = s[_DGAMMA] = -g * (dr / rr + dc / cc)
     return x
 
 

@@ -65,11 +65,9 @@ def _reject_constant(name: str):
     raise ConfigError(f"config holds the non-finite number {name}")
 
 
-@functools.cache
-def _decoder() -> json.JSONDecoder:
-    """The config decoder json.load(fh, parse_constant=...) builds on
-    every call, built on first use and reused."""
-    return json.JSONDecoder(parse_constant=_reject_constant)
+#: the config decoder, which json.load(fh, parse_constant=...) would
+#: build on every call
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
 def _load_config(path: str, units: str | None = None) -> dict:
@@ -81,7 +79,7 @@ def _load_config(path: str, units: str | None = None) -> dict:
         if text.startswith("\ufeff"):      # json.loads's own check
             raise json.JSONDecodeError(
                 "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-        cfg = _decoder().decode(text)
+        cfg = _DECODER.decode(text)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
