@@ -16,28 +16,32 @@ keys "workers" and "oracle.n_max" are still accepted and checked, for
 existing configs, but change neither how rows run nor a byte of the
 output.
 
-Exit codes: 0 success, 2 config error, 3 domain/precondition violation
-(the library's DomainError, PreconditionError and DivergentSumError),
-4 validation failure.
+Exit codes: 0 success (and -h/--help), 2 usage or config error, 3
+domain/precondition violation (the library's DomainError,
+PreconditionError and DivergentSumError), 4 validation failure.  The
+command line is read by a table-driven parser of the fixed grammar,
+which gives the fields, exit codes and accepted forms argparse gave.
 
-Importing this module loads neither numpy nor the Matsubara oracles,
-and neither does `force` or a linear closed-form sweep (linear points
-come from _linspace, which gives np.linspace's bits).  The oracles
-(matsubara) load on first use in a config with the oracle enabled and
-in `validate`.  numpy loads only in `validate` and for log spacing,
-which takes np.geomspace's own steps: np.log10 of the two ends,
-_linspace over the exponents, one np.power(10.0, ...) and the two ends
-set back.  numpy stays because its log10 and power differ in bits from
-libm's (math.log10 and 10.0 ** y miss np.geomspace in about 70 % of
-random ranges of 3 to 64 points); no oracle loads it.
+Importing this module loads neither argparse, numpy nor the Matsubara
+oracles, and neither does `force` or a linear closed-form sweep (linear
+points come from _linspace, which gives np.linspace's bits).  The
+oracles (matsubara) load on first use in a config with the oracle
+enabled and in `validate`.  numpy loads only in `validate` and for log
+spacing, which takes np.geomspace's own steps: np.log10 of the two
+ends, _linspace over the exponents, one np.power(10.0, ...) over the
+interior ones and the two ends set back.  numpy stays because its log10
+and power differ in bits from libm's (math.log10 and 10.0 ** y miss
+np.geomspace in about 70 % of random ranges of 3 to 64 points); no
+oracle loads it.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
+import re
 import sys
+from types import SimpleNamespace
 
 from . import circuits, forces
 from .errors import _INF, DivergentSumError, DomainError, PreconditionError
@@ -74,8 +78,10 @@ def _load_config(path: str, units: str | None = None) -> dict:
     """The checked config at path; units, where given (--units),
     replaces the config's own before it is checked."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+        if "\r" in text:    # line ends as text mode's universal newlines
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
         if text.startswith("\ufeff"):      # json.loads's own check
             raise json.JSONDecodeError(
                 "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
@@ -170,12 +176,12 @@ def _sweep_values(cfg: dict) -> tuple[str, list[float]]:
         return name, _linspace(start, stop, points)
     if spacing == "log":
         import numpy as np
-        values = np.power(10.0, _linspace(float(np.log10(start)),
-                                          float(np.log10(stop)),
-                                          points)).tolist()
-        values[-1] = stop       # the ends, as np.geomspace sets them
-        values[0] = start       # (one point: start)
-        return name, values
+        exponents = _linspace(float(np.log10(start)), float(np.log10(stop)),
+                              points)
+        # np.geomspace sets the ends back (one point: start), so only the
+        # interior is raised: 10^log10(stop) may round past the largest float
+        values = [start, *np.power(10.0, exponents[1:-1]).tolist(), stop]
+        return name, values[:points]
     raise ConfigError("spacing must be 'linear' or 'log'")
 
 
@@ -423,8 +429,8 @@ def _cmd_rows(args) -> int:
         else _render_json(columns, rows)
     path = args.out or out_cfg.get("path")
     if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.write(text.encode("utf-8"))
     else:
         sys.stdout.write(text)
     return 0
@@ -444,34 +450,128 @@ def _cmd_validate(args) -> int:
     return 0 if ok else 4
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and reused by every call."""
-    parser = argparse.ArgumentParser(
-        prog="fluctforce",
-        description="Fluctuation-induced forces of damped oscillators and "
-                    "RLC circuits")
-    sub = parser.add_subparsers(dest="command", required=True)
+# The command-line grammar.  Each command's options, every one of which
+# takes one value: {option: (default, check)}, where a check of None
+# takes any string, a tuple holds the choices and int converts; the
+# first option is required.  -h/--help prints the usage.
+_ROW_OPTIONS = {"--config": (None, None), "--out": (None, None),
+                "--format": (None, ("csv", "json")),
+                "--units": (None, ("reduced", "si"))}
+_COMMANDS = {
+    "force": _ROW_OPTIONS,
+    "sweep": dict(_ROW_OPTIONS, **{"--workers": (0, int)}),
+    "validate": {"--suite": (None, None)},
+}
+#: each command's fields before its options are read: their defaults
+_FIELDS = {command: {"command": command,
+                     **{o[2:]: default for o, (default, _) in opts.items()}}
+           for command, opts in _COMMANDS.items()}
 
-    for name in ("force", "sweep"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--units", choices=("reduced", "si"), default=None)
-        if name == "sweep":
-            p.add_argument("--workers", type=int, default=0)
+_USAGE = """\
+usage: fluctforce force    --config PATH [--out PATH] [--format {csv,json}]
+                           [--units {reduced,si}]
+       fluctforce sweep    --config PATH [--out PATH] [--format {csv,json}]
+                           [--units {reduced,si}] [--workers N]
+       fluctforce validate --suite NAME
+"""
 
-    v = sub.add_parser("validate")
-    v.add_argument("--suite", required=True)
-    return parser
+#: argparse's test for a token that is a negative number, not an option
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$").match
+
+
+class _UsageError(Exception):
+    """A command line outside the grammar: exit 2."""
+
+
+def _option(options, token: str):
+    """(option, value after "=" or None) for a token that names an option
+    of options or -h/--help, in full or by a unique prefix as argparse's
+    allow_abbrev takes it; (None, None) for a value or positional token,
+    ("", None) for an unknown option and ("--", None) for "--", after
+    which every token is positional."""
+    if token in options or token in ("-h", "--help", "--"):
+        return token, None
+    if token[:1] != "-" or token == "-":
+        return None, None
+    if token[:2] == "--":
+        name, eq, value = token.partition("=")
+        names = [o for o in (*options, "--help") if o.startswith(name)]
+        if len(names) == 1:
+            return names[0], value if eq else None
+    if _NEGATIVE(token) or " " in token:
+        return None, None
+    return "", None
+
+
+def _parse_args(argv: list[str]):
+    """The fields argparse gave for argv: command, and each option of the
+    command under its name without dashes; None after -h/--help.
+    _UsageError for a line outside the grammar.  Errors come in
+    argparse's order: a bad or missing option value at once, a missing
+    required option after the last token, unrecognized tokens last."""
+    command, options, fields, extras = None, {}, {}, []
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        option, value = _option(options, token)
+        if option == "--" and command:      # no command takes a positional
+            extras += argv[i - 1:]
+            break
+        if command is None and option in (None, "--"):
+            if token not in _COMMANDS:
+                raise _UsageError(
+                    f"argument command: invalid choice: {token!r} (choose "
+                    "from 'force', 'sweep', 'validate')")
+            command, options = token, _COMMANDS[token]
+            fields = dict(_FIELDS[command])
+        elif not option:
+            extras.append(token)
+        elif option in ("-h", "--help"):
+            if value is not None:
+                raise _UsageError("argument -h/--help: ignored explicit "
+                                  f"argument {value!r}")
+            return None
+        else:
+            if value is None:
+                if i == len(argv) or _option(options, argv[i])[0] is not None:
+                    raise _UsageError(f"argument {option}: expected one "
+                                      "argument")
+                value = argv[i]
+                i += 1
+            check = options[option][1]
+            if check is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise _UsageError(f"argument {option}: invalid int "
+                                      f"value: {value!r}") from None
+            elif check and value not in check:
+                raise _UsageError(
+                    f"argument {option}: invalid choice: {value!r} (choose "
+                    f"from {', '.join(map(repr, check))})")
+            fields[option[2:]] = value
+    if command is None:
+        raise _UsageError("the following arguments are required: command")
+    required = next(iter(options))
+    if fields[required[2:]] is None:
+        raise _UsageError(
+            f"the following arguments are required: {required}")
+    if extras:
+        raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**fields)
 
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+    except _UsageError as exc:
+        sys.stderr.write(f"{_USAGE}fluctforce: error: {exc}\n")
+        return 2
+    if args is None:
+        sys.stdout.write(f"{_USAGE}\nFluctuation-induced forces of damped "
+                         "oscillators and RLC circuits\n")
+        return 0
     try:
         if args.command == "validate":
             return _cmd_validate(args)

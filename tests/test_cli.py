@@ -1,5 +1,6 @@
 """CLI behaviour: config validation, outputs, determinism, exit codes."""
 
+import argparse
 import copy
 import hashlib
 import json
@@ -522,6 +523,137 @@ def test_parser_reuse_keeps_calls_apart(tmp_path, monkeypatch, capsys):
     assert seen == [(4, "json"), (0, None)] * 2
     assert "PASS planar-relative-weights" in capsys.readouterr().out
 
+
+def _argparse_reference():
+    """The argparse parser the CLI had, kept as the reference for its own."""
+    parser = argparse.ArgumentParser(
+        prog="fluctforce",
+        description="Fluctuation-induced forces of damped oscillators and "
+                    "RLC circuits")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in ("force", "sweep"):
+        p = sub.add_parser(name)
+        p.add_argument("--config", required=True)
+        p.add_argument("--out", default=None)
+        p.add_argument("--format", choices=("csv", "json"), default=None)
+        p.add_argument("--units", choices=("reduced", "si"), default=None)
+        if name == "sweep":
+            p.add_argument("--workers", type=int, default=0)
+    v = sub.add_parser("validate")
+    v.add_argument("--suite", required=True)
+    return parser
+
+
+_PARSE_CASES = [
+    # each command with every option, in any order
+    ["force", "--config", "c.json"],
+    ["force", "--config", "c", "--out", "o", "--format", "json",
+     "--units", "si"],
+    ["force", "--units", "reduced", "--format", "csv", "--out", "o",
+     "--config", "c"],
+    ["sweep", "--config", "c", "--out", "o", "--format", "csv",
+     "--units", "si", "--workers", "4"],
+    ["sweep", "--workers", "2", "--units", "reduced", "--config", "c",
+     "--format", "json", "--out", "o"],
+    ["validate", "--suite", "circuits"],
+    # --opt=value, repeated options, values that look like options
+    ["force", "--config=c", "--out=o", "--format=json", "--units=si"],
+    ["sweep", "--config", "a", "--config=b", "--workers", "1",
+     "--workers=3", "--format", "csv", "--format", "json"],
+    ["force", "--config=", "--out="],
+    ["force", "--config=a=b"],
+    ["force", "--config", "-"],
+    ["force", "--config", "-1.5"],
+    ["force", "--config", "-x y"],
+    ["sweep", "--config", "c", "--workers", "-1"],
+    ["sweep", "--config", "c", "--workers=-1"],
+    ["sweep", "--config", "c", "--workers", " 7 "],
+    # unique prefixes, as argparse's allow_abbrev takes them
+    ["force", "--conf", "c", "--o", "o", "--f=json", "--u", "si"],
+    ["sweep", "--c", "c", "--w", "5"],
+    ["validate", "--s", "x"],
+    # usage errors
+    [],
+    ["--config", "c", "force"],
+    ["Force", "--config", "c"],
+    ["-1"],
+    ["--bogus", "force", "--config", "c"],
+    ["force"],
+    ["sweep", "--out", "o"],
+    ["validate"],
+    ["force", "--config"],
+    ["force", "--config", "--out", "o"],
+    ["force", "--config", "-x"],
+    ["force", "--config", "c", "--format", "xml"],
+    ["force", "--config", "c", "--units", "SI"],
+    ["sweep", "--config", "c", "--workers", "two"],
+    ["sweep", "--config", "c", "--workers", "2.0"],
+    ["sweep", "--config", "c", "--workers"],
+    ["force", "--config", "c", "extra"],
+    ["force", "--config", "c", "-"],
+    ["force", "--config", "c", "--workers", "2"],
+    ["force", "--config", "c", "--x=1"],
+    ["force", "--help=x"],
+    ["validate", "--suite", "circuits", "--n-max", "100000"],
+    ["validate", "--suite", "circuits", "--config", "c"],
+    ["force", "--config", "c", "sweep", "--config", "d"],
+    # help comes before what is checked after the last token, not before
+    # a bad value ahead of it
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["force", "-h"],
+    ["sweep", "--config", "c", "--help"],
+    ["validate", "--h"],
+    ["--bogus", "-h"],
+    ["force", "-h", "--format", "xml"],
+    ["force", "--format", "xml", "-h"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSE_CASES, ids=" ".join)
+def test_parser_matches_argparse(argv, monkeypatch, capsys):
+    try:
+        want = vars(_argparse_reference().parse_args(argv))
+    except SystemExit as exc:
+        want = exc.code
+    ref = capsys.readouterr()
+    seen = []
+
+    def record(args):
+        seen.append(vars(args))
+        return 0
+
+    monkeypatch.setattr(cli, "_cmd_rows", record)
+    monkeypatch.setattr(cli, "_cmd_validate", record)
+    code = main(list(argv))
+    got = capsys.readouterr()
+    assert (seen[0] if seen else code) == want
+    if want == 2:       # the same error, up to wording that varies
+        assert got.err.startswith("usage: fluctforce ")   # by version
+        assert got.err.splitlines()[-1].split(": ")[1:4] \
+            == ref.err.splitlines()[-1].split(": ")[1:4]
+    elif want == 0:
+        assert got.out.startswith("usage: fluctforce ") and not got.err
+        assert ref.out.startswith("usage: fluctforce ")
+
+
+def test_console_script_reads_sys_argv(tmp_path, monkeypatch, capsys):
+    # the fluctforce entry point calls main() with no argument
+    path = write_config(tmp_path, "c.json", GOLDEN_CONFIGS["ohmic"])
+    out = tmp_path / "o.csv"
+    monkeypatch.setattr(sys, "argv", ["fluctforce", "sweep", "--config",
+                                      path, "--out", str(out)])
+    assert main() == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() \
+        == GOLDEN_DIGESTS["ohmic"][0]
+    monkeypatch.setattr(sys, "argv", ["fluctforce", "--help"])
+    assert main() == 0
+    assert capsys.readouterr().out.startswith("usage: fluctforce ")
+    monkeypatch.setattr(sys, "argv", ["fluctforce", "sweep", "--out", "o"])
+    assert main() == 2
+    assert capsys.readouterr().err.endswith(
+        "error: the following arguments are required: --config\n")
 
 _AWKWARD_ROWS = [
     {"lambda": None, "force": -0.0, "f_omega": 5e-324, "f_gamma0": 1e300,
@@ -1111,6 +1243,25 @@ def test_log_spacing_is_geomspace_bit_for_bit():
                               want.view(np.uint64)), (start, stop, num)
 
 
+
+def test_log_sweep_to_the_largest_float_warns_nothing(tmp_path, capsys):
+    # 10^log10(stop) rounds past the largest float, but np.geomspace sets
+    # the end back: raising it would warn of an overflow (an error here)
+    import numpy as np
+    start, stop = 1e300, 1.7976931348623157e308
+    cfg = oscillator_cfg(sweep={"parameter": "lambda", "start": start,
+                                "stop": stop, "points": 4, "spacing": "log"})
+    cfg["parameters"]["omega0"] = 1.0
+    out = tmp_path / "o.csv"
+    assert main(["sweep", "--config", write_config(tmp_path, "c.json", cfg),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    with np.errstate(over="ignore"):
+        want = np.geomspace(start, stop, 4)
+    _, rows = read_rows(out)
+    got = np.array([float(row["lambda"]) for row in rows])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
 def _counted_laws(monkeypatch) -> list:
     """Every call of a config law from now on, as (law, part, lambda)."""
     calls, laws = [], []
@@ -1163,6 +1314,25 @@ def test_loop_rows_evaluate_each_law_once_per_lambda(tmp_path, monkeypatch,
     _, rows = read_rows(out)
     assert all((row["oracle"] != "") == oracle for row in rows)
 
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_config_line_ends_read_as_universal_newlines(tmp_path, capsys,
+                                                     newline):
+    # a config is read as bytes; its line ends fold as text mode's do, so
+    # a JSON error names the line and column a text-mode read gives
+    path = tmp_path / "c.json"
+    good = json.dumps(oscillator_cfg(), indent=1)
+    for text in (good, good[:-9] + "\n  bad\n}", good[:-30] + "\r\n\r"):
+        path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            try:
+                json.loads(fh.read())
+                want = ""
+            except json.JSONDecodeError as exc:
+                want = f"config error: config is not valid JSON: {exc}\n"
+        assert main(["force", "--config", str(path)]) == (2 if want else 0)
+        assert capsys.readouterr().err == want
 
 def test_config_with_byte_order_mark_is_json_loads_error(tmp_path, capsys):
     # the decoder built once keeps json.loads's check and its message
