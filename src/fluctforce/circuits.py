@@ -163,15 +163,13 @@ def _loops():
 
 def map_series(c: SeriesRLC) -> ParametricModel:
     """Oscillator model of a series loop: Omega = 1/sqrt(LC), gamma = R/L.
-    It evaluates each element law and derivative at most once per
-    lambda."""
+    The first read at a lambda evaluates every law and derivative once."""
     return (_LOOPS or _loops()).series(c)
 
 
 def map_parallel(c: ParallelRLC) -> ParametricModel:
     """Oscillator model of a parallel loop: Omega = 1/sqrt(LC), gamma = 1/RC.
-    It evaluates each element law and derivative at most once per
-    lambda."""
+    The first read at a lambda evaluates every law and derivative once."""
     return (_LOOPS or _loops()).parallel(c)
 
 

@@ -88,6 +88,8 @@ def _load_config(path: str, units: str | None = None) -> dict:
         cfg = _DECODER.decode(text)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -180,8 +182,13 @@ def _sweep_values(cfg: dict) -> tuple[str, list[float]]:
                               points)
         # np.geomspace sets the ends back (one point: start), so only the
         # interior is raised: 10^log10(stop) may round past the largest float
-        values = [start, *np.power(10.0, exponents[1:-1]).tolist(), stop]
-        return name, values[:points]
+        try:
+            with np.errstate(over="raise"):
+                inner = np.power(10.0, exponents[1:-1]).tolist()
+        except FloatingPointError:
+            raise ConfigError("log spacing gives a sweep point beyond the "
+                              "largest float") from None
+        return name, [start, *inner, stop][:points]
     raise ConfigError("spacing must be 'linear' or 'log'")
 
 

@@ -512,13 +512,6 @@ def _scaled(tail, e: int):
     return scaled
 
 
-@functools.lru_cache(maxsize=8)
-def _ratio(n: int) -> float:
-    """rho = ((2K + 2) / (2 pi n))^2, each correction's bound on the next
-    (module docstring)."""
-    return ((2 * len(_BERNOULLI) + 2) / (2.0 * math.pi * n)) ** 2
-
-
 def _with_tail(terms: list, n: int, tail, rel: float = 0.0) -> tuple:
     """The terms through n plus the tail, and its error bound, without the
     prefactor; every part inherits a relative error rel from its inputs."""
@@ -526,7 +519,8 @@ def _with_tail(terms: list, n: int, tail, rel: float = 0.0) -> tuple:
     integral, (c1, c2, c3, c4), error = tail(n, f_n)
     parts = terms[:n + 1]
     parts += integral, -0.5 * f_n, -c1, -c2, -c3, -c4
-    rho = _ratio(n)
+    # each correction's bound on the next (module docstring)
+    rho = ((2 * len(_BERNOULLI) + 2) / (2.0 * math.pi * n)) ** 2
     # >= the corrections' envelope
     last = ((abs(c1) * rho + abs(c2)) * rho + abs(c3)) * rho + abs(c4)
     error += last * rho / (1.0 - rho) if rho < 1.0 else math.inf

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fluctforce import circuits as cc
 from fluctforce.errors import DivergentSumError, DomainError, \
-    PreconditionError
+    PreconditionError, finite, not_finite
 from fluctforce.forces import (force_drude_full, force_drude_high_t,
                                force_drude_very_high_t,
                                force_ohmic_exact, force_ohmic_high_t,
@@ -19,7 +19,7 @@ from fluctforce.forces import (force_drude_full, force_drude_high_t,
                                free_energy_drude_gamma)
 from fluctforce.matsubara import SumSpec, force_sum_exact
 from fluctforce.oscillator import (Drude, Ohmic, OscillatorParams,
-                                   power_law_model)
+                                   ParametricModel, power_law_model)
 
 HBAR, KB, C, EPS0 = cc.HBAR, cc.K_B, cc.C_LIGHT, cc.EPSILON_0
 
@@ -732,20 +732,111 @@ def test_loop_model_shares_evaluations_by_value_and_sign_of_lambda():
 
     def counted(coeff, exponent):
         law = cc.power_element(coeff, exponent)
-        return cc.ElementLaw(lambda lam: calls.append(lam) or law.value(lam),
-                             law.derivative)
+        return cc.ElementLaw(
+            lambda lam: calls.append((coeff, lam)) or law.value(lam),
+            law.derivative)
 
     for mapper, loop_of in ((cc.map_series, cc.SeriesRLC),
                             (cc.map_parallel, cc.ParallelRLC)):
-        model = mapper(loop_of(counted(2.0, 1.0), counted(1.0, 0.0),
-                               counted(0.5, 0.0)))
-        calls.clear()
-        first, again = 1.5, float("1.5")
-        assert first is not again
-        assert model.omega(first) == model.omega(again)
-        assert model.d_omega(again) == model.d_omega(first)
-        assert calls == [first, first]          # L and C, once each
+        for read in ("omega", "d_omega", "gamma0", "d_gamma0"):
+            model = mapper(loop_of(counted(2.0, 1.0), counted(1.0, 0.0),
+                                   counted(0.5, 0.0)))
+            calls.clear()
+            first, again = 1.5, float("1.5")
+            assert first is not again
+            getattr(model, read)(first)
+            once = [(2.0, first), (1.0, first), (0.5, first)]
+            assert sorted(calls) == sorted(once)    # each value, once
+            assert model.omega(first) == model.omega(again)
+            assert model.d_omega(again) == model.d_omega(first)
+            assert sorted(calls) == sorted(once)
     series = cc.map_series(cc.SeriesRLC.of((2.0, 1.0), 1.0, 0.5))
     assert math.copysign(1.0, series.gamma0(0.0)) == 1.0
     assert math.copysign(1.0, series.gamma0(-0.0)) == -1.0
     assert math.copysign(1.0, series.gamma0(0.0)) == 1.0
+
+
+def _uncached_model(loop) -> ParametricModel:
+    """The loop's model as plain closures over its laws, with no cache:
+    Omega from L and C, gamma from R and L (series) or R and C
+    (parallel), and their derivatives, each law evaluated on every read."""
+    r_of, l_of, c_of = loop.resistance, loop.inductance, loop.capacitance
+
+    def omega_of(cl, cap):
+        cc._check_positive("inductance", cl)
+        cc._check_positive("capacitance", cap)
+        try:
+            return 1.0 / math.sqrt(cl * cap)
+        except ZeroDivisionError:
+            raise not_finite("Omega = 1/sqrt(LC)") from None
+
+    def omega(lam):
+        return omega_of(l_of.value(lam), c_of.value(lam))
+
+    def d_omega(lam):
+        cl, cap = l_of.value(lam), c_of.value(lam)
+        return finite(-0.5 * omega_of(cl, cap) * (l_of.derivative(lam) / cl
+                                                  + c_of.derivative(lam) / cap),
+                      "dOmega/dlambda")
+
+    if isinstance(loop, cc.SeriesRLC):
+        def gamma0(lam):
+            return r_of.value(lam) / cc._check_positive("inductance",
+                                                        l_of.value(lam))
+
+        def d_gamma0(lam):
+            return ((r_of.derivative(lam) - gamma0(lam) * l_of.derivative(lam))
+                    / l_of.value(lam))
+    else:
+        def gamma0(lam):
+            try:
+                return 1.0 / (cc._check_positive("resistance", r_of.value(lam))
+                              * cc._check_positive("capacitance",
+                                                   c_of.value(lam)))
+            except ZeroDivisionError:
+                raise not_finite("gamma = 1/(RC)") from None
+
+        def d_gamma0(lam):
+            rr, cap = r_of.value(lam), c_of.value(lam)
+            return -gamma0(lam) * (r_of.derivative(lam) / rr
+                                   + c_of.derivative(lam) / cap)
+
+    return ParametricModel(omega, d_omega, gamma0, d_gamma0)
+
+
+class _LawFailed(Exception):
+    pass
+
+
+def _fails(lam):
+    raise _LawFailed(f"the law failed at {lam!r}")
+
+
+@pytest.mark.parametrize("loop_of", [cc.SeriesRLC, cc.ParallelRLC])
+@pytest.mark.parametrize("law", ["resistance", "inductance", "capacitance"])
+@pytest.mark.parametrize("part, fault", [
+    ("value", _fails), ("value", -1.0), ("value", math.nan),
+    ("derivative", _fails), ("derivative", math.nan),
+    ("derivative", math.inf)])
+def test_a_single_faulty_law_fails_as_without_the_cache(loop_of, law, part,
+                                                        fault):
+    # each law raising, or returning a value a check rejects, while the
+    # others are constant: the force raises as with the uncached model
+    bad = fault if callable(fault) else (lambda _lam: fault)
+    laws = {}
+    for name, value in (("resistance", 2.0), ("inductance", 1.0),
+                        ("capacitance", 0.5)):
+        value_of, derivative_of = (lambda _lam, v=value: v), (lambda _lam: 0.0)
+        if name == law:
+            value_of, derivative_of = ((bad, derivative_of) if part == "value"
+                                       else (value_of, bad))
+        laws[name] = cc.ElementLaw(value_of, derivative_of)
+    loop = loop_of(laws["resistance"], laws["inductance"],
+                   laws["capacitance"], None)
+    mapper = cc.map_series if loop_of is cc.SeriesRLC else cc.map_parallel
+    raised = []
+    for model in (_uncached_model(loop), mapper(loop)):
+        with pytest.raises(Exception) as exc:
+            cc.rlc_force_at(loop, model, 0.5, 1.5, "exact", "reduced")
+        raised.append((type(exc.value), str(exc.value)))
+    assert raised[0] == raised[1]

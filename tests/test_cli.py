@@ -1347,3 +1347,74 @@ def test_config_with_byte_order_mark_is_json_loads_error(tmp_path, capsys):
     assert capsys.readouterr().err == want
     path.write_text(cfg, encoding="utf-8")
     assert main(["force", "--config", str(path)]) == 0
+
+
+def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    raw = b'{"schema": "fluctforce/1", "note": "\xff"}'
+    path.write_bytes(raw)
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        want = f"config error: config is not valid UTF-8: {exc}\n"
+    assert main(["force", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == want
+
+
+def _sweep_cfg(**sweep):
+    cfg = oscillator_cfg()
+    cfg["sweep"] = dict(cfg["sweep"], **sweep)
+    return cfg
+
+
+def _params_cfg(drop=(), **params):
+    cfg = oscillator_cfg()
+    cfg["parameters"] = {k: v for k, v in dict(cfg["parameters"],
+                                               **params).items()
+                         if k not in drop}
+    return cfg
+
+
+_NO_SWEEP = oscillator_cfg()
+del _NO_SWEEP["sweep"]
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("force", [1, 2], "config must be a JSON object"),
+    ("force", oscillator_cfg(units="cgs"), "units must be 'reduced' or 'si'"),
+    ("force", oscillator_cfg(parameters=[]),
+     "config needs a 'parameters' object"),
+    # an integer beyond the float range
+    ("force", _params_cfg(temperature=10**400),
+     "'temperature' must be a finite number"),
+    ("force", _params_cfg(omega0="one"),
+     "parameter 'omega0' must be a number or {'coeff': c, 'power': p}"),
+    ("force", _params_cfg(drop=("omega0",)), "missing parameter 'omega0'"),
+    ("force", _params_cfg(damping="viscous"),
+     "damping must be 'ohmic' or 'drude'"),
+    ("force", oscillator_cfg(oracle=1), "'oracle' must be an object"),
+    ("force", oscillator_cfg(output=[]), "'output' must be an object"),
+    ("force", oscillator_cfg(output={"format": "xml"}),
+     "format must be 'csv' or 'json'"),
+    ("sweep", _NO_SWEEP, "sweep mode needs a 'sweep' object"),
+    ("sweep", _sweep_cfg(parameter="gap"),
+     "sweep parameter must be 'lambda' or 'temperature'"),
+    ("sweep", {**_NO_SWEEP, "sweep": {"start": 0.5, "points": 3}},
+     "sweep needs numeric start/stop/points"),
+    ("sweep", _sweep_cfg(points=0), "sweep points must be >= 1"),
+    ("sweep", _sweep_cfg(start=2.0, stop=1.0),
+     "sweep range must be positive and ordered"),
+    ("sweep", _sweep_cfg(spacing="cubic"), "spacing must be 'linear' or 'log'"),
+    # every interior point is inf; pytest makes numpy's overflow warning
+    # an error, so the sweep must not raise that warning either
+    ("sweep", _sweep_cfg(parameter="temperature",
+                         start=1.7976931348623157e308,
+                         stop=1.7976931348623157e308, points=3,
+                         spacing="log"),
+     "log spacing gives a sweep point beyond the largest float"),
+])
+def test_config_errors_name_the_fault(tmp_path, capsys, command, cfg,
+                                      message):
+    path = write_config(tmp_path, "c.json", cfg)
+    assert main([command, "--config", path]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
