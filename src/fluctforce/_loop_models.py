@@ -12,8 +12,8 @@ dgamma/dlambda.  So a single faulty law raises as it does without the
 cache.  The four callables share a one-entry cache: the last point, a
 tuple replaced whole, so that a caller at another lambda (in another
 thread) never sees a torn entry; a race can only repeat an evaluation.
-A lambda shares the point of itself or of a float of the same value and
-sign.
+A lambda shares the point of the same object only: a distinct float of
+the same value evaluates the point again, to the same bits.
 """
 
 from __future__ import annotations
@@ -40,13 +40,8 @@ def _model(point) -> ParametricModel:
     last = (object(),)      # no lambda is this key
 
     def at(lam) -> tuple:
-        """The point at lam, which is not the cached key itself."""
+        """The point at lam, which is not the cached key, evaluated."""
         nonlocal last
-        p = last
-        key = p[0]
-        if (type(key) is float and type(lam) is float and key == lam
-                and math.copysign(1.0, key) == math.copysign(1.0, lam)):
-            return p
         p = last = point(lam)
         return p
 

@@ -69,11 +69,6 @@ def _reject_constant(name: str):
     raise ConfigError(f"config holds the non-finite number {name}")
 
 
-#: the config decoder, which json.load(fh, parse_constant=...) would
-#: build on every call
-_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
-
-
 def _load_config(path: str, units: str | None = None) -> dict:
     """The checked config at path; units, where given (--units),
     replaces the config's own before it is checked."""
@@ -82,10 +77,7 @@ def _load_config(path: str, units: str | None = None) -> dict:
             text = fh.read().decode("utf-8")
         if "\r" in text:    # line ends as text mode's universal newlines
             text = text.replace("\r\n", "\n").replace("\r", "\n")
-        if text.startswith("\ufeff"):      # json.loads's own check
-            raise json.JSONDecodeError(
-                "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-        cfg = _DECODER.decode(text)
+        cfg = json.loads(text, parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -425,6 +417,9 @@ def _cmd_rows(args) -> int:
     fmt = args.format or out_cfg.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError("format must be 'csv' or 'json'")
+    path = args.out or out_cfg.get("path")
+    if path is not None and not isinstance(path, str):
+        raise ConfigError("output.path must be a string")
     sweep = None
     if args.command == "sweep":
         sweep = _sweep_values(cfg)
@@ -434,10 +429,12 @@ def _cmd_rows(args) -> int:
     columns = _columns(cfg["mode"])
     text = _render_csv(columns, rows) if fmt == "csv" \
         else _render_json(columns, rows)
-    path = args.out or out_cfg.get("path")
-    if path:
-        with open(path, "wb") as fh:
-            fh.write(text.encode("utf-8"))
+    if path:    # opened only now, so that a failed row leaves no file
+        try:
+            with open(path, "wb") as fh:
+                fh.write(text.encode("utf-8"))
+        except OSError as exc:
+            raise ConfigError(f"cannot write output: {exc}") from exc
     else:
         sys.stdout.write(text)
     return 0

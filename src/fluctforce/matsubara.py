@@ -17,10 +17,10 @@ difference takes Gauss-Legendre quadrature where the poles cluster and
 partial fractions over groups of close poles where they spread; nothing
 divides by the gap between two close poles, so coincident ones, as at
 critical damping, need no special case.  The Taylor coefficients of two
-poles (the Ohmic force) and of four (the Drude force, the Ohmic
-difference) take straight-line code that does the loops' operations in
-the same order, so their bits are the loops' bits; over two poles a
-constant P, whose [r0, r1] P is 0, takes only the first Leibniz term.
+poles with a constant P (the Ohmic force) take straight-line code that
+does the loops' operations in the same order, so their bits are the
+loops' bits; its divided difference, whose [r0, r1] P is 0, takes only
+the first Leibniz term.
 
 truncation_estimate bounds |value - exact sum|, formed at the call from
 the same sum.  Truncation: f^(j)(N) ~ j! / (N - r_j)^(j+1) over the
@@ -271,7 +271,10 @@ def _groups(poles: list, n: int) -> list:
     their distance to n share a group (single linkage), and a group of
     three or more that spreads beyond _CLUSTER is split again at half the
     distance, which ends once the links are shorter than its spread.
-    Poles of different groups are never closer than the link."""
+    Poles of different groups are never closer than the link.  The split
+    is reached: a Drude free energy difference's two pairs and real roots
+    can lie near one line across the real axis, linked but spread beyond
+    _CLUSTER (Omega 30 -> 95 under Drude(120, 15) at T = 1)."""
     dist = [abs(n - r) for r in poles]
     done = []
     todo = [(range(len(poles)), _LINK)]
@@ -411,21 +414,17 @@ def _divided_difference(p: list, poles: list, n: int) -> tuple:
 
 def _taylor(p: list, poles: list, n: int) -> list:
     """Taylor coefficients c_0..c_{2K-1} of P(n + t) / prod_j
-    (n - r_j + t), deg P < 2K, by series division.  Two poles (the Ohmic
-    force) and four (the Drude force) take the loops' operations in the
-    same order, written out."""
-    if len(poles) == 2:     # the loops below, for q = (x0 + t) (x1 + t)
-        x = n - poles[0]
+    (n - r_j + t), deg P < 2K, by series division.  Two poles with a
+    constant P (the Ohmic force) take the loops' operations in the same
+    order, written out."""
+    if len(poles) == 2 and len(p) == 1:     # the loops below, for
+        x = n - poles[0]                    # q = (x0 + t) (x1 + t)
         a0, a1 = x * 1.0 + 0.0, x * 0.0 + 1.0
         x = n - poles[1]
         inv = 1.0 / (x * a0 + 0.0).real
         qa, qb = -(x * a1 + a0).real * inv, -(x * 0.0 + a1).real * inv
-        if len(p) == 1:     # P constant, the Ohmic force's
-            c0 = p[0] * inv
-            c1 = c2 = c3 = c4 = c5 = c6 = c7 = 0.0
-        else:
-            c0, c1, c2, c3, c4, c5, c6, c7 = \
-                [v * inv for v in _shift(p, n)] + _ZEROS[len(p):]
+        c0 = p[0] * inv
+        c1 = c2 = c3 = c4 = c5 = c6 = c7 = 0.0
         c1 += qa * c0
         c2 = c2 + qa * c1 + qb * c0
         c3 = c3 + qa * c2 + qb * c1
@@ -433,28 +432,6 @@ def _taylor(p: list, poles: list, n: int) -> list:
         c5 = c5 + qa * c4 + qb * c3
         c6 = c6 + qa * c5 + qb * c4
         c7 = c7 + qa * c6 + qb * c5
-        return [c0, c1, c2, c3, c4, c5, c6, c7]
-    if len(poles) == 4:     # and for q = (x0 + t) ... (x3 + t)
-        x = n - poles[0]
-        a0, a1 = x * 1.0 + 0.0, x * 0.0 + 1.0
-        x = n - poles[1]
-        a0, a1, a2 = x * a0 + 0.0, x * a1 + a0, x * 0.0 + a1
-        x = n - poles[2]
-        a0, a1, a2, a3 = (x * a0 + 0.0, x * a1 + a0, x * a2 + a1,
-                          x * 0.0 + a2)
-        x = n - poles[3]
-        inv = 1.0 / (x * a0 + 0.0).real
-        qa, qb = -(x * a1 + a0).real * inv, -(x * a2 + a1).real * inv
-        qc, qd = -(x * a3 + a2).real * inv, -(x * 0.0 + a3).real * inv
-        c0, c1, c2, c3, c4, c5, c6, c7 = \
-            [v * inv for v in _shift(p, n)] + _ZEROS[len(p):]
-        c1 += qa * c0
-        c2 = c2 + qa * c1 + qb * c0
-        c3 = c3 + qa * c2 + qb * c1 + qc * c0
-        c4 = c4 + qa * c3 + qb * c2 + qc * c1 + qd * c0
-        c5 = c5 + qa * c4 + qb * c3 + qc * c2 + qd * c1
-        c6 = c6 + qa * c5 + qb * c4 + qc * c3 + qd * c2
-        c7 = c7 + qa * c6 + qb * c5 + qc * c4 + qd * c3
         return [c0, c1, c2, c3, c4, c5, c6, c7]
     q = [1.0]
     for r in poles:     # q(t) times (x + t), x = n - r

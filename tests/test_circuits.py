@@ -291,6 +291,21 @@ def test_relative_weight_sphere_reference_values():
         assert abs(r - target) <= tol
 
 
+def test_relative_weight_whose_product_underflows_raises():
+    # eps0 eps L S underflows to 0: the quotient divides by zero
+    geom = cc.PlanarCapacitor(1e-200, 1e-6)
+    loop = cc.SeriesRLC.of(0.0, 1e-200, 1.0)
+    with pytest.raises(DomainError, match="the relative weight is not"):
+        cc.relative_weight(geom, loop, 1.0, "low-T")
+
+
+def test_unknown_units_and_regime_raise():
+    with pytest.raises(DomainError, match="units must be 'si' or 'reduced'"):
+        cc.units_factors(1.0, "cgs")
+    with pytest.raises(DomainError, match="regime must be 'low-T' or"):
+        cc.casimir_reference(cc.PlanarCapacitor(1e-6, 1e-6), 1.0, "mid-T")
+
+
 def test_relative_weight_equals_force_quotient():
     # 20-point geometry grid, both geometries, high and low T regimes
     radius, L = 1e-4, 1e-6
@@ -726,8 +741,9 @@ def test_a_power_law_gamma_still_raises():
 
 
 def test_loop_model_shares_evaluations_by_value_and_sign_of_lambda():
-    # a float of the same value shares the evaluations at lambda, one of
-    # the other sign of zero does not: R(-0) = -0, so gamma(-0) = -0
+    # the reads at one lambda share its evaluations; a distinct float of
+    # the same value evaluates again, to the same bits, and so does the
+    # other sign of zero: R(-0) = -0, so gamma(-0) = -0
     calls = []
 
     def counted(coeff, exponent):
@@ -749,7 +765,8 @@ def test_loop_model_shares_evaluations_by_value_and_sign_of_lambda():
             assert sorted(calls) == sorted(once)    # each value, once
             assert model.omega(first) == model.omega(again)
             assert model.d_omega(again) == model.d_omega(first)
-            assert sorted(calls) == sorted(once)
+            twice = once + [(2.0, again), (1.0, again), (0.5, again)]
+            assert sorted(calls) == sorted(twice + once)
     series = cc.map_series(cc.SeriesRLC.of((2.0, 1.0), 1.0, 0.5))
     assert math.copysign(1.0, series.gamma0(0.0)) == 1.0
     assert math.copysign(1.0, series.gamma0(-0.0)) == -1.0

@@ -908,6 +908,31 @@ def test_existing_output_is_replaced(tmp_path, fmt):
     assert link.is_symlink() and target.read_bytes() == want
 
 
+@pytest.mark.parametrize("path, message", [
+    (5, "output.path must be a string"),            # not a file descriptor
+    (2.5, "output.path must be a string"),
+    ({"a": 1}, "output.path must be a string"),
+    (True, "output.path must be a string"),         # nor fd 1
+    ("missing/x.csv", "cannot write output: "),     # via --out
+    (".", "cannot write output: "),                 # a directory
+])
+def test_bad_output_path_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                           path, message):
+    argv = ["sweep", "--config"]
+    if isinstance(path, str):
+        argv += [write_config(tmp_path, "c.json", oscillator_cfg()),
+                 "--out", str(tmp_path / path)]
+    else:   # checked before any row runs
+        monkeypatch.setattr(cli, "_compute_rows", None)
+        argv.append(write_config(tmp_path, "c.json",
+                                 oscillator_cfg(output={"path": path})))
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"config error: {message}")
+    assert not (tmp_path / "missing").exists()
+    assert not sys.stdout.closed
+
+
 def test_render_json_strings_that_look_like_row_separators():
     tricky = ["},\n      {", "}, {", "}\n    },\n    {\n      {", "{", "}"]
     rows = [{"lambda": float(i), "force": None, "regime": text,

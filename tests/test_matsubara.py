@@ -204,6 +204,19 @@ def test_free_energy_difference_requires_same_damping():
         free_energy_difference(p1, p2)
 
 
+def test_free_energy_difference_requires_equal_temperatures():
+    p1 = OscillatorParams(1.0, Ohmic(0.1), 1.0)
+    p2 = OscillatorParams(1.2, Ohmic(0.1), 2.0)
+    with pytest.raises(PreconditionError, match="equal temperatures"):
+        free_energy_difference(p1, p2)
+
+
+def test_free_energy_drude_rejects_unknown_roots():
+    p = OscillatorParams(1.0, Drude(0.1, 30.0), 1.0)
+    with pytest.raises(DomainError, match="roots must be 'approx' or 'exact'"):
+        free_energy_drude(p, roots="bogus")
+
+
 def test_free_energy_difference_classical_limit():
     # T >> Omega: the half-weight n = 0 term dominates
     p1 = OscillatorParams(1.0, Ohmic(0.0), 100.0)
@@ -558,6 +571,30 @@ def test_free_energy_difference_of_close_frequencies(om1, om2, g0, wd, t,
     res = free_energy_difference(OscillatorParams(om1, damping, t),
                                  OscillatorParams(om2, damping, t))
     assert abs(res.value - ref) <= 1e-14 * abs(ref)
+
+
+def test_groups_split_again_a_linked_group_that_spreads_too_far(
+        monkeypatch):
+    # Omega 30 -> 95 under Drude(120, 15) at T = 1: Omega1's pair and
+    # real root share a real part, and the six poles lie near one line
+    # across the real axis at |N - c| = 32.8, the pairs 8.2 and 16.5 off
+    # the axis.  Single linkage at _LINK joins all six, but they spread
+    # 0.504 |N - c| from their centroid, beyond _CLUSTER, so _groups
+    # splits them again.  The reference is mpmath's nsum at 50 digits.
+    seen = []
+    groups = matsubara._groups
+    monkeypatch.setattr(matsubara, "_groups", lambda poles, n: (
+        seen.append((poles, n)) or groups(poles, n)))
+    damping = Drude(120.0, 15.0)
+    res = free_energy_difference(OscillatorParams(30.0, damping, 1.0),
+                                 OscillatorParams(95.0, damping, 1.0))
+    assert abs(res.value - 28.234076387879663904) <= res.truncation_estimate
+    [(poles, n)] = seen
+    c = sum(poles) / len(poles)
+    assert max([abs(r - c) for r in poles]) > matsubara._CLUSTER * abs(n - c)
+    assert sorted(map(len, groups(poles, n))) == [1, 1, 1, 1, 2]
+    monkeypatch.setattr(matsubara, "_CLUSTER", math.inf)   # no re-split
+    assert [len(g) for g in groups(poles, n)] == [6]
 
 
 # Drude free energies (Omega, gamma0, omega_d, T, roots, F), frozen the
@@ -1023,13 +1060,13 @@ def test_non_finite_cubic_coefficients_raise_domain_error():
         assert time.perf_counter() - start < 1.0
 
 
-# -- the written-out tail of two and four poles -------------------------------
+# -- the written-out tail of two poles -----------------------------------------
 #
-# _taylor writes its loops out for two poles (the Ohmic force) and four
-# (the Drude force and the Ohmic difference), and _divided_difference
-# skips the zero [r0, r1] P of a constant P over two poles.  Each must
-# give the bits of the loops and of Leibniz's rule in full, kept here as
-# the plain implementation they replaced.
+# _taylor writes its loops out for two poles with a constant P (the Ohmic
+# force), and _divided_difference skips the zero [r0, r1] P of a constant
+# P over two poles.  Each must give the bits of the loops and of Leibniz's
+# rule in full, kept here as the plain implementation they replaced; the
+# other cases (a non-constant P, four poles) run the loops themselves.
 
 def _plain_taylor(p, poles, n):
     q = [1.0]

@@ -331,6 +331,12 @@ def test_power_law_finite_values_unchanged():
     assert power_law(2.0, 3.0)[1](-1.5) == 2.0 * 3.0 * (-1.5) ** 2.0
 
 
+def test_int_coeff_with_exponent_zero_has_derivative_zero():
+    # an int coeff skips the constant law's shortcut, not its derivative
+    value, derivative = power_law(3, 0.0)
+    assert value(0.0) == 3.0 and derivative(0.0) == 0.0
+
+
 # (Omega, gamma0, omega_d) and the three Drude eigenfrequencies, from the
 # cubic's roots by mpmath.polyroots at 80 digits (frozen here: the test
 # environment need not have mpmath), in order of magnitude.  The solver

@@ -1,6 +1,7 @@
 """The Vieta battery: its block of draws and its report."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -50,6 +51,25 @@ def test_vieta_nan_residual_fails(monkeypatch):
     rep = validation.criterion_vieta(3)
     assert not rep.passed
     assert math.isnan(rep.worst)
+
+
+@pytest.mark.parametrize("module, name, wrong", [
+    ("forces", "force_ohmic_exact", 400),   # both signs of dOmega
+    ("matsubara", "force_sum_exact", 200),
+    ("forces", "force_drude_full", 150),
+])
+def test_sign_laws_fail_on_a_wrong_sign(monkeypatch, module, name, wrong):
+    module = getattr(validation, module)
+    force = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: SimpleNamespace(
+        value=-force(*args).value))
+    rep = validation.criterion_sign_laws()
+    assert rep.passed is False and rep.worst == wrong > 0
+
+
+def test_run_suite_rejects_an_unknown_name():
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        validation.run_suite("nope")
 
 
 #: the lines `fluctforce validate --suite <suite>` prints, one per
