@@ -436,7 +436,15 @@ def _cmd_rows(args) -> int:
         except OSError as exc:
             raise ConfigError(f"cannot write output: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        out = sys.stdout
+        if out is None:     # started with stdout closed (`>&-`)
+            raise ConfigError("cannot write output: standard output is "
+                              "closed")
+        try:
+            out.write(text)
+            out.flush()
+        except OSError as exc:
+            raise ConfigError(f"cannot write output: {exc}") from exc
     return 0
 
 

@@ -18,7 +18,12 @@ Conventions shared by every function here:
   series limit once |Omega^2 - gamma^2/4| <= 1e-8 Omega^2.
 * Exact variants combine conjugate digammas and must come out real; the
   discarded imaginary part is recorded as im_residual and flagged if it
-  exceeds 1e-10 of the value.
+  exceeds 1e-10 of the value.  The flag cannot fire for the exact or
+  low-T forms: specfun gives psi(conj a) as conj psi(a) bit for bit, as
+  cmath.log does for the logarithms, so below critical damping the
+  pair's imaginary parts cancel exactly; above it the arguments are
+  real, and at it the series are.  im_residual is 0.0 there, and stays
+  a field until schema fluctforce/2.
 * Every function returns finite numbers or raises DomainError, by the
   rule that errors states.
 """

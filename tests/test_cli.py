@@ -933,6 +933,34 @@ def test_bad_output_path_is_a_config_error(tmp_path, capsys, monkeypatch,
     assert not sys.stdout.closed
 
 
+def test_closed_stdout_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # `fluctforce sweep ... >&-`: Python starts with sys.stdout = None
+    argv = ["sweep", "--config",
+            write_config(tmp_path, "c.json", oscillator_cfg())]
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == ("config error: cannot write output: standard output "
+                   "is closed\n")
+
+
+class _BrokenPipe:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_broken_pipe_on_stdout_is_a_config_error(tmp_path, capsys,
+                                                 monkeypatch):
+    # `fluctforce sweep ... | head -c 0`: the reader has gone
+    argv = ["sweep", "--config",
+            write_config(tmp_path, "c.json", oscillator_cfg())]
+    monkeypatch.setattr(sys, "stdout", _BrokenPipe())
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == ("config error: cannot write output: [Errno 32] Broken "
+                   "pipe\n")
+
+
 def test_render_json_strings_that_look_like_row_separators():
     tricky = ["},\n      {", "}, {", "}\n    },\n    {\n      {", "{", "}"]
     rows = [{"lambda": float(i), "force": None, "regime": text,

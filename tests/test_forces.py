@@ -376,6 +376,35 @@ def test_reality_residuals_on_random_grid():
         assert "imaginary-residual" not in res.warnings
 
 
+def test_exact_forms_discard_no_imaginary_part():
+    # psi(conj a) is conj psi(a) bit for bit, and so is log(conj a), so
+    # the imaginary parts of a conjugate pair cancel exactly below
+    # critical damping; above it the arguments are real, and at it the
+    # series are.  So the imaginary-residual flag cannot fire here.
+    rng = np.random.default_rng(2029)
+    for k in range(600):
+        om = 10.0 ** rng.uniform(-3.0, 3.0)
+        if k % 3 == 0:          # underdamped
+            g = om * rng.uniform(0.0, 1.999)
+        elif k % 3 == 1:        # inside the critical-damping cut
+            g = 2.0 * om * (1.0 + rng.uniform(-1e-9, 1e-9))
+        else:                   # overdamped
+            g = om * 10.0 ** rng.uniform(0.31, 4.0)
+        t = 10.0 ** rng.uniform(-4.0, 4.0)
+        wd = max(om, g) * 10.0 ** rng.uniform(0.01, 4.0)
+        p = OscillatorParams(om, Ohmic(g), t)
+        pd = OscillatorParams(om, Drude(g, wd), t)
+        m = linear_model(om, dom=rng.uniform(-2.0, 2.0), g0=g,
+                         dg0=rng.uniform(-2.0, 2.0), wd=wd,
+                         dwd=rng.uniform(-2.0, 2.0))
+        for res in (force_ohmic_exact(p, 1.3), force_tilde(p, 1.3, -0.7),
+                    force_drude_full(pd, m, 1.0),
+                    force_ohmic_low_t(p, 1.3),
+                    force_drude_low_t(pd, m, 1.0)):
+            assert res.im_residual == 0.0, (om, g, t, wd, res)
+            assert forces.WARN_IM_RESIDUAL not in res.warnings
+
+
 def test_sign_laws_in_guard():
     rng = np.random.default_rng(321)
     for _ in range(25):

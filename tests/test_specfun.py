@@ -279,3 +279,127 @@ def test_bit_identical_to_the_reference_loops(kind):
         else:
             assert _outcome(fn, z) == _outcome(ref, z), z
     assert (below > 0) == (floor > 0.0)
+
+
+# digamma and log_gamma keep their last argument and value: a call at
+# the same argument or at its conjugate returns the kept value or its
+# conjugate without running the shift loop.
+
+
+def _memo_battery():
+    # the bit grid's ranges: moderate parts, the shift threshold, and
+    # parts from 1e-300 to 1e300 of either sign
+    rng = np.random.default_rng(20261020)
+    re = np.concatenate([rng.uniform(0.0, 25.0, 5000),
+                         rng.uniform(11.0, 13.0, 2000),
+                         10.0 ** rng.uniform(-300, 300, 3000)])
+    im = np.concatenate([rng.uniform(-50.0, 50.0, 7000),
+                         np.sign(rng.uniform(-1, 1, 3000))
+                         * 10.0 ** rng.uniform(-300, 300, 3000)])
+    zs = [complex(x, y) for x, y in zip(re.tolist(), im.tolist())
+          if x > 0 and y]
+    # values with a zero part: log Gamma(1 +- 5e-324 i) has +0.0 as its
+    # imaginary part on both sides, so the conjugate of one is not the
+    # other's bits; psi(1e300 +- 1e-300 i) has +0.0 and -0.0
+    return zs + [complex(1.0, 5e-324), complex(1e300, 1e-300)]
+
+
+@pytest.mark.parametrize("kind", ["log_gamma", "digamma"])
+def test_memo_hits_give_the_bits_of_a_fresh_evaluation(kind):
+    from fluctforce import specfun as sf
+    fn = getattr(sf, kind)
+    unrelated = complex(3.25, 0.5)
+    zs = _memo_battery()
+    assert len(zs) >= 10_000
+    for z in zs:
+        zc = z.conjugate()
+        fn(unrelated)
+        fresh_c = _outcome(fn, zc)
+        fn(unrelated)
+        fresh = _outcome(fn, z)
+        assert _outcome(fn, z) == fresh, z          # the same argument
+        assert _outcome(fn, zc) == fresh_c, z       # its conjugate
+        assert _outcome(fn, zc) == fresh_c, z
+        assert _outcome(fn, z) == fresh, z
+
+
+@pytest.mark.parametrize("kind", ["log_gamma", "digamma"])
+def test_memo_skips_the_series_only_on_a_hit(kind, monkeypatch):
+    from fluctforce import specfun as sf
+    fn = getattr(sf, kind)
+    series = []
+    horner = sf._horner_even
+
+    def counted(coeffs, inv_w2):
+        series.append(1)
+        return horner(coeffs, inv_w2)
+
+    monkeypatch.setattr(sf, "_horner_even", counted)
+    z = complex(1.3, 0.7)
+    fn(z)
+    fn(z)
+    fn(z.conjugate())
+    fn(z)
+    assert len(series) == 1
+    # x + 0j and x - 0j compare equal, but never take either path
+    for x in (0.5, 1.0, 7.3, 12.0):
+        for first, second in ((complex(x, 0.0), complex(x, -0.0)),
+                              (complex(x, -0.0), complex(x, 0.0))):
+            fn(first)
+            del series[:]
+            fresh = _outcome(fn, second)
+            assert len(series) == 1
+            assert fresh == _outcome(_reference(kind), second)
+    # nor does a conjugate whose value has a zero part
+    z = {"log_gamma": complex(1.0, 5e-324),
+         "digamma": complex(1e300, 1e-300)}[kind]
+    assert fn(z).imag == 0.0
+    del series[:]
+    fn(z.conjugate())
+    assert len(series) == 1
+
+
+def test_memo_under_two_threads_gives_the_serial_bits():
+    # each thread walks its own conjugate pairs; the kept pair is one
+    # tuple, replaced whole, so the other thread's entry can only cost
+    # an evaluation, never give a wrong value
+    import threading
+    from fluctforce import specfun as sf
+    rng = np.random.default_rng(11)
+    batches = [[complex(x, y) for x, y in
+                zip(rng.uniform(0.1, 25.0, 400).tolist(),
+                    rng.uniform(-50.0, 50.0, 400).tolist())]
+               for _ in range(2)]
+    calls = []
+    for zs in batches:
+        seq = []
+        for z in zs:
+            seq += [(sf.digamma, z), (sf.digamma, z.conjugate()),
+                    (sf.log_gamma, z.conjugate()), (sf.log_gamma, z)]
+        calls.append(seq)
+    serial = []
+    for seq in calls:
+        out = []
+        for fn, z in seq:
+            fn(complex(3.25, 0.5))
+            out.append(_outcome(fn, z))
+        serial.append(out)
+    results = [None, None]
+
+    def run(k):
+        results[k] = [_outcome(fn, z) for _ in range(5)
+                      for fn, z in calls[k]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in (0, 1)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for k in (0, 1):
+        assert results[k] == serial[k] * 5
