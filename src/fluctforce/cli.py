@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import re
 import sys
 from types import SimpleNamespace
@@ -444,8 +445,22 @@ def _cmd_rows(args) -> int:
             out.write(text)
             out.flush()
         except OSError as exc:
+            _silence(out)
             raise ConfigError(f"cannot write output: {exc}") from exc
     return 0
+
+
+def _silence(stream) -> None:
+    """Point a stream that failed to flush at os.devnull: its buffer
+    keeps the unwritten bytes, and the flush at interpreter exit would
+    fail on them again (a BrokenPipeError message and exit 120)."""
+    try:
+        fd = stream.fileno()
+    except (AttributeError, OSError, ValueError):
+        return      # no file descriptor, so nothing to flush at exit
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 def _cmd_validate(args) -> int:

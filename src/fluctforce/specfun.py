@@ -18,20 +18,21 @@ DomainError where log Gamma(z) ~ z log z itself passes the largest
 float, which starts near |z| = 2.5e305 (log_gamma(2.6e305) and
 log_gamma(1e-300 + 1e308j) would be infinite).
 
-digamma and log_gamma keep their last argument and value, because
-forces calls them on eigenfrequency pairs a, conj a.  A call whose
-checked argument has a nonzero imaginary part and equals the kept one
-returns the kept value; one equal to its conjugate returns the value's
-conjugate, unless a part of the value is zero.  Neither runs the shift
-loop, and both give the bits of a fresh evaluation: CPython's complex
-arithmetic and cmath.log (glibc's atan2 is odd in y, with or without
-FMA) map conjugate operands to conjugate results, except that a part
-that comes out zero (x + (-x), or an underflow) is +0.0 on both sides,
-as in log_gamma(1 +- 5e-324j), and a zero leaves a nonzero part as it
-is.  A zero imaginary part takes neither path (x + 0j == x - 0j).  The
-kept entry is one module-level tuple, replaced whole, so no thread
-reads a torn entry and a race can only repeat an evaluation.  trigamma
-has no conjugate-pair caller and keeps nothing.
+digamma keeps its last argument and value, because forces calls it on
+eigenfrequency pairs a, conj a.  A call whose checked argument has a
+nonzero imaginary part and equals the kept one returns the kept value;
+one equal to its conjugate returns the value's conjugate, unless a part
+of the value is zero.  Neither runs the shift loop, and both give the
+bits of a fresh evaluation where libm's log and atan2 are symmetric
+under conjugation, as glibc's are on x86-64 with or without FMA: then
+CPython's complex arithmetic and cmath.log map conjugate operands to
+conjugate results, except that a part that comes out zero (x + (-x), or
+an underflow) is +0.0 on both sides, and a zero leaves a nonzero part as
+it is.  A zero imaginary part takes neither path (x + 0j == x - 0j).
+The kept entry is one module-level tuple, replaced whole, so no thread
+reads a torn entry and a race can only repeat an evaluation.  log_gamma
+and trigamma keep nothing: log_gamma's pairs come only from the
+free-energy closed forms, too few calls for a memo to pay for its check.
 """
 
 from __future__ import annotations
@@ -87,10 +88,9 @@ _TRIGAMMA_CEILING = 1e306
 # CPython 3.10-3.13 (which widen the float to complex(x, 0.0) first).
 _ONE = complex(1.0, 0.0)
 
-# the last (argument, value) of digamma and of log_gamma; no checked
-# argument has 0j's real part
+# the last (argument, value) of digamma; no checked argument has 0j's
+# real part
 _digamma_last = (0j, 0j)
-_log_gamma_last = (0j, 0j)
 
 
 def _checked(z: complex | float, floor: float = 0.0,
@@ -123,14 +123,7 @@ def _horner_even(coeffs: tuple[float, ...], inv_w2: complex) -> complex:
 def log_gamma(z: complex | float) -> complex:
     """Principal-branch log Gamma(z) for Re z > 0 where it is finite
     (|z| below about 2.5e305)."""
-    global _log_gamma_last
     z = _checked(z)
-    last, value = _log_gamma_last
-    if z.real == last.real and z.imag:
-        if z.imag == last.imag:
-            return value
-        if z.imag == -last.imag and value.real and value.imag:
-            return value.conjugate()
     shift = 0.0j
     w = z
     while w.real < _SHIFT_THRESHOLD:
@@ -142,7 +135,6 @@ def log_gamma(z: complex | float) -> complex:
              - shift)
     if not cmath.isfinite(value):
         raise DomainError(f"log Gamma overflows at {z!r}")
-    _log_gamma_last = (z, value)
     return value
 
 

@@ -961,6 +961,31 @@ def test_broken_pipe_on_stdout_is_a_config_error(tmp_path, capsys,
                    "pipe\n")
 
 
+@pytest.mark.parametrize("points", [8, 20_000])
+def test_broken_pipe_in_a_fresh_interpreter_exits_2(tmp_path, points):
+    # a small output stays in stdout's buffer after the failed flush; the
+    # flush at interpreter exit must not fail on it again.  Buffered
+    # stdout, as in a shell: PYTHONUNBUFFERED would hide that flush.
+    cfg = oscillator_cfg()
+    cfg["sweep"]["points"] = points
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fluctforce.cli", "sweep", "--config",
+             write_config(tmp_path, "c.json", cfg)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == (b"config error: cannot write output: "
+                           b"[Errno 32] Broken pipe\n")
+
+
 def test_render_json_strings_that_look_like_row_separators():
     tricky = ["},\n      {", "}, {", "}\n    },\n    {\n      {", "{", "}"]
     rows = [{"lambda": float(i), "force": None, "regime": text,

@@ -366,17 +366,6 @@ def test_free_energy_drude_gamma_properties():
 
 
 def test_reality_residuals_on_random_grid():
-    rng = np.random.default_rng(123)
-    for _ in range(50):
-        om = float(rng.uniform(0.1, 10.0))
-        g = float(rng.uniform(0.0, 20.0))
-        t = float(np.exp(rng.uniform(math.log(0.01), math.log(100.0))))
-        res = force_ohmic_exact(OscillatorParams(om, Ohmic(g), t), 1.0)
-        assert res.im_residual <= 1e-10 * max(abs(res.value), 1e-30)
-        assert "imaginary-residual" not in res.warnings
-
-
-def test_exact_forms_discard_no_imaginary_part():
     # psi(conj a) is conj psi(a) bit for bit, and so is log(conj a), so
     # the imaginary parts of a conjugate pair cancel exactly below
     # critical damping; above it the arguments are real, and at it the
