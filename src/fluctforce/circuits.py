@@ -6,10 +6,13 @@ gamma -> R/L, Omega -> 1/sqrt(LC); a parallel loop as M -> C,
 gamma -> 1/(RC), Omega -> 1/sqrt(LC).  In both cases gamma is
 frequency independent (Ohmic), which is exactly why the circuit force
 is only finite when the damping does not depend on the swept
-parameter.  rlc_force_at is the one point path, for loops and bare
-oscillator models alike: it checks dgamma/dlambda = 0 (errors.flat)
-at each Ohmic point, the test force_sum_exact makes, raises
-PreconditionError where it fails, and flags lumped-element breaches.
+parameter.  The loop's class, SeriesRLC or ParallelRLC, picks the
+topology: map_series and map_parallel give any loop the model of its
+own class, and force_series_rlc and force_parallel_rlc its force.
+rlc_force_at is the one point path, for loops and bare oscillator
+models alike: it checks dgamma/dlambda = 0 (errors.flat) at each Ohmic
+point, the test force_sum_exact makes, raises PreconditionError where
+it fails, and flags lumped-element breaches.
 
 Units: circuit element values may be SI (ohm, henry, farad, kelvin,
 metre) with units="si", or reduced (hbar = k_B = 1, any consistent
@@ -161,16 +164,17 @@ def _loops():
     return _LOOPS
 
 
-def map_series(c: SeriesRLC) -> ParametricModel:
-    """Oscillator model of a series loop: Omega = 1/sqrt(LC), gamma = R/L.
+def map_series(c: SeriesRLC | ParallelRLC) -> ParametricModel:
+    """Oscillator model of loop c, of its class's topology: Omega =
+    1/sqrt(LC), gamma = R/L for a SeriesRLC and 1/(RC) for a ParallelRLC.
     The first read at a lambda evaluates every law and derivative once."""
-    return (_LOOPS or _loops()).series(c)
+    return (_LOOPS or _loops()).model(c)
 
 
-def map_parallel(c: ParallelRLC) -> ParametricModel:
-    """Oscillator model of a parallel loop: Omega = 1/sqrt(LC), gamma = 1/RC.
-    The first read at a lambda evaluates every law and derivative once."""
-    return (_LOOPS or _loops()).parallel(c)
+def map_parallel(c: SeriesRLC | ParallelRLC) -> ParametricModel:
+    """Oscillator model of loop c, as map_series: its class picks the
+    topology, not the name called."""
+    return (_LOOPS or _loops()).model(c)
 
 
 def capacitance_planar(g: PlanarCapacitor) -> tuple[float, float]:
@@ -270,8 +274,8 @@ def rlc_force_at(c: SeriesRLC | ParallelRLC | None, model: ParametricModel,
                  temperature: float, lam: float, regime: str = "exact",
                  units: str = "si") -> ForceResult:
     """The one point path: the force at one sweep point of model, which
-    is map_series(c) or map_parallel(c), built once per loop c, or a bare
-    oscillator model with c = None.
+    is map_series(c) (or map_parallel(c), the same), built once per loop
+    c, or a bare oscillator model with c = None.
 
     A Drude model runs force_drude_full, at regime "exact" only; an
     Ohmic model the closed form of the regime, which holds only where
@@ -304,16 +308,19 @@ def rlc_force_at(c: SeriesRLC | ParallelRLC | None, model: ParametricModel,
     return scale_result(res, hbar_out, warnings)
 
 
-def force_series_rlc(c: SeriesRLC, temperature: float, lam: float,
-                     regime: str = "exact", units: str = "si") -> ForceResult:
-    """Fluctuation force of a series RLC loop whose gamma = R/L is fixed."""
+def force_series_rlc(c: SeriesRLC | ParallelRLC, temperature: float,
+                     lam: float, regime: str = "exact",
+                     units: str = "si") -> ForceResult:
+    """Fluctuation force of loop c, of its class's topology, where its
+    gamma is fixed: R/L for a SeriesRLC, 1/(RC) for a ParallelRLC."""
     return rlc_force_at(c, map_series(c), temperature, lam, regime, units)
 
 
-def force_parallel_rlc(c: ParallelRLC, temperature: float, lam: float,
-                       regime: str = "exact", units: str = "si") -> ForceResult:
-    """Fluctuation force of a parallel RLC loop whose gamma = 1/(RC) is
-    fixed."""
+def force_parallel_rlc(c: SeriesRLC | ParallelRLC, temperature: float,
+                       lam: float, regime: str = "exact",
+                       units: str = "si") -> ForceResult:
+    """Fluctuation force of loop c, as force_series_rlc: its class picks
+    the topology, not the name called."""
     return rlc_force_at(c, map_parallel(c), temperature, lam, regime, units)
 
 

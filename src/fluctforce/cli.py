@@ -37,7 +37,6 @@ oracle loads it.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import re
@@ -270,8 +269,8 @@ def _loop(params: dict, series: bool):
     loop = (circuits.SeriesRLC if series else circuits.ParallelRLC).of(
         _element(params, "resistance"), _element(params, "inductance"),
         _element(params, "capacitance"), size)
-    model = (circuits.map_series if series else circuits.map_parallel)(loop)
-    return loop, model, params.get("regime", "exact")
+    # the loop's class picks its topology: map_series maps either class
+    return loop, circuits.map_series(loop), params.get("regime", "exact")
 
 
 def _geometry(params: dict, planar: bool):
@@ -383,13 +382,6 @@ def _render_csv(columns, rows) -> str:
 _ROWS_JSON = json.JSONEncoder(separators=(",\n      ", ": ")).encode
 
 
-@functools.cache
-def _json_head(columns: tuple[str, ...]) -> str:
-    """The payload's text up to its rows, built once per column set."""
-    head = json.dumps({"schema": SCHEMA, "columns": list(columns)}, indent=2)
-    return head[:-2] + ',\n  "rows": '
-
-
 def _render_json(columns, rows) -> str:
     """The bytes of json.dumps(payload, indent=2) + "\\n", for rows as
     _render_csv takes them.
@@ -405,7 +397,8 @@ def _render_json(columns, rows) -> str:
                 + text[2:-2].replace("},\n      {",
                                      "\n    },\n    {\n      ")
                 + "\n    }\n  ]")
-    return _json_head(columns) + body + "\n}\n"
+    head = json.dumps({"schema": SCHEMA, "columns": list(columns)}, indent=2)
+    return head[:-2] + ',\n  "rows": ' + body + "\n}\n"
 
 
 def _cmd_rows(args) -> int:

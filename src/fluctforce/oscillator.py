@@ -114,7 +114,9 @@ class ParametricModel(Frozen):
     lambda is abstract: a distance, an angle, or anything else the
     parameters depend on.  Derivative callables must be the analytic
     partners of the value callables (checked by finite differences in the
-    test-suite).  omega_d / d_omega_d are None for Ohmic damping.
+    test-suite).  omega_d and d_omega_d are both None for Ohmic damping,
+    and both given for Drude damping: one without the other raises
+    DomainError.
     """
 
     omega: Callable[[float], float]
@@ -130,6 +132,8 @@ class ParametricModel(Frozen):
                  d_gamma0: Callable[[float], float] = _const_zero,
                  omega_d: Callable[[float], float] | None = None,
                  d_omega_d: Callable[[float], float] | None = None):
+        if (omega_d is None) != (d_omega_d is None):
+            raise DomainError("omega_d and d_omega_d must be given together")
         d = self.__dict__
         d["omega"] = omega
         d["d_omega"] = d_omega

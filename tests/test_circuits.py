@@ -857,3 +857,48 @@ def test_a_single_faulty_law_fails_as_without_the_cache(loop_of, law, part,
             cc.rlc_force_at(loop, model, 0.5, 1.5, "exact", "reduced")
         raised.append((type(exc.value), str(exc.value)))
     assert raised[0] == raised[1]
+
+
+def _outcome(f, *args, **kwargs):
+    """f's value, exactly (repr tells -0.0 from 0.0), or its exception."""
+    try:
+        return repr(f(*args, **kwargs))
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+
+
+_ELEMENTS = {"constant": (2.0, 1.0, 0.5), "swept-R": ((2.0, 1.0), 1.0, 0.5),
+             "swept-L": (2.0, (1.0, 1.0), 0.5),
+             "swept-C": (2.0, 1.0, (0.5, 1.0))}
+
+
+@pytest.mark.parametrize("loop_of", [cc.SeriesRLC, cc.ParallelRLC])
+@pytest.mark.parametrize("elements", list(_ELEMENTS.values()), ids=_ELEMENTS)
+def test_a_loop_maps_by_its_own_class(loop_of, elements):
+    # the loop's class picks the topology, whichever name is called: the
+    # model and force are those of the uncached model of that class
+    loop = loop_of.of(*elements)
+    own = _uncached_model(loop)
+    for mapper in (cc.map_series, cc.map_parallel):
+        model = mapper(loop)
+        for lam in (0.5, 1.5):
+            for read in ("omega", "d_omega", "gamma0", "d_gamma0"):
+                assert _outcome(getattr(model, read), lam) \
+                    == _outcome(getattr(own, read), lam)
+    for regime in ("exact", "high-T"):
+        want = _outcome(cc.rlc_force_at, loop, own, 0.3, 1.0, regime,
+                        "reduced")
+        for force in (cc.force_series_rlc, cc.force_parallel_rlc):
+            assert _outcome(force, loop, 0.3, 1.0, regime,
+                            units="reduced") == want
+
+
+@pytest.mark.parametrize("force", [cc.force_series_rlc, cc.force_parallel_rlc])
+def test_a_parallel_loop_has_its_own_force_through_both_names(force):
+    # gamma = 1/(RC) varies with a swept C, and not with a swept L
+    with pytest.raises(PreconditionError, match="dgamma/dlambda = 0"):
+        force(cc.ParallelRLC.of(2.0, 1.0, (0.5, 1.0)), 0.3, 1.0,
+              units="reduced")
+    res = force(cc.ParallelRLC.of(2.0, (1.0, 1.0), 0.5), 0.3, 1.0,
+                units="reduced")
+    assert repr(res.value) == "0.31993201204526983"

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluctforce.errors import DomainError, PreconditionError
-from fluctforce.oscillator import (Drude, Ohmic, OscillatorParams, _ordered,
+from fluctforce.forces import force_drude_full
+from fluctforce.oscillator import (Drude, Ohmic, OscillatorParams,
+                                   ParametricModel, _ordered,
                                    damping_at_matsubara,
                                    eigenfrequencies_drude_approx,
                                    eigenfrequencies_drude_exact,
@@ -174,6 +176,21 @@ def test_params_at_builds_matching_damping():
     p2 = m2.params_at(1.0, 0.5)
     assert isinstance(p2.damping, Drude)
     assert p2.damping.omega_d == 30.0
+
+
+@pytest.mark.parametrize("dropped", ["omega_d", "d_omega_d"])
+def test_parametric_model_takes_omega_d_with_its_derivative(dropped):
+    # omega_d = 30 lambda without d_omega_d once read domega_d/dlambda as
+    # 0, and the Drude force as -0.0 where it is -0.04555
+    laws = dict(omega=lambda lam: 1.0, d_omega=lambda lam: 0.0,
+                gamma0=lambda lam: 0.3, d_gamma0=lambda lam: 0.0,
+                omega_d=lambda lam: 30.0 * lam, d_omega_d=lambda lam: 30.0)
+    with pytest.raises(DomainError, match="omega_d and d_omega_d"):
+        ParametricModel(**{k: v for k, v in laws.items() if k != dropped})
+    m = ParametricModel(**laws)
+    assert m.derivatives_at(1.0) == (0.0, 0.0, 30.0)
+    assert force_drude_full(m.params_at(1.0, 0.5), m, 1.0).value \
+        == pytest.approx(-0.04555, rel=1e-3)
 
 
 def test_parameter_validation():

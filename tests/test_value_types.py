@@ -60,7 +60,8 @@ SAMPLES = [
     (ParametricModel, (math.sqrt, math.cos, math.exp, math.sin),
      "ParametricModel(omega=<built-in function sqrt>, d_omega=<built-in "
      "function cos>, gamma0=<built-in function exp>, d_gamma0=<built-in "
-     "function sin>, omega_d=None, d_omega_d=None)", {"omega_d": math.tan}),
+     "function sin>, omega_d=None, d_omega_d=None)",
+     {"omega_d": math.tan, "d_omega_d": math.tanh}),
     (SumSpec, (), "SumSpec(n_max=100000)", {"n_max": 5}),
     (SumSpec, (20_000,), "SumSpec(n_max=20000)", {"n_max": 32}),
     (OracleResult, (-0.5, 1e-9, 4096), _ORACLE_TEXT[0], {"n_used": 8}),
