@@ -259,6 +259,25 @@ def eigenfrequencies_ohmic(p: OscillatorParams) -> Eigenfrequencies:
     return Eigenfrequencies(-1j * i_w1, -1j * i_w2, None, "ohmic")
 
 
+def _polish(s, a2: float, a1: float, a0: float):
+    """s after two Newton steps on s^3 + a2 s^2 + a1 s + a0, stopping at
+    a zero derivative or at a step that overshoots (near a double root)."""
+    df = (3.0 * s + 2.0 * a2) * s + a1
+    if df == 0.0:
+        return s
+    step = (((s + a2) * s + a1) * s + a0) / df
+    if abs(step) > 0.5 * (1.0 + abs(s)):
+        return s
+    s = s - step
+    df = (3.0 * s + 2.0 * a2) * s + a1
+    if df == 0.0:
+        return s
+    step = (((s + a2) * s + a1) * s + a0) / df
+    if abs(step) > 0.5 * (1.0 + abs(s)):
+        return s
+    return s - step
+
+
 def solve_cubic(a2: float, a1: float, a0: float) -> list[complex]:
     """All roots of s^3 + a2 s^2 + a1 s + a0 = 0 with real coefficients.
 
@@ -269,9 +288,7 @@ def solve_cubic(a2: float, a1: float, a0: float) -> list[complex]:
     p = a1 - a2 * a2 / 3.0
     q = a2 * (2.0 * a2 * a2 / 27.0 - a1 / 3.0) + a0
     disc = -4.0 * p * p * p - 27.0 * q * q
-
-    cardano = not (disc >= 0.0 and p < 0.0)
-    if not cardano:
+    if disc >= 0.0 and p < 0.0:
         # three real roots, trigonometric form
         m = 2.0 * math.sqrt(-p / 3.0)
         try:
@@ -281,49 +298,31 @@ def solve_cubic(a2: float, a1: float, a0: float) -> list[complex]:
         arg = min(1.0, max(-1.0, arg))
         phi = math.acos(arg)
         tau = 2.0 * math.pi     # (phi - tau k) / 3 at k = 0, 1, 2
-        todo = [m * math.cos(phi / 3.0) - shift,
-                m * math.cos((phi - tau) / 3.0) - shift,
-                m * math.cos((phi - 2.0 * tau) / 3.0) - shift]
+        roots = [complex(_polish(m * math.cos(x / 3.0) - shift, a2, a1, a0))
+                 for x in (phi, phi - tau, phi - 2.0 * tau)]
     else:
         # one real root, numerically stable Cardano
         rad = math.sqrt(max(q * q / 4.0 + p * p * p / 27.0, 0.0))
         u3 = -0.5 * q - math.copysign(rad, q)
-        if u3 == 0.0:
-            t0 = 0.0
-        else:
+        t0 = 0.0
+        if u3 != 0.0:
             u = math.copysign(abs(u3) ** (1.0 / 3.0), u3)
             t0 = u - p / (3.0 * u)
-        todo = [t0 - shift]
-    roots: list[complex] = []
-    deflate, pair = cardano, False
-    for s in todo:
-        for _ in (0, 1):
-            f = ((s + a2) * s + a1) * s + a0
-            df = (3.0 * s + 2.0 * a2) * s + a1
-            if df == 0.0:
-                break
-            step = f / df
-            # near-double roots make Newton overshoot; keep the current value
-            if abs(step) > 0.5 * (1.0 + abs(s)):
-                break
-            s = s - step
-        if not deflate:
-            roots.append(complex(s))
-            continue
-        # deflate by Cardano's real root: the pair solves t^2 + b t + c
-        deflate, s0 = False, s
+        s0 = _polish(t0 - shift, a2, a1, a0)
+        # deflate by the real root: the pair solves t^2 + b t + c
         b = a2 + s0
         c = -a0 / s0 if s0 != 0.0 else a1
         disc2 = b * b - 4.0 * c
         if disc2 >= 0.0:
             r = -0.5 * (b + math.copysign(math.sqrt(disc2), b)) if b != 0.0 \
                 else math.sqrt(disc2) * 0.5
-            todo += [r, c / r] if r != 0.0 else [0.0, -b]
+            x, y = (r, c / r) if r != 0.0 else (0.0, -b)
+            roots = [complex(_polish(x, a2, a1, a0)),
+                     complex(_polish(y, a2, a1, a0)), complex(s0)]
         else:
-            todo.append(complex(-0.5 * b, 0.5 * math.sqrt(-disc2)))
-            pair = True
-    if cardano:
-        roots += [roots[0].conjugate(), complex(s0)] if pair else [complex(s0)]
+            z = _polish(complex(-0.5 * b, 0.5 * math.sqrt(-disc2)),
+                        a2, a1, a0)
+            roots = [z, z.conjugate(), complex(s0)]
     z = roots[0] + roots[1] + roots[2]      # NaN or inf if a root is
     if not -_INF < z.real + z.imag < _INF:
         raise DomainError(f"the cubic's roots are not finite: {a2, a1, a0}")
@@ -349,6 +348,20 @@ def _ordered(omegas: list[complex]) -> tuple[complex, complex, complex]:
     return x, y, w3
 
 
+def _drude_roots(om: float, g0: float, wd: float):
+    """((omega1, omega2, omega3), warnings) of eigenfrequencies_drude_exact
+    at checked Python floats Omega, gamma0 and omega_d."""
+    if g0 == 0.0:
+        return _ordered([complex(om), complex(-om), complex(0.0, -wd)]), ()
+    a1, a0 = om * om + g0 * wd, om * om * wd
+    s1, s2, s3 = solve_cubic(wd, a1, a0)
+    bound = CUBIC_RESIDUAL_BOUND
+    close = (abs(s1 * s2 * s3 + a0) <= bound * a0
+             and abs(s1 * s2 + (s1 + s2) * s3 - a1) <= bound * a1)
+    return (_ordered([1j * s1, 1j * s2, 1j * s3]),
+            () if close else (WARN_CUBIC_RESIDUAL,))
+
+
 def eigenfrequencies_drude_exact(p: OscillatorParams) -> Eigenfrequencies:
     """The three roots of the Drude dispersion cubic.
 
@@ -363,20 +376,7 @@ def eigenfrequencies_drude_exact(p: OscillatorParams) -> Eigenfrequencies:
     has lost accuracy there (see the module docstring).
     """
     d = require(p.damping, Drude, "eigenfrequencies_drude_exact")
-    om, g0, wd = p.omega0, d.gamma0, d.omega_d
-    warnings: tuple[str, ...] = ()
-    if g0 == 0.0:
-        omegas = [complex(om), complex(-om), complex(0.0, -wd)]
-    else:
-        a1, a0 = om * om + g0 * wd, om * om * wd
-        s1, s2, s3 = solve_cubic(wd, a1, a0)
-        product = s1 * s2 * s3
-        pair_sum = s1 * s2 + (s1 + s2) * s3
-        if not (abs(product + a0) <= CUBIC_RESIDUAL_BOUND * a0
-                and abs(pair_sum - a1) <= CUBIC_RESIDUAL_BOUND * a1):
-            warnings = (WARN_CUBIC_RESIDUAL,)
-        omegas = [1j * s1, 1j * s2, 1j * s3]
-    w1, w2, w3 = _ordered(omegas)
+    (w1, w2, w3), warnings = _drude_roots(p.omega0, d.gamma0, d.omega_d)
     return Eigenfrequencies(w1, w2, w3, "exact-cubic", warnings)
 
 

@@ -5,7 +5,11 @@ command and the acceptance test-suite both run these, so there is a
 single source of truth for tolerances.  All random grids use fixed
 seeds, making reports reproducible.  Grids are drawn as arrays, but the
 functions under test are still called one point at a time, through
-their public scalar entry points.
+their public scalar entry points, except in the Vieta battery: it calls
+the root kernel behind eigenfrequencies_drude_exact, which a tier-1 test
+keeps equal to that function, bit for bit.  Within the ohmic-oracle
+suite, the sign laws read the forces that the oracle criterion
+evaluated on their shared grid.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 from . import circuits, forces, matsubara
 from ._value import Frozen
 from .oscillator import Drude, Ohmic, OscillatorParams, ParametricModel, \
-    eigenfrequencies_drude_exact
+    _drude_roots
 
 _SEED = 20260809
 
@@ -86,15 +90,29 @@ def _drude_grid(count: int, rng):
     return cases
 
 
-def criterion_ohmic_oracle(count: int = 200) -> CriterionReport:
-    """Closed Ohmic force vs the Matsubara sum on a random grid."""
-    rng = np.random.default_rng(_SEED)
-    worst = 0.0
-    for om, g, t in _ohmic_grid(count, rng):
+def _ohmic_oracle_points(count: int) -> list:
+    """(p, closed-form force value, Matsubara force) at each point of the
+    Ohmic oracle grid, at dOmega/dlambda = 1."""
+    points = []
+    for om, g, t in _ohmic_grid(count, np.random.default_rng(_SEED)):
         p = OscillatorParams(om, Ohmic(g), t)
         m = _linear_model(om, dom=1.0, g0=g)
-        exact = forces.force_ohmic_exact(p, 1.0).value
-        oracle = matsubara.force_sum_exact(p, m, 1.0)
+        points.append((p, forces.force_ohmic_exact(p, 1.0).value,
+                       matsubara.force_sum_exact(p, m, 1.0)))
+    return points
+
+
+def criterion_ohmic_oracle(count: int = 200,
+                           points: list | None = None) -> CriterionReport:
+    """Closed Ohmic force vs the Matsubara sum on a random grid.
+
+    The grid's forces are appended to points, if it is given, for
+    criterion_sign_laws to read."""
+    evaluated = _ohmic_oracle_points(count)
+    if points is not None:
+        points += evaluated
+    worst = 0.0
+    for _, exact, oracle in evaluated:
         tol = max(1.0e-8, 2.0 * oracle.truncation_estimate)
         worst = max(worst, abs(exact - oracle.value) / tol)
     return CriterionReport("ohmic-oracle-equivalence", worst <= 1.0, worst, 1.0,
@@ -217,19 +235,21 @@ def criterion_asymptotic_slopes() -> CriterionReport:
         "first-order decay as T -> 0)")
 
 
-def criterion_sign_laws() -> CriterionReport:
+def criterion_sign_laws(points: list | None = None) -> CriterionReport:
     """Attraction/repulsion signs: each parameter derivative alone fixes
-    the force sign on the oracle grids."""
-    rng = np.random.default_rng(_SEED)
+    the force sign on the oracle grids.
+
+    points holds the Ohmic grid's forces as criterion_ohmic_oracle
+    evaluated them; without it, they are evaluated here."""
     bad = 0
     total = 0
-    for om, g, t in _ohmic_grid(200, rng):
-        p = OscillatorParams(om, Ohmic(g), t)
-        m = _linear_model(om, dom=1.0, g0=g)
+    if points is None:
+        points = _ohmic_oracle_points(200)
+    for p, exact, oracle in points:
         total += 3
-        if not forces.force_ohmic_exact(p, 1.0).value < 0.0:
+        if not exact < 0.0:
             bad += 1
-        if not matsubara.force_sum_exact(p, m, 1.0).value < 0.0:
+        if not oracle.value < 0.0:
             bad += 1
         if not forces.force_ohmic_exact(p, -1.0).value > 0.0:
             bad += 1
@@ -264,13 +284,13 @@ def _vieta_grid(count: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def criterion_vieta(count: int = 10_000) -> CriterionReport:
     """Vieta and dispersion-equation residuals of the exact cubic roots.
 
-    The roots come from the scalar public solver, one set at a time; the
-    draws and the residuals are whole-array expressions."""
+    The roots come from the kernel of eigenfrequencies_drude_exact, one
+    set at a time; the draws and the residuals are whole-array
+    expressions."""
     om, wd, g0 = _vieta_grid(count, np.random.default_rng(_SEED + 3))
     flat: list[complex] = []
     for o, d, g in zip(om.tolist(), wd.tolist(), g0.tolist()):
-        flat += eigenfrequencies_drude_exact(
-            OscillatorParams(o, Drude(g, d), 1.0)).as_tuple()
+        flat += _drude_roots(o, g, d)[0]
     w = np.array(flat, dtype=complex).reshape(count, 3)
     w1, w2, w3 = w.T
     b = om * om + g0 * wd
@@ -336,10 +356,17 @@ def criterion_circuit_composition() -> CriterionReport:
                            "as fractions of their tolerances")
 
 
+def _ohmic_oracle_suite() -> list[CriterionReport]:
+    """Criteria 1 and 8: the sign laws read the grid criterion 1 evaluated,
+    within this one call."""
+    points: list = []
+    return [criterion_ohmic_oracle(points=points), criterion_sign_laws(points)]
+
+
 # each suite looks its criteria up by name when it runs, so a criterion
 # replaced on the module is the one that runs
 _SUITES = {
-    "ohmic-oracle": lambda: [criterion_ohmic_oracle(), criterion_sign_laws()],
+    "ohmic-oracle": _ohmic_oracle_suite,
     "drude-fd": lambda: [criterion_drude_fd(), criterion_gamma_vs_product(),
                          criterion_vieta()],
     "asymptotics": lambda: [criterion_zero_point(),

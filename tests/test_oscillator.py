@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from fluctforce.errors import DomainError, PreconditionError
 from fluctforce.forces import force_drude_full
 from fluctforce.oscillator import (Drude, Ohmic, OscillatorParams,
-                                   ParametricModel, _ordered,
+                                   ParametricModel, _drude_roots, _ordered,
                                    damping_at_matsubara,
                                    eigenfrequencies_drude_approx,
                                    eigenfrequencies_drude_exact,
@@ -446,6 +446,121 @@ def test_drude_exact_roots_unmoved_by_the_check():
         omegas = [1j * s for s in solve_cubic(d, o * o + g * d, o * o * d)]
         assert _same_roots(eig.as_tuple(), _ordered(omegas))
         assert i >= len(grid) or eig.warnings == ()
+
+
+def _solve_cubic_reference(a2, a1, a0):
+    """solve_cubic as it was before its polish became one straight-line
+    helper, verbatim but for math.inf in place of the module's _INF: the
+    module must give the same roots and errors, bit for bit."""
+    shift = a2 / 3.0
+    p = a1 - a2 * a2 / 3.0
+    q = a2 * (2.0 * a2 * a2 / 27.0 - a1 / 3.0) + a0
+    disc = -4.0 * p * p * p - 27.0 * q * q
+
+    cardano = not (disc >= 0.0 and p < 0.0)
+    if not cardano:
+        # three real roots, trigonometric form
+        m = 2.0 * math.sqrt(-p / 3.0)
+        try:
+            arg = 3.0 * q / (p * m)
+        except ZeroDivisionError:   # p m underflows to 0
+            raise DomainError(f"the cubic underflows: {a2, a1, a0}") from None
+        arg = min(1.0, max(-1.0, arg))
+        phi = math.acos(arg)
+        tau = 2.0 * math.pi     # (phi - tau k) / 3 at k = 0, 1, 2
+        todo = [m * math.cos(phi / 3.0) - shift,
+                m * math.cos((phi - tau) / 3.0) - shift,
+                m * math.cos((phi - 2.0 * tau) / 3.0) - shift]
+    else:
+        # one real root, numerically stable Cardano
+        rad = math.sqrt(max(q * q / 4.0 + p * p * p / 27.0, 0.0))
+        u3 = -0.5 * q - math.copysign(rad, q)
+        if u3 == 0.0:
+            t0 = 0.0
+        else:
+            u = math.copysign(abs(u3) ** (1.0 / 3.0), u3)
+            t0 = u - p / (3.0 * u)
+        todo = [t0 - shift]
+    roots: list[complex] = []
+    deflate, pair = cardano, False
+    for s in todo:
+        for _ in (0, 1):
+            f = ((s + a2) * s + a1) * s + a0
+            df = (3.0 * s + 2.0 * a2) * s + a1
+            if df == 0.0:
+                break
+            step = f / df
+            # near-double roots make Newton overshoot; keep the current value
+            if abs(step) > 0.5 * (1.0 + abs(s)):
+                break
+            s = s - step
+        if not deflate:
+            roots.append(complex(s))
+            continue
+        # deflate by Cardano's real root: the pair solves t^2 + b t + c
+        deflate, s0 = False, s
+        b = a2 + s0
+        c = -a0 / s0 if s0 != 0.0 else a1
+        disc2 = b * b - 4.0 * c
+        if disc2 >= 0.0:
+            r = -0.5 * (b + math.copysign(math.sqrt(disc2), b)) if b != 0.0 \
+                else math.sqrt(disc2) * 0.5
+            todo += [r, c / r] if r != 0.0 else [0.0, -b]
+        else:
+            todo.append(complex(-0.5 * b, 0.5 * math.sqrt(-disc2)))
+            pair = True
+    if cardano:
+        roots += [roots[0].conjugate(), complex(s0)] if pair else [complex(s0)]
+    z = roots[0] + roots[1] + roots[2]      # NaN or inf if a root is
+    if not -math.inf < z.real + z.imag < math.inf:
+        raise DomainError(f"the cubic's roots are not finite: {a2, a1, a0}")
+    return roots
+
+
+def _root_bits(roots):
+    return [(type(w), w.real.hex(), w.imag.hex(), math.copysign(1.0, w.real),
+             math.copysign(1.0, w.imag)) for w in roots]
+
+
+def _solver_outcome(solve, coefficients):
+    try:
+        return _root_bits(solve(*coefficients))
+    except DomainError as exc:
+        return str(exc)
+
+
+def _drude_sets():
+    """(Omega, gamma0, omega_d): the Vieta battery's 10^4 sets, then the
+    accurate and inaccurate reference sets."""
+    from fluctforce import validation
+    om, wd, g0 = validation._vieta_grid(
+        10_000, np.random.default_rng(validation._SEED + 3))
+    return (list(zip(om.tolist(), g0.tolist(), wd.tolist()))
+            + [p for p, _ in _ACCURATE + _INACCURATE])
+
+
+def test_solve_cubic_is_bit_identical_to_the_reference():
+    from test_bit_pins import CUBIC_PINS
+    cubics = [(d, o * o + g * d, o * o * d) for o, g, d in _drude_sets()]
+    cubics += [c for c, _ in CUBIC_PINS]
+    # signed zeros, an underflow, and roots that are not finite
+    cubics += [(-0.0, -0.0, -0.0), (1.0, 0.0, -0.0), (1e-300, -1e-300, 0.0),
+               (1e200, 1e300, 1e300), (math.inf, 1.0, 1.0),
+               (1.0, 1.0, math.nan)]
+    for coefficients in cubics:
+        assert _solver_outcome(solve_cubic, coefficients) == _solver_outcome(
+            _solve_cubic_reference, coefficients), coefficients
+
+
+def test_drude_exact_is_its_kernel_bit_for_bit():
+    # the Vieta battery calls the kernel; this keeps the public function,
+    # which points and the library's users call, equal to it
+    for o, g, d in _drude_sets():
+        eig = eigenfrequencies_drude_exact(OscillatorParams(o, Drude(g, d),
+                                                            1.0))
+        roots, warnings = _drude_roots(o, g, d)
+        assert _root_bits(eig.as_tuple()) == _root_bits(roots)
+        assert eig.warnings == warnings and eig.method == "exact-cubic"
 
 
 def _oscillator_calls(x):

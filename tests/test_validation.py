@@ -42,12 +42,8 @@ def test_vieta_without_sets_passes_at_zero():
 
 
 def test_vieta_nan_residual_fails(monkeypatch):
-    class NanRoots:
-        def as_tuple(self):
-            return (complex(math.nan, 0.0), 0j, 0j)
-
-    monkeypatch.setattr(validation, "eigenfrequencies_drude_exact",
-                        lambda p: NanRoots())
+    monkeypatch.setattr(validation, "_drude_roots", lambda om, g0, wd: (
+        (complex(math.nan, 0.0), 0j, 0j), ()))
     rep = validation.criterion_vieta(3)
     assert not rep.passed
     assert math.isnan(rep.worst)
@@ -65,6 +61,39 @@ def test_sign_laws_fail_on_a_wrong_sign(monkeypatch, module, name, wrong):
         value=-force(*args).value))
     rep = validation.criterion_sign_laws()
     assert rep.passed is False and rep.worst == wrong > 0
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def call(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(module, name, call)
+    return calls
+
+
+def test_ohmic_oracle_suite_evaluates_its_grid_once(monkeypatch):
+    sums = _counting(monkeypatch, validation.matsubara, "force_sum_exact")
+    closed = _counting(monkeypatch, validation.forces, "force_ohmic_exact")
+    oracle, signs = validation.run_suite("ohmic-oracle")
+    assert len(sums) == 200 and len(closed) == 400
+    # dOmega = +1 at each grid point in criterion 1, -1 in the sign laws
+    assert [args[1] for args in closed] == [1.0] * 200 + [-1.0] * 200
+    # the same reports as each criterion evaluating its own grid
+    for shared, alone in ((oracle, validation.criterion_ohmic_oracle()),
+                          (signs, validation.criterion_sign_laws())):
+        assert (shared.worst.hex(), shared.line()) == (alone.worst.hex(),
+                                                       alone.line())
+    assert len(sums) == 600 and len(closed) == 1000
+
+
+def test_ohmic_oracle_suite_keeps_no_grid_between_calls(monkeypatch):
+    validation.run_suite("ohmic-oracle")
+    sums = _counting(monkeypatch, validation.matsubara, "force_sum_exact")
+    validation.run_suite("ohmic-oracle")
+    assert len(sums) == 200
 
 
 def test_run_suite_rejects_an_unknown_name():
