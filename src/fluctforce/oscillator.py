@@ -12,17 +12,16 @@ Two damping models are supported:
 
 Eigenfrequencies are the roots of the dispersion relation
 Omega^2 - i gamma(omega) omega - omega^2 = 0.  For the Drude model the
-substitution omega = i s turns this into a real cubic in s, which is
-solved by a depressed-cubic branch (trigonometric for three real roots,
-Cardano otherwise) followed by Newton polish on the original cubic.  The
-polish step matters: when omega_d dominates, undoing the depression shift
-cancels catastrophically for the two small roots, and one or two Newton
-steps restore them: to about 1e-15, relative, over the Vieta battery's
-range (omega_d / Omega up to 1e4, gamma0 / Omega up to 10).  Far beyond
-it two steps do not suffice, and at omega_d / Omega of 1e8 to 1e12 a
-small root can be wrong in every digit.  Such roots carry the
-cubic-residual warning (they fail a relative Vieta check), and roots
-that are not finite raise DomainError.
+substitution omega = i s turns this into a real cubic in s, solved by a
+depressed-cubic branch (trigonometric for three real roots, Cardano
+otherwise) and two Newton steps on the original cubic.  The steps
+matter: where omega_d dominates, undoing the depression shift cancels
+for the two small roots, and they restore them to about 1e-15, relative,
+over the Vieta battery's range (omega_d / Omega up to 1e4, gamma0 /
+Omega up to 10).  At omega_d / Omega of 1e8 to 1e12 a small root can be
+wrong in every digit; such roots carry the cubic-residual warning (they
+fail a relative Vieta check), and roots that are not finite raise
+DomainError.
 """
 
 from __future__ import annotations
@@ -241,10 +240,12 @@ class Eigenfrequencies(Frozen):
 def _pair_data(om: float, g: float):
     """(i_omega1, i_omega2, sqrt(D), D) with D = Omega^2 - gamma^2/4:
     the Ohmic root pair, also the small pair of the Drude approximation
-    and the pair in every digamma argument of forces."""
+    and the pair in every digamma argument of forces.  Where D < 0,
+    gamma/2 - sqrt(-D) cancels, so i_omega1 is Omega^2 / i_omega2."""
     d = om * om - 0.25 * g * g
     sq = cmath.sqrt(complex(d))
-    return 0.5 * g + 1j * sq, 0.5 * g - 1j * sq, sq, d
+    i_w2 = 0.5 * g - 1j * sq
+    return (om * (om / i_w2) if d < 0.0 else 0.5 * g + 1j * sq), i_w2, sq, d
 
 
 def eigenfrequencies_ohmic(p: OscillatorParams) -> Eigenfrequencies:
@@ -330,10 +331,9 @@ def solve_cubic(a2: float, a1: float, a0: float) -> list[complex]:
 
 
 def _ordered(omegas: list[complex]) -> tuple[complex, complex, complex]:
-    """(omega1, omega2, omega3) as the Eigenfrequencies docstring orders
-    them: the order of a stable sort by magnitude, then a stable sort of
-    the smaller two by (-Re(omega), -Im(omega)), written out as
-    comparisons.  (Im(i omega) = Re(omega) and Re(i omega) = -Im(omega).)"""
+    """(omega1, omega2, omega3) in Eigenfrequencies' order: a stable sort by
+    magnitude, then of the smaller two by (-Re(omega), -Im(omega)), written
+    as comparisons.  (Im(i omega) = Re(omega), Re(i omega) = -Im(omega).)"""
     a, b, c = omegas
     ka, kb, kc = abs(a), abs(b), abs(c)
     # on a tie in magnitude the later root sorts last

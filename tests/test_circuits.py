@@ -14,6 +14,7 @@ from fluctforce.errors import DivergentSumError, DomainError, \
 from fluctforce.forces import (force_drude_full, force_drude_high_t,
                                force_drude_very_high_t,
                                force_ohmic_exact, force_ohmic_high_t,
+                               force_ohmic_low_t,
                                force_ohmic_weak_dissipation,
                                free_energy_difference_gamma,
                                free_energy_drude_gamma)
@@ -550,13 +551,17 @@ def test_series_loop_with_tiny_inductance():
 
 
 def test_overdamped_low_t_force_raises_where_a_root_rounds_to_zero():
-    # C(d) of a 1e-90 gap: Omega ~ 1e-35 against gamma = 1e3, so
-    # i omega2 = gamma/2 - sqrt(gamma^2/4 - Omega^2) rounds to 0
+    # C(d) of a 1e-90 gap: Omega ~ 1e-35 against gamma = 1e3.  The small
+    # root gamma/2 - sqrt(gamma^2/4 - Omega^2) would round to 0; taken as
+    # Omega^2 over the large root it is 4.5e-72, and the force is finite
     loop = cc.SeriesRLC.of(1e-3, 1e-6, cc.planar_capacitance_law(2.5e-5))
     model = cc.map_series(loop)
-    with pytest.raises(DomainError, match="rounds to 0"):
-        cc.rlc_force_at(loop, model, 0.01, 1e-90, "low-T")
+    assert cc.rlc_force_at(loop, model, 0.01, 1e-90, "low-T").value \
+        == -1.2980024935043856e-14
     assert cc.rlc_force_at(loop, model, 0.01, 1e-6, "low-T").value < 0.0
+    # Omega^2 / gamma underflows only below Omega ~ 1e-160
+    with pytest.raises(DomainError, match="rounds to 0"):
+        force_ohmic_low_t(OscillatorParams(1e-170, Ohmic(1e3), 0.0), 1.0)
 
 
 def test_circuit_force_raises_where_dc_dd_overflows():

@@ -23,9 +23,9 @@ from pathlib import Path
 from fluctforce import circuits, cli, forces, matsubara, oscillator, specfun
 
 CORPUS_DIGEST = \
-    "c664ae80fd22776d24ac39873f1adb4e7b9448aca00a0ceb1ab1533536410609"
+    "a9caed8c397d4a9604cb8e91b9193cdc805adc395f98c09683e0a8687f1a0f35"
 POINTS_DIGEST = \
-    "178036cb07aad0de9f3c762fd38ba8ec64657cfb7f0a4becbb44d4308365bc27"
+    "1bb0105a88296aca47bda6f92cdbdea3c452973466884df0ad1f4e0e4f9b82ba"
 SEEDS = (1, 2, 3)
 NPROC = 2
 BENCH = Path(__file__).resolve().parent.parent / "bench"

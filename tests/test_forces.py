@@ -137,6 +137,18 @@ def test_low_t_overdamped_matches_exact():
     assert approx == pytest.approx(printed, rel=1e-12)
 
 
+@pytest.mark.parametrize("ratio", [1e4, 1e6, 1e8])
+def test_strongly_overdamped_exact_force_matches_the_oracle(ratio):
+    # i omega1 = gamma/2 - sqrt(gamma^2/4 - Omega^2) would cancel to
+    # 1.2e-11, 5.5e-8 and 1.4e-3 relative error here; it is Omega^2 over
+    # the large root instead
+    p = OscillatorParams(1.0, Ohmic(ratio), 1.0 / ratio)
+    exact = force_ohmic_exact(p, 1.0).value
+    oracle = force_sum_exact(p, linear_model(1.0, dom=1.0, g0=ratio), 1.0)
+    assert abs(exact - oracle.value) <= max(
+        1e-12 * abs(oracle.value), 2.0 * oracle.truncation_estimate)
+
+
 def test_low_t_underdamped_printed_form():
     om, g = 1.0, 1.2
     p = OscillatorParams(om, Ohmic(g), 0.0)
