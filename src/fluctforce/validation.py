@@ -5,11 +5,10 @@ command and the acceptance test-suite both run these, so there is a
 single source of truth for tolerances.  All random grids use fixed
 seeds, making reports reproducible.  Grids are drawn as arrays, but the
 functions under test are still called one point at a time, through
-their public scalar entry points, except in the Vieta battery: it calls
-the root kernel behind eigenfrequencies_drude_exact, which a tier-1 test
-keeps equal to that function, bit for bit.  Within the ohmic-oracle
-suite, the sign laws read the forces that the oracle criterion
-evaluated on their shared grid.
+their public scalar entry points; the Vieta battery calls the root
+kernel behind eigenfrequencies_drude_exact (a tier-1 test keeps the two
+equal), and the ohmic-oracle suite's sign laws read the forces that its
+oracle criterion evaluated on their shared grid.
 """
 
 from __future__ import annotations
@@ -357,8 +356,7 @@ def criterion_circuit_composition() -> CriterionReport:
 
 
 def _ohmic_oracle_suite() -> list[CriterionReport]:
-    """Criteria 1 and 8: the sign laws read the grid criterion 1 evaluated,
-    within this one call."""
+    """Criteria 1 and 8; the sign laws read criterion 1's evaluated grid."""
     points: list = []
     return [criterion_ohmic_oracle(points=points), criterion_sign_laws(points)]
 
