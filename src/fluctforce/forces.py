@@ -110,9 +110,9 @@ def _log_quotient(om: float, g: float) -> complex:
     try:
         return (cmath.log(i_w1) - cmath.log(i_w2)) / sq
     except ValueError:
-        # Omega^2 is so far below gamma^2/4 that i omega2 rounds to 0
-        raise DomainError("the low-temperature force takes log(i omega2), "
-                          "and i omega2 rounds to 0 at this overdamping") \
+        # Omega^2 is so far below gamma^2/4 that i omega1 rounds to 0
+        raise DomainError("the low-temperature force takes log(i omega1), "
+                          "and i omega1 rounds to 0 at this overdamping") \
             from None
 
 

@@ -19,9 +19,9 @@ matter: where omega_d dominates, undoing the depression shift cancels
 for the two small roots, and they restore them to about 1e-15, relative,
 over the Vieta battery's range (omega_d / Omega up to 1e4, gamma0 /
 Omega up to 10).  At omega_d / Omega of 1e8 to 1e12 a small root can be
-wrong in every digit; such roots carry the cubic-residual warning (they
-fail a relative Vieta check), and roots that are not finite raise
-DomainError.
+wrong in every digit; eigenfrequencies_drude_exact flags such roots with
+the cubic-residual warning (they fail a relative Vieta check), and roots
+that are not finite raise DomainError.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ WARN_CUBIC_RESIDUAL = "cubic-residual"
 # Omega and gamma0 are held below _RATE_MAX, not _INF, so that Omega^2
 # and gamma0^2/4 (the root pair, the Drude cubic) cannot overflow.
 _RATE_MAX = 2.0 ** 511
+_TAU = 2.0 * math.pi
 
 
 class Ohmic(Frozen):
@@ -279,7 +280,7 @@ def _polish(s, a2: float, a1: float, a0: float):
     return s - step
 
 
-def solve_cubic(a2: float, a1: float, a0: float) -> list[complex]:
+def solve_cubic(a2: float, a1: float, a0: float) -> tuple[complex, ...]:
     """All roots of s^3 + a2 s^2 + a1 s + a0 = 0 with real coefficients.
 
     Depressed-cubic branch selection by discriminant sign, then two Newton
@@ -297,10 +298,13 @@ def solve_cubic(a2: float, a1: float, a0: float) -> list[complex]:
         except ZeroDivisionError:   # p m underflows to 0
             raise DomainError(f"the cubic underflows: {a2, a1, a0}") from None
         arg = min(1.0, max(-1.0, arg))
-        phi = math.acos(arg)
-        tau = 2.0 * math.pi     # (phi - tau k) / 3 at k = 0, 1, 2
-        roots = [complex(_polish(m * math.cos(x / 3.0) - shift, a2, a1, a0))
-                 for x in (phi, phi - tau, phi - 2.0 * tau)]
+        phi = math.acos(arg)    # (phi - 2 pi k) / 3 at k = 0, 1, 2
+        x = _polish(m * math.cos(phi / 3.0) - shift, a2, a1, a0)
+        y = _polish(m * math.cos((phi - _TAU) / 3.0) - shift, a2, a1, a0)
+        w = _polish(m * math.cos((phi - 2.0 * _TAU) / 3.0) - shift,
+                    a2, a1, a0)
+        if -_INF < x + y + w < _INF:        # NaN or inf if a root is
+            return complex(x), complex(y), complex(w)
     else:
         # one real root, numerically stable Cardano
         rad = math.sqrt(max(q * q / 4.0 + p * p * p / 27.0, 0.0))
@@ -318,19 +322,19 @@ def solve_cubic(a2: float, a1: float, a0: float) -> list[complex]:
             r = -0.5 * (b + math.copysign(math.sqrt(disc2), b)) if b != 0.0 \
                 else math.sqrt(disc2) * 0.5
             x, y = (r, c / r) if r != 0.0 else (0.0, -b)
-            roots = [complex(_polish(x, a2, a1, a0)),
-                     complex(_polish(y, a2, a1, a0)), complex(s0)]
+            roots = (complex(_polish(x, a2, a1, a0)),
+                     complex(_polish(y, a2, a1, a0)), complex(s0))
         else:
             z = _polish(complex(-0.5 * b, 0.5 * math.sqrt(-disc2)),
                         a2, a1, a0)
-            roots = [z, z.conjugate(), complex(s0)]
-    z = roots[0] + roots[1] + roots[2]      # NaN or inf if a root is
-    if not -_INF < z.real + z.imag < _INF:
-        raise DomainError(f"the cubic's roots are not finite: {a2, a1, a0}")
-    return roots
+            roots = (z, z.conjugate(), complex(s0))
+        z = roots[0] + roots[1] + roots[2]
+        if -_INF < z.real + z.imag < _INF:
+            return roots
+    raise DomainError(f"the cubic's roots are not finite: {a2, a1, a0}")
 
 
-def _ordered(omegas: list[complex]) -> tuple[complex, complex, complex]:
+def _ordered(omegas: tuple[complex, ...]) -> tuple[complex, complex, complex]:
     """(omega1, omega2, omega3) in Eigenfrequencies' order: a stable sort by
     magnitude, then of the smaller two by (-Re(omega), -Im(omega)), written
     as comparisons.  (Im(i omega) = Re(omega), Re(i omega) = -Im(omega).)"""
@@ -349,17 +353,12 @@ def _ordered(omegas: list[complex]) -> tuple[complex, complex, complex]:
 
 
 def _drude_roots(om: float, g0: float, wd: float):
-    """((omega1, omega2, omega3), warnings) of eigenfrequencies_drude_exact
-    at checked Python floats Omega, gamma0 and omega_d."""
+    """(omega1, omega2, omega3) of eigenfrequencies_drude_exact at checked
+    Python floats Omega, gamma0 and omega_d, without its warning check."""
     if g0 == 0.0:
-        return _ordered([complex(om), complex(-om), complex(0.0, -wd)]), ()
-    a1, a0 = om * om + g0 * wd, om * om * wd
-    s1, s2, s3 = solve_cubic(wd, a1, a0)
-    bound = CUBIC_RESIDUAL_BOUND
-    close = (abs(s1 * s2 * s3 + a0) <= bound * a0
-             and abs(s1 * s2 + (s1 + s2) * s3 - a1) <= bound * a1)
-    return (_ordered([1j * s1, 1j * s2, 1j * s3]),
-            () if close else (WARN_CUBIC_RESIDUAL,))
+        return _ordered((complex(om), complex(-om), complex(0.0, -wd)))
+    s1, s2, s3 = solve_cubic(wd, om * om + g0 * wd, om * om * wd)
+    return _ordered((1j * s1, 1j * s2, 1j * s3))
 
 
 def eigenfrequencies_drude_exact(p: OscillatorParams) -> Eigenfrequencies:
@@ -373,11 +372,18 @@ def eigenfrequencies_drude_exact(p: OscillatorParams) -> Eigenfrequencies:
     Roots that are not finite raise DomainError.  Roots whose product or
     pair sum misses the cubic's coefficient by more than
     CUBIC_RESIDUAL_BOUND, relative, carry WARN_CUBIC_RESIDUAL: the solver
-    has lost accuracy there (see the module docstring).
+    has lost accuracy there (see the module docstring).  The kernel the
+    Vieta battery calls, _drude_roots, leaves this check to this function.
     """
     d = require(p.damping, Drude, "eigenfrequencies_drude_exact")
-    (w1, w2, w3), warnings = _drude_roots(p.omega0, d.gamma0, d.omega_d)
-    return Eigenfrequencies(w1, w2, w3, "exact-cubic", warnings)
+    om, g0, wd = p.omega0, d.gamma0, d.omega_d
+    w1, w2, w3 = _drude_roots(om, g0, wd)
+    a1, a0 = om * om + g0 * wd, om * om * wd    # product i a0, pair sum -a1
+    close = g0 == 0.0 or (
+        abs(w1 * w2 * w3 - 1j * a0) <= CUBIC_RESIDUAL_BOUND * a0
+        and abs(w1 * w2 + (w1 + w2) * w3 + a1) <= CUBIC_RESIDUAL_BOUND * a1)
+    return Eigenfrequencies(w1, w2, w3, "exact-cubic",
+                            () if close else (WARN_CUBIC_RESIDUAL,))
 
 
 def eigenfrequencies_drude_approx(p: OscillatorParams) -> Eigenfrequencies:

@@ -137,6 +137,13 @@ def test_low_t_overdamped_matches_exact():
     assert approx == pytest.approx(printed, rel=1e-12)
 
 
+def test_low_t_names_the_small_root_where_it_rounds_to_zero():
+    # i omega1 = Omega^2 / i omega2 underflows to 0, and log(0) is undefined
+    with pytest.raises(DomainError, match=r"takes log\(i omega1\), and "
+                       r"i omega1 rounds to 0 at this overdamping$"):
+        force_ohmic_low_t(OscillatorParams(1e-170, Ohmic(1e3), 0.0), 1.0)
+
+
 @pytest.mark.parametrize("ratio", [1e4, 1e6, 1e8])
 def test_strongly_overdamped_exact_force_matches_the_oracle(ratio):
     # i omega1 = gamma/2 - sqrt(gamma^2/4 - Omega^2) would cancel to

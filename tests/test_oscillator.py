@@ -18,8 +18,8 @@ from fluctforce.oscillator import (Drude, Ohmic, OscillatorParams,
                                    eigenfrequencies_drude_exact,
                                    eigenfrequencies_ohmic, power_law,
                                    power_law_model,
-                                   solve_cubic, WARN_CUBIC_RESIDUAL,
-                                   WARN_DRUDE_APPROX)
+                                   solve_cubic, CUBIC_RESIDUAL_BOUND,
+                                   WARN_CUBIC_RESIDUAL, WARN_DRUDE_APPROX)
 
 
 def i_omegas(eig):
@@ -552,15 +552,56 @@ def test_solve_cubic_is_bit_identical_to_the_reference():
             _solve_cubic_reference, coefficients), coefficients
 
 
+def _cubic_residual_warnings(om, g0, wd):
+    """The cubic-residual check as the root kernel made it before it moved
+    into eigenfrequencies_drude_exact: on solve_cubic's roots s (omega = i s)
+    in the solver's order, kept as the reference for the moved check."""
+    if g0 == 0.0:
+        return ()
+    a1, a0 = om * om + g0 * wd, om * om * wd
+    s1, s2, s3 = solve_cubic(wd, a1, a0)
+    bound = CUBIC_RESIDUAL_BOUND
+    close = (abs(s1 * s2 * s3 + a0) <= bound * a0
+             and abs(s1 * s2 + (s1 + s2) * s3 - a1) <= bound * a1)
+    return () if close else (WARN_CUBIC_RESIDUAL,)
+
+
 def test_drude_exact_is_its_kernel_bit_for_bit():
     # the Vieta battery calls the kernel; this keeps the public function,
     # which points and the library's users call, equal to it
     for o, g, d in _drude_sets():
         eig = eigenfrequencies_drude_exact(OscillatorParams(o, Drude(g, d),
                                                             1.0))
-        roots, warnings = _drude_roots(o, g, d)
+        roots = _drude_roots(o, g, d)
+        warnings = _cubic_residual_warnings(o, g, d)
         assert _root_bits(eig.as_tuple()) == _root_bits(roots)
         assert eig.warnings == warnings and eig.method == "exact-cubic"
+
+
+def _drude_scan(count, seed):
+    """(Omega, gamma0, omega_d) with omega_d / max(Omega, gamma0) from 1e-2
+    to 1e13, log-uniform, and gamma0 = 0 in about one set in ten."""
+    rng = np.random.default_rng(seed)
+    om = 10.0 ** rng.uniform(-3.0, 3.0, count)
+    g0 = om * 10.0 ** rng.uniform(-3.0, 2.0, count)
+    g0[rng.random(count) < 0.1] = 0.0
+    wd = np.maximum(om, g0) * 10.0 ** rng.uniform(-2.0, 13.0, count)
+    return list(zip(om.tolist(), g0.tolist(), wd.tolist()))
+
+
+def test_drude_exact_warns_as_the_solver_order_check():
+    # the moved check reads the ordered roots; its flags are those of the
+    # check on the solver's order, on the battery's grid, the reference
+    # sets and a scan far beyond the battery's range, where sets are flagged
+    flagged = zero = 0
+    for o, g, d in _drude_sets() + _drude_scan(4000, 20261020):
+        warnings = _cubic_residual_warnings(o, g, d)
+        eig = eigenfrequencies_drude_exact(OscillatorParams(o, Drude(g, d),
+                                                            1.0))
+        assert eig.warnings == warnings, (o, g, d)
+        flagged += warnings != ()
+        zero += g == 0.0
+    assert flagged > 100 and zero > 100
 
 
 def _oscillator_calls(x):

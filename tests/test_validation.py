@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fluctforce import cli, validation
+from fluctforce import cli, oscillator, validation
 
 
 def _scalar_draws(count, rng):
@@ -36,14 +36,17 @@ def test_vieta_report_line():
         "bounds)")
 
 
-def test_vieta_without_sets_passes_at_zero():
-    rep = validation.criterion_vieta(0)
+@pytest.mark.parametrize("criterion", [
+    validation.criterion_vieta, validation.criterion_ohmic_oracle,
+    validation.criterion_gamma_vs_product], ids=lambda c: c.__name__)
+def test_criterion_without_sets_passes_at_zero(criterion):
+    rep = criterion(0)
     assert rep.passed and rep.worst == 0.0
 
 
 def test_vieta_nan_residual_fails(monkeypatch):
     monkeypatch.setattr(validation, "_drude_roots", lambda om, g0, wd: (
-        (complex(math.nan, 0.0), 0j, 0j), ()))
+        complex(math.nan, 0.0), 0j, 0j))
     rep = validation.criterion_vieta(3)
     assert not rep.passed
     assert math.isnan(rep.worst)
@@ -72,6 +75,14 @@ def _counting(monkeypatch, module, name):
         return original(*args)
     monkeypatch.setattr(module, name, call)
     return calls
+
+
+@pytest.mark.parametrize("count", [0, 1, 257])
+def test_vieta_solves_each_set_once_through_the_module(monkeypatch, count):
+    # the benchmark's tracer counts cubic solves on the module attribute
+    solves = _counting(monkeypatch, oscillator, "solve_cubic")
+    assert validation.criterion_vieta(count).passed
+    assert len(solves) == count
 
 
 def test_ohmic_oracle_suite_evaluates_its_grid_once(monkeypatch):
