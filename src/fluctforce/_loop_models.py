@@ -7,9 +7,9 @@ any other loop gamma = R/L; both have Omega = 1/sqrt(LC).  A loop model
 evaluates one point per lambda: its point function runs the six element
 laws, each value and derivative once, and returns (lam, Omega,
 dOmega/dlambda, gamma, dgamma/dlambda).  The laws run, and their checks
-raise, in the order rlc_force_at reads the outputs: gamma, Omega,
-dgamma/dlambda, then dOmega/dlambda, which is checked finite where it is
-read, after rlc_force_at's flat check on dgamma/dlambda.  So a single
+raise, in the order the point path (circuits.point_force) reads the
+outputs: gamma, Omega, dgamma/dlambda, then dOmega/dlambda, checked finite
+where it is read, after the path's flat check on dgamma/dlambda.  So a single
 faulty law raises as it does without the cache.  The four callables
 share a one-entry cache: the last point, a tuple replaced whole, so that
 a caller at another lambda (in another thread) never sees a torn entry;

@@ -9,10 +9,10 @@ is only finite when the damping does not depend on the swept
 parameter.  The loop's class, SeriesRLC or ParallelRLC, picks the
 topology: map_series and map_parallel give any loop the model of its
 own class, and force_series_rlc and force_parallel_rlc its force.
-rlc_force_at is the one point path, for loops and bare oscillator
-models alike: it checks dgamma/dlambda = 0 (errors.flat) at each Ohmic
-point, the test force_sum_exact makes, raises PreconditionError where
-it fails, and flags lumped-element breaches.
+point_force is the one point path, for loops and bare oscillator models
+alike, resolved once per sweep (rlc_force_at runs it at one point): it
+checks dgamma/dlambda = 0 (errors.flat) at each Ohmic point, the test
+force_sum_exact makes, and flags lumped-element breaches.
 
 Units: circuit element values may be SI (ohm, henry, farad, kelvin,
 metre) with units="si", or reduced (hbar = k_B = 1, any consistent
@@ -270,20 +270,19 @@ def scale_result(res: ForceResult, hbar_out: float,
                        hbar_out * res.im_residual)
 
 
-def rlc_force_at(c: SeriesRLC | ParallelRLC | None, model: ParametricModel,
-                 temperature: float, lam: float, regime: str = "exact",
-                 units: str = "si") -> ForceResult:
-    """The one point path: the force at one sweep point of model, which
-    is map_series(c) (or map_parallel(c), the same), built once per loop
-    c, or a bare oscillator model with c = None.
-
-    A Drude model runs force_drude_full, at regime "exact" only; an
-    Ohmic model the closed form of the regime, which holds only where
-    dgamma/dlambda = 0 (errors.flat): elsewhere the force is set by the
-    damping's high-frequency dispersion, and diverges for Ohmic damping,
-    so PreconditionError is raised.  In SI units a loop whose gamma reaches
-    0.1 c / element_size is flagged lumped-element-size."""
-    if model.omega_d is None:
+def point_force(c: SeriesRLC | ParallelRLC | None, model: ParametricModel,
+                regime: str = "exact", units: str = "si"):
+    """The one point path of model, map_series(c) of loop c or a bare
+    oscillator model with c = None, settled once: the regime's force (read
+    from _OHMIC_DISPATCH now), Drude or Ohmic, the units and the
+    element-size limit.  at(temperature, lam) gives the force in output
+    units, the OscillatorParams it ran on and hbar_out.  A Drude model has
+    the regime "exact" only; an Ohmic model's closed form needs
+    dgamma/dlambda = 0 (errors.flat; elsewhere it diverges), or at raises
+    PreconditionError.  In SI units a gamma of 0.1 c / element_size or
+    more is flagged lumped-element-size."""
+    drude, force = model.omega_d is not None, force_drude_full
+    if not drude:
         try:
             force = _OHMIC_DISPATCH[regime]
         except (KeyError, TypeError):   # TypeError: an unhashable regime
@@ -291,21 +290,36 @@ def rlc_force_at(c: SeriesRLC | ParallelRLC | None, model: ParametricModel,
                               f"{tuple(_OHMIC_DISPATCH)}") from None
     elif regime != "exact":
         raise DomainError("a Drude model has only the regime 'exact'")
-    hbar_out, t_freq = units_factors(temperature, units)
-    p = model.params_at(lam, t_freq)
-    if model.omega_d is not None:
-        res = force_drude_full(p, model, lam)
-    else:
-        dg = model.d_gamma0(lam)
-        if not flat(dg, p.damping.gamma0, lam):
-            raise PreconditionError(f"the Ohmic force requires dgamma/dlambda "
-                                    f"= 0, got {dg!r} at lambda = {lam!r}")
-        res = force(p, model.d_omega(lam))
-    warnings: tuple[str, ...] = ()
-    if (units == "si" and c is not None and c.element_size is not None
-            and p.damping.gamma0 >= 0.1 * C_LIGHT / c.element_size):
-        warnings = (WARN_ELEMENT_SIZE,)
-    return scale_result(res, hbar_out, warnings)
+    hbar_out, _ = units_factors(0.0, units)    # checks the units, once
+    si = units == "si"
+    limit = _INF if not si or c is None or c.element_size is None \
+        else 0.1 * C_LIGHT / c.element_size
+
+    def at(temperature: float, lam: float):
+        t_freq = K_B * temperature / HBAR if si else temperature
+        if not (0.0 <= temperature and t_freq < _INF):     # NaN fails too
+            units_factors(temperature, units)      # raises its DomainError
+        p = model.params_at(lam, t_freq)
+        if drude:
+            res = force(p, model, lam)
+        else:
+            dg = model.d_gamma0(lam)
+            if not flat(dg, p.damping.gamma0, lam):
+                raise PreconditionError(f"the Ohmic force requires dgamma/"
+                                        f"dlambda = 0, got {dg!r} at lambda "
+                                        f"= {lam!r}")
+            res = force(p, model.d_omega(lam))
+        warn = (WARN_ELEMENT_SIZE,) if p.damping.gamma0 >= limit else ()
+        return scale_result(res, hbar_out, warn), p, hbar_out
+
+    return at
+
+
+def rlc_force_at(c: SeriesRLC | ParallelRLC | None, model: ParametricModel,
+                 temperature: float, lam: float, regime: str = "exact",
+                 units: str = "si") -> ForceResult:
+    """The force at one point of model: point_force's path."""
+    return point_force(c, model, regime, units)(temperature, lam)[0]
 
 
 def force_series_rlc(c: SeriesRLC | ParallelRLC, temperature: float,

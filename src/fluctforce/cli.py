@@ -8,13 +8,13 @@ fixed column set
     lambda, force, f_omega, f_gamma0, f_omegaD, regime, oracle,
     discrepancy, warnings
 
-(geometry modes append f_casimir and r_weight).  Floats are written with
-Python's shortest round-trip repr, rows in sweep order, so identical
-configs produce byte-identical files.  Every row runs in one serial
-pass, and every oracle sums the same 32 terms; --workers and the config
-keys "workers" and "oracle.n_max" are still accepted and checked, for
-existing configs, but change neither how rows run nor a byte of the
-output.
+(geometry modes append f_casimir and r_weight).  A sweep resolves its
+point path once (circuits.point_force) and runs its rows, lists of cells
+in column order, in one serial pass.  One cell encoder writes floats as
+Python's shortest round-trip repr, and JSON as json.dumps(payload,
+indent=2) would, so identical configs give byte-identical files.
+--workers and the config keys "workers" and "oracle.n_max" (every oracle
+sums 32 terms) are still checked, but change no byte of the output.
 
 Exit codes: 0 success (and -h/--help), 2 usage or config error, 3
 domain/precondition violation (the library's DomainError,
@@ -23,16 +23,10 @@ command line is read by a table-driven parser of the fixed grammar,
 which gives the fields, exit codes and accepted forms argparse gave.
 
 Importing this module loads neither argparse, numpy nor the Matsubara
-oracles, and neither does `force` or a linear closed-form sweep (linear
-points come from _linspace, which gives np.linspace's bits).  The
-oracles (matsubara) load on first use in a config with the oracle
-enabled and in `validate`.  numpy loads only in `validate` and for log
-spacing, which takes np.geomspace's own steps: np.log10 of the two
-ends, _linspace over the exponents, one np.power(10.0, ...) over the
-interior ones and the two ends set back.  numpy stays because its log10
-and power differ in bits from libm's (math.log10 and 10.0 ** y miss
-np.geomspace in about 70 % of random ranges of 3 to 64 points); no
-oracle loads it.
+oracles, nor does `force` or a linear closed-form sweep (_linspace gives
+np.linspace's bits).  The oracles load for a config with the oracle
+enabled and in `validate`; numpy in `validate` and for log spacing,
+whose np.geomspace steps libm's log10 and power miss in bits.
 """
 
 from __future__ import annotations
@@ -43,7 +37,7 @@ import re
 import sys
 from types import SimpleNamespace
 
-from . import circuits, forces
+from . import circuits
 from .errors import _INF, DivergentSumError, DomainError, PreconditionError
 from .oscillator import ParametricModel, power_law
 
@@ -217,26 +211,17 @@ def _oracle_enabled(cfg: dict) -> bool:
     return True
 
 
-def _force_row(lam: float, res: forces.ForceResult) -> dict:
-    """A row whose keys are BASE_COLUMNS in order; geometry rows append
-    the two extra columns, so their keys are GEOMETRY_COLUMNS."""
+def _force_row(lam: float, res: circuits.ForceResult) -> list:
+    """The BASE_COLUMNS cells of a ForceResult (geometry rows append two)."""
     parts = res.components or {}
-    return {
-        "lambda": lam,
-        "force": res.value,
-        "f_omega": parts.get("f_omega"),
-        "f_gamma0": parts.get("f_gamma0"),
-        "f_omegaD": parts.get("f_omegaD"),
-        "regime": res.regime,
-        "oracle": None,
-        "discrepancy": None,
-        "warnings": ";".join(res.warnings),
-    }
+    return [lam, res.value, parts.get("f_omega"), parts.get("f_gamma0"),
+            parts.get("f_omegaD"), res.regime, None, None,
+            ";".join(res.warnings)]
 
 
 # Per-sweep builders: each reads and checks its parameters once, so that
 # a row evaluates only what depends on its own lambda and temperature.
-# _oscillator and _loop give the (loop, model, regime) of rlc_force_at.
+# _oscillator and _loop give the (loop, model, regime) of point_force.
 
 def _oscillator(params: dict):
     damping = _require_key(params, "damping")
@@ -283,26 +268,25 @@ def _geometry(params: dict, planar: bool):
         loop = circuits.SeriesRLC.of(
             _param(params, "resistance", 0.0), inductance,
             circuits.planar_capacitance_law(area, epsilon))
-        model = circuits.map_series(loop)
+        at = circuits.point_force(loop, circuits.map_series(loop), regime,
+                                  "si")
     else:
         radius = _param(params, "radius")
         loop = circuits.SeriesRLC.of(
             0.0, inductance, circuits.sphere_plate_capacitance_law(radius))
 
-    def row(gap: float, temperature: float) -> dict:
+    def row(gap: float, temperature: float) -> list:
         if planar:
             geom = circuits.PlanarCapacitor(area, gap, epsilon)
-            res = circuits.rlc_force_at(loop, model, temperature, gap,
-                                        regime, "si")
+            res = at(temperature, gap)[0]
         else:
             geom = circuits.SpherePlate(radius, gap)
             res = circuits.sphere_plate_circuit_force(geom, inductance,
                                                       temperature, regime)
         cas = circuits.casimir_reference(geom, temperature, regime)
         out = _force_row(gap, res)
-        out["warnings"] = ";".join(res.warnings + cas.warnings)
-        out["f_casimir"] = cas.value
-        out["r_weight"] = circuits.relative_weight(geom, loop, temperature,
+        out[8] = ";".join(res.warnings + cas.warnings)
+        out += cas.value, circuits.relative_weight(geom, loop, temperature,
                                                    regime)
         return out
 
@@ -310,7 +294,7 @@ def _geometry(params: dict, planar: bool):
 
 
 def _row_function(cfg: dict):
-    """row(lam, temperature) -> dict for the configured mode."""
+    """row(lam, temperature) -> the cells of a row of the configured mode."""
     params, mode = cfg["parameters"], cfg["mode"]
     units = cfg.get("units", "reduced")
     oracle_on = _oracle_enabled(cfg)
@@ -320,26 +304,23 @@ def _row_function(cfg: dict):
         return _geometry(params, mode == "planar")
     loop, model, regime = _oscillator(params) if mode == "oscillator" \
         else _loop(params, mode == "series-rlc")
+    at = circuits.point_force(loop, model, regime, units)
     if oracle_on:
         from . import matsubara
 
-    def row(lam: float, temperature: float) -> dict:
-        res = circuits.rlc_force_at(loop, model, temperature, lam, regime,
-                                    units)
+    def row(lam: float, temperature: float) -> list:
+        res, p, hbar_out = at(temperature, lam)
         out = _force_row(lam, res)
-        if oracle_on:
-            hbar_out, t_freq = circuits.units_factors(temperature, units)
-            oracle = hbar_out * matsubara.force_sum_exact(
-                model.params_at(lam, t_freq), model, lam).value
-            out["oracle"] = oracle
-            out["discrepancy"] = abs(res.value - oracle)
+        if oracle_on:   # on the parameters the point path built
+            oracle = hbar_out * matsubara.force_sum_exact(p, model, lam).value
+            out[6:8] = oracle, abs(res.value - oracle)
         return out
 
     return row
 
 
 def _compute_rows(cfg: dict,
-                  sweep: tuple[str, list[float]] | None) -> list[dict]:
+                  sweep: tuple[str, list[float]] | None) -> list[list]:
     """Rows of a sweep in one serial pass, or the single row at the
     configured lambda when sweep is None."""
     params = cfg["parameters"]
@@ -348,57 +329,63 @@ def _compute_rows(cfg: dict,
     base_lam = _param(params, "lambda", 1.0)
     row = _row_function(cfg)
     name, values = sweep or ("lambda", [base_lam])
-
-    def one(value: float) -> dict:
-        out = row(base_lam, value) if name == "temperature" \
-            else row(value, base_t)
-        out["lambda"] = value
-        return out
-
-    return [one(v) for v in values]
+    if name == "lambda":
+        return [row(value, base_t) for value in values]
+    rows = [row(base_lam, value) for value in values]
+    for out, value in zip(rows, values):
+        out[0] = value      # the lambda column holds the swept temperature
+    return rows
 
 
-def _columns(mode: str) -> tuple[str, ...]:
-    return GEOMETRY_COLUMNS if mode in _GEOMETRY_MODES else BASE_COLUMNS
+#: json's own escaping of a str, in quotes, as json.dumps applies it
+_json_str = json.encoder.encode_basestring_ascii
 
 
-_repr = float.__repr__
-
-
-def _render_csv(columns, rows) -> str:
-    """One line per row; each row has exactly the columns as keys, in
-    order, and a float (as its repr), None (empty) or a str in each."""
-    lines = [",".join(columns)]
+def _cells(rows, null: str, text) -> list[str]:
+    """The text of every cell of rows, row by row: null for None, a float's
+    repr and text(cell) for a str.  A non-zero float equal to the float
+    before it in its row reuses its text (0.0 and -0.0 never merge)."""
+    cells = []
+    add = cells.append
     for row in rows:
-        lines.append(",".join([
-            _repr(v) if type(v) is float else "" if v is None else v
-            for v in row.values()]))
-    lines.append("")
-    return "\n".join(lines)
+        last = 0.0      # a first float differs from it or is zero
+        for v in row:
+            if v is None:
+                add(null)
+            elif type(v) is float:
+                if v != last or not v:
+                    last = v
+                    shown = repr(v)     # float.__repr__: v is a float
+                add(shown)
+            else:
+                add(text(v))
+    return cells
 
 
-# The rows' keys at the indentation json.dumps(..., indent=2) gives them.
-# Without indent, json runs its C encoder; with it, the pure-Python one.
-_ROWS_JSON = json.JSONEncoder(separators=(",\n      ", ": ")).encode
-
-
-def _render_json(columns, rows) -> str:
-    """The bytes of json.dumps(payload, indent=2) + "\\n", for rows as
-    _render_csv takes them.
-
-    All (flat) rows go through the C encoder in one call, which puts the
-    item separator between the rows as well; that separator is the only
-    place where "}" meets a raw newline (JSON escapes the newlines in
-    strings), so it is replaced there by the indented one."""
-    body = "[]"
-    if rows:
-        text = _ROWS_JSON(rows)
-        body = ("[\n    {\n      "
-                + text[2:-2].replace("},\n      {",
-                                     "\n    },\n    {\n      ")
-                + "\n    }\n  ]")
-    head = json.dumps({"schema": SCHEMA, "columns": list(columns)}, indent=2)
-    return head[:-2] + ',\n  "rows": ' + body + "\n}\n"
+def _render(columns, rows, fmt: str) -> str:
+    """CSV (a header, then a line of comma-joined cells per row) or JSON
+    (json.dumps(payload, indent=2) + "\\n", each row {column: cell}) of
+    rows of cells in column order, each cell after its separator or key."""
+    if fmt == "csv":
+        cells, head, end = _cells(rows, "", str), ",".join(columns), "\n"
+        seps = ["\n"] + [","] * (len(columns) - 1)
+    else:   # a row's first separator closes the row before it
+        cells = _cells(rows, "null", _json_str)
+        seps = [f",\n      {_json_str(c)}: " for c in columns]
+        seps[0] = "\n    },\n    {" + seps[0][1:]
+        head = json.dumps({"schema": SCHEMA, "columns": list(columns)},
+                          indent=2)[:-2] + ',\n  "rows": ['
+        end = "\n    }\n  ]\n}\n" if rows else "]\n}\n"
+    pieces = [x for sep in seps for x in (sep, "")] * len(rows)
+    pieces[1::2] = cells
+    body = "".join(pieces)
+    if fmt != "csv":
+        body = body[7:]     # the first row closes none: cut its "\n    },"
+        if "inf" in body or "nan" in body:
+            # floats json.dumps names; a raw newline ends bare values only
+            body = re.sub(r"(?<=: )(-?)inf(?=,?\n)", r"\1Infinity", body)
+            body = re.sub(r"(?<=: )nan(?=,?\n)", "NaN", body)
+    return head + body + end
 
 
 def _cmd_rows(args) -> int:
@@ -419,10 +406,9 @@ def _cmd_rows(args) -> int:
         sweep = _sweep_values(cfg)
         if not args.workers:    # checked, though every value runs serially
             _number(cfg.get("workers", 1), "workers", int)
-    rows = _compute_rows(cfg, sweep)
-    columns = _columns(cfg["mode"])
-    text = _render_csv(columns, rows) if fmt == "csv" \
-        else _render_json(columns, rows)
+    columns = GEOMETRY_COLUMNS if cfg["mode"] in _GEOMETRY_MODES \
+        else BASE_COLUMNS
+    text = _render(columns, _compute_rows(cfg, sweep), fmt)
     if path:    # opened only now, so that a failed row leaves no file
         try:
             with open(path, "wb") as fh:

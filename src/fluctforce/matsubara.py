@@ -683,11 +683,14 @@ def force_sum_exact(p: OscillatorParams, m: ParametricModel, lam: float,
 
         g0wd, dg0wd, g0dwd = g0 * wd, dg0 * wd, g0 * dwd
 
-        def term(n):
-            w = n * a
-            wpd = w + wd
-            num = cross + w * (dg0wd / wpd + g0dwd * w / (wpd * wpd))
-            return num / ((w + g0wd / wpd) * w + om2)
+        def terms(stop):    # one loop, as the Ohmic branch
+            out = []
+            for n in range(1, stop + 1):
+                w = n * a
+                wpd = w + wd
+                num = cross + w * (dg0wd / wpd + g0dwd * w / (wpd * wpd))
+                out.append(num / ((w + g0wd / wpd) * w + om2))
+            return out
 
         # times (w + wd)^2: a quadratic over (w + wd) times the cubic
         d = wd / a
@@ -695,7 +698,6 @@ def force_sum_exact(p: OscillatorParams, m: ParametricModel, lam: float,
                cross + dg0 * wd + g0 * dwd]
         poles, eta = _cubic_poles(om, g0, wd, a)
         tail = _tail([x / (a * a) for x in num], poles + [-d], eta=eta)
-        terms = _each(term)
     return _oracle(terms, dom / om, tail, -t)[0]
 
 

@@ -409,6 +409,43 @@ def test_rlc_force_at_drude_model_has_only_the_exact_regime(regime):
         cc.rlc_force_at(None, _DRUDE_MODEL, 0.7, 1.3, regime, "reduced")
 
 
+@pytest.mark.parametrize("units", ["si", "reduced"])
+@pytest.mark.parametrize("regime", ["exact", "low-T", "drude"])
+def test_point_force_gives_the_parameters_it_ran_on(units, regime):
+    # the force of rlc_force_at, bit for bit, with the OscillatorParams and
+    # hbar_out the point was built from
+    loop = cc.SeriesRLC.of(0.5, 1.0, (0.8, 1.0), element_size=1e8)
+    loop, model = (None, _DRUDE_MODEL) if regime == "drude" \
+        else (loop, cc.map_series(loop))
+    regime = "exact" if regime == "drude" else regime
+    at = cc.point_force(loop, model, regime, units)
+    for t, lam in ((0.3, 1.0), (0.0, 2.5), (40.0, 0.7)):
+        res, p, hbar_out = at(t, lam)
+        want_hbar, t_freq = cc.units_factors(t, units)
+        want = cc.rlc_force_at(loop, model, t, lam, regime, units)
+        assert (hbar_out, p) == (want_hbar, model.params_at(lam, t_freq))
+        assert repr((res.value, res.components, res.warnings)) \
+            == repr((want.value, want.components, want.warnings))
+
+
+def test_point_force_settles_its_choices_when_built(monkeypatch):
+    # regime and units are checked before any point; the regime's force is
+    # read from the dispatch table when the path is built, not at import
+    model = cc.map_series(cc.SeriesRLC.of(0.5, 1.0, 0.8))
+    for regime, units in (("mid-T", "si"), ("exact", "cgs")):
+        with pytest.raises(DomainError, match="regime|units"):
+            cc.point_force(None, model, regime, units)
+    with pytest.raises(DomainError, match="only the regime 'exact'"):
+        cc.point_force(None, _DRUDE_MODEL, "high-T", "si")
+    monkeypatch.setitem(cc._OHMIC_DISPATCH, "exact",
+                        lambda p, dom: force_ohmic_high_t(p, dom))
+    at = cc.point_force(None, model, "exact", "reduced")
+    assert at(0.3, 1.0)[0].value == force_ohmic_high_t(
+        model.params_at(1.0, 0.3), model.d_omega(1.0)).value
+    with pytest.raises(DomainError, match=r"got -1\.0 \(reduced\)"):
+        at(-1.0, 1.0)
+
+
 @pytest.mark.parametrize("cap", [-1e-12, 0.0])
 def test_parallel_loop_names_a_non_positive_capacitance(cap):
     loop = cc.ParallelRLC.of(1e3, 1e-6, cap)

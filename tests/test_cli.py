@@ -254,6 +254,41 @@ def test_sweep_determinism_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("mode, units", [("oscillator", "reduced"),
+                                         ("series-rlc", "si")])
+def test_oracle_rows_reuse_the_point_paths_parameters(tmp_path, monkeypatch,
+                                                      mode, units):
+    # the point path checks the units once per sweep, when it is built,
+    # and an oracle row sums on the OscillatorParams its closed form ran
+    # on: no row converts units again, and one params_at per row serves both
+    from fluctforce import circuits, matsubara
+    from fluctforce.oscillator import ParametricModel
+    logs = {}
+    for owner, name in ((circuits, "units_factors"),
+                        (ParametricModel, "params_at"),
+                        (matsubara, "force_sum_exact")):
+        def logged(*args, _f=getattr(owner, name), _log=logs.setdefault(
+                name, [])):
+            _log.append(args)
+            return _f(*args)
+        monkeypatch.setattr(owner, name, logged)
+    cfg = oscillator_cfg(mode=mode, units=units,
+                         oracle={"enabled": True})
+    if mode == "series-rlc":
+        cfg["parameters"] = {"resistance": 2.0, "inductance": 1.0,
+                             "capacitance": {"coeff": 0.5, "power": 1.0},
+                             "temperature": 1e-3}
+    path = write_config(tmp_path, "c.json", cfg)
+    assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) \
+        == 0
+    assert logs["units_factors"] == [(0.0, units)]
+    assert len(logs["params_at"]) == len(logs["force_sum_exact"]) == 8
+    for (model, lam, t_freq), (p, m, at) in zip(logs["params_at"],
+                                                logs["force_sum_exact"]):
+        assert (m, at) == (model, lam)
+        assert p == model.params_at(lam, t_freq)
+
+
 def test_sweep_workers_do_not_change_output(tmp_path):
     cfg = oscillator_cfg(oracle={"enabled": True, "n_max": 20_000})
     path = write_config(tmp_path, "c.json", cfg)
@@ -668,11 +703,55 @@ _AWKWARD_ROWS = [
 @pytest.mark.parametrize("columns", [cli.BASE_COLUMNS, cli.GEOMETRY_COLUMNS])
 @pytest.mark.parametrize("count", [0, 1, 2])
 def test_render_json_is_indented_dumps(columns, count):
-    # rows as the CLI builds them: exactly the columns, in order
+    # rows as the CLI builds them: the cells of the columns, in order
     rows = [{c: row.get(c) for c in columns} for row in _AWKWARD_ROWS[:count]]
     payload = {"schema": cli.SCHEMA, "columns": list(columns), "rows": rows}
-    assert cli._render_json(columns, rows) \
+    assert cli._render(columns, [list(r.values()) for r in rows], "json") \
         == json.dumps(payload, indent=2) + "\n"
+
+
+def _render_csv_reference(columns, rows) -> str:
+    """The CSV renderer of dict rows that the cell encoder replaced,
+    verbatim: the reference for its CSV bytes."""
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join([
+            _repr(v) if type(v) is float else "" if v is None else v
+            for v in row.values()]))
+    lines.append("")
+    return "\n".join(lines)
+
+
+_repr = float.__repr__
+_SUM = 0.1 + 0.2
+# rows whose floats the cell cache must not give another float's text:
+# signed zeros, which compare equal, after each other and back; equal
+# floats that are distinct objects; a repeated float with None or a str
+# between; and floats that JSON spells as names, next to strings that
+# look like them
+_CACHE_ROWS = [
+    [0.0, -0.0, 0.0, -0.0, -0.0, "0.0", 0.0, 0.0, "-0.0"],
+    [_SUM, float(repr(_SUM)), 3 * 0.1, -_SUM, _SUM, "", 0.5 + 0.5, 1.0,
+     None],
+    [1.5, None, 1.5, "1.5", 1.5, None, -1.5, "", 1.5],
+    [math.inf, math.inf, -math.inf, math.nan, math.nan, "a: inf",
+     ": nan,\n", None, "-inf"],
+]
+
+
+@pytest.mark.parametrize("count", range(len(_CACHE_ROWS) + 1))
+def test_cell_cache_keeps_every_float_its_own_text(count):
+    sums = _CACHE_ROWS[1]   # equal floats, distinct objects
+    assert sums[0] == sums[1] and sums[0] is not sums[1]
+    columns = cli.BASE_COLUMNS
+    for rows in (_CACHE_ROWS[:count], _CACHE_ROWS[count:][:1]):
+        dicts = [dict(zip(columns, row)) for row in rows]
+        payload = {"schema": cli.SCHEMA, "columns": list(columns),
+                   "rows": dicts}
+        assert cli._render(columns, rows, "json") \
+            == json.dumps(payload, indent=2) + "\n"
+        assert cli._render(columns, rows, "csv") \
+            == _render_csv_reference(columns, dicts)
 
 
 _OVERFLOWING_LAWS = [
@@ -994,9 +1073,10 @@ def test_render_json_strings_that_look_like_row_separators():
     columns = cli.BASE_COLUMNS
     rows = [{c: row.get(c) for c in columns} for row in rows]
     payload = {"schema": cli.SCHEMA, "columns": list(columns), "rows": rows}
+    cells = [list(row.values()) for row in rows]
     for count in range(len(rows) + 1):
         payload_part = dict(payload, rows=rows[:count])
-        assert cli._render_json(columns, rows[:count]) \
+        assert cli._render(columns, cells[:count], "json") \
             == json.dumps(payload_part, indent=2) + "\n"
 
 

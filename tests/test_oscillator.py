@@ -604,6 +604,23 @@ def test_drude_exact_warns_as_the_solver_order_check():
     assert flagged > 100 and zero > 100
 
 
+# stand-in roots of (Omega, gamma0, omega_d) = (1, 1.5, 2), whose cubic has
+# the root product i a0 = 2i and the pair sum -a1 = -4, both exact in floats
+@pytest.mark.parametrize("roots, flagged", [
+    ((2.0, -2.0, -0.5j), False),    # product and pair sum exact
+    ((2.0, 2.0, 0.5j), True),       # product exact, pair sum 8 + 2i off
+    ((2.0, -2.0, 1j), True),        # pair sum exact, product 6i off
+])
+def test_cubic_residual_flags_a_miss_of_either_vieta_sum(monkeypatch, roots,
+                                                         flagged):
+    import fluctforce.oscillator as osc
+    monkeypatch.setattr(osc, "_drude_roots", lambda om, g0, wd: roots)
+    eig = eigenfrequencies_drude_exact(OscillatorParams(1.0, Drude(1.5, 2.0),
+                                                        1.0))
+    assert eig.as_tuple() == roots
+    assert eig.warnings == ((WARN_CUBIC_RESIDUAL,) if flagged else ())
+
+
 def _oscillator_calls(x):
     drude, ohmic = Drude(0.3, 30.0), Ohmic(0.3)
     model = power_law_model((1.0, 0.5), (0.3, 0.0), (30.0, 0.5))
