@@ -10,9 +10,22 @@ parameter.  The loop's class, SeriesRLC or ParallelRLC, picks the
 topology: map_series and map_parallel give any loop the model of its
 own class, and force_series_rlc and force_parallel_rlc its force.
 point_force is the one point path, for loops and bare oscillator models
-alike, resolved once per sweep (rlc_force_at runs it at one point): it
-checks dgamma/dlambda = 0 (errors.flat) at each Ohmic point, the test
-force_sum_exact makes, and flags lumped-element breaches.
+alike, resolved once per sweep: it checks dgamma/dlambda = 0
+(errors.flat) at each Ohmic point, the test force_sum_exact makes, and
+flags lumped-element breaches.
+
+A loop model evaluates one point per lambda: its point function runs the
+six element laws, each value and derivative once, and returns (lam,
+Omega, dOmega/dlambda, gamma, dgamma/dlambda).  The laws run, and their
+checks raise, in the order point_force reads the outputs: gamma, Omega,
+dgamma/dlambda, then dOmega/dlambda, checked finite where it is read,
+after the path's flat check on dgamma/dlambda.  So a single faulty law
+raises as it does without the cache.  The model's four callables share a
+one-entry cache: the last point, a tuple replaced whole, so that a
+caller at another lambda (in another thread) never sees a torn entry; a
+race can only repeat an evaluation.  A lambda shares the point of the
+same object only: a distinct float of the same value evaluates the point
+again, to the same bits.
 
 Units: circuit element values may be SI (ohm, henry, farad, kelvin,
 metre) with units="si", or reduced (hbar = k_B = 1, any consistent
@@ -26,12 +39,22 @@ import math
 from _collections_abc import Callable   # see oscillator
 
 from ._value import Frozen
-from .constants import C_LIGHT, EPSILON_0, HBAR, K_B, ZETA_3
-from .errors import _INF, DomainError, PreconditionError, finite, flat, warm
+from .errors import (_INF, DomainError, PreconditionError, finite, flat,
+                     not_finite, warm)
 from .forces import (ForceResult, force_drude_full, force_ohmic_exact,
                      force_ohmic_high_t, force_ohmic_low_t,
                      force_ohmic_weak_dissipation)
 from .oscillator import ParametricModel, power_law
+
+# Physical constants, SI (CODATA 2018), in one table so that unit
+# conversions cannot drift.
+HBAR = 1.054571817e-34        # J s
+K_B = 1.380649e-23            # J / K (exact)
+C_LIGHT = 299792458.0         # m / s (exact)
+EPSILON_0 = 8.8541878128e-12  # F / m
+
+#: Apery's constant zeta(3), used by the thermal Casimir references.
+ZETA_3 = 1.2020569031595942854
 
 WARN_EDGE_EFFECTS = "edge-effects"
 WARN_SPHERE_INTERP = "sphere-interpolation-accuracy"
@@ -151,30 +174,82 @@ def _check_positive(name: str, x: float) -> float:
     return x
 
 
-#: the loop models (._loop_models), imported on the first map_series or
-#: map_parallel, so that import fluctforce.cli does not compile them
-_LOOPS = None
+def _omega_of(cl: float, cc: float) -> float:
+    """Omega = 1/sqrt(LC) for a positive inductance and capacitance."""
+    _check_positive("inductance", cl)
+    _check_positive("capacitance", cc)
+    try:
+        return 1.0 / math.sqrt(cl * cc)
+    except ZeroDivisionError:   # L C underflows to 0
+        raise not_finite("Omega = 1/sqrt(LC)") from None
 
 
-def _loops():
-    """_LOOPS, imported now."""
-    global _LOOPS
-    from . import _loop_models
-    _LOOPS = _loop_models
-    return _LOOPS
+def _model(c: SeriesRLC | ParallelRLC) -> ParametricModel:
+    """The model of loop c, whose callables read the point of their
+    lambda: gamma = 1/(RC) for a ParallelRLC, R/L for any other loop."""
+    r_of, l_of, c_of = c.resistance, c.inductance, c.capacitance
+    if isinstance(c, ParallelRLC):
+        def point(lam) -> tuple:
+            try:
+                rr = _check_positive("resistance", r_of.value(lam))
+                cc = c_of.value(lam)
+                g = 1.0 / (rr * _check_positive("capacitance", cc))
+            except ZeroDivisionError:   # R C underflows to 0
+                raise not_finite("gamma = 1/(RC)") from None
+            cl = l_of.value(lam)
+            om = _omega_of(cl, cc)
+            dr = r_of.derivative(lam)
+            dc = c_of.derivative(lam)
+            return (lam, om, -0.5 * om * (l_of.derivative(lam) / cl + dc / cc),
+                    g, -g * (dr / rr + dc / cc))
+    else:
+        def point(lam) -> tuple:
+            r = r_of.value(lam)
+            cl = l_of.value(lam)
+            g = r / _check_positive("inductance", cl)
+            cc = c_of.value(lam)
+            om = _omega_of(cl, cc)
+            dr = r_of.derivative(lam)
+            dl = l_of.derivative(lam)
+            # (R' - gamma L') / L: no L L, which underflows to 0 for tiny L
+            return (lam, om, -0.5 * om * (dl / cl + c_of.derivative(lam) / cc),
+                    g, (dr - g * dl) / cl)
+
+    last = (object(),)      # no lambda is this key
+
+    def at(lam) -> tuple:
+        """The point at lam, which is not the cached key, evaluated."""
+        nonlocal last
+        p = last = point(lam)
+        return p
+
+    def reader(name: str, i: int):
+        """The callable, named for its field, of the point's item i."""
+        def read(lam: float) -> float:
+            p = last
+            return (p if p[0] is lam else at(lam))[i]
+        read.__name__ = name
+        return read
+
+    def d_omega(lam: float) -> float:
+        p = last
+        return finite((p if p[0] is lam else at(lam))[2], "dOmega/dlambda")
+
+    return ParametricModel(reader("omega", 1), d_omega, reader("gamma0", 3),
+                           reader("d_gamma0", 4))
 
 
 def map_series(c: SeriesRLC | ParallelRLC) -> ParametricModel:
     """Oscillator model of loop c, of its class's topology: Omega =
     1/sqrt(LC), gamma = R/L for a SeriesRLC and 1/(RC) for a ParallelRLC.
     The first read at a lambda evaluates every law and derivative once."""
-    return (_LOOPS or _loops()).model(c)
+    return _model(c)
 
 
 def map_parallel(c: SeriesRLC | ParallelRLC) -> ParametricModel:
     """Oscillator model of loop c, as map_series: its class picks the
     topology, not the name called."""
-    return (_LOOPS or _loops()).model(c)
+    return _model(c)
 
 
 def capacitance_planar(g: PlanarCapacitor) -> tuple[float, float]:
@@ -315,19 +390,12 @@ def point_force(c: SeriesRLC | ParallelRLC | None, model: ParametricModel,
     return at
 
 
-def rlc_force_at(c: SeriesRLC | ParallelRLC | None, model: ParametricModel,
-                 temperature: float, lam: float, regime: str = "exact",
-                 units: str = "si") -> ForceResult:
-    """The force at one point of model: point_force's path."""
-    return point_force(c, model, regime, units)(temperature, lam)[0]
-
-
 def force_series_rlc(c: SeriesRLC | ParallelRLC, temperature: float,
                      lam: float, regime: str = "exact",
                      units: str = "si") -> ForceResult:
     """Fluctuation force of loop c, of its class's topology, where its
     gamma is fixed: R/L for a SeriesRLC, 1/(RC) for a ParallelRLC."""
-    return rlc_force_at(c, map_series(c), temperature, lam, regime, units)
+    return point_force(c, map_series(c), regime, units)(temperature, lam)[0]
 
 
 def force_parallel_rlc(c: SeriesRLC | ParallelRLC, temperature: float,
@@ -335,7 +403,7 @@ def force_parallel_rlc(c: SeriesRLC | ParallelRLC, temperature: float,
                        units: str = "si") -> ForceResult:
     """Fluctuation force of loop c, as force_series_rlc: its class picks
     the topology, not the name called."""
-    return rlc_force_at(c, map_parallel(c), temperature, lam, regime, units)
+    return point_force(c, map_parallel(c), regime, units)(temperature, lam)[0]
 
 
 def planar_rlc_low_t_weak(g: PlanarCapacitor, inductance: float,

@@ -56,17 +56,17 @@ class CriterionReport(Frozen):
         return txt
 
 
-def _linear_model(om, dom=0.0, g0=0.0, dg0=0.0, wd=None, dwd=0.0,
-                  lam0=1.0) -> ParametricModel:
-    """Parameters linear in lambda around lam0 (simple analytic laws)."""
+def _linear_model(om, dom=0.0, g0=0.0, dg0=0.0, wd=None,
+                  dwd=0.0) -> ParametricModel:
+    """Parameters linear in lambda around 1 (simple analytic laws)."""
     kwargs = dict(
-        omega=lambda lam: om + (lam - lam0) * dom,
+        omega=lambda lam: om + (lam - 1.0) * dom,
         d_omega=lambda lam: dom,
-        gamma0=lambda lam: g0 + (lam - lam0) * dg0,
+        gamma0=lambda lam: g0 + (lam - 1.0) * dg0,
         d_gamma0=lambda lam: dg0,
     )
     if wd is not None:
-        kwargs["omega_d"] = lambda lam: wd + (lam - lam0) * dwd
+        kwargs["omega_d"] = lambda lam: wd + (lam - 1.0) * dwd
         kwargs["d_omega_d"] = lambda lam: dwd
     return ParametricModel(**kwargs)
 

@@ -384,7 +384,7 @@ def test_bare_oscillator_model_has_no_element_size():
     # c = None: even a gamma far above 0.1 c / r0 for any r0 is not flagged
     model = power_law_model((1e9, 0.0), (1e12, 0.0))
     for regime in ("exact", "high-T"):
-        res = cc.rlc_force_at(None, model, 300.0, 1.0, regime, "si")
+        res = cc.point_force(None, model, regime, "si")(300.0, 1.0)[0]
         assert cc.WARN_ELEMENT_SIZE not in res.warnings
 
 
@@ -396,7 +396,7 @@ def test_rlc_force_at_runs_a_bare_drude_model():
         t_freq = t if units == "reduced" else KB * t / HBAR
         direct = force_drude_full(_DRUDE_MODEL.params_at(lam, t_freq),
                                   _DRUDE_MODEL, lam)
-        res = cc.rlc_force_at(None, _DRUDE_MODEL, t, lam, units=units)
+        res = cc.point_force(None, _DRUDE_MODEL, units=units)(t, lam)[0]
         assert res.value == scale * direct.value
         assert res.components == {k: scale * v
                                   for k, v in direct.components.items()}
@@ -406,14 +406,14 @@ def test_rlc_force_at_runs_a_bare_drude_model():
 @pytest.mark.parametrize("regime", ["high-T", "low-T", "weak-dissipation"])
 def test_rlc_force_at_drude_model_has_only_the_exact_regime(regime):
     with pytest.raises(DomainError, match="regime 'exact'"):
-        cc.rlc_force_at(None, _DRUDE_MODEL, 0.7, 1.3, regime, "reduced")
+        cc.point_force(None, _DRUDE_MODEL, regime, "reduced")(0.7, 1.3)[0]
 
 
 @pytest.mark.parametrize("units", ["si", "reduced"])
 @pytest.mark.parametrize("regime", ["exact", "low-T", "drude"])
 def test_point_force_gives_the_parameters_it_ran_on(units, regime):
-    # the force of rlc_force_at, bit for bit, with the OscillatorParams and
-    # hbar_out the point was built from
+    # the force of a path built for the one point, bit for bit, with the
+    # OscillatorParams and hbar_out the point was built from
     loop = cc.SeriesRLC.of(0.5, 1.0, (0.8, 1.0), element_size=1e8)
     loop, model = (None, _DRUDE_MODEL) if regime == "drude" \
         else (loop, cc.map_series(loop))
@@ -422,7 +422,7 @@ def test_point_force_gives_the_parameters_it_ran_on(units, regime):
     for t, lam in ((0.3, 1.0), (0.0, 2.5), (40.0, 0.7)):
         res, p, hbar_out = at(t, lam)
         want_hbar, t_freq = cc.units_factors(t, units)
-        want = cc.rlc_force_at(loop, model, t, lam, regime, units)
+        want = cc.point_force(loop, model, regime, units)(t, lam)[0]
         assert (hbar_out, p) == (want_hbar, model.params_at(lam, t_freq))
         assert repr((res.value, res.components, res.warnings)) \
             == repr((want.value, want.components, want.warnings))
@@ -593,9 +593,9 @@ def test_overdamped_low_t_force_raises_where_a_root_rounds_to_zero():
     # Omega^2 over the large root it is 4.5e-72, and the force is finite
     loop = cc.SeriesRLC.of(1e-3, 1e-6, cc.planar_capacitance_law(2.5e-5))
     model = cc.map_series(loop)
-    assert cc.rlc_force_at(loop, model, 0.01, 1e-90, "low-T").value \
+    assert cc.point_force(loop, model, "low-T")(0.01, 1e-90)[0].value \
         == -1.2980024935043856e-14
-    assert cc.rlc_force_at(loop, model, 0.01, 1e-6, "low-T").value < 0.0
+    assert cc.point_force(loop, model, "low-T")(0.01, 1e-6)[0].value < 0.0
     # Omega^2 / gamma underflows only below Omega ~ 1e-160
     with pytest.raises(DomainError, match="rounds to 0"):
         force_ohmic_low_t(OscillatorParams(1e-170, Ohmic(1e3), 0.0), 1.0)
@@ -605,7 +605,7 @@ def test_circuit_force_raises_where_dc_dd_overflows():
     loop = cc.SeriesRLC.of(1e-3, 1e-6, cc.planar_capacitance_law(1e300))
     model = cc.map_series(loop)
     with pytest.raises(DomainError, match="dC/dd"):
-        cc.rlc_force_at(loop, model, 300.0, 1e-10, "high-T")
+        cc.point_force(loop, model, "high-T")(300.0, 1e-10)[0]
 
 
 # Every public function returns finite values or raises a library error,
@@ -896,7 +896,7 @@ def test_a_single_faulty_law_fails_as_without_the_cache(loop_of, law, part,
     raised = []
     for model in (_uncached_model(loop), mapper(loop)):
         with pytest.raises(Exception) as exc:
-            cc.rlc_force_at(loop, model, 0.5, 1.5, "exact", "reduced")
+            cc.point_force(loop, model, "exact", "reduced")(0.5, 1.5)[0]
         raised.append((type(exc.value), str(exc.value)))
     assert raised[0] == raised[1]
 
@@ -928,8 +928,8 @@ def test_a_loop_maps_by_its_own_class(loop_of, elements):
                 assert _outcome(getattr(model, read), lam) \
                     == _outcome(getattr(own, read), lam)
     for regime in ("exact", "high-T"):
-        want = _outcome(cc.rlc_force_at, loop, own, 0.3, 1.0, regime,
-                        "reduced")
+        want = _outcome(lambda: cc.point_force(loop, own, regime,
+                                               "reduced")(0.3, 1.0)[0])
         for force in (cc.force_series_rlc, cc.force_parallel_rlc):
             assert _outcome(force, loop, 0.3, 1.0, regime,
                             units="reduced") == want

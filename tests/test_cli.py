@@ -603,6 +603,12 @@ _PARSE_CASES = [
     ["sweep", "--config", "c", "--workers", "-1"],
     ["sweep", "--config", "c", "--workers=-1"],
     ["sweep", "--config", "c", "--workers", " 7 "],
+    # "--": every later token is positional, and no command takes one
+    ["force", "--config", "c", "--", "x"],
+    ["force", "--config", "c", "--"],
+    ["force", "--", "--config", "c"],
+    ["--", "force", "--config", "c"],
+    ["validate", "--suite", "--", "x"],
     # unique prefixes, as argparse's allow_abbrev takes them
     ["force", "--conf", "c", "--o", "o", "--f=json", "--u", "si"],
     ["sweep", "--c", "c", "--w", "5"],

@@ -856,8 +856,8 @@ def test_concurrent_oracle_calls_match_serial():
             lam = lams[(i + k) % len(lams)]
             for loop, mapper, shared in loops:
                 model = mapper(loop) if fresh else shared
-                res = circuits.rlc_force_at(loop, model, T, lam, "exact",
-                                            "reduced")
+                res = circuits.point_force(loop, model, "exact",
+                                           "reduced")(T, lam)[0]
                 oracle = force_sum_exact(model.params_at(lam, T), model,
                                          lam, spec)
                 out.append((lam, res.value.hex(), oracle.value.hex(),
