@@ -88,9 +88,9 @@ class ForceResult(Frozen):
         d["im_residual"] = im_residual
 
 
-def _psi_quotient(om: float, g: float, t: float) -> complex:
-    """[psi(a1) - psi(a2)] / sqrt(Omega^2 - gamma^2/4)."""
-    i_w1, i_w2, sq, d = _pair_data(om, g)
+def _psi_quotient(pair: tuple, om: float, g: float, t: float) -> complex:
+    """[psi(a1) - psi(a2)] / sqrt(D), with pair = _pair_data(om, g)."""
+    i_w1, i_w2, sq, d = pair
     two_pi_t = 2.0 * math.pi * t
     if abs(d) <= CRITICAL_DAMPING_CUT * om * om:
         a0 = 1.0 + 0.5 * g / two_pi_t
@@ -99,9 +99,9 @@ def _psi_quotient(om: float, g: float, t: float) -> complex:
             - digamma(1.0 + i_w2 / two_pi_t)) / sq
 
 
-def _log_quotient(om: float, g: float) -> complex:
-    """[log(i omega1) - log(i omega2)] / sqrt(D): the T -> 0 limit."""
-    i_w1, i_w2, sq, d = _pair_data(om, g)
+def _log_quotient(pair: tuple, om: float, g: float) -> complex:
+    """The T -> 0 limit [log(i omega1) - log(i omega2)] / sqrt(D) of pair."""
+    i_w1, i_w2, sq, d = pair
     if abs(d) <= CRITICAL_DAMPING_CUT * om * om:
         c = 0.5 * g
         if c * c == 0.0:                # gamma^2 (and Omega^2) underflow
@@ -117,7 +117,7 @@ def _log_quotient(om: float, g: float) -> complex:
 
 
 def _realize(value_c: complex, regime: str, warnings: tuple[str, ...],
-             components_c: dict[str, complex] | None = None) -> ForceResult:
+             components_c: dict[str, complex]) -> ForceResult:
     value = value_c.real
     residual = abs(value_c.imag)
     # the components sum to value_c, so they are finite when it is
@@ -125,10 +125,8 @@ def _realize(value_c: complex, regime: str, warnings: tuple[str, ...],
         raise not_finite(f"the {regime} force")
     if residual > IM_RESIDUAL_BOUND * max(abs(value), 1e-300):
         warnings = warnings + (WARN_IM_RESIDUAL,)
-    components = None
-    if components_c is not None:
-        components = {k: v.real for k, v in components_c.items()}
-    return ForceResult(value, regime, warnings, components, residual)
+    return ForceResult(value, regime, warnings,
+                       {k: v.real for k, v in components_c.items()}, residual)
 
 
 def force_ohmic_exact(p: OscillatorParams, d_omega: float) -> ForceResult:
@@ -143,7 +141,7 @@ def force_ohmic_exact(p: OscillatorParams, d_omega: float) -> ForceResult:
     om, t = p.omega0, p.temperature
     if t == 0.0:
         return force_ohmic_low_t(p, d_omega)
-    quot = _psi_quotient(om, g, t)
+    quot = _psi_quotient(_pair_data(om, g), om, g, t)
     fc = (-(t / om) + 1j * om * quot / (2.0 * math.pi)) * d_omega
     return _realize(fc, "exact", (), {"f_omega": fc})
 
@@ -199,12 +197,11 @@ def force_ohmic_low_t(p: OscillatorParams, d_omega: float) -> ForceResult:
     """
     g = require(p.damping, Ohmic, "force_ohmic_low_t").gamma0
     om, t = p.omega0, p.temperature
+    pair = _pair_data(om, g)
     warnings: tuple[str, ...] = ()
-    if t > 0.0:
-        i_w1, i_w2, _, _ = _pair_data(om, g)
-        if t > LOW_T_GUARD * min(abs(i_w1), abs(i_w2)):
-            warnings = (WARN_LOW_T,)
-    fc = 1j * om * _log_quotient(om, g) / (2.0 * math.pi) * d_omega
+    if t > LOW_T_GUARD * min(abs(pair[0]), abs(pair[1])):   # never at T = 0
+        warnings = (WARN_LOW_T,)
+    fc = 1j * om * _log_quotient(pair, om, g) / (2.0 * math.pi) * d_omega
     return _realize(fc, "low-T", warnings, {"f_omega": fc})
 
 
@@ -221,10 +218,10 @@ def force_tilde(p: OscillatorParams, d_omega: float,
     g = require(p.damping, Ohmic, "force_tilde").gamma0
     om, t = p.omega0, warm(p.temperature, "force_tilde")
     two_pi_t = 2.0 * math.pi * t
-    i_w1, i_w2, _, _ = _pair_data(om, g)
-    psi_sum = (digamma(1.0 + i_w1 / two_pi_t)
-               + digamma(1.0 + i_w2 / two_pi_t))
-    quot = _psi_quotient(om, g, t)
+    pair = _pair_data(om, g)
+    psi_sum = (digamma(1.0 + pair[0] / two_pi_t)
+               + digamma(1.0 + pair[1] / two_pi_t))
+    quot = _psi_quotient(pair, om, g, t)
     c_om = (-(t / om) + 1j * om * quot / (2.0 * math.pi)) * d_omega
     c_g = (psi_sum / (4.0 * math.pi)
            - 1j * 0.25 * g * quot / (2.0 * math.pi)) * d_gamma0
@@ -259,10 +256,10 @@ def force_drude_full(p: OscillatorParams, m: ParametricModel,
         return force_drude_low_t(p, m, lam)
     dom, dg0, dwd = m.derivatives_at(lam)
     two_pi_t = 2.0 * math.pi * t
-    i_w1, i_w2, _, _ = _pair_data(om, g0)
-    psi_sum = (digamma(1.0 + i_w1 / two_pi_t)
-               + digamma(1.0 + i_w2 / two_pi_t))
-    quot = _psi_quotient(om, g0, t)
+    pair = _pair_data(om, g0)
+    psi_sum = (digamma(1.0 + pair[0] / two_pi_t)
+               + digamma(1.0 + pair[1] / two_pi_t))
+    quot = _psi_quotient(pair, om, g0, t)
     psi3 = digamma(1.0 + (wd - g0) / two_pi_t)
     psi_d = digamma(1.0 + wd / two_pi_t)
     c_om = (-(t / om) + 1j * om * quot / (2.0 * math.pi)) * dom
@@ -326,12 +323,10 @@ def force_drude_low_t(p: OscillatorParams, m: ParametricModel,
     """
     om, g0, wd, warnings = _drude_values(p, "force_drude_low_t")
     dom, dg0, dwd = m.derivatives_at(lam)
-    t = p.temperature
-    if t > 0.0:
-        i_w1, i_w2, _, _ = _pair_data(om, g0)
-        if t > LOW_T_GUARD * min(abs(i_w1), abs(i_w2)):
-            warnings = warnings + (WARN_LOW_T,)
-    quot = _log_quotient(om, g0)
+    pair = _pair_data(om, g0)
+    if p.temperature > LOW_T_GUARD * min(abs(pair[0]), abs(pair[1])):
+        warnings = warnings + (WARN_LOW_T,)
+    quot = _log_quotient(pair, om, g0)
     c_om = 1j * om * quot / (2.0 * math.pi) * dom
     ratio = wd / om
     c_g = (-(math.log(ratio) if ratio else -_INF) / (2.0 * math.pi)

@@ -197,6 +197,36 @@ def test_t_zero_routes_to_low_t():
     assert res.value == force_ohmic_low_t(p, 1.0).value
 
 
+@pytest.mark.parametrize("t", [0.45, 0.0])
+@pytest.mark.parametrize("g0", [0.6, 2.0, 5.0],
+                         ids=["under", "critical", "over"])
+def test_each_closed_form_builds_the_root_pair_once(monkeypatch, g0, t):
+    builds = []
+    pair_data = forces._pair_data
+
+    def counted(om, g):
+        builds.append((om, g))
+        return pair_data(om, g)
+
+    monkeypatch.setattr(forces, "_pair_data", counted)
+    p = OscillatorParams(1.0, Ohmic(g0), t)
+    m = linear_model(1.0, 1.0, g0, 0.5, 300.0, 0.7)
+    p_dr = m.params_at(1.0, t)
+    calls = {"force_ohmic_exact": lambda: force_ohmic_exact(p, 1.0),
+             "force_ohmic_low_t": lambda: force_ohmic_low_t(p, 1.0),
+             "force_drude_full": lambda: force_drude_full(p_dr, m, 1.0),
+             "force_drude_low_t": lambda: force_drude_low_t(p_dr, m, 1.0)}
+    if t > 0.0:     # force_tilde needs T > 0
+        calls["force_tilde"] = lambda: force_tilde(p, 1.0, 0.3)
+    counts = {}
+    for name, call in calls.items():
+        builds.clear()
+        call()
+        assert set(builds) <= {(1.0, g0)}
+        counts[name] = len(builds)
+    assert counts == dict.fromkeys(calls, 1)
+
+
 def test_tilde_reduces_to_exact_without_gamma_derivative():
     p = OscillatorParams(1.3, Ohmic(0.6), 0.45)
     assert force_tilde(p, 1.0, 0.0).value \

@@ -13,6 +13,7 @@ from fluctforce.errors import DomainError, PreconditionError
 from fluctforce.forces import force_drude_full
 from fluctforce.oscillator import (Drude, Ohmic, OscillatorParams,
                                    ParametricModel, _drude_roots, _ordered,
+                                   _polish,
                                    damping_at_matsubara,
                                    eigenfrequencies_drude_approx,
                                    eigenfrequencies_drude_exact,
@@ -71,6 +72,17 @@ def test_solve_cubic_known_roots():
     # (s+1)(s+2)(s+3)
     roots = sorted(r.real for r in solve_cubic(6.0, 11.0, 6.0))
     assert np.allclose(roots, [-3.0, -2.0, -1.0], rtol=1e-14)
+
+
+def test_polish_stops_where_its_first_step_lands_on_a_critical_point():
+    # (s - 1.51)^3: the one-real-root branch estimates the triple root as
+    # 1.5099923706054688, and one Newton step from there lands exactly on
+    # 1.51, where the derivative rounds to 0, so the second step is skipped
+    a2, a1, a0 = -4.53, 6.8403, -3.442951
+    assert (3.0 * 1.51 + 2.0 * a2) * 1.51 + a1 == 0.0
+    assert _polish(1.5099923706054688, a2, a1, a0) == 1.51
+    assert solve_cubic(a2, a1, a0) == (1.6211111309793476 + 0j,
+                                       1.1766666467984521 + 0j, 1.51 + 0j)
 
 
 def test_drude_exact_decoupled_limit():
