@@ -9,10 +9,12 @@ is only finite when the damping does not depend on the swept
 parameter.  The loop's class, SeriesRLC or ParallelRLC, picks the
 topology: map_series builds any loop the model of its own class, as
 map_parallel does, and force_series_rlc and force_parallel_rlc its force.
-point_force is the one point path, for loops and bare oscillator models
+point_force is the point path, for loops and bare oscillator models
 alike, resolved once per sweep: it checks dgamma/dlambda = 0
 (errors.flat) at each Ohmic point, the test force_sum_exact makes, and
-flags lumped-element breaches.
+flags lumped-element breaches.  force_series_rlc and force_parallel_rlc
+take the same steps at one point on the loop's point function, without
+a model.
 
 A loop model evaluates one point per lambda: its point function runs the
 six element laws, each value and derivative once, and returns (lam,
@@ -44,7 +46,8 @@ from .errors import (_INF, DomainError, PreconditionError, finite, flat,
 from .forces import (ForceResult, force_drude_full, force_ohmic_exact,
                      force_ohmic_high_t, force_ohmic_low_t,
                      force_ohmic_weak_dissipation)
-from .oscillator import ParametricModel, power_law
+from .oscillator import (Ohmic, OscillatorParams, ParametricModel,
+                         power_law)
 
 # Physical constants, SI (CODATA 2018), in one table so that unit
 # conversions cannot drift.
@@ -184,11 +187,10 @@ def _omega_of(cl: float, cc: float) -> float:
         raise not_finite("Omega = 1/sqrt(LC)") from None
 
 
-def map_series(c: SeriesRLC | ParallelRLC) -> ParametricModel:
-    """Oscillator model of loop c, of its class's topology: Omega =
-    1/sqrt(LC), gamma = R/L for a SeriesRLC and 1/(RC) for a ParallelRLC.
-    Its callables read the point of their lambda; the first read at a
-    lambda evaluates every law and derivative once."""
+def _point_of(c: SeriesRLC | ParallelRLC) -> Callable[[float], tuple]:
+    """The point function of loop c, of its class's topology: point(lam)
+    evaluates every law and derivative once and returns (lam, Omega,
+    dOmega/dlambda, gamma, dgamma/dlambda)."""
     r_of, l_of, c_of = c.resistance, c.inductance, c.capacitance
     if isinstance(c, ParallelRLC):
         def point(lam) -> tuple:
@@ -216,7 +218,15 @@ def map_series(c: SeriesRLC | ParallelRLC) -> ParametricModel:
             # (R' - gamma L') / L: no L L, which underflows to 0 for tiny L
             return (lam, om, -0.5 * om * (dl / cl + c_of.derivative(lam) / cc),
                     g, (dr - g * dl) / cl)
+    return point
 
+
+def map_series(c: SeriesRLC | ParallelRLC) -> ParametricModel:
+    """Oscillator model of loop c, of its class's topology: Omega =
+    1/sqrt(LC), gamma = R/L for a SeriesRLC and 1/(RC) for a ParallelRLC.
+    Its callables read the point of their lambda; the first read at a
+    lambda evaluates every law and derivative once."""
+    point = _point_of(c)
     last = (object(),)      # no lambda is this key
 
     def at(lam) -> tuple:
@@ -340,18 +350,12 @@ def scale_result(res: ForceResult, hbar_out: float,
                        hbar_out * res.im_residual)
 
 
-def point_force(c: SeriesRLC | ParallelRLC | None, model: ParametricModel,
-                regime: str = "exact", units: str = "si"):
-    """The one point path of model, map_series(c) of loop c or a bare
-    oscillator model with c = None, settled once: the regime's force (read
-    from _OHMIC_DISPATCH now), Drude or Ohmic, the units and the
-    element-size limit.  at(temperature, lam) gives the force in output
-    units, the OscillatorParams it ran on and hbar_out.  A Drude model has
-    the regime "exact" only; an Ohmic model's closed form needs
-    dgamma/dlambda = 0 (errors.flat; elsewhere it diverges), or at raises
-    PreconditionError.  In SI units a gamma of 0.1 c / element_size or
-    more is flagged lumped-element-size."""
-    drude, force = model.omega_d is not None, force_drude_full
+def _settled(c: SeriesRLC | ParallelRLC | None, drude: bool, regime: str,
+             units: str) -> tuple:
+    """(force, si, hbar_out, limit): the point path's choices, checked in
+    this order.  The regime's force is read from _OHMIC_DISPATCH now;
+    limit is the gamma from which loop c's element size is flagged."""
+    force = force_drude_full
     if not drude:
         try:
             force = _OHMIC_DISPATCH[regime]
@@ -364,6 +368,27 @@ def point_force(c: SeriesRLC | ParallelRLC | None, model: ParametricModel,
     si = units == "si"
     limit = _INF if not si or c is None or c.element_size is None \
         else 0.1 * C_LIGHT / c.element_size
+    return force, si, hbar_out, limit
+
+
+def _not_flat(dg: float, lam: float) -> PreconditionError:
+    return PreconditionError(f"the Ohmic force requires dgamma/dlambda = 0, "
+                             f"got {dg!r} at lambda = {lam!r}")
+
+
+def point_force(c: SeriesRLC | ParallelRLC | None, model: ParametricModel,
+                regime: str = "exact", units: str = "si"):
+    """The point path of model, map_series(c) of loop c or a bare
+    oscillator model with c = None, settled once: the regime's force (read
+    from _OHMIC_DISPATCH now), Drude or Ohmic, the units and the
+    element-size limit.  at(temperature, lam) gives the force in output
+    units, the OscillatorParams it ran on and hbar_out.  A Drude model has
+    the regime "exact" only; an Ohmic model's closed form needs
+    dgamma/dlambda = 0 (errors.flat; elsewhere it diverges), or at raises
+    PreconditionError.  In SI units a gamma of 0.1 c / element_size or
+    more is flagged lumped-element-size."""
+    drude = model.omega_d is not None
+    force, si, hbar_out, limit = _settled(c, drude, regime, units)
 
     def at(temperature: float, lam: float):
         t_freq = K_B * temperature / HBAR if si else temperature
@@ -375,9 +400,7 @@ def point_force(c: SeriesRLC | ParallelRLC | None, model: ParametricModel,
         else:
             dg = model.d_gamma0(lam)
             if not flat(dg, p.damping.gamma0, lam):
-                raise PreconditionError(f"the Ohmic force requires dgamma/"
-                                        f"dlambda = 0, got {dg!r} at lambda "
-                                        f"= {lam!r}")
+                raise _not_flat(dg, lam)
             res = force(p, model.d_omega(lam))
         warn = (WARN_ELEMENT_SIZE,) if p.damping.gamma0 >= limit else ()
         return scale_result(res, hbar_out, warn), p, hbar_out
@@ -389,21 +412,31 @@ def force_series_rlc(c: SeriesRLC | ParallelRLC, temperature: float,
                      lam: float, regime: str = "exact",
                      units: str = "si") -> ForceResult:
     """Fluctuation force of loop c, of its class's topology, where its
-    gamma is fixed: R/L for a SeriesRLC, 1/(RC) for a ParallelRLC.  Each
-    call builds the loop's model and point path (about 2.5 us, a quarter
-    of the call, on CPython 3.11); for many points of one loop, build
-    at = point_force(c, map_series(c), regime, units) once and read
-    at(temperature, lam)[0]."""
-    return point_force(c, map_series(c), regime, units)(temperature, lam)[0]
+    gamma is fixed: R/L for a SeriesRLC, 1/(RC) for a ParallelRLC.  The
+    force, warnings and errors, in their order, are those of
+    point_force(c, map_series(c), regime, units)(temperature, lam)[0],
+    which a caller asking one loop for many points builds once; this
+    one-point form builds no model or point path, and reads the loop's
+    point where at reads the model."""
+    force, si, hbar_out, limit = _settled(c, False, regime, units)
+    t_freq = K_B * temperature / HBAR if si else temperature
+    if not (0.0 <= temperature and t_freq < _INF):     # NaN fails too
+        units_factors(temperature, units)      # raises its DomainError
+    _, om, d_om, g, dg = _point_of(c)(lam)
+    p = OscillatorParams(om, Ohmic(g), t_freq)
+    if not flat(dg, g, lam):
+        raise _not_flat(dg, lam)
+    res = force(p, finite(d_om, "dOmega/dlambda"))
+    return scale_result(res, hbar_out, (WARN_ELEMENT_SIZE,) if g >= limit
+                        else ())
 
 
 def force_parallel_rlc(c: SeriesRLC | ParallelRLC, temperature: float,
                        lam: float, regime: str = "exact",
                        units: str = "si") -> ForceResult:
     """Fluctuation force of loop c, as force_series_rlc: its class picks
-    the topology, not the name called.  Each call builds the loop's model
-    and point path; for many points, build point_force(c, ...) once."""
-    return point_force(c, map_parallel(c), regime, units)(temperature, lam)[0]
+    the topology, not the name called."""
+    return force_series_rlc(c, temperature, lam, regime, units)
 
 
 def planar_rlc_low_t_weak(g: PlanarCapacitor, inductance: float,

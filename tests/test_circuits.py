@@ -1,7 +1,10 @@
 """Lumped-element layer: mappings, capacitances, circuit forces,
 Casimir references and relative weights."""
 
+import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -880,7 +883,8 @@ def _fails(lam):
 def test_a_single_faulty_law_fails_as_without_the_cache(loop_of, law, part,
                                                         fault):
     # each law raising, or returning a value a check rejects, while the
-    # others are constant: the force raises as with the uncached model
+    # others are constant: the force raises as with the uncached model,
+    # and so do the one-point forms
     bad = fault if callable(fault) else (lambda _lam: fault)
     laws = {}
     for name, value in (("resistance", 2.0), ("inductance", 1.0),
@@ -898,7 +902,11 @@ def test_a_single_faulty_law_fails_as_without_the_cache(loop_of, law, part,
         with pytest.raises(Exception) as exc:
             cc.point_force(loop, model, "exact", "reduced")(0.5, 1.5)[0]
         raised.append((type(exc.value), str(exc.value)))
-    assert raised[0] == raised[1]
+    for force in (cc.force_series_rlc, cc.force_parallel_rlc):
+        with pytest.raises(Exception) as exc:
+            force(loop, 0.5, 1.5, "exact", "reduced")
+        raised.append((type(exc.value), str(exc.value)))
+    assert raised[1:] == raised[:-1]
 
 
 def _outcome(f, *args, **kwargs):
@@ -944,3 +952,82 @@ def test_a_parallel_loop_has_its_own_force_through_both_names(force):
     res = force(cc.ParallelRLC.of(2.0, (1.0, 1.0), 0.5), 0.3, 1.0,
                 units="reduced")
     assert repr(res.value) == "0.31993201204526983"
+
+
+# proportional: gamma constant by construction, dgamma/dlambda a few
+# ulps; overdamped: the same with Omega 1e-9 gamma, flat by gamma only
+_REUSED = {cc.SeriesRLC: dict(_ELEMENTS, proportional=((3.0, 1.0), (0.7, 1.0),
+                                                       (0.5, -0.5)),
+                              overdamped=((3e6, 1.0), (0.7, 1.0),
+                                          (1e6, -0.5))),
+           cc.ParallelRLC: dict(_ELEMENTS, proportional=((3.0, 1.0), 1.0,
+                                                         (0.7, -1.0)),
+                                overdamped=((3e-6, 0.5), (1e6, 1.0),
+                                            (0.7, -0.5)))}
+
+
+def _reads(loop_at, grid):
+    """Each point's force on the loop loop_at() gives, as its repr, or
+    its exception."""
+    return [_outcome(force, loop_at(), t, lam, regime, units="reduced")
+            for force, regime, t, lam in grid]
+
+
+def _grid(lams):
+    return [(force, regime, t, lam)
+            for force in (cc.force_series_rlc, cc.force_parallel_rlc)
+            for regime in ("exact", "low-T", "high-T")
+            for lam in lams for t in (0.0, 0.3, 2.0)]
+
+
+@pytest.mark.parametrize("loop_of", [cc.SeriesRLC, cc.ParallelRLC])
+def test_the_one_point_forms_run_the_point_path(loop_of):
+    # force_series_rlc and force_parallel_rlc read the loop's point where
+    # point_force's at reads the model: same bits, warnings and errors,
+    # in the same order, also on a reused loop and at a lambda object
+    # that repeats, an equal but distinct one, and both signs of zero
+    one = 1.25
+    lams = [one, one, float("1.25"), 0.75, one, -0.0, 0.0, -0.0]
+    temps = (0.0, 0.3, 2.0, -1.0, math.nan, math.inf, 1e300)
+    for elements in _REUSED[loop_of].values():
+        for size in (None, 1e-3, 1e8):
+            loop = loop_of.of(*elements, element_size=size)
+            for regime, units, t, lam in itertools.product(
+                    ("exact", "low-T", "high-T", "weak-dissipation", "nope",
+                     []), ("reduced", "si", "SI"), temps, lams):
+                want = _outcome(lambda: cc.point_force(
+                    loop, cc.map_series(loop), regime, units)(t, lam)[0])
+                for force in (cc.force_series_rlc, cc.force_parallel_rlc):
+                    assert _outcome(force, loop, t, lam, regime, units) \
+                        == want, (force, regime, units, t, lam)
+                    assert _outcome(force, loop_of.of(*elements,
+                                                      element_size=size),
+                                    t, lam, regime, units) == want
+
+
+@pytest.mark.parametrize("loop_of", [cc.SeriesRLC, cc.ParallelRLC])
+def test_two_threads_on_one_loop_give_the_serial_results(loop_of):
+    # each thread reads the shared loop at its own lambda; what the calls
+    # share (the loop's laws, specfun's digamma memo) gives each thread
+    # its serial results
+    elements = _REUSED[loop_of]["proportional"]
+    loop = loop_of.of(*elements)
+    grids = [_grid([0.75]) * 20, _grid([1.25]) * 20]
+    serial = [_reads(lambda: loop_of.of(*elements), grid) for grid in grids]
+    results = [None, None]
+
+    def run(k):
+        results[k] = _reads(lambda: loop, grids[k])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in (0, 1)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert results == serial

@@ -135,6 +135,44 @@ def test_pickle_and_copy_round_trip(cls, args, text, change):
     assert obj.__replace__(**change) == changed      # as copy.replace calls it
 
 
+def _decay(lam):
+    return math.exp(-lam)
+
+
+def _minus_decay(lam):
+    return -math.exp(-lam)
+
+
+# laws pickled by name; gamma is 1 in both loops, Omega e^-lam and e^lam
+_EXP, _DECAY = ElementLaw(math.exp, math.exp), ElementLaw(_decay, _minus_decay)
+_LOOPS = [(SeriesRLC, (_EXP, _EXP, _EXP)),
+          (ParallelRLC, (_EXP, _DECAY, _DECAY, 0.5))]
+
+
+@pytest.mark.parametrize("cls, args", _LOOPS, ids=["series", "parallel"])
+def test_a_loop_is_the_same_value_after_force_calls(cls, args):
+    # a force call leaves the loop a plain value: it holds its fields
+    # only, and pickles, copies, compares, hashes and shows as a loop no
+    # call has seen
+    loop, fresh = cls(*args), cls(*args)
+    for force in (circuits.force_series_rlc, circuits.force_parallel_rlc):
+        for regime in ("exact", "high-T"):
+            res = force(loop, 0.3, 0.5, regime, "reduced")
+            assert res.value == force(fresh, 0.3, 0.5, regime, "reduced").value
+    fresh = cls(*args)
+    assert list(vars(loop)) == list(loop.__match_args__)
+    assert vars(loop) == vars(fresh)
+    for p in range(pickle.HIGHEST_PROTOCOL + 1):
+        data = pickle.dumps(loop, protocol=p)
+        assert data == pickle.dumps(fresh, protocol=p)
+        assert pickle.loads(data) == loop
+    for copied in (copy.copy(loop), copy.deepcopy(loop)):
+        assert copied == loop and repr(copied) == repr(fresh)
+        assert vars(copied) == vars(fresh)
+    assert loop == fresh and hash(loop) == hash(fresh)
+    assert repr(loop) == repr(fresh)
+
+
 # constructor, arguments, exception type and message
 BAD = [
     (Ohmic, (-0.1,), DomainError,
