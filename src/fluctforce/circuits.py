@@ -346,8 +346,7 @@ def scale_result(res: ForceResult, hbar_out: float,
     if res.components is not None:
         components = {k: hbar_out * v for k, v in res.components.items()}
     return ForceResult(hbar_out * res.value, res.regime,
-                       res.warnings + extra_warnings, components,
-                       hbar_out * res.im_residual)
+                       res.warnings + extra_warnings, components)
 
 
 def _settled(c: SeriesRLC | ParallelRLC | None, drude: bool, regime: str,

@@ -20,7 +20,8 @@ Exit codes: 0 success (and -h/--help), 2 usage or config error, 3
 domain/precondition violation (the library's DomainError,
 PreconditionError and DivergentSumError), 4 validation failure.  The
 command line is read by a table-driven parser of the fixed grammar,
-which gives the fields, exit codes and accepted forms argparse gave.
+which gives the fields, exit codes and accepted forms argparse gave, but
+for "--config=--" (see README).
 
 Importing this module loads neither argparse, numpy nor the Matsubara
 oracles, nor does `force` or a linear closed-form sweep (_linspace gives

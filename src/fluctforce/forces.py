@@ -16,14 +16,11 @@ Conventions shared by every function here:
 * At critical damping (gamma = 2 Omega) the 0/0 quotient
   [psi(a1) - psi(a2)] / sqrt(...) is replaced by its trigamma-based
   series limit once |Omega^2 - gamma^2/4| <= 1e-8 Omega^2.
-* Exact variants combine conjugate digammas and must come out real; the
-  discarded imaginary part is recorded as im_residual and flagged if it
-  exceeds 1e-10 of the value.  The flag cannot fire for the exact or
-  low-T forms: specfun gives psi(conj a) as conj psi(a) bit for bit, as
-  cmath.log does for the logarithms, so below critical damping the
-  pair's imaginary parts cancel exactly; above it the arguments are
-  real, and at it the series are.  im_residual is 0.0 there, and stays
-  a field until schema fluctforce/2.
+* Exact and low-T variants combine conjugate digammas (or logarithms)
+  and return the real part: specfun gives psi(conj a) as conj psi(a) bit
+  for bit, as cmath.log does log(conj a), so the imaginary parts cancel
+  exactly below critical damping; above it the arguments are real, and
+  at it the series are.
 * Every function returns finite numbers or raises DomainError, by the
   rule that errors states.
 """
@@ -51,41 +48,30 @@ HIGH_T_GUARD = 10.0
 LOW_T_GUARD = 0.01
 VERY_HIGH_T_GUARD = 10.0
 
-IM_RESIDUAL_BOUND = 1e-10
-
 WARN_WEAK_DISSIPATION = "weak-dissipation-guard"
 WARN_HIGH_T = "high-temperature-guard"
 WARN_LOW_T = "low-temperature-guard"
 WARN_VERY_HIGH_T = "very-high-temperature-guard"
 WARN_DRUDE_HIGH_T = "drude-high-temperature-guard"
-WARN_IM_RESIDUAL = "imaginary-residual"
 
 
 class ForceResult(Frozen):
-    """A force value plus its provenance.
-
-    components, when present, splits the value by driving parameter:
-    {"f_omega", "f_gamma0", "f_omegaD"}.  im_residual is the magnitude
-    of the imaginary part discarded when realizing the digamma
-    combination.
-    """
+    """A force value plus its provenance; components, when present, splits
+    the value by driving parameter: {"f_omega", "f_gamma0", "f_omegaD"}."""
 
     value: float
     regime: str
     warnings: tuple[str, ...] = ()
     components: dict[str, float] | None = None
-    im_residual: float = 0.0
 
     def __init__(self, value: float, regime: str,
                  warnings: tuple[str, ...] = (),
-                 components: dict[str, float] | None = None,
-                 im_residual: float = 0.0):
+                 components: dict[str, float] | None = None):
         d = self.__dict__
         d["value"] = value
         d["regime"] = regime
         d["warnings"] = warnings
         d["components"] = components
-        d["im_residual"] = im_residual
 
 
 def _psi_quotient(pair: tuple, om: float, g: float, t: float) -> complex:
@@ -119,14 +105,11 @@ def _log_quotient(pair: tuple, om: float, g: float) -> complex:
 def _realize(value_c: complex, regime: str, warnings: tuple[str, ...],
              components_c: dict[str, complex]) -> ForceResult:
     value = value_c.real
-    residual = abs(value_c.imag)
     # the components sum to value_c, so they are finite when it is
-    if not (-_INF < value < _INF and residual < _INF):
+    if not (-_INF < value < _INF and -_INF < value_c.imag < _INF):
         raise not_finite(f"the {regime} force")
-    if residual > IM_RESIDUAL_BOUND * max(abs(value), 1e-300):
-        warnings = warnings + (WARN_IM_RESIDUAL,)
     return ForceResult(value, regime, warnings,
-                       {k: v.real for k, v in components_c.items()}, residual)
+                       {k: v.real for k, v in components_c.items()})
 
 
 def force_ohmic_exact(p: OscillatorParams, d_omega: float) -> ForceResult:

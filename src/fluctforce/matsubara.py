@@ -43,6 +43,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from collections.abc import Callable
 
 from ._value import Frozen
@@ -153,6 +154,12 @@ class OracleResult(Frozen):
         d["value"] = value
         d["truncation_estimate"] = truncation_estimate
         d["n_used"] = n_used
+
+
+def _sum(xs) -> float | complex:
+    """0 + x1 + x2 + ... left to right, the builtin sum of Python 3.11;
+    from 3.12 the builtin compensates float sums, which moves last bits."""
+    return functools.reduce(operator.add, xs, 0)
 
 
 def _shift(p: list, x) -> list:
@@ -296,7 +303,7 @@ def _groups(poles: list, n: int) -> list:
             groups = apart + [joined]
         for g in groups:
             if len(g) > 2:
-                c = sum([poles[i] for i in g]) / len(g)
+                c = _sum([poles[i] for i in g]) / len(g)
                 if max([abs(poles[i] - c) for i in g]) \
                         > _CLUSTER * abs(n - c):
                     todo.append((g, 0.5 * link))
@@ -352,15 +359,15 @@ def _group(p: list, poles: list, group: list, n: int, scale: float):
     inv = [0.0] * s + [1.0 / _newton(q, rs[s:])[0]]
     for i in range(s - 1, -1, -1):
         qd = _newton(q, rs[i:])
-        inv[i] = -sum([x * y for x, y in zip(qd[1:], inv[i + 1:])]) / qd[0]
+        inv[i] = -_sum([x * y for x, y in zip(qd[1:], inv[i + 1:])]) / qd[0]
     pd = _newton(p, rs)
-    c = sum(rs) / len(rs)
+    c = _sum(rs) / len(rs)
     u = n - c
     xs = [(r - c) / u for r in rs]
     rows = [[pd[j] * _log_dd(rs[j:m + 1], xs[j:m + 1], u, n, scale)
              for j in range(min(m + 1, len(pd)))] for m in range(s + 1)]
-    return (sum([x * sum(row) for x, row in zip(inv, rows)]),
-            sum([abs(x) * sum(map(abs, row)) for x, row in zip(inv, rows)]))
+    return (_sum([x * _sum(row) for x, row in zip(inv, rows)]),
+            _sum([abs(x) * _sum(map(abs, row)) for x, row in zip(inv, rows)]))
 
 
 def _ldexp(z: complex, e: int) -> complex:
@@ -392,12 +399,12 @@ def _divided_difference(p: list, poles: list, n: int) -> tuple:
             if x.real:
                 return x, abs(x)
         ps = _shift(p, r0)
-        dp = sum([x * (r1 - r0) ** j for j, x in enumerate(ps[1:])])
+        dp = _sum([x * (r1 - r0) ** j for j, x in enumerate(ps[1:])])
         scale = _scale(poles, n)
         x = ps[0] * _slope(r0, r1, n)
         y = dp * cmath.log((n - r1) / scale)
         return x + y, abs(x) + abs(y)
-    c = (sum(poles) / (k + 1)).real
+    c = (_sum(poles) / (k + 1)).real
     u = n - c
     gaps = [c - r for r in poles]
     spread = max(map(abs, gaps)) / u
@@ -501,7 +508,7 @@ def _with_tail(terms: list, n: int, tail, rel: float = 0.0) -> tuple:
     # >= the corrections' envelope
     last = ((abs(c1) * rho + abs(c2)) * rho + abs(c3)) * rho + abs(c4)
     error += last * rho / (1.0 - rho) if rho < 1.0 else math.inf
-    error += (_ROUND_PARTS + rel) * sum(map(abs, parts))
+    error += (_ROUND_PARTS + rel) * _sum(map(abs, parts))
     return math.fsum(parts), error
 
 
@@ -629,7 +636,7 @@ def _cubic_poles(om: float, g0: float, wd: float, a: float) -> tuple:
         out.append(out[0].conjugate())
         ws.append(ws[0].conjugate())
     out.append(complex(math.ldexp(x, e) / a))
-    finite(sum(out).real + out[0].imag, "a root of the Drude cubic")
+    finite(_sum(out).real + out[0].imag, "a root of the Drude cubic")
     s, q = (ws[0] + ws[1]).real, (ws[0] * ws[1]).real   # real, by symmetry
     h = math.ldexp(a, -e)       # n = 1
     return out, (abs(s + x + b) / max(b, h) + abs(q + s * x - c)

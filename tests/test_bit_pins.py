@@ -34,6 +34,7 @@ import sys
 
 import pytest
 
+from fluctforce import matsubara
 from fluctforce.matsubara import (SumSpec, _cubic_poles, _pair_poles, _tail,
                                   force_sum_exact, free_energy_difference,
                                   free_energy_drude, per_parameter_sums_drude)
@@ -398,3 +399,34 @@ def test_tail_bits(label, n, integral, corrections):
     got_integral, got_corrections, _ = _tail(*_tail_case(label))(n, 0.001)
     assert got_integral.hex() == integral
     assert [c.hex() for c in got_corrections] == corrections
+
+
+def _compensated_sum(items):
+    """The builtin sum of CPython 3.12 and 3.13: a float total adds float
+    items with Neumaier's compensation, and adds the compensation in,
+    where finite, when an item of another type comes or the items end."""
+    total, c = 0, 0.0
+    for x in items:
+        if type(total) is float and type(x) is float:
+            t = total + x
+            c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+            total = t
+            continue
+        if c and math.isfinite(c):
+            total += c
+        total, c = total + x, 0.0
+    if c and math.isfinite(c):
+        total += c
+    return total
+
+
+def test_oracle_bits_hold_under_a_compensated_builtin_sum(monkeypatch):
+    # CPython 3.12 made the builtin sum of floats compensated, which moves
+    # last bits; the oracles add up left to right on every interpreter, so
+    # the pins hold with 3.12's sum in matsubara's namespace
+    assert _compensated_sum([1.0, 1e100, 1.0, -1e100]) == 2.0
+    monkeypatch.setattr(matsubara, "sum", _compensated_sum, raising=False)
+    for kind, args, n_max, bits in ORACLE_PINS:
+        results = _results(kind, args, SumSpec(n_max=n_max))
+        assert [(r.value.hex(), r.truncation_estimate.hex())
+                for r in results] == bits, (kind, args, n_max)

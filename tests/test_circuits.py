@@ -484,17 +484,16 @@ def test_nan_fails_the_positivity_checks():
 
 
 def test_scale_result_passes_unit_scale_through():
-    r = cc.ForceResult(-0.25, "exact", ("w",), {"f_omega": -0.25}, 1e-17)
+    r = cc.ForceResult(-0.25, "exact", ("w",), {"f_omega": -0.25})
     assert cc.scale_result(r, 1.0) is r
     assert cc.scale_result(r, 1.0, ()) is r
     # extra warnings or another scale build a new result
     warned = cc.scale_result(r, 1.0, (cc.WARN_ELEMENT_SIZE,))
     assert warned is not r and warned.warnings == ("w", cc.WARN_ELEMENT_SIZE)
-    assert (warned.value, warned.components, warned.im_residual) \
-        == (r.value, r.components, r.im_residual)
+    assert (warned.value, warned.components) == (r.value, r.components)
     scaled = cc.scale_result(r, HBAR)
     assert scaled == cc.ForceResult(HBAR * -0.25, "exact", ("w",),
-                                    {"f_omega": HBAR * -0.25}, HBAR * 1e-17)
+                                    {"f_omega": HBAR * -0.25})
 
 
 _LOOP = cc.SeriesRLC.of(1e-3, 1e-6, 1e-12)
@@ -618,7 +617,7 @@ _SERIES = cc.SeriesRLC.of(1e-3, 1e-6, cc.planar_capacitance_law(1e-4))
 _PARALLEL = cc.ParallelRLC.of(1e3, (1e-6, 1.0), 1e-12)
 _PLATES = cc.PlanarCapacitor(1e-4, 1e-6)
 _SPHERE = cc.SpherePlate(1e-4, 1e-6)
-_RESULT = cc.ForceResult(-0.25, "exact", (), {"f_omega": -0.25}, 1e-17)
+_RESULT = cc.ForceResult(-0.25, "exact", (), {"f_omega": -0.25})
 
 
 def _circuit_calls(x):
@@ -681,7 +680,7 @@ def _all_finite(value) -> bool:
     if isinstance(value, (float, int)):
         return math.isfinite(value)
     if isinstance(value, cc.ForceResult):
-        return _all_finite([value.value, value.components, value.im_residual])
+        return _all_finite([value.value, value.components])
     if isinstance(value, OscillatorParams):
         return _all_finite([value.omega0, value.temperature,
                             value.damping.gamma0])

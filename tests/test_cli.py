@@ -679,6 +679,18 @@ def test_parser_matches_argparse(argv, monkeypatch, capsys):
         assert ref.out.startswith("usage: fluctforce ")
 
 
+def test_attached_double_dash_is_a_config_path(tmp_path, monkeypatch,
+                                               capsys):
+    # the parser's one pinned difference from the argparse reference:
+    # "--config=--" names the file "--", where argparse before Python
+    # 3.13 took an attached "--" for the end of options and gave []
+    monkeypatch.chdir(tmp_path)
+    assert main(["force", "--config=--"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read config: ")
+    assert err.endswith(": '--'\n")
+
+
 def test_console_script_reads_sys_argv(tmp_path, monkeypatch, capsys):
     # the fluctforce entry point calls main() with no argument
     path = write_config(tmp_path, "c.json", GOLDEN_CONFIGS["ohmic"])

@@ -25,7 +25,7 @@ from fluctforce import circuits, cli, forces, matsubara, oscillator, specfun
 CORPUS_DIGEST = \
     "a9caed8c397d4a9604cb8e91b9193cdc805adc395f98c09683e0a8687f1a0f35"
 POINTS_DIGEST = \
-    "1bb0105a88296aca47bda6f92cdbdea3c452973466884df0ad1f4e0e4f9b82ba"
+    "d147ee49da533ef1d6b0eb377e74ed5bbada4e06acaccc4f565cc5b8d876dfc8"
 SEEDS = (1, 2, 3)
 NPROC = 2
 BENCH = Path(__file__).resolve().parent.parent / "bench"

@@ -414,11 +414,20 @@ def test_free_energy_drude_gamma_properties():
     assert abs(free_energy_drude_gamma(p0) - 0.5) <= 1e-6
 
 
-def test_reality_residuals_on_random_grid():
+def test_reality_residuals_on_random_grid(monkeypatch):
     # psi(conj a) is conj psi(a) bit for bit, and so is log(conj a), so
     # the imaginary parts of a conjugate pair cancel exactly below
     # critical damping; above it the arguments are real, and at it the
-    # series are.  So the imaginary-residual flag cannot fire here.
+    # series are.  So each form hands _realize a value whose imaginary
+    # part is exactly 0.0, and the real part loses nothing.
+    handed = []
+    realize = forces._realize
+
+    def recording(value_c, *args):
+        handed.append(value_c)
+        return realize(value_c, *args)
+
+    monkeypatch.setattr(forces, "_realize", recording)
     rng = np.random.default_rng(2029)
     for k in range(600):
         om = 10.0 ** rng.uniform(-3.0, 3.0)
@@ -435,12 +444,17 @@ def test_reality_residuals_on_random_grid():
         m = linear_model(om, dom=rng.uniform(-2.0, 2.0), g0=g,
                          dg0=rng.uniform(-2.0, 2.0), wd=wd,
                          dwd=rng.uniform(-2.0, 2.0))
-        for res in (force_ohmic_exact(p, 1.3), force_tilde(p, 1.3, -0.7),
-                    force_drude_full(pd, m, 1.0),
-                    force_ohmic_low_t(p, 1.3),
-                    force_drude_low_t(pd, m, 1.0)):
-            assert res.im_residual == 0.0, (om, g, t, wd, res)
-            assert forces.WARN_IM_RESIDUAL not in res.warnings
+        for form, args in ((force_ohmic_exact, (p, 1.3)),
+                           (force_tilde, (p, 1.3, -0.7)),
+                           (force_drude_full, (pd, m, 1.0)),
+                           (force_ohmic_low_t, (p, 1.3)),
+                           (force_drude_low_t, (pd, m, 1.0))):
+            handed.clear()
+            res = form(*args)
+            assert len(handed) == 1, (form.__name__, om, g, t, wd)
+            assert handed[0].imag == 0.0, (form.__name__, om, g, t, wd,
+                                           handed[0])
+            assert res.value == handed[0].real
 
 
 def test_sign_laws_in_guard():
@@ -479,7 +493,7 @@ def _finite_or_library_error(fn, *args):
     except (DomainError, PreconditionError):
         return
     values = [out] if isinstance(out, float) else \
-        [out.value, out.im_residual, *(out.components or {}).values()]
+        [out.value, *(out.components or {}).values()]
     assert all(math.isfinite(v) for v in values), (fn.__name__, args, out)
 
 

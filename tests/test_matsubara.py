@@ -2,7 +2,9 @@
 
 import cmath
 import dataclasses
+import functools
 import math
+import operator
 import random
 import sys
 import threading
@@ -1093,7 +1095,8 @@ def _plain_taylor(p, poles, n):
 def _plain_leibniz(p, poles, n):
     r0, r1 = poles
     ps = matsubara._shift(p, r0)
-    dp = sum([x * (r1 - r0) ** j for j, x in enumerate(ps[1:])])
+    terms = [x * (r1 - r0) ** j for j, x in enumerate(ps[1:])]
+    dp = functools.reduce(operator.add, terms, 0)     # a left fold
     scale = matsubara._scale(poles, n)
     x = ps[0] * matsubara._slope(r0, r1, n)
     y = dp * cmath.log((n - r1) / scale)

@@ -45,10 +45,10 @@ SAMPLES = [
      "temperature=0.0)", {"temperature": 1.0}),
     (ForceResult, (-0.25, "exact"),
      "ForceResult(value=-0.25, regime='exact', warnings=(), "
-     "components=None, im_residual=0.0)", {"regime": "low-T"}),
-    (ForceResult, (-0.25, "exact", ("w",), {"f_omega": -0.25}, 1e-17),
+     "components=None)", {"regime": "low-T"}),
+    (ForceResult, (-0.25, "exact", ("w",), {"f_omega": -0.25}),
      "ForceResult(value=-0.25, regime='exact', warnings=('w',), "
-     "components={'f_omega': -0.25}, im_residual=1e-17)",
+     "components={'f_omega': -0.25})",
      {"value": 0.5}),
     (Eigenfrequencies, (1 - 0.5j, -1 - 0.5j, None, "ohmic"),
      "Eigenfrequencies(omega1=(1-0.5j), omega2=(-1-0.5j), omega3=None, "
