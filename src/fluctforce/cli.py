@@ -12,7 +12,10 @@ fixed column set
 point path once (circuits.point_force) and runs its rows, lists of cells
 in column order, in one serial pass.  One cell encoder writes floats as
 Python's shortest round-trip repr, and JSON as json.dumps(payload,
-indent=2) would, so identical configs give byte-identical files.
+indent=2) would, so identical configs give byte-identical files.  An
+existing output file is rewritten in place, on the same inode: cut to
+its first byte, never to none, which on ext4 would make close() start
+writeback; a killed run leaves at most that byte of the old output.
 --workers and the config keys "workers" and "oracle.n_max" (every oracle
 sums 32 terms) are still checked, but change no byte of the output.
 
@@ -399,9 +402,11 @@ def _cmd_rows(args) -> int:
     fmt = args.format or out_cfg.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError("format must be 'csv' or 'json'")
-    path = args.out or out_cfg.get("path")
+    path = out_cfg.get("path") if args.out is None else args.out
     if path is not None and not isinstance(path, str):
         raise ConfigError("output.path must be a string")
+    if path == "":
+        raise ConfigError("the output path is empty")
     sweep = None
     if args.command == "sweep":
         sweep = _sweep_values(cfg)
@@ -410,10 +415,19 @@ def _cmd_rows(args) -> int:
     columns = GEOMETRY_COLUMNS if cfg["mode"] in _GEOMETRY_MODES \
         else BASE_COLUMNS
     text = _render(columns, _compute_rows(cfg, sweep), fmt)
-    if path:    # opened only now, so that a failed row leaves no file
+    if path is not None:    # opened only now: a failed row leaves no file
+        data = text.encode("utf-8")
         try:
-            with open(path, "wb") as fh:
-                fh.write(text.encode("utf-8"))
+            # in place, never cut to 0 bytes: on ext4 that makes close()
+            # start writeback (auto_da_alloc).  Cut to its first byte
+            # before the write, which data (at least a header) covers; a
+            # FIFO or a device has st_size 0 and is never cut.
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT
+                         | getattr(os, "O_BINARY", 0), 0o666)
+            with open(fd, "wb") as fh:
+                if os.fstat(fd).st_size > 1:
+                    os.ftruncate(fd, 1)
+                fh.write(data)
         except OSError as exc:
             raise ConfigError(f"cannot write output: {exc}") from exc
     else:

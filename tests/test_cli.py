@@ -2,12 +2,16 @@
 
 import argparse
 import copy
+import errno
 import hashlib
+import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -992,7 +996,7 @@ def test_existing_output_is_replaced(tmp_path, fmt):
     want = fresh.read_bytes()
     out = tmp_path / f"out.{fmt}"
     for old in (b"x" * (3 * len(want) + 17), want[:-40], b"", want,
-                b"\n" * 5):
+                b"\n" * 5, b"x", b"z" * len(want)):
         out.write_bytes(old)
         assert main(argv + [str(out)]) == 0
         assert out.read_bytes() == want
@@ -1005,22 +1009,126 @@ def test_existing_output_is_replaced(tmp_path, fmt):
     assert link.is_symlink() and target.read_bytes() == want
 
 
+def test_existing_output_is_rewritten_in_place(tmp_path, monkeypatch):
+    # never opened with O_TRUNC nor cut to 0 bytes, which on ext4 makes
+    # close() start writeback; the inode, its mode and links stay
+    path = write_config(tmp_path, "c.json", GOLDEN_CONFIGS["drude"])
+    out, link = tmp_path / "out.csv", tmp_path / "link.csv"
+    out.write_bytes(b"x" * 100_000)
+    out.chmod(0o640)
+    os.link(out, link)
+    inode = out.stat().st_ino
+    opens, cuts = [], []
+    real_open, real_ftruncate = os.open, os.ftruncate
+
+    def guarded_open(file, flags, *args, **kwargs):
+        opens.append(flags)
+        assert not flags & os.O_TRUNC, "output opened with O_TRUNC"
+        return real_open(file, flags, *args, **kwargs)
+
+    def guarded_ftruncate(fd, length):
+        cuts.append(length)
+        assert length > 0, "output truncated to 0 bytes"
+        return real_ftruncate(fd, length)
+
+    monkeypatch.setattr(os, "open", guarded_open)
+    monkeypatch.setattr(os, "ftruncate", guarded_ftruncate)
+    assert main(["sweep", "--config", path, "--out", str(out)]) == 0
+    assert opens and cuts == [1]
+    monkeypatch.undo()
+    fresh = tmp_path / "fresh.csv"
+    assert main(["sweep", "--config", path, "--out", str(fresh)]) == 0
+    assert out.read_bytes() == link.read_bytes() == fresh.read_bytes()
+    st = out.stat()
+    assert st.st_ino == inode and st.st_nlink == 2
+    assert stat.S_IMODE(st.st_mode) == 0o640
+
+
+_NO_SPACE = (f"config error: cannot write output: [Errno {errno.ENOSPC}] "
+             f"{os.strerror(errno.ENOSPC)}\n")
+
+
+class _FullDisk(io.FileIO):
+    """An output file whose every write fails as on a full disk."""
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def _full_disk_open(file, mode="r", *args, **kwargs):
+    if mode == "wb":
+        return _FullDisk(file, "w")
+    return open(file, mode, *args, **kwargs)
+
+
+def test_failed_output_write_leaves_at_most_the_first_byte(tmp_path, capsys,
+                                                           monkeypatch):
+    out = tmp_path / "out.csv"
+    old = b"old output\n" * 1000
+    out.write_bytes(old)
+    monkeypatch.setattr(cli, "open", _full_disk_open, raising=False)
+    assert main(["sweep", "--config",
+                 write_config(tmp_path, "c.json", oscillator_cfg()),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == _NO_SPACE
+    assert out.read_bytes() in (b"", old[:1])
+
+
+@pytest.mark.parametrize("device, code, err", [
+    ("/dev/null", 0, ""),
+    ("/dev/full", 2, _NO_SPACE),
+])
+def test_output_to_a_device(tmp_path, capsys, device, code, err):
+    # a device has st_size 0: written, never cut
+    if not os.path.exists(device):
+        pytest.skip(f"no {device} on this platform")
+    assert main(["sweep", "--config",
+                 write_config(tmp_path, "c.json", oscillator_cfg()),
+                 "--out", device]) == code
+    assert capsys.readouterr().err == err
+
+
+def test_output_to_a_fifo_is_the_file_bytes(tmp_path):
+    if not hasattr(os, "mkfifo"):
+        pytest.skip("no os.mkfifo on this platform")
+    path = write_config(tmp_path, "c.json", GOLDEN_CONFIGS["drude"])
+    fresh, fifo = tmp_path / "fresh.csv", tmp_path / "fifo"
+    assert main(["sweep", "--config", path, "--out", str(fresh)]) == 0
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                              daemon=True)
+    reader.start()
+    assert main(["sweep", "--config", path, "--out", str(fifo)]) == 0
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert got == [fresh.read_bytes()]
+
+
+class _InConfig(str):
+    """An output path given as the config's output.path, not by --out."""
+
+
 @pytest.mark.parametrize("path, message", [
     (5, "output.path must be a string"),            # not a file descriptor
     (2.5, "output.path must be a string"),
     ({"a": 1}, "output.path must be a string"),
     (True, "output.path must be a string"),         # nor fd 1
+    pytest.param(_InConfig(""), "the output path is empty",
+                 id="config-empty"),                # nor stdout
+    pytest.param("", "the output path is empty", id="out-empty"),
     ("missing/x.csv", "cannot write output: "),     # via --out
     (".", "cannot write output: "),                 # a directory
 ])
 def test_bad_output_path_is_a_config_error(tmp_path, capsys, monkeypatch,
                                            path, message):
-    argv = ["sweep", "--config"]
-    if isinstance(path, str):
-        argv += [write_config(tmp_path, "c.json", oscillator_cfg()),
-                 "--out", str(tmp_path / path)]
-    else:   # checked before any row runs
+    if not message.startswith("cannot write"):  # checked before any row
         monkeypatch.setattr(cli, "_compute_rows", None)
+    argv = ["sweep", "--config"]
+    if type(path) is str:
+        argv += [write_config(tmp_path, "c.json", oscillator_cfg()),
+                 "--out", str(tmp_path / path) if path else path]
+    else:
         argv.append(write_config(tmp_path, "c.json",
                                  oscillator_cfg(output={"path": path})))
     assert main(argv) == 2
