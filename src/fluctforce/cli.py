@@ -16,6 +16,10 @@ indent=2) would, so identical configs give byte-identical files.  An
 existing output file is rewritten in place, on the same inode: cut to
 its first byte, never to none, which on ext4 would make close() start
 writeback; a killed run leaves at most that byte of the old output.
+The trade: with no early writeback, a system crash or power loss
+within the kernel's writeback window (about 30 s by default) can leave
+that 1-byte stub, where a cut to none had the new output on disk about
+one journal commit after close().
 --workers and the config keys "workers" and "oracle.n_max" (every oracle
 sums 32 terms) are still checked, but change no byte of the output.
 
@@ -419,9 +423,12 @@ def _cmd_rows(args) -> int:
         data = text.encode("utf-8")
         try:
             # in place, never cut to 0 bytes: on ext4 that makes close()
-            # start writeback (auto_da_alloc).  Cut to its first byte
-            # before the write, which data (at least a header) covers; a
-            # FIFO or a device has st_size 0 and is never cut.
+            # start writeback (auto_da_alloc).  Without that writeback a
+            # system crash before normal writeback can leave the 1-byte
+            # stub on disk, the trade for the saved time (README).
+            # Cut to its first byte before the write, which data (at
+            # least a header) covers; a FIFO or a device has st_size 0
+            # and is never cut.
             fd = os.open(path, os.O_WRONLY | os.O_CREAT
                          | getattr(os, "O_BINARY", 0), 0o666)
             with open(fd, "wb") as fh:
