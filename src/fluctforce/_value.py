@@ -2,10 +2,11 @@
 
 A value type subclasses Frozen, annotates its fields, and has a
 hand-written __init__ that checks its arguments and writes each field
-straight into the instance dict.  Frozen reads the field names from the
-annotations when the class statement runs, and implements __setattr__,
-__delattr__, __repr__, __eq__ and __hash__ from them once, with the
-results a @dataclass(frozen=True) gives.
+straight into the instance dict; no attribute is ever assigned, so
+__setattr__ and __delattr__ always raise FrozenInstanceError.  Frozen
+reads the field names from the annotations when the class statement
+runs, and implements __repr__, __eq__ and __hash__ from them once, with
+the results a @dataclass(frozen=True) gives.
 
 To dataclasses.fields(), replace(), asdict() and is_dataclass() the
 types are still dataclasses: the first lookup of a type's
@@ -36,9 +37,9 @@ class _Metadata:
 
 
 class Frozen:
-    """A frozen value: __init__ sets each field once, and nothing sets
-    a field again or any other attribute; equal when of the same class
-    with equal fields, hashed by the fields, and shown by them."""
+    """A frozen value: __init__ writes each field into the instance
+    dict, and any assignment or deletion raises; equal when of the same
+    class with equal fields, hashed by the fields, and shown by them."""
 
     __dataclass_fields__ = _Metadata()
     __dataclass_params__ = _Metadata()
@@ -50,14 +51,10 @@ class Frozen:
         cls.__match_args__ += tuple(cls.__annotations__)
 
     def __setattr__(self, name, value):
-        # fields are plain instance attributes, so this dict write is
-        # what object.__setattr__ would do
-        values = self.__dict__
-        if name in self.__match_args__ and name not in values:
-            values[name] = value
-        else:
-            from dataclasses import FrozenInstanceError
-            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        # every __init__ writes its fields into self.__dict__, so no
+        # assignment is left to allow
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         from dataclasses import FrozenInstanceError

@@ -81,22 +81,17 @@ class ElementLaw(Frozen):
         d["derivative"] = derivative
 
 
-def constant_element(x: float) -> ElementLaw:
-    if not -_INF < x < _INF:
-        raise DomainError(f"an element value must be finite, got {x!r}")
-    return ElementLaw(*power_law(x, 0.0))
-
-
-def power_element(coeff: float, exponent: float) -> ElementLaw:
-    return ElementLaw(*power_law(coeff, exponent))
-
-
 def _as_law(x) -> ElementLaw:
+    """x as a law: an ElementLaw itself, a (coeff, exponent) pair as
+    coeff * lambda**exponent, a finite number as a constant."""
     if isinstance(x, ElementLaw):
         return x
     if isinstance(x, tuple):
-        return power_element(*x)
-    return constant_element(float(x))
+        return ElementLaw(*power_law(*x))
+    x = float(x)
+    if not -_INF < x < _INF:
+        raise DomainError(f"an element value must be finite, got {x!r}")
+    return ElementLaw(*power_law(x, 0.0))
 
 
 class SeriesRLC(Frozen):

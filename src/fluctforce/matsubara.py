@@ -811,12 +811,6 @@ def free_energy_drude(p: OscillatorParams, spec: SumSpec = SumSpec(),
                    head_error=_U)[0]
 
 
-def central_difference(energy_of: Callable[[float], float],
-                       lam: float, h: float) -> float:
-    """Plain second-order central difference of energy_of at lam."""
-    return (energy_of(lam + h) - energy_of(lam - h)) / (2.0 * h)
-
-
 def finite_difference_force(energy_of: Callable[[float], float], lam: float,
                             h: float | None = None) -> OracleResult:
     """force = -dF/dlambda by Richardson-extrapolated central differences.
@@ -827,8 +821,9 @@ def finite_difference_force(energy_of: Callable[[float], float], lam: float,
     second-order estimates, divided by 3."""
     if h is None:
         h = 1e-5 * max(abs(lam), 1.0)
-    d1 = central_difference(energy_of, lam, h)
-    d2 = central_difference(energy_of, lam, 0.5 * h)
+    d1 = (energy_of(lam + h) - energy_of(lam - h)) / (2.0 * h)
+    hh = 0.5 * h
+    d2 = (energy_of(lam + hh) - energy_of(lam - hh)) / (2.0 * hh)
     value = -(4.0 * d2 - d1) / 3.0
     return OracleResult(value, abs(d2 - d1) / 3.0, 4)
 

@@ -23,7 +23,8 @@ from fluctforce.forces import (force_drude_full, force_drude_high_t,
                                free_energy_drude_gamma)
 from fluctforce.matsubara import SumSpec, force_sum_exact
 from fluctforce.oscillator import (Drude, Ohmic, OscillatorParams,
-                                   ParametricModel, power_law_model)
+                                   ParametricModel, power_law,
+                                   power_law_model)
 
 HBAR, KB, C, EPS0 = cc.HBAR, cc.K_B, cc.C_LIGHT, cc.EPSILON_0
 
@@ -623,10 +624,10 @@ _RESULT = cc.ForceResult(-0.25, "exact", (), {"f_omega": -0.25})
 def _circuit_calls(x):
     series, parallel = cc.map_series(_SERIES), cc.map_parallel(_PARALLEL)
     return [
-        lambda: cc.constant_element(x).value(1.0),
-        lambda: cc.power_element(x, 0.5).value(2.0),
-        lambda: cc.power_element(1.0, x).derivative(2.0),
-        lambda: cc.power_element(1.0, 0.5).value(x),
+        lambda: cc.SeriesRLC.of(x, 1.0, 1.0).resistance.value(1.0),
+        lambda: cc.ParallelRLC.of((x, 0.5), 1.0, 1.0).resistance.value(2.0),
+        lambda: cc.SeriesRLC.of(1.0, (1.0, x), 1.0).inductance.derivative(2.0),
+        lambda: cc.ParallelRLC.of(1.0, 1.0, (1.0, 0.5)).capacitance.value(x),
         lambda: cc.force_series_rlc(cc.SeriesRLC.of(1e-3, 1e-6, (x, 1.0)),
                                     300.0, 1.0),
         lambda: cc.force_parallel_rlc(cc.ParallelRLC.of(x, (1e-6, 1.0),
@@ -791,7 +792,7 @@ def test_loop_model_shares_evaluations_by_value_and_sign_of_lambda():
     calls = []
 
     def counted(coeff, exponent):
-        law = cc.power_element(coeff, exponent)
+        law = cc.ElementLaw(*power_law(coeff, exponent))
         return cc.ElementLaw(
             lambda lam: calls.append((coeff, lam)) or law.value(lam),
             law.derivative)

@@ -21,10 +21,9 @@ from fluctforce.errors import DivergentSumError, DomainError, \
     PreconditionError
 from fluctforce.forces import free_energy_difference_gamma, \
     free_energy_drude_gamma
-from fluctforce.matsubara import (SumSpec, central_difference,
-                                  finite_difference_force, force_sum_exact,
-                                  free_energy_difference, free_energy_drude,
-                                  per_parameter_sums_drude)
+from fluctforce.matsubara import (SumSpec, finite_difference_force,
+                                  force_sum_exact, free_energy_difference,
+                                  free_energy_drude, per_parameter_sums_drude)
 from fluctforce.oscillator import Drude, Ohmic, OscillatorParams, \
     ParametricModel
 
@@ -293,15 +292,15 @@ def test_finite_difference_quadratic_exact():
 
 
 def test_finite_difference_refinement_ratio():
-    # second order: halving h divides the error by ~4
+    # fourth order: halving h divides the error by ~16
     def energy(x):
         return math.cos(3.0 * x)
 
     exact = 3.0 * math.sin(3.0 * 1.1)
     errs = []
     for h in (1e-2, 5e-3):
-        errs.append(abs(central_difference(energy, 1.1, h) - (-exact)))
-    assert 3.5 <= errs[0] / errs[1] <= 4.5
+        errs.append(abs(finite_difference_force(energy, 1.1, h).value - exact))
+    assert 15.0 <= errs[0] / errs[1] <= 17.0
 
 
 def test_finite_difference_matches_drude_full_case():
