@@ -354,7 +354,9 @@ def _ordered(omegas: tuple[complex, ...]) -> tuple[complex, complex, complex]:
 
 def _drude_roots(om: float, g0: float, wd: float):
     """(omega1, omega2, omega3) of eigenfrequencies_drude_exact at checked
-    Python floats Omega, gamma0 and omega_d, without its warning check."""
+    Python floats Omega, gamma0 and omega_d, without its warning check.
+    The Vieta battery calls solve_cubic directly, with these
+    coefficients, and takes its residuals in s."""
     if g0 == 0.0:
         return _ordered((complex(om), complex(-om), complex(0.0, -wd)))
     s1, s2, s3 = solve_cubic(wd, om * om + g0 * wd, om * om * wd)
@@ -372,8 +374,9 @@ def eigenfrequencies_drude_exact(p: OscillatorParams) -> Eigenfrequencies:
     Roots that are not finite raise DomainError.  Roots whose product or
     pair sum misses the cubic's coefficient by more than
     CUBIC_RESIDUAL_BOUND, relative, carry WARN_CUBIC_RESIDUAL: the solver
-    has lost accuracy there (see the module docstring).  The kernel the
-    Vieta battery calls, _drude_roots, leaves this check to this function.
+    has lost accuracy there (see the module docstring).  The kernel,
+    _drude_roots, leaves this check to this function; the Vieta battery
+    checks solve_cubic's roots of the same cubic with its own residuals.
     """
     d = require(p.damping, Drude, "eigenfrequencies_drude_exact")
     om, g0, wd = p.omega0, d.gamma0, d.omega_d

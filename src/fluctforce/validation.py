@@ -5,24 +5,24 @@ command and the acceptance test-suite both run these, so there is a
 single source of truth for tolerances.  All random grids use fixed
 seeds, making reports reproducible.  Grids are drawn as arrays, but the
 functions under test are still called one point at a time, through
-their public scalar entry points; the Vieta battery calls the root
-kernel behind eigenfrequencies_drude_exact, which returns the ordered
-roots and leaves the cubic-residual warning to the public function (a
-tier-1 test keeps the roots equal), and the ohmic-oracle suite's sign
-laws read the forces that its oracle criterion evaluated on their
-shared grid.
+their public scalar entry points; the Vieta battery calls the cubic
+solver behind eigenfrequencies_drude_exact, oscillator.solve_cubic, and
+takes its residuals in s, where omega = i s, and the ohmic-oracle
+suite's sign laws read the forces that its oracle criterion evaluated
+on their shared grid.  A criterion's worst value is NaN once any of
+its values is, so a NaN fails the criterion.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
-from . import circuits, forces, matsubara
+from . import circuits, forces, matsubara, oscillator
 from ._value import Frozen
-from .oscillator import Drude, Ohmic, OscillatorParams, ParametricModel, \
-    _drude_roots
+from .oscillator import Drude, Ohmic, OscillatorParams, ParametricModel
 
 _SEED = 20260809
 #: the terms every Matsubara oracle sums before its tail, named in reports
@@ -54,6 +54,13 @@ class CriterionReport(Frozen):
         if self.detail:
             txt += f" ({self.detail})"
         return txt
+
+
+def _worse(worst: float, x: float) -> float:
+    """max(worst, x), except that a NaN in either is the result, so that a
+    NaN, once folded in, stays the worst value: the builtin max drops a
+    NaN x, and x if not x <= worst else worst drops a NaN worst."""
+    return worst if worst != worst or x <= worst else x
 
 
 def _linear_model(om, dom=0.0, g0=0.0, dg0=0.0, wd=None,
@@ -116,8 +123,8 @@ def criterion_ohmic_oracle(count: int = 200,
         points += evaluated
     worst = 0.0
     for _, exact, oracle in evaluated:
-        tol = max(1.0e-8, 2.0 * oracle.truncation_estimate)
-        worst = max(worst, abs(exact - oracle.value) / tol)
+        tol = _worse(1.0e-8, 2.0 * oracle.truncation_estimate)
+        worst = _worse(worst, abs(exact - oracle.value) / tol)
     return CriterionReport("ohmic-oracle-equivalence", worst <= 1.0, worst, 1.0,
                            f"{count} cases, {_TERMS} terms + tail, "
                            "worst as fraction of max(1e-8, 2*estimate)")
@@ -135,7 +142,7 @@ def criterion_drude_fd(count: int = 50) -> CriterionReport:
         fd = matsubara.finite_difference_force(
             lambda lam: forces.free_energy_drude_gamma(m.params_at(lam, t)),
             1.0, h=1.0e-4)
-        worst = max(worst, abs(full - fd.value) / abs(fd.value))
+        worst = _worse(worst, abs(full - fd.value) / abs(fd.value))
     return CriterionReport("drude-finite-difference", worst <= 1.0e-5, worst,
                            1.0e-5, f"{count} cases, relative")
 
@@ -152,21 +159,20 @@ def criterion_gamma_vs_product(count: int = 20) -> CriterionReport:
         p = OscillatorParams(om, Drude(g0, ratio * max(om, g0)), t)
         fg = forces.free_energy_drude_gamma(p)
         fp = matsubara.free_energy_drude(p, roots="approx")
-        worst = max(worst, abs(fg - fp.value) / abs(fg))
+        worst = _worse(worst, abs(fg - fp.value) / abs(fg))
     return CriterionReport("gamma-vs-product", worst <= 1.0e-8, worst, 1.0e-8,
                            f"{count} cases, {_TERMS} terms + tail, relative")
 
 
 def criterion_planar_weights() -> CriterionReport:
     """High-temperature planar relative weights at the two quoted geometries."""
-    checks = []
+    worst = 0.0
     for ratio, target, tol in ((0.04, 0.42, 0.02), (2.5e-3, 0.03, 0.01)):
         d = 1.0e-3
         geom = circuits.PlanarCapacitor(area=d * d / ratio, gap=d)
         loop = circuits.SeriesRLC.of(0.0, 1.0e-6, circuits.planar_capacitance_law(geom.area))
         r = circuits.relative_weight(geom, loop, 300.0, "high-T")
-        checks.append(abs(r - target) / tol)
-    worst = max(checks)
+        worst = _worse(worst, abs(r - target) / tol)
     return CriterionReport("planar-relative-weights", worst <= 1.0, worst, 1.0,
                            "r_T at d^2/S = 0.04 and 2.5e-3 vs 0.42+-0.02, "
                            "0.03+-0.01")
@@ -175,14 +181,13 @@ def criterion_planar_weights() -> CriterionReport:
 def criterion_sphere_weights() -> CriterionReport:
     """High-temperature sphere-plate weights at the two quoted gap ratios."""
     radius = 1.0e-4
-    checks = []
+    worst = 0.0
     for gap_ratio, target, tol in ((0.75, 0.50, 0.02), (0.035, 0.02, 0.005)):
         geom = circuits.SpherePlate(radius, gap_ratio * radius)
         loop = circuits.SeriesRLC.of(0.0, 1.0e-6,
                                      circuits.sphere_plate_capacitance_law(radius))
         r = circuits.relative_weight(geom, loop, 300.0, "high-T")
-        checks.append(abs(r - target) / tol)
-    worst = max(checks)
+        worst = _worse(worst, abs(r - target) / tol)
     return CriterionReport("sphere-plate-relative-weights", worst <= 1.0,
                            worst, 1.0,
                            "r_T at d/R = 0.75 and 0.035 vs 0.50+-0.02, "
@@ -195,7 +200,7 @@ def criterion_zero_point() -> CriterionReport:
     for om in (0.3, 1.0, 5.0):
         p = OscillatorParams(om, Ohmic(1.0e-6 * om), 1.0e-4 * om)
         value = forces.force_ohmic_exact(p, 1.0).value
-        worst = max(worst, abs(value - (-0.5)) / 0.5)
+        worst = _worse(worst, abs(value - (-0.5)) / 0.5)
     return CriterionReport("zero-point-limit", worst <= 1.0e-3, worst, 1.0e-3,
                            "relative to -(hbar/2) dOmega")
 
@@ -230,7 +235,7 @@ def criterion_asymptotic_slopes() -> CriterionReport:
     slope_low = _fit_slope(ts, errs)
 
     passed = slope_high <= -1.8 and slope_low >= 0.9
-    worst = max(slope_high + 1.8, 0.9 - slope_low)
+    worst = _worse(slope_high + 1.8, 0.9 - slope_low)
     return CriterionReport(
         "asymptotic-slopes", passed, worst, 0.0,
         f"high-T slope {slope_high:.2f} (<= -1.8 required); low-T error "
@@ -287,25 +292,29 @@ def _vieta_grid(count: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def criterion_vieta(count: int = 10_000) -> CriterionReport:
     """Vieta and dispersion-equation residuals of the exact cubic roots.
 
-    The roots come from the kernel of eigenfrequencies_drude_exact, one
-    set at a time, without the public function's cubic-residual check,
-    which this battery's own residuals supersede; the draws and the
-    residuals are whole-array expressions."""
+    omega = i s maps the Drude dispersion relation onto the real cubic
+    s^3 + omega_d s^2 + a1 s + a0, a1 = Omega^2 + gamma0 omega_d and
+    a0 = Omega^2 omega_d, which oscillator.solve_cubic, the solver behind
+    eigenfrequencies_drude_exact, solves one set at a time.  It is looked
+    up on the module at each call.  The residuals are taken in s, where
+    the roots sum to -omega_d, their pair products to a1 and their
+    product to -a0; multiplying by i is exact, so they are the residuals
+    in omega.  The draws, coefficients and residuals are whole-array
+    expressions, and the coefficients are the solver's bits."""
     om, wd, g0 = _vieta_grid(count, np.random.default_rng(_SEED + 3))
-    flat: list[complex] = []
-    for o, d, g in zip(om.tolist(), wd.tolist(), g0.tolist()):
-        flat += _drude_roots(o, g, d)
-    w = np.array(flat, dtype=complex).reshape(count, 3)
-    w1, w2, w3 = w.T
-    b = om * om + g0 * wd
-    c = 1j * om * om * wd
-    r1 = abs(w1 + w2 + w3 + 1j * wd) / (1.0e-12 * wd)
-    r2 = abs(w1 * w2 + w1 * w3 + w2 * w3 + b) / (1.0e-12 * b)
-    r3 = abs(w1 * w2 * w3 - c) / (1.0e-12 * om * om * wd)
-    # w * (w * w): the product order of Python's complex w ** 3
-    sq = w * w
-    res = abs(w * sq + (1j * wd)[:, None] * sq - b[:, None] * w
-              - c[:, None]) / (1.0e-10 * wd ** 3)[:, None]
+    a1 = om * om + g0 * wd
+    a0 = om * om * wd
+    roots = map(oscillator.solve_cubic, wd.tolist(), a1.tolist(),
+                a0.tolist())
+    s = np.fromiter(itertools.chain.from_iterable(roots), complex,
+                    3 * count).reshape(count, 3)
+    s1, s2, s3 = s.T
+    r1 = abs(s1 + s2 + s3 + wd) / (1.0e-12 * wd)
+    r2 = abs(s1 * s2 + s1 * s3 + s2 * s3 - a1) / (1.0e-12 * a1)
+    r3 = abs(s1 * s2 * s3 + a0) / (1.0e-12 * a0)
+    sq = s * s
+    res = abs(s * sq + wd[:, None] * sq + a1[:, None] * s
+              + a0[:, None]) / (1.0e-10 * wd ** 3)[:, None]
     # np.max, unlike the builtin max, lets a NaN residual fail the check
     worst = float(np.max([r.max(initial=0.0) for r in (r1, r2, r3, res)]))
     return CriterionReport("vieta-and-cubic-residuals", worst <= 1.0, worst,
@@ -324,7 +333,7 @@ def criterion_critical_damping(count: int = 20) -> CriterionReport:
             OscillatorParams(om, Ohmic(2.0 * om * (1.0 - 1.0e-6)), t), 1.0)
         hi = forces.force_ohmic_exact(
             OscillatorParams(om, Ohmic(2.0 * om * (1.0 + 1.0e-6)), t), 1.0)
-        worst = max(worst, abs(hi.value - lo.value) / abs(lo.value))
+        worst = _worse(worst, abs(hi.value - lo.value) / abs(lo.value))
     return CriterionReport("critical-damping-continuity", worst <= 1.0e-6,
                            worst, 1.0e-6, f"{count} (Omega, T) pairs")
 
@@ -343,7 +352,7 @@ def criterion_circuit_composition() -> CriterionReport:
         via_circuit = circuits.force_series_rlc(loop, t, lam, units="reduced")
         direct = forces.force_ohmic_exact(m.params_at(lam, t), m.d_omega(lam))
         rel = abs(via_circuit.value - direct.value) / abs(direct.value)
-        worst = max(worst, rel / 1.0e-14)
+        worst = _worse(worst, rel / 1.0e-14)
     radius = 1.0e-4
     for gap_ratio in np.linspace(0.035, 0.75, 20):
         geom = circuits.SpherePlate(radius, float(gap_ratio) * radius)
@@ -354,7 +363,7 @@ def criterion_circuit_composition() -> CriterionReport:
                                                      "high-T").value
         f_cas = circuits.casimir_reference(geom, 300.0, "high-T").value
         rel = abs(f_circ / f_cas - r_closed) / r_closed
-        worst = max(worst, rel / 1.0e-3)
+        worst = _worse(worst, rel / 1.0e-3)
     return CriterionReport("circuit-composition", worst <= 1.0, worst, 1.0,
                            "composition residual and weight quotients, "
                            "as fractions of their tolerances")

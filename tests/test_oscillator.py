@@ -579,8 +579,9 @@ def _cubic_residual_warnings(om, g0, wd):
 
 
 def test_drude_exact_is_its_kernel_bit_for_bit():
-    # the Vieta battery calls the kernel; this keeps the public function,
-    # which points and the library's users call, equal to it
+    # the Vieta battery calls the kernel's solver; this keeps the public
+    # function, which points and the library's users call, equal to the
+    # kernel
     for o, g, d in _drude_sets():
         eig = eigenfrequencies_drude_exact(OscillatorParams(o, Drude(g, d),
                                                             1.0))

@@ -45,11 +45,106 @@ def test_criterion_without_sets_passes_at_zero(criterion):
 
 
 def test_vieta_nan_residual_fails(monkeypatch):
-    monkeypatch.setattr(validation, "_drude_roots", lambda om, g0, wd: (
+    monkeypatch.setattr(oscillator, "solve_cubic", lambda a2, a1, a0: (
         complex(math.nan, 0.0), 0j, 0j))
     rep = validation.criterion_vieta(3)
     assert not rep.passed
     assert math.isnan(rep.worst)
+
+
+@pytest.mark.parametrize("perturbed", [0, 128, 256])
+def test_vieta_fails_on_a_largest_root_off_by_1e_9(monkeypatch, perturbed):
+    solve = oscillator.solve_cubic
+    calls = []
+
+    def solve_and_perturb(a2, a1, a0):
+        roots = list(solve(a2, a1, a0))
+        if len(calls) == perturbed:
+            k = max(range(3), key=lambda i: abs(roots[i]))
+            roots[k] *= 1.0 + 1.0e-9
+        calls.append(a2)
+        return tuple(roots)
+    monkeypatch.setattr(oscillator, "solve_cubic", solve_and_perturb)
+    rep = validation.criterion_vieta(257)
+    # the roots sum to -omega_d and the largest is at least omega_d / 3:
+    # the sum misses by at least 1e-9 omega_d / 3, 333 times its bound
+    assert not rep.passed and rep.worst > 300.0
+
+
+def _omega_space_worst(count):
+    """The battery's worst residual as it was taken before it moved to s:
+    the ordered roots omega of the kernel behind
+    eigenfrequencies_drude_exact, the residuals in omega; kept as its
+    reference."""
+    om, wd, g0 = validation._vieta_grid(
+        count, np.random.default_rng(validation._SEED + 3))
+    flat = []
+    for o, d, g in zip(om.tolist(), wd.tolist(), g0.tolist()):
+        flat += oscillator._drude_roots(o, g, d)
+    w = np.array(flat, dtype=complex).reshape(count, 3)
+    w1, w2, w3 = w.T
+    b = om * om + g0 * wd
+    c = 1j * om * om * wd
+    r1 = abs(w1 + w2 + w3 + 1j * wd) / (1.0e-12 * wd)
+    r2 = abs(w1 * w2 + w1 * w3 + w2 * w3 + b) / (1.0e-12 * b)
+    r3 = abs(w1 * w2 * w3 - c) / (1.0e-12 * om * om * wd)
+    sq = w * w
+    res = abs(w * sq + (1j * wd)[:, None] * sq - b[:, None] * w
+              - c[:, None]) / (1.0e-10 * wd ** 3)[:, None]
+    return float(np.max([r.max(initial=0.0) for r in (r1, r2, r3, res)]))
+
+
+def test_vieta_residuals_in_s_give_the_omega_space_worst():
+    assert validation.criterion_vieta().worst.hex() == \
+        _omega_space_worst(10_000).hex()
+
+
+def _nan_at(monkeypatch, module, name, call, field="value"):
+    """Replace module.name by the original whose result at the given call,
+    counted from 0, is NaN, or has a NaN field."""
+    original = getattr(module, name)
+    calls = []
+
+    def nan_once(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append(args)
+        if len(calls) - 1 != call:
+            return result
+        if type(result) is float:
+            return math.nan
+        return SimpleNamespace(**{**vars(result), field: math.nan})
+    monkeypatch.setattr(module, name, nan_once)
+    return calls
+
+
+@pytest.mark.parametrize("criterion, module, name, call", [
+    ("ohmic_oracle", "forces", "force_ohmic_exact", 0),
+    ("ohmic_oracle", "matsubara", "force_sum_exact", 0),
+    ("drude_fd", "forces", "force_drude_full", 0),
+    ("drude_fd", "matsubara", "finite_difference_force", 0),
+    ("gamma_vs_product", "forces", "free_energy_drude_gamma", 0),
+    ("gamma_vs_product", "matsubara", "free_energy_drude", 0),
+    ("zero_point", "forces", "force_ohmic_exact", 0),
+    ("critical_damping", "forces", "force_ohmic_exact", 0),
+    ("critical_damping", "forces", "force_ohmic_exact", 1),
+    ("circuit_composition", "circuits", "force_series_rlc", 0),
+    ("circuit_composition", "circuits", "sphere_plate_circuit_force", 0),
+    # a NaN only after the first check: max(checks) kept one that led
+    ("planar_weights", "circuits", "relative_weight", 1),
+    ("sphere_weights", "circuits", "relative_weight", 1),
+    ("asymptotic_slopes", "validation", "_fit_slope", 1),
+], ids=lambda x: str(x))
+def test_criterion_fails_on_a_nan(monkeypatch, criterion, module, name,
+                                  call):
+    # a NaN at the first of many values, which the builtin max dropped
+    # at once and a plain x if not x <= worst else worst at the next
+    module = validation if module == "validation" else getattr(validation,
+                                                               module)
+    calls = _nan_at(monkeypatch, module, name, call)
+    rep = getattr(validation, f"criterion_{criterion}")()
+    assert len(calls) > call
+    assert rep.passed is False and math.isnan(rep.worst)
+    assert rep.line().startswith("FAIL ") and "worst=nan" in rep.line()
 
 
 @pytest.mark.parametrize("module, name, wrong", [
@@ -191,3 +286,11 @@ def test_validation_hands_the_library_python_floats(monkeypatch):
         "force_ohmic_exact", "force_ohmic_high_t", "force_ohmic_low_t",
         "force_sum_exact"}
     assert all(t is float for _, *types in seen for t in types)
+
+
+def test_ohmic_oracle_fails_on_a_nan_estimate(monkeypatch):
+    # max(1e-8, NaN) was 1e-8: the case passed on its value alone
+    _nan_at(monkeypatch, validation.matsubara, "force_sum_exact", 0,
+            "truncation_estimate")
+    rep = validation.criterion_ohmic_oracle()
+    assert rep.passed is False and math.isnan(rep.worst)
