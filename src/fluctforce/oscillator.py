@@ -14,11 +14,12 @@ Eigenfrequencies are the roots of the dispersion relation
 Omega^2 - i gamma(omega) omega - omega^2 = 0.  For the Drude model the
 substitution omega = i s turns this into a real cubic in s, solved by a
 depressed-cubic branch (trigonometric for three real roots, Cardano
-otherwise) and two Newton steps on the original cubic.  The steps
-matter: where omega_d dominates, undoing the depression shift cancels
-for the two small roots, and they restore them to about 1e-15, relative,
-over the Vieta battery's range (omega_d / Omega up to 1e4, gamma0 /
-Omega up to 10).  At omega_d / Omega of 1e8 to 1e12 a small root can be
+otherwise) and one or two Newton steps on the original cubic (see
+_polish).  The steps matter: where omega_d dominates, undoing the
+depression shift cancels for the two small roots, and they restore them
+to about 1e-15, relative, over the Vieta battery's range (omega_d /
+Omega up to 1e4, gamma0 / Omega up to 10), where one step suffices for
+every root.  At omega_d / Omega of 1e8 to 1e12 a small root can be
 wrong in every digit; eigenfrequencies_drude_exact flags such roots with
 the cubic-residual warning (they fail a relative Vieta check), and roots
 that are not finite raise DomainError.
@@ -49,6 +50,8 @@ WARN_CUBIC_RESIDUAL = "cubic-residual"
 # and gamma0^2/4 (the root pair, the Drude cubic) cannot overflow.
 _RATE_MAX = 2.0 ** 511
 _TAU = 2.0 * math.pi
+# a first Newton step of at most this fraction of the root ends _polish
+_CONVERGED = 2.0 ** -26
 
 
 class Ohmic(Frozen):
@@ -262,8 +265,12 @@ def eigenfrequencies_ohmic(p: OscillatorParams) -> Eigenfrequencies:
 
 
 def _polish(s, a2: float, a1: float, a0: float):
-    """s after two Newton steps on s^3 + a2 s^2 + a1 s + a0, stopping at
-    a zero derivative or at a step that overshoots (near a double root)."""
+    """s after up to two Newton steps on s^3 + a2 s^2 + a1 s + a0.
+
+    It stops at a zero derivative, at a step that overshoots (near a
+    double root), and after the first step where that step is at most
+    _CONVERGED of the new s: Newton converges quadratically, so the
+    second step would be at the rounding level of the cubic's value."""
     df = (3.0 * s + 2.0 * a2) * s + a1
     if df == 0.0:
         return s
@@ -271,6 +278,8 @@ def _polish(s, a2: float, a1: float, a0: float):
     if abs(step) > 0.5 * (1.0 + abs(s)):
         return s
     s = s - step
+    if abs(step) <= _CONVERGED * abs(s):
+        return s
     df = (3.0 * s + 2.0 * a2) * s + a1
     if df == 0.0:
         return s
@@ -283,8 +292,9 @@ def _polish(s, a2: float, a1: float, a0: float):
 def solve_cubic(a2: float, a1: float, a0: float) -> tuple[complex, ...]:
     """All roots of s^3 + a2 s^2 + a1 s + a0 = 0 with real coefficients.
 
-    Depressed-cubic branch selection by discriminant sign, then two Newton
-    steps per root on the original cubic; roots that are not finite raise.
+    Depressed-cubic branch selection by discriminant sign, then one or two
+    Newton steps per root on the original cubic (see _polish); roots that
+    are not finite raise.
     """
     shift = a2 / 3.0
     p = a1 - a2 * a2 / 3.0

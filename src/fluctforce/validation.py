@@ -299,8 +299,9 @@ def criterion_vieta(count: int = 10_000) -> CriterionReport:
     up on the module at each call.  The residuals are taken in s, where
     the roots sum to -omega_d, their pair products to a1 and their
     product to -a0; multiplying by i is exact, so they are the residuals
-    in omega.  The draws, coefficients and residuals are whole-array
-    expressions, and the coefficients are the solver's bits."""
+    in omega up to the rounding of their evaluation.  The draws,
+    coefficients and residuals are whole-array expressions, and the
+    coefficients are the solver's bits."""
     om, wd, g0 = _vieta_grid(count, np.random.default_rng(_SEED + 3))
     a1 = om * om + g0 * wd
     a0 = om * om * wd

@@ -25,7 +25,7 @@ from fluctforce import circuits, cli, forces, matsubara, oscillator, specfun
 CORPUS_DIGEST = \
     "a9caed8c397d4a9604cb8e91b9193cdc805adc395f98c09683e0a8687f1a0f35"
 POINTS_DIGEST = \
-    "d147ee49da533ef1d6b0eb377e74ed5bbada4e06acaccc4f565cc5b8d876dfc8"
+    "4b9ce21419169b618b3a860db6c923f326f4dcc437a62b3417ffba4419f7185f"
 SEEDS = (1, 2, 3)
 NPROC = 2
 BENCH = Path(__file__).resolve().parent.parent / "bench"

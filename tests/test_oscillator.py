@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fluctforce import oscillator
 from fluctforce.errors import DomainError, PreconditionError
 from fluctforce.forces import force_drude_full
 from fluctforce.oscillator import (Drude, Ohmic, OscillatorParams,
@@ -83,6 +84,48 @@ def test_polish_stops_where_its_first_step_lands_on_a_critical_point():
     assert _polish(1.5099923706054688, a2, a1, a0) == 1.51
     assert solve_cubic(a2, a1, a0) == (1.6211111309793476 + 0j,
                                        1.1766666467984521 + 0j, 1.51 + 0j)
+
+
+def _newton(s, a2, a1, a0):
+    """(s after one Newton step on s^3 + a2 s^2 + a1 s + a0, the step)."""
+    step = (((s + a2) * s + a1) * s + a0) / ((3.0 * s + 2.0 * a2) * s + a1)
+    return s - step, step
+
+
+def _polish_starts(monkeypatch, a2, a1, a0):
+    """The starts that solve_cubic hands to _polish for this cubic."""
+    starts = []
+
+    def record(s, *coefficients):
+        starts.append(s)
+        return _polish(s, *coefficients)
+    monkeypatch.setattr(oscillator, "_polish", record)
+    solve_cubic(a2, a1, a0)
+    return starts
+
+
+# the second start of a Vieta battery set in the trigonometric branch, and
+# the complex start of the pair in the Cardano branch
+@pytest.mark.parametrize("coefficients, kind", [
+    ((69.27542018810851, 441.61816470171294, 228.83483695712826), float),
+    ((10.0, 31.0, 10.0), complex),
+])
+def test_polish_stops_after_a_first_step_below_2_to_the_minus_26(
+        monkeypatch, coefficients, kind):
+    start = _polish_starts(monkeypatch, *coefficients)[1]
+    assert type(start) is kind
+    # the solver's own start: one step lands within 2^-26 of the root,
+    # and the polish returns it although a second step would move it
+    s1, step = _newton(start, *coefficients)
+    assert abs(step) <= 2.0 ** -26 * abs(s1)
+    assert _newton(s1, *coefficients)[0] != s1
+    assert _polish(start, *coefficients) == s1
+    # 1e-4 off, the first step is larger and the second one is taken
+    far = start * (1.0 + 1.0e-4)
+    s1, step = _newton(far, *coefficients)
+    assert abs(step) > 2.0 ** -26 * abs(s1)
+    s2 = _newton(s1, *coefficients)[0]
+    assert s2 != s1 and _polish(far, *coefficients) == s2
 
 
 def test_drude_exact_decoupled_limit():
@@ -437,6 +480,26 @@ def test_drude_exact_inaccurate_roots_carry_the_cubic_residual_warning(
     assert eig.warnings == (WARN_CUBIC_RESIDUAL,) and worst > 1e-9
 
 
+def test_solve_cubic_roots_are_within_32_ulp_of_mpmath():
+    # 300 sets drawn as the Vieta battery draws them, from another seed,
+    # and the accurate reference sets: each root lies within 32 * 2^-52,
+    # relative, of the nearest root that mpmath finds at 40 digits for
+    # the same float coefficients (the battery's worst is 13.2 * 2^-52)
+    mpmath = pytest.importorskip("mpmath")
+    from fluctforce import validation
+    om, wd, g0 = validation._vieta_grid(300, np.random.default_rng(4242))
+    sets = (list(zip(om.tolist(), g0.tolist(), wd.tolist()))
+            + [p for p, _ in _ACCURATE])
+    with mpmath.workdps(40):
+        for o, g, d in sets:
+            cubic = (d, o * o + g * d, o * o * d)
+            exact = mpmath.polyroots([1.0, *cubic], maxsteps=100,
+                                     extraprec=100)
+            for s in solve_cubic(*cubic):
+                error = min(abs(s - r) / abs(r) for r in exact)
+                assert error <= 32 * 2.0 ** -52, (cubic, s)
+
+
 @pytest.mark.parametrize("omega_d", [1e52, 1e100, 1e300])
 def test_drude_exact_non_finite_roots_raise(omega_d):
     with pytest.raises(DomainError, match="not finite"):
@@ -462,8 +525,9 @@ def test_drude_exact_roots_unmoved_by_the_check():
 
 def _solve_cubic_reference(a2, a1, a0):
     """solve_cubic as it was before its polish became one straight-line
-    helper, verbatim but for math.inf in place of the module's _INF: the
-    module must give the same roots and errors, bit for bit."""
+    helper, verbatim but for math.inf in place of the module's _INF and
+    for the polish's stop after a first step of at most 2^-26 of the
+    root: the module must give the same roots and errors, bit for bit."""
     shift = a2 / 3.0
     p = a1 - a2 * a2 / 3.0
     q = a2 * (2.0 * a2 * a2 / 27.0 - a1 / 3.0) + a0
@@ -506,6 +570,8 @@ def _solve_cubic_reference(a2, a1, a0):
             if abs(step) > 0.5 * (1.0 + abs(s)):
                 break
             s = s - step
+            if abs(step) <= 2.0 ** -26 * abs(s):
+                break
         if not deflate:
             roots.append(complex(s))
             continue
